@@ -11,8 +11,7 @@
 //! [`CompiledTape::replay_lanes`] / [`CompiledTape::adjoints_into_lanes`]
 //! walk the stream **once per lane block**, executing each op over all
 //! `LANES` items with a fixed-width inner loop the compiler can
-//! autovectorize (and, behind the optional `simd` feature, compile a
-//! second time with AVX2 enabled and dispatch at runtime).
+//! autovectorize.
 //!
 //! Memory layout per node `j`:
 //!
@@ -179,37 +178,6 @@ impl<V: Scalar> CompiledTape<V> {
                 got: inputs.len(),
             });
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            unsafe { self.replay_lanes_avx2(inputs, buf) };
-            return Ok(());
-        }
-        self.replay_lanes_body(inputs, buf);
-        Ok(())
-    }
-
-    /// The AVX2-multiversioned clone of the forward lane sweep: the
-    /// `#[target_feature]` attribute recompiles the `#[inline(always)]`
-    /// body with 256-bit vector instructions enabled, without changing
-    /// any arithmetic (no FMA contraction, no fast-math), so lanes stay
-    /// bit-identical to the portable build.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn replay_lanes_avx2<const LANES: usize>(
-        &self,
-        inputs: &[[V; LANES]],
-        buf: &mut LaneReplayBuffers<V, LANES>,
-    ) {
-        self.replay_lanes_body(inputs, buf);
-    }
-
-    #[inline(always)]
-    fn replay_lanes_body<const LANES: usize>(
-        &self,
-        inputs: &[[V; LANES]],
-        buf: &mut LaneReplayBuffers<V, LANES>,
-    ) {
         let n = self.ops.len();
         buf.resize(n);
         let mut next_input = 0usize;
@@ -257,6 +225,7 @@ impl<V: Scalar> CompiledTape<V> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Reverse (adjoint) sweep over the replayed lane blocks: every
@@ -269,33 +238,6 @@ impl<V: Scalar> CompiledTape<V> {
     /// Panics if a seed id is out of range, or if `buf` has not been
     /// filled by a [`CompiledTape::replay_lanes`] of this trace.
     pub fn adjoints_into_lanes<const LANES: usize>(
-        &self,
-        seeds: &[(NodeId, V)],
-        buf: &mut LaneReplayBuffers<V, LANES>,
-    ) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            unsafe { self.adjoints_into_lanes_avx2(seeds, buf) };
-            return;
-        }
-        self.adjoints_into_lanes_body(seeds, buf);
-    }
-
-    /// AVX2-multiversioned clone of the reverse lane sweep (see
-    /// `replay_lanes_avx2`).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn adjoints_into_lanes_avx2<const LANES: usize>(
-        &self,
-        seeds: &[(NodeId, V)],
-        buf: &mut LaneReplayBuffers<V, LANES>,
-    ) {
-        self.adjoints_into_lanes_body(seeds, buf);
-    }
-
-    #[inline(always)]
-    fn adjoints_into_lanes_body<const LANES: usize>(
         &self,
         seeds: &[(NodeId, V)],
         buf: &mut LaneReplayBuffers<V, LANES>,

@@ -18,6 +18,7 @@
 use crate::qor::QorKernel;
 use scorpio_runtime::controller::adaptive::{AdaptiveController, Objective};
 use scorpio_runtime::controller::QualityTarget;
+use scorpio_obs::gate::{self, Better, Metric};
 use scorpio_runtime::{EnergyModel, ExecutionStats};
 use serde::Serialize;
 
@@ -122,9 +123,79 @@ pub struct AdaptiveReport {
 }
 
 impl AdaptiveReport {
-    /// Serialises the report as JSON.
+    /// Serialises the report, with its [`AdaptiveReport::metrics`], as
+    /// JSON.
     pub fn to_json(&self) -> String {
-        scorpio_obs::json::to_string(self)
+        gate::to_json(self, &self.metrics())
+    }
+
+    /// The gated metrics, per kernel: on non-flat kernels the
+    /// controller contract (target met, converged, dominates the best
+    /// static ratio; flat kernels are exempt and emit no bits), then
+    /// the adaptive quality, modeled energy and convergence step count.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut out = Vec::new();
+        for k in &self.kernels {
+            let at = |what: &str| format!("{} · {what}", k.name);
+            if k.non_flat {
+                out.extend([
+                    Metric::contract(at("target_met"), k.target_met),
+                    Metric::contract(at("converged"), k.adaptive.converged),
+                    Metric::contract(at("dominates best static"), k.dominates),
+                ]);
+            }
+            let better = if k.higher_is_better {
+                Better::Higher
+            } else {
+                Better::Lower
+            };
+            let a = &k.adaptive;
+            out.extend([
+                Metric::new(at(&format!("adaptive quality({})", k.metric)), &k.metric, better, a.quality),
+                Metric::new(at("adaptive energy_j"), "J", Better::Lower, a.energy_j),
+                Metric::new(at("convergence steps"), "steps", Better::Lower, a.steps as f64),
+            ]);
+        }
+        out
+    }
+}
+
+/// A one-kernel (non-flat sobel) report whose contract bits all equal
+/// `ok`.
+#[cfg(test)]
+pub(crate) fn fixture(ok: bool, degraded: bool, steps: u64) -> AdaptiveReport {
+    AdaptiveReport {
+        schema: ADAPTIVE_SCHEMA.to_owned(),
+        name: "test".to_owned(),
+        git: "deadbeef".to_owned(),
+        threads: 1,
+        small: true,
+        degraded,
+        kernels: vec![AdaptiveKernel {
+            name: "sobel".to_owned(),
+            metric: "psnr_db".to_owned(),
+            higher_is_better: true,
+            target_kind: "at_least".to_owned(),
+            target: 25.0,
+            non_flat: true,
+            best_static: Some(StaticBest {
+                ratio: 0.8,
+                quality: 28.9,
+                energy_j: 2.0,
+            }),
+            adaptive: AdaptiveOutcome {
+                final_ratio: 0.62,
+                quality: 25.4,
+                energy_j: 1.6,
+                steps,
+                converged: ok,
+                converged_step: ok.then(|| steps.saturating_sub(1)),
+                evals: steps + 1,
+                non_finite: 0,
+            },
+            target_met: ok,
+            dominates: ok,
+        }],
     }
 }
 

@@ -36,7 +36,7 @@ use std::thread;
 use scorpio_bench::{arg_value, out_dir_arg, ObsContract, ObsMode, ObsReport, OBS_SCHEMA};
 use scorpio_core::audit::SplitMix64;
 use scorpio_obs::expose::validate_exposition;
-use scorpio_obs::json::{self, Value};
+use scorpio_obs::json::Value;
 use scorpio_serve::{Client, Server, ServerConfig, ServerSummary};
 
 /// Kernels the ablation loads, with one fixed shape each. Moderate
@@ -397,7 +397,7 @@ fn main() -> ExitCode {
     };
     std::fs::create_dir_all(&out_dir).expect("create --out-dir");
     let path = out_dir.join("BENCH_obs.json");
-    std::fs::write(&path, json::to_string(&report) + "\n").expect("write BENCH_obs.json");
+    std::fs::write(&path, report.to_json() + "\n").expect("write BENCH_obs.json");
     println!("wrote {}", path.display());
 
     if ok {

@@ -1,37 +1,33 @@
 //! Run-to-run comparison and regression gate.
 //!
 //! Loads two artifacts written by the harness binaries — two
-//! `RUN_*.json` run manifests, two `BENCH_qor.json` QoR reports, or
-//! two `BENCH_adaptive.json` controller-ablation reports — and
-//! compares them item by item (see `scorpio_bench::diff`): QoR curves
-//! pointwise with metric-direction awareness, repeated timing samples
-//! with Welch's t-test (bootstrap CI fallback), manifest
-//! phases/counters against a relative threshold, and adaptive reports
-//! both on drift and on the absolute controller contract (every
-//! non-flat kernel must meet its target, converge, and dominate the
-//! best static ratio). Inputs marked `degraded` (the producing run
+//! `BENCH_qor.json`, `BENCH_adaptive.json`, `BENCH_jpeg.json` or
+//! `BENCH_obs.json` reports, or two `RUN_*.json` run manifests — and
+//! compares the flat `metrics` lists they carry, metric by metric (see
+//! `scorpio_bench::diff`): quality and energy direction-aware, counters
+//! and bitrates two-sided, deterministic values exactly, contract bits
+//! on the candidate alone, and repeated timing samples with Welch's
+//! t-test (bootstrap CI fallback). A baseline metric the candidate
+//! lacks is a regression. Inputs marked `degraded` (the producing run
 //! overflowed its event ring) are compared normally but flagged with a
 //! WARNING line.
 //!
 //! ```sh
 //! cargo run --release -p scorpio-bench --bin scorpio_diff -- \
-//!     baseline.json candidate.json [--gate] [--threshold PCT] \
-//!     [--quality-only] [--reps N] [--seed S]
+//!     baseline.json candidate.json [--gate] [--threshold PCT] [--quality-only]
 //! ```
 //!
 //! * `--gate` — exit non-zero (1) when any statistically significant
 //!   regression beyond the threshold is found.
 //! * `--threshold PCT` — relative-change gate threshold in percent
 //!   (default 5).
-//! * `--quality-only` — compare only machine-independent items
-//!   (quality, modeled energy, achieved ratios, counters); use this
-//!   when gating against a baseline produced on different hardware.
-//! * `--reps N` — bootstrap resamples for the CI fallback
-//!   (default 1000).
-//! * `--seed S` — bootstrap seed (default 0x5ca1ab1e).
+//! * `--quality-only` — skip every metric with a time unit (`ns`, `us`,
+//!   `ms`, `s`); use this when gating against a baseline produced on
+//!   different hardware.
 //!
 //! Exit codes: 0 = clean (or regressions found without `--gate`),
-//! 1 = gated regression, 2 = usage or file error.
+//! 1 = gated regression, 2 = usage or file error (including artifacts
+//! with different `schema` tags or without a `metrics` list).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -48,7 +44,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scorpio_diff <baseline.json> <candidate.json> \
-         [--gate] [--threshold PCT] [--quality-only] [--reps N] [--seed S]"
+         [--gate] [--threshold PCT] [--quality-only]"
     );
     std::process::exit(2)
 }
@@ -73,32 +69,15 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage());
             }
-            "--reps" => {
-                opts.resamples = value(&mut args, "--reps")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            "--seed" => {
-                opts.seed = value(&mut args, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
             "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => {
-                // --flag=value forms.
-                let parse_kv = |prefix: &str| flag.strip_prefix(prefix).map(str::to_owned);
-                if let Some(v) = parse_kv("--threshold=") {
-                    opts.threshold_pct = v.parse().unwrap_or_else(|_| usage());
-                } else if let Some(v) = parse_kv("--reps=") {
-                    opts.resamples = v.parse().unwrap_or_else(|_| usage());
-                } else if let Some(v) = parse_kv("--seed=") {
-                    opts.seed = v.parse().unwrap_or_else(|_| usage());
-                } else {
-                    eprintln!("unknown flag {flag}");
+            arg => match arg.strip_prefix("--threshold=") {
+                Some(v) => opts.threshold_pct = v.parse().unwrap_or_else(|_| usage()),
+                None if arg.starts_with("--") => {
+                    eprintln!("unknown flag {arg}");
                     usage();
                 }
-            }
-            _ => positional.push(PathBuf::from(a)),
+                None => positional.push(PathBuf::from(arg)),
+            },
         }
     }
     if positional.len() != 2 {

@@ -1,45 +1,42 @@
 //! Run-to-run comparison and the regression gate behind `scorpio_diff`.
 //!
-//! Loads two artifacts produced by the harness binaries — either two
-//! `RUN_*.json` run manifests or two `BENCH_qor.json` QoR reports —
-//! and compares them item by item:
+//! Every artifact the harness binaries write — QoR, adaptive, JPEG and
+//! observability reports and `RUN_*.json` run manifests — carries a
+//! flat `metrics` list next to its human-readable payload (see
+//! [`scorpio_obs::gate`]). This module pairs a baseline's list with a
+//! candidate's by metric name and judges each pair by the metric's
+//! [`Better`] rule:
 //!
-//! * **QoR reports** are compared pointwise per kernel: quality and
-//!   modeled energy with metric-direction awareness (PSNR up is good,
-//!   relative error down is good), achieved ratio exactly, and the
-//!   repeated wall-time samples with Welch's t-test (falling back to a
-//!   seeded bootstrap CI when the t-test is undefined) so a timing
-//!   regression must be *statistically significant*, not just noisy.
-//! * **Run manifests** carry one sample per phase/counter, so phase
-//!   timings and counters are compared against the plain relative
-//!   threshold.
+//! * `higher` / `lower` — relative change against the threshold,
+//!   direction-aware. With repeated `samples` on both sides the change
+//!   must also be statistically significant (Welch's t-test, falling
+//!   back to a seeded bootstrap CI when the t-test is undefined), so a
+//!   timing regression has to be real, not just noisy.
+//! * `either` — drift beyond the threshold in either direction gates.
+//! * `exact` — any change over 1e-9 gates.
+//! * `contract` — the candidate's bit must be 1, whatever the baseline
+//!   says; candidate bits the baseline lacks are judged too.
 //!
+//! A baseline metric missing from the candidate is a regression. Under
+//! `quality_only`, metrics with a time unit are skipped.
 //! [`DiffReport::regressions`] drives the `--gate` exit code.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use scorpio_obs::gate::{Better, Metric};
 use scorpio_obs::json::{parse, Value};
 
 use crate::stats;
 
-/// What kind of artifact a JSON file turned out to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// A `BENCH_qor.json` QoR report ([`crate::QorReport`]).
-    Qor,
-    /// A `RUN_*.json` run manifest (`scorpio_obs::RunManifest`).
-    RunManifest,
-    /// A `BENCH_adaptive.json` controller-vs-static ablation
-    /// ([`crate::AdaptiveReport`]).
-    Adaptive,
-    /// A `BENCH_jpeg.json` end-to-end codec scenario report
-    /// ([`crate::JpegReport`]).
-    Jpeg,
-    /// A `BENCH_obs.json` live-observability ablation report
-    /// ([`crate::ObsReport`]).
-    Obs,
-}
+/// Bootstrap resamples used when the t-test is undefined.
+const RESAMPLES: usize = 1000;
+/// Bootstrap seed (verdicts are deterministic in it).
+const SEED: u64 = 0x5ca1_ab1e;
+/// Units of machine-dependent metrics, skipped under
+/// [`DiffOptions::quality_only`].
+const TIME_UNITS: [&str; 4] = ["ns", "us", "ms", "s"];
 
 /// Knobs of one comparison.
 #[derive(Debug, Clone, Copy)]
@@ -47,14 +44,10 @@ pub struct DiffOptions {
     /// Relative-change gate threshold in percent (a regression must be
     /// worse than this to fire).
     pub threshold_pct: f64,
-    /// Compare only machine-independent items (quality, energy model,
-    /// achieved ratios, counters) — skip wall-time comparisons so a
-    /// checked-in baseline gates identically on any host.
+    /// Compare only machine-independent metrics — skip every metric
+    /// with a time unit so a checked-in baseline gates identically on
+    /// any host.
     pub quality_only: bool,
-    /// Bootstrap resamples used when the t-test is undefined.
-    pub resamples: usize,
-    /// Bootstrap seed (verdicts are deterministic in it).
-    pub seed: u64,
 }
 
 impl Default for DiffOptions {
@@ -62,8 +55,6 @@ impl Default for DiffOptions {
         DiffOptions {
             threshold_pct: 5.0,
             quality_only: false,
-            resamples: 1000,
-            seed: 0x5ca1_ab1e,
         }
     }
 }
@@ -93,7 +84,8 @@ impl Severity {
 /// One compared item.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// What was compared (e.g. `"sobel @ ratio 0.5 · quality(psnr_db)"`).
+    /// What was compared: the metric name (e.g.
+    /// `"sobel @ ratio 0.5 · quality(psnr_db)"`).
     pub item: String,
     /// Baseline value.
     pub baseline: f64,
@@ -113,46 +105,45 @@ pub struct Finding {
 /// The full comparison result.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    /// Kind of the two artifacts.
-    pub kind: ArtifactKind,
-    /// Every compared item, in artifact order.
+    /// The `schema` tag both artifacts carry (`None` for untagged
+    /// artifacts such as run manifests).
+    pub schema: Option<String>,
+    /// Every compared item, in baseline metric order.
     pub findings: Vec<Finding>,
-    /// Non-gating caveats about the *inputs* — e.g. either side was
-    /// produced by a run that dropped task events (`degraded: true` in
-    /// QoR/adaptive reports, `task_events_dropped > 0` in manifests),
-    /// so its curves may be biased. Rendered prominently but never an
-    /// exit-code regression by itself.
+    /// Non-gating caveats about the *inputs* — either side was produced
+    /// by a run that dropped task events (top-level `degraded: true`),
+    /// so its telemetry-derived values may be biased. Rendered
+    /// prominently but never an exit-code regression by itself.
     pub warnings: Vec<String>,
 }
 
 impl DiffReport {
     /// Number of regressions found.
     pub fn regressions(&self) -> usize {
+        self.count(Severity::Regression)
+    }
+
+    fn count(&self, severity: Severity) -> usize {
         self.findings
             .iter()
-            .filter(|f| f.severity == Severity::Regression)
+            .filter(|f| f.severity == severity)
             .count()
     }
 
     /// Human-readable table of every finding plus a summary line.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let kind = match self.kind {
-            ArtifactKind::Qor => "QoR report",
-            ArtifactKind::RunManifest => "run manifest",
-            ArtifactKind::Adaptive => "adaptive-controller report",
-            ArtifactKind::Jpeg => "JPEG scenario report",
-            ArtifactKind::Obs => "live-observability ablation report",
-        };
-        let _ = writeln!(out, "comparing {kind}s: {} items", self.findings.len());
+        let schema = self.schema.as_deref().unwrap_or("untagged");
+        let _ = writeln!(
+            out,
+            "comparing {schema} artifacts: {} items",
+            self.findings.len()
+        );
         for w in &self.warnings {
             let _ = writeln!(out, "WARNING: {w}");
         }
         for f in &self.findings {
-            let p = match f.p_value {
-                Some(p) => format!(" p={p:.4}"),
-                None => String::new(),
-            };
+            let p = f.p_value.map(|p| format!(" p={p:.4}")).unwrap_or_default();
             let note = if f.note.is_empty() {
                 String::new()
             } else {
@@ -168,12 +159,7 @@ impl DiffReport {
                 f.worse_pct,
             );
         }
-        let regs = self.regressions();
-        let better = self
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Improvement)
-            .count();
+        let (regs, better) = (self.regressions(), self.count(Severity::Improvement));
         let _ = writeln!(
             out,
             "summary: {regs} regression(s), {better} improvement(s), {} unchanged",
@@ -194,93 +180,56 @@ pub fn load(path: &Path) -> Result<Value, String> {
     parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))
 }
 
-/// Identifies which artifact kind a parsed file is.
-///
-/// # Errors
-///
-/// Returns a message when the value is neither a known QoR schema nor
-/// a run manifest.
-pub fn detect(value: &Value) -> Result<ArtifactKind, String> {
-    if let Some(schema) = value.get("schema").and_then(Value::as_str) {
-        return if schema == crate::QOR_SCHEMA {
-            Ok(ArtifactKind::Qor)
-        } else if schema == crate::ADAPTIVE_SCHEMA {
-            Ok(ArtifactKind::Adaptive)
-        } else if schema == crate::JPEG_SCHEMA {
-            Ok(ArtifactKind::Jpeg)
-        } else if schema == crate::OBS_SCHEMA {
-            Ok(ArtifactKind::Obs)
-        } else {
-            Err(format!("unsupported schema {schema:?}"))
-        };
-    }
-    if value.get("phases").is_some() && value.get("wall_clock_ns").is_some() {
-        return Ok(ArtifactKind::RunManifest);
-    }
-    Err(
-        "not a BENCH_qor.json QoR report, BENCH_adaptive.json adaptive report, \
-         BENCH_jpeg.json JPEG scenario report, BENCH_obs.json observability \
-         report or RUN_*.json run manifest"
-            .to_owned(),
-    )
+/// The `metrics` list of one parsed artifact.
+fn metric_list(value: &Value, side: &str) -> Result<Vec<Metric>, String> {
+    let list = value
+        .get("metrics")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| {
+            format!("{side} has no metrics list; regenerate it with the current harness binaries")
+        })?;
+    list.iter()
+        .enumerate()
+        .map(|(i, m)| {
+            Metric::from_value(m).ok_or_else(|| format!("{side} metric #{i} is malformed"))
+        })
+        .collect()
 }
 
-/// Compares two parsed artifacts of the same kind.
+/// Compares two parsed artifacts.
 ///
 /// # Errors
 ///
-/// Returns a message when the kinds differ or either file is malformed.
+/// Returns a message when the `schema` tags differ or either side has
+/// no well-formed `metrics` list.
 pub fn diff_values(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<DiffReport, String> {
-    let kind = detect(base)?;
-    let cand_kind = detect(cand)?;
-    if kind != cand_kind {
+    let schema = |v: &Value| v.get("schema").and_then(Value::as_str).map(str::to_owned);
+    let (schema, cand_schema) = (schema(base), schema(cand));
+    if schema != cand_schema {
         return Err(format!(
-            "cannot compare a {kind:?} against a {cand_kind:?}"
+            "cannot compare schema {schema:?} against {cand_schema:?}"
         ));
     }
-    let findings = match kind {
-        ArtifactKind::Qor => diff_qor(base, cand, opts)?,
-        ArtifactKind::RunManifest => diff_manifest(base, cand, opts)?,
-        ArtifactKind::Adaptive => diff_adaptive(base, cand, opts)?,
-        ArtifactKind::Jpeg => diff_jpeg(base, cand, opts)?,
-        ArtifactKind::Obs => diff_obs(base, cand, opts)?,
-    };
-    let mut warnings = Vec::new();
-    for (side, value) in [("baseline", base), ("candidate", cand)] {
-        if let Some(w) = degraded_input(side, value, kind) {
-            warnings.push(w);
-        }
-    }
+    let findings = compare(
+        &metric_list(base, "baseline")?,
+        &metric_list(cand, "candidate")?,
+        opts,
+    );
+    let warnings = [("baseline", base), ("candidate", cand)]
+        .into_iter()
+        .filter(|(_, v)| matches!(v.get("degraded"), Some(Value::Bool(true))))
+        .map(|(side, _)| {
+            format!(
+                "{side} is degraded (its run dropped task events; achieved-ratio \
+                 and task tallies may be biased)"
+            )
+        })
+        .collect();
     Ok(DiffReport {
-        kind,
+        schema,
         findings,
         warnings,
     })
-}
-
-/// A caveat string when `value` was produced by a run that dropped
-/// task events (so its telemetry-derived columns may be biased).
-fn degraded_input(side: &str, value: &Value, kind: ArtifactKind) -> Option<String> {
-    match kind {
-        ArtifactKind::Qor | ArtifactKind::Adaptive | ArtifactKind::Jpeg | ArtifactKind::Obs => {
-            matches!(value.get("degraded"), Some(Value::Bool(true))).then(|| {
-                format!(
-                    "{side} is degraded (its run dropped task events; \
-                     achieved-ratio and task tallies may be biased)"
-                )
-            })
-        }
-        ArtifactKind::RunManifest => value
-            .get("task_events_dropped")
-            .and_then(Value::as_f64)
-            .filter(|&d| d > 0.0)
-            .map(|d| {
-                format!(
-                    "{side} manifest dropped {d:.0} task event(s); \
-                     its event timeline is truncated"
-                )
-            }),
-    }
 }
 
 /// [`load`] + [`diff_values`] over two files.
@@ -293,43 +242,84 @@ pub fn diff_files(
     candidate: &Path,
     opts: &DiffOptions,
 ) -> Result<DiffReport, String> {
-    let base = load(baseline)?;
-    let cand = load(candidate)?;
-    diff_values(&base, &cand, opts)
+    diff_values(&load(baseline)?, &load(candidate)?, opts)
 }
 
-// ───────────────────────── QoR comparison ─────────────────────────
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
+/// The one comparison: every baseline metric against its namesake in
+/// the candidate (absent = regression), then the candidate's contract
+/// bits the baseline does not list.
+pub fn compare(base: &[Metric], cand: &[Metric], opts: &DiffOptions) -> Vec<Finding> {
+    let kept = |m: &&Metric| !(opts.quality_only && TIME_UNITS.contains(&m.unit.as_str()));
+    let by_name: HashMap<&str, &Metric> = cand.iter().map(|m| (m.name.as_str(), m)).collect();
+    let base_names: HashSet<&str> = base.iter().map(|m| m.name.as_str()).collect();
+    let mut findings: Vec<Finding> = base
+        .iter()
+        .filter(kept)
+        .map(|b| match by_name.get(b.name.as_str()) {
+            Some(c) => judge(b, c, opts),
+            None => Finding {
+                item: b.name.clone(),
+                baseline: b.value,
+                candidate: f64::NAN,
+                worse_pct: 100.0,
+                p_value: None,
+                severity: Severity::Regression,
+                note: "missing from candidate".to_owned(),
+            },
+        })
+        .collect();
+    findings.extend(
+        cand.iter()
+            .filter(kept)
+            .filter(|c| c.better == Better::Contract && !base_names.contains(c.name.as_str()))
+            .map(|c| judge(c, c, opts)),
+    );
+    findings
 }
 
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn samples(v: &Value) -> Vec<f64> {
-    v.get("time_ns_samples")
-        .and_then(Value::as_arr)
-        .map(|a| a.iter().filter_map(Value::as_f64).collect())
-        .unwrap_or_default()
-}
-
-/// Relative "how much worse" in percent: positive = candidate worse.
-/// `higher_is_better` orients quality metrics; timings and errors pass
-/// `false`.
-fn worse_pct(base: f64, cand: f64, higher_is_better: bool) -> f64 {
-    let denom = base.abs().max(1e-12);
-    let raw = (cand - base) / denom * 100.0;
-    if higher_is_better {
-        -raw
-    } else {
-        raw
+/// Judges one baseline/candidate pair by the baseline's rule.
+fn judge(b: &Metric, c: &Metric, opts: &DiffOptions) -> Finding {
+    let change = relative_pct(b.value, c.value);
+    let (worse_pct, severity, note) = match b.better {
+        Better::Higher => (-change, threshold_verdict(-change, opts.threshold_pct), ""),
+        Better::Lower => {
+            if let (Some(bs), Some(cs)) = (&b.samples, &c.samples) {
+                return compare_time_samples(&b.name, bs, cs, opts);
+            }
+            (change, threshold_verdict(change, opts.threshold_pct), "")
+        }
+        Better::Either => {
+            let drift = change.abs();
+            let severity = if drift > opts.threshold_pct {
+                Severity::Regression
+            } else {
+                Severity::Unchanged
+            };
+            (drift, severity, "")
+        }
+        Better::Exact if (b.value - c.value).abs() > 1e-9 => (
+            change.abs(),
+            Severity::Regression,
+            "deterministic value changed",
+        ),
+        Better::Exact => (0.0, Severity::Unchanged, ""),
+        Better::Contract if c.value == 1.0 => (0.0, Severity::Unchanged, ""),
+        Better::Contract => (100.0, Severity::Regression, "contract violated"),
+    };
+    Finding {
+        item: b.name.clone(),
+        baseline: b.value,
+        candidate: c.value,
+        worse_pct,
+        p_value: None,
+        severity,
+        note: note.to_owned(),
     }
+}
+
+/// Relative change in percent: positive = candidate larger.
+fn relative_pct(base: f64, cand: f64) -> f64 {
+    (cand - base) / base.abs().max(1e-12) * 100.0
 }
 
 fn threshold_verdict(worse: f64, threshold_pct: f64) -> Severity {
@@ -342,117 +332,6 @@ fn threshold_verdict(worse: f64, threshold_pct: f64) -> Severity {
     }
 }
 
-fn diff_qor(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    let base_kernels = base
-        .get("kernels")
-        .and_then(Value::as_arr)
-        .ok_or("baseline QoR report has no kernels array")?;
-    let cand_kernels = cand
-        .get("kernels")
-        .and_then(Value::as_arr)
-        .ok_or("candidate QoR report has no kernels array")?;
-
-    for bk in base_kernels {
-        let name = str_field(bk, "name")?;
-        let metric = str_field(bk, "metric")?;
-        let higher_is_better = matches!(bk.get("higher_is_better"), Some(Value::Bool(true)));
-        let Some(ck) = cand_kernels
-            .iter()
-            .find(|k| k.get("name").and_then(Value::as_str) == Some(name))
-        else {
-            findings.push(Finding {
-                item: format!("{name} (kernel)"),
-                baseline: 1.0,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "kernel missing from candidate".to_owned(),
-            });
-            continue;
-        };
-        let empty = Vec::new();
-        let b_points = bk.get("points").and_then(Value::as_arr).unwrap_or(&empty);
-        let c_points = ck.get("points").and_then(Value::as_arr).unwrap_or(&empty);
-        for bp in b_points {
-            let ratio = f64_field(bp, "ratio")?;
-            let Some(cp) = c_points.iter().find(|p| {
-                p.get("ratio")
-                    .and_then(Value::as_f64)
-                    .is_some_and(|r| (r - ratio).abs() < 1e-9)
-            }) else {
-                findings.push(Finding {
-                    item: format!("{name} @ ratio {ratio} (point)"),
-                    baseline: 1.0,
-                    candidate: 0.0,
-                    worse_pct: 100.0,
-                    p_value: None,
-                    severity: Severity::Regression,
-                    note: "point missing from candidate".to_owned(),
-                });
-                continue;
-            };
-            let at = |what: &str| format!("{name} @ ratio {ratio} · {what}");
-
-            // Quality, metric-direction aware.
-            let (bq, cq) = (f64_field(bp, "quality")?, f64_field(cp, "quality")?);
-            let worse = worse_pct(bq, cq, higher_is_better);
-            findings.push(Finding {
-                item: at(&format!("quality({metric})")),
-                baseline: bq,
-                candidate: cq,
-                worse_pct: worse,
-                p_value: None,
-                severity: threshold_verdict(worse, opts.threshold_pct),
-                note: String::new(),
-            });
-
-            // Modeled energy: deterministic, lower is better.
-            let (be, ce) = (f64_field(bp, "energy_j")?, f64_field(cp, "energy_j")?);
-            let worse = worse_pct(be, ce, false);
-            findings.push(Finding {
-                item: at("energy_j"),
-                baseline: be,
-                candidate: ce,
-                worse_pct: worse,
-                p_value: None,
-                severity: threshold_verdict(worse, opts.threshold_pct),
-                note: String::new(),
-            });
-
-            // Achieved ratio: the runtime's scheduling decision is
-            // deterministic — any drift is a behaviour change.
-            let (br, cr) = (
-                f64_field(bp, "achieved_ratio")?,
-                f64_field(cp, "achieved_ratio")?,
-            );
-            if (br - cr).abs() > 1e-9 {
-                findings.push(Finding {
-                    item: at("achieved_ratio"),
-                    baseline: br,
-                    candidate: cr,
-                    worse_pct: worse_pct(br, cr, false).abs(),
-                    p_value: None,
-                    severity: Severity::Regression,
-                    note: "scheduling decision changed".to_owned(),
-                });
-            }
-
-            // Wall time: statistical over the repeated samples.
-            if !opts.quality_only {
-                findings.push(compare_time_samples(
-                    &at("time_ns"),
-                    &samples(bp),
-                    &samples(cp),
-                    opts,
-                ));
-            }
-        }
-    }
-    Ok(findings)
-}
-
 /// Compares two repeated-timing sample sets: the mean change must
 /// exceed the threshold *and* be statistically significant (Welch
 /// p < 0.05, or — when the t-test is undefined, e.g. constant
@@ -460,21 +339,27 @@ fn diff_qor(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Findin
 /// regression or an improvement.
 fn compare_time_samples(item: &str, base: &[f64], cand: &[f64], opts: &DiffOptions) -> Finding {
     let (mb, mc) = (stats::mean(base), stats::mean(cand));
+    let finding = |worse_pct, p_value, severity, note: String| Finding {
+        item: item.to_owned(),
+        baseline: mb,
+        candidate: mc,
+        worse_pct,
+        p_value,
+        severity,
+        note,
+    };
     if base.is_empty() || cand.is_empty() {
-        return Finding {
-            item: item.to_owned(),
-            baseline: mb,
-            candidate: mc,
-            worse_pct: 0.0,
-            p_value: None,
-            severity: Severity::Unchanged,
-            note: "no timing samples".to_owned(),
-        };
+        return finding(
+            0.0,
+            None,
+            Severity::Unchanged,
+            "no timing samples".to_owned(),
+        );
     }
-    let worse = worse_pct(mb, mc, false);
+    let worse = relative_pct(mb, mc);
     let (significant, p_value, note) = match stats::welch_t_test(base, cand) {
         Some(w) => (w.p < 0.05, Some(w.p), format!("welch df={:.1}", w.df)),
-        None => match stats::bootstrap_mean_diff_ci(base, cand, opts.resamples, opts.seed, 0.05) {
+        None => match stats::bootstrap_mean_diff_ci(base, cand, RESAMPLES, SEED, 0.05) {
             Some((lo, hi)) => (
                 lo > 0.0 || hi < 0.0,
                 None,
@@ -489,649 +374,51 @@ fn compare_time_samples(item: &str, base: &[f64], cand: &[f64], opts: &DiffOptio
     } else {
         Severity::Unchanged
     };
-    Finding {
-        item: item.to_owned(),
-        baseline: mb,
-        candidate: mc,
-        worse_pct: worse,
-        p_value,
-        severity,
-        note,
-    }
-}
-
-// ─────────────────── adaptive-report comparison ───────────────────
-
-fn bool_field(v: &Value, key: &str) -> bool {
-    matches!(v.get(key), Some(Value::Bool(true)))
-}
-
-/// Compares two `BENCH_adaptive.json` reports. Two layers:
-///
-/// * **Self-contained gate on the candidate** — on every kernel with a
-///   non-flat QoR curve the controller must have met its target,
-///   converged, and dominated the best static ratio (energy ≤ the
-///   cheapest static grid point that meets the target). These are
-///   absolute properties of the candidate run; the baseline only
-///   supplies the kernel list.
-/// * **Cross-file drift** — adaptive quality (metric-direction aware),
-///   modeled energy, and convergence step count (with generous slack:
-///   only a >1.5×+2 blow-up gates) against the checked-in baseline.
-fn diff_adaptive(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    let base_kernels = base
-        .get("kernels")
-        .and_then(Value::as_arr)
-        .ok_or("baseline adaptive report has no kernels array")?;
-    let cand_kernels = cand
-        .get("kernels")
-        .and_then(Value::as_arr)
-        .ok_or("candidate adaptive report has no kernels array")?;
-
-    for bk in base_kernels {
-        let name = str_field(bk, "name")?;
-        let metric = str_field(bk, "metric")?;
-        let higher_is_better = bool_field(bk, "higher_is_better");
-        let Some(ck) = cand_kernels
-            .iter()
-            .find(|k| k.get("name").and_then(Value::as_str) == Some(name))
-        else {
-            findings.push(Finding {
-                item: format!("{name} (kernel)"),
-                baseline: 1.0,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "kernel missing from candidate".to_owned(),
-            });
-            continue;
-        };
-
-        let non_flat = bool_field(ck, "non_flat");
-        let converged = ck
-            .get("adaptive")
-            .is_some_and(|a| bool_field(a, "converged"));
-        let checks = [
-            ("target_met", bool_field(ck, "target_met")),
-            ("converged", converged),
-            ("dominates best static", bool_field(ck, "dominates")),
-        ];
-        for (what, ok) in checks {
-            let (severity, note) = if ok {
-                (Severity::Unchanged, String::new())
-            } else if non_flat {
-                (Severity::Regression, "controller contract violated".to_owned())
-            } else {
-                (
-                    Severity::Unchanged,
-                    "flat QoR curve — not required to dominate".to_owned(),
-                )
-            };
-            findings.push(Finding {
-                item: format!("{name} · {what}"),
-                baseline: 1.0,
-                candidate: if ok { 1.0 } else { 0.0 },
-                worse_pct: if ok { 0.0 } else { 100.0 },
-                p_value: None,
-                severity,
-                note,
-            });
-        }
-
-        let (Some(ba), Some(ca)) = (bk.get("adaptive"), ck.get("adaptive")) else {
-            findings.push(Finding {
-                item: format!("{name} · adaptive"),
-                baseline: 1.0,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "adaptive result missing".to_owned(),
-            });
-            continue;
-        };
-
-        let (bq, cq) = (f64_field(ba, "quality")?, f64_field(ca, "quality")?);
-        let worse = worse_pct(bq, cq, higher_is_better);
-        findings.push(Finding {
-            item: format!("{name} · adaptive quality({metric})"),
-            baseline: bq,
-            candidate: cq,
-            worse_pct: worse,
-            p_value: None,
-            severity: threshold_verdict(worse, opts.threshold_pct),
-            note: String::new(),
-        });
-
-        let (be, ce) = (f64_field(ba, "energy_j")?, f64_field(ca, "energy_j")?);
-        let worse = worse_pct(be, ce, false);
-        findings.push(Finding {
-            item: format!("{name} · adaptive energy_j"),
-            baseline: be,
-            candidate: ce,
-            worse_pct: worse,
-            p_value: None,
-            severity: threshold_verdict(worse, opts.threshold_pct),
-            note: String::new(),
-        });
-
-        let (bs, cs) = (f64_field(ba, "steps")?, f64_field(ca, "steps")?);
-        findings.push(Finding {
-            item: format!("{name} · convergence steps"),
-            baseline: bs,
-            candidate: cs,
-            worse_pct: worse_pct(bs.max(1.0), cs, false),
-            p_value: None,
-            severity: if cs > bs * 1.5 + 2.0 {
-                Severity::Regression
-            } else {
-                Severity::Unchanged
-            },
-            note: "slack: gates only past 1.5x + 2".to_owned(),
-        });
-    }
-    Ok(findings)
-}
-
-// ──────────────────── JPEG-scenario comparison ────────────────────
-
-/// Compares two `BENCH_jpeg.json` reports. Two layers, mirroring the
-/// adaptive gate:
-///
-/// * **Self-contained contract on the candidate** — on every image,
-///   each sweep point's container must round-trip bit-exactly, the
-///   significance-ordered sweep must weakly dominate the random-block
-///   ablation on PSNR, and the adaptive run must converge and meet its
-///   target. Absolute properties of the candidate run; the baseline
-///   only supplies the image list.
-/// * **Cross-file drift** — per curve point PSNR/SSIM (higher is
-///   better), modeled energy (lower is better), bits-per-pixel (actual
-///   entropy-coded size: drift in either direction gates, like a
-///   counter), and the accurate-block tally (deterministic scheduling:
-///   any change gates exactly); plus the adaptive outcome's quality,
-///   energy, and step count (with the same 1.5×+2 slack).
-fn diff_jpeg(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    let base_images = base
-        .get("images")
-        .and_then(Value::as_arr)
-        .ok_or("baseline JPEG report has no images array")?;
-    let cand_images = cand
-        .get("images")
-        .and_then(Value::as_arr)
-        .ok_or("candidate JPEG report has no images array")?;
-
-    for bi in base_images {
-        let name = str_field(bi, "name")?;
-        let Some(ci) = cand_images
-            .iter()
-            .find(|i| i.get("name").and_then(Value::as_str) == Some(name))
-        else {
-            findings.push(Finding {
-                item: format!("{name} (image)"),
-                baseline: 1.0,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "image missing from candidate".to_owned(),
-            });
-            continue;
-        };
-
-        // Candidate contract bits.
-        let adaptive_ok = |key: &str| ci.get("adaptive").is_some_and(|a| bool_field(a, key));
-        let all_roundtrip = |curve: &str| {
-            ci.get(curve)
-                .and_then(Value::as_arr)
-                .is_some_and(|pts| !pts.is_empty() && pts.iter().all(|p| bool_field(p, "roundtrip_ok")))
-        };
-        let checks = [
-            (
-                "bitstreams round-trip",
-                all_roundtrip("curve") && all_roundtrip("random_curve"),
-            ),
-            (
-                "significance dominates random",
-                bool_field(ci, "sig_dominates_random"),
-            ),
-            ("adaptive target_met", adaptive_ok("target_met")),
-            ("adaptive converged", adaptive_ok("converged")),
-        ];
-        for (what, ok) in checks {
-            findings.push(Finding {
-                item: format!("{name} · {what}"),
-                baseline: 1.0,
-                candidate: if ok { 1.0 } else { 0.0 },
-                worse_pct: if ok { 0.0 } else { 100.0 },
-                p_value: None,
-                severity: if ok {
-                    Severity::Unchanged
-                } else {
-                    Severity::Regression
-                },
-                note: if ok {
-                    String::new()
-                } else {
-                    "codec contract violated".to_owned()
-                },
-            });
-        }
-
-        // Cross-file drift, per sweep point of both curves.
-        for curve in ["curve", "random_curve"] {
-            let empty = Vec::new();
-            let b_points = bi.get(curve).and_then(Value::as_arr).unwrap_or(&empty);
-            let c_points = ci.get(curve).and_then(Value::as_arr).unwrap_or(&empty);
-            for bp in b_points {
-                let ratio = f64_field(bp, "ratio")?;
-                let Some(cp) = c_points.iter().find(|p| {
-                    p.get("ratio")
-                        .and_then(Value::as_f64)
-                        .is_some_and(|r| (r - ratio).abs() < 1e-9)
-                }) else {
-                    findings.push(Finding {
-                        item: format!("{name} {curve} @ ratio {ratio} (point)"),
-                        baseline: 1.0,
-                        candidate: 0.0,
-                        worse_pct: 100.0,
-                        p_value: None,
-                        severity: Severity::Regression,
-                        note: "point missing from candidate".to_owned(),
-                    });
-                    continue;
-                };
-                let at = |what: &str| format!("{name} {curve} @ ratio {ratio} · {what}");
-
-                for (what, higher_is_better) in [("psnr_db", true), ("ssim", true)] {
-                    let (bq, cq) = (f64_field(bp, what)?, f64_field(cp, what)?);
-                    let worse = worse_pct(bq, cq, higher_is_better);
-                    findings.push(Finding {
-                        item: at(what),
-                        baseline: bq,
-                        candidate: cq,
-                        worse_pct: worse,
-                        p_value: None,
-                        severity: threshold_verdict(worse, opts.threshold_pct),
-                        note: String::new(),
-                    });
-                }
-
-                let (be, ce) = (f64_field(bp, "energy_j")?, f64_field(cp, "energy_j")?);
-                let worse = worse_pct(be, ce, false);
-                findings.push(Finding {
-                    item: at("energy_j"),
-                    baseline: be,
-                    candidate: ce,
-                    worse_pct: worse,
-                    p_value: None,
-                    severity: threshold_verdict(worse, opts.threshold_pct),
-                    note: String::new(),
-                });
-
-                // Bitrate: real entropy-coded size — like a counter,
-                // unexpected shrinkage is as suspicious as growth.
-                let (bb, cb) = (
-                    f64_field(bp, "bits_per_pixel")?,
-                    f64_field(cp, "bits_per_pixel")?,
-                );
-                let change = worse_pct(bb, cb, false);
-                findings.push(Finding {
-                    item: at("bits_per_pixel"),
-                    baseline: bb,
-                    candidate: cb,
-                    worse_pct: change.abs(),
-                    p_value: None,
-                    severity: if change.abs() > opts.threshold_pct {
-                        Severity::Regression
-                    } else {
-                        Severity::Unchanged
-                    },
-                    note: String::new(),
-                });
-
-                // Accurate-block tally: ceil(ratio·n) is deterministic.
-                let (ba, ca) = (
-                    f64_field(bp, "accurate_blocks")?,
-                    f64_field(cp, "accurate_blocks")?,
-                );
-                if (ba - ca).abs() > 1e-9 {
-                    findings.push(Finding {
-                        item: at("accurate_blocks"),
-                        baseline: ba,
-                        candidate: ca,
-                        worse_pct: worse_pct(ba, ca, false).abs(),
-                        p_value: None,
-                        severity: Severity::Regression,
-                        note: "scheduling decision changed".to_owned(),
-                    });
-                }
-            }
-        }
-
-        // Adaptive-outcome drift.
-        let (Some(ba), Some(ca)) = (bi.get("adaptive"), ci.get("adaptive")) else {
-            findings.push(Finding {
-                item: format!("{name} · adaptive"),
-                baseline: 1.0,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "adaptive result missing".to_owned(),
-            });
-            continue;
-        };
-        for (what, higher_is_better) in [("psnr_db", true), ("energy_j", false)] {
-            let (bv, cv) = (f64_field(ba, what)?, f64_field(ca, what)?);
-            let worse = worse_pct(bv, cv, higher_is_better);
-            findings.push(Finding {
-                item: format!("{name} · adaptive {what}"),
-                baseline: bv,
-                candidate: cv,
-                worse_pct: worse,
-                p_value: None,
-                severity: threshold_verdict(worse, opts.threshold_pct),
-                note: String::new(),
-            });
-        }
-        let (bs, cs) = (f64_field(ba, "steps")?, f64_field(ca, "steps")?);
-        findings.push(Finding {
-            item: format!("{name} · adaptive steps"),
-            baseline: bs,
-            candidate: cs,
-            worse_pct: worse_pct(bs.max(1.0), cs, false),
-            p_value: None,
-            severity: if cs > bs * 1.5 + 2.0 {
-                Severity::Regression
-            } else {
-                Severity::Unchanged
-            },
-            note: "slack: gates only past 1.5x + 2".to_owned(),
-        });
-    }
-    Ok(findings)
-}
-
-// ─────────────────────── manifest comparison ───────────────────────
-
-/// Flattens the manifest phase tree into `path → total_ns`.
-fn flatten_phases(value: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
-    let Some(phases) = value.as_arr() else { return };
-    for p in phases {
-        let Some(name) = p.get("name").and_then(Value::as_str) else {
-            continue;
-        };
-        let path = if prefix.is_empty() {
-            name.to_owned()
-        } else {
-            format!("{prefix}/{name}")
-        };
-        let total = p.get("total_ns").and_then(Value::as_f64).unwrap_or(0.0);
-        out.push((path.clone(), total));
-        if let Some(children) = p.get("children") {
-            flatten_phases(children, &path, out);
-        }
-    }
-}
-
-fn manifest_counters(value: &Value) -> Vec<(String, f64)> {
-    value
-        .get("counters")
-        .and_then(Value::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|c| {
-                    let name = c.get("name").and_then(Value::as_str)?;
-                    let v = c.get("value").and_then(Value::as_f64)?;
-                    Some((name.to_owned(), v))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn diff_manifest(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-
-    // Timings: one sample each, plain relative threshold.
-    if !opts.quality_only {
-        let wall = |v: &Value| f64_field(v, "wall_clock_ns");
-        let (bw, cw) = (wall(base)?, wall(cand)?);
-        let worse = worse_pct(bw, cw, false);
-        findings.push(Finding {
-            item: "wall_clock_ns".to_owned(),
-            baseline: bw,
-            candidate: cw,
-            worse_pct: worse,
-            p_value: None,
-            severity: threshold_verdict(worse, opts.threshold_pct),
-            note: "single sample".to_owned(),
-        });
-
-        let mut b_phases = Vec::new();
-        let mut c_phases = Vec::new();
-        if let Some(p) = base.get("phases") {
-            flatten_phases(p, "", &mut b_phases);
-        }
-        if let Some(p) = cand.get("phases") {
-            flatten_phases(p, "", &mut c_phases);
-        }
-        for (path, bt) in &b_phases {
-            let Some((_, ct)) = c_phases.iter().find(|(p, _)| p == path) else {
-                findings.push(Finding {
-                    item: format!("phase {path}"),
-                    baseline: *bt,
-                    candidate: 0.0,
-                    worse_pct: 100.0,
-                    p_value: None,
-                    severity: Severity::Regression,
-                    note: "phase missing from candidate".to_owned(),
-                });
-                continue;
-            };
-            let worse = worse_pct(*bt, *ct, false);
-            findings.push(Finding {
-                item: format!("phase {path}"),
-                baseline: *bt,
-                candidate: *ct,
-                worse_pct: worse,
-                p_value: None,
-                severity: threshold_verdict(worse, opts.threshold_pct),
-                note: "single sample".to_owned(),
-            });
-        }
-    }
-
-    // Counters: work accounting is deterministic, so any drift beyond
-    // the threshold in either direction is flagged.
-    let b_counters = manifest_counters(base);
-    let c_counters = manifest_counters(cand);
-    for (name, bv) in &b_counters {
-        let Some((_, cv)) = c_counters.iter().find(|(n, _)| n == name) else {
-            findings.push(Finding {
-                item: format!("counter {name}"),
-                baseline: *bv,
-                candidate: 0.0,
-                worse_pct: 100.0,
-                p_value: None,
-                severity: Severity::Regression,
-                note: "counter missing from candidate".to_owned(),
-            });
-            continue;
-        };
-        let change = worse_pct(*bv, *cv, false);
-        findings.push(Finding {
-            item: format!("counter {name}"),
-            baseline: *bv,
-            candidate: *cv,
-            worse_pct: change.abs(),
-            p_value: None,
-            severity: if change.abs() > opts.threshold_pct {
-                Severity::Regression
-            } else {
-                Severity::Unchanged
-            },
-            note: String::new(),
-        });
-    }
-    Ok(findings)
-}
-
-// ─────────────── live-observability report comparison ───────────────
-
-/// Compares two `BENCH_obs.json` reports. Mirrors the adaptive gate's
-/// two layers:
-///
-/// * **Self-contained contract on the candidate** — the exposition must
-///   validate, the windows must be non-empty, the trace id must
-///   round-trip into the exemplar dump, and the measured tracing
-///   overhead must stay within the report's own bound. These are
-///   absolute machine-independent properties, so they gate under
-///   `--quality-only`.
-/// * **Relative timing columns** — per-arm service p50/p90 against the
-///   baseline, skipped under `--quality-only` (wall time is not
-///   portable across hosts).
-fn diff_obs(base: &Value, cand: &Value, opts: &DiffOptions) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    let contract = cand
-        .get("contract")
-        .ok_or("candidate obs report has no contract object")?;
-    let checks = [
-        ("exposition_valid", "metrics body failed Prometheus validation"),
-        ("windows_nonempty", "sliding windows empty under load"),
-        ("trace_roundtrip", "trace id did not round-trip to the exemplar dump"),
-        ("overhead_within_bound", "tracing overhead exceeded the bound"),
-    ];
-    for (what, why) in checks {
-        let ok = bool_field(contract, what);
-        findings.push(Finding {
-            item: format!("contract · {what}"),
-            baseline: 1.0,
-            candidate: if ok { 1.0 } else { 0.0 },
-            worse_pct: if ok { 0.0 } else { 100.0 },
-            p_value: None,
-            severity: if ok {
-                Severity::Unchanged
-            } else {
-                Severity::Regression
-            },
-            note: if ok {
-                String::new()
-            } else {
-                format!("observability contract violated: {why}")
-            },
-        });
-    }
-
-    let bound = f64_field(cand, "overhead_bound_pct")?;
-    let overhead = f64_field(cand, "overhead_pct")?;
-    findings.push(Finding {
-        item: "tracing overhead_pct (vs untraced p50)".to_owned(),
-        baseline: bound,
-        candidate: overhead,
-        worse_pct: 0.0,
-        p_value: None,
-        severity: Severity::Unchanged,
-        note: format!("informational; gated by the overhead_within_bound bit at {bound}%"),
-    });
-
-    if !opts.quality_only {
-        let base_modes = base
-            .get("modes")
-            .and_then(Value::as_arr)
-            .ok_or("baseline obs report has no modes array")?;
-        let cand_modes = cand
-            .get("modes")
-            .and_then(Value::as_arr)
-            .ok_or("candidate obs report has no modes array")?;
-        for bm in base_modes {
-            let obs_on = bool_field(bm, "obs");
-            let label = if obs_on { "obs-on" } else { "obs-off" };
-            let Some(cm) = cand_modes
-                .iter()
-                .find(|m| bool_field(m, "obs") == obs_on)
-            else {
-                findings.push(Finding {
-                    item: format!("{label} (mode)"),
-                    baseline: 1.0,
-                    candidate: 0.0,
-                    worse_pct: 100.0,
-                    p_value: None,
-                    severity: Severity::Regression,
-                    note: "mode missing from candidate".to_owned(),
-                });
-                continue;
-            };
-            for col in ["service_p50_ns", "service_p90_ns"] {
-                let (bv, cv) = (f64_field(bm, col)?, f64_field(cm, col)?);
-                let worse = worse_pct(bv, cv, false);
-                findings.push(Finding {
-                    item: format!("{label} · {col}"),
-                    baseline: bv,
-                    candidate: cv,
-                    worse_pct: worse,
-                    p_value: None,
-                    severity: threshold_verdict(worse, opts.threshold_pct),
-                    note: String::new(),
-                });
-            }
-        }
-    }
-    Ok(findings)
+    finding(worse, p_value, severity, note)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QorKernel, QorPoint, QorReport, QOR_SCHEMA};
+    use scorpio_obs::{CounterSnapshot, PhaseNode, RunManifest};
 
-    fn report(time_scale: f64, quality_delta: f64) -> Value {
-        let point = |ratio: f64| QorPoint {
-            ratio,
-            quality: 30.0 + 10.0 * ratio + quality_delta,
-            energy_j: 1.0 + ratio,
-            achieved_ratio: ratio,
-            accurate: (ratio * 10.0) as u64,
-            approximate: 10 - (ratio * 10.0) as u64,
-            dropped: 0,
-            time_ns_samples: [1000.0, 1010.0, 990.0, 1005.0, 995.0]
-                .iter()
-                .map(|t| (t * time_scale) as u64)
-                .collect(),
-        };
-        let r = QorReport {
-            schema: QOR_SCHEMA.to_owned(),
-            name: "test".to_owned(),
-            git: "deadbeef".to_owned(),
-            threads: 1,
-            reps: 5,
-            small: true,
-            degraded: false,
-            kernels: vec![QorKernel {
-                name: "sobel".to_owned(),
-                metric: "psnr_db".to_owned(),
-                higher_is_better: true,
-                points: vec![point(0.0), point(0.5), point(1.0)],
-            }],
-        };
-        parse(&r.to_json()).expect("round-trip")
+    fn value(json: String) -> Value {
+        parse(&json).expect("round-trip")
     }
 
-    #[test]
-    fn detect_distinguishes_kinds() {
-        let qor = report(1.0, 0.0);
-        assert_eq!(detect(&qor), Ok(ArtifactKind::Qor));
-        let manifest = parse(r#"{"phases": [], "wall_clock_ns": 5}"#).unwrap();
-        assert_eq!(detect(&manifest), Ok(ArtifactKind::RunManifest));
-        assert!(detect(&parse("{}").unwrap()).is_err());
+    fn report(time_scale: f64, quality_delta: f64) -> Value {
+        value(crate::qor::fixture(time_scale, quality_delta).to_json())
+    }
+
+    fn adaptive_report(ok: bool, degraded: bool, steps: u64) -> Value {
+        value(crate::adaptive::fixture(ok, degraded, steps).to_json())
+    }
+
+    fn jpeg_report(ok: bool, psnr_delta: f64) -> Value {
+        value(crate::jpeg::fixture(ok, psnr_delta).to_json())
+    }
+
+    fn diff(base: &Value, cand: &Value) -> DiffReport {
+        diff_values(base, cand, &DiffOptions::default()).expect("diff")
+    }
+
+    fn regressed(d: &DiffReport, needle: &str) -> bool {
+        d.findings
+            .iter()
+            .any(|f| f.item.contains(needle) && f.severity == Severity::Regression)
+    }
+
+    /// `metrics` with the named metric's value replaced.
+    fn with_value(mut metrics: Vec<Metric>, name: &str, v: f64) -> Vec<Metric> {
+        let m = metrics.iter_mut().find(|m| m.name == name).expect("metric");
+        m.value = v;
+        metrics
     }
 
     #[test]
     fn self_comparison_is_clean() {
         let r = report(1.0, 0.0);
-        let d = diff_values(&r, &r, &DiffOptions::default()).expect("diff");
+        let d = diff(&r, &r);
         assert_eq!(d.regressions(), 0, "{}", d.render());
     }
 
@@ -1139,14 +426,11 @@ mod tests {
     fn injected_slowdown_gates() {
         let base = report(1.0, 0.0);
         let slow = report(1.10, 0.0); // +10% on every timing sample
-        let d = diff_values(&base, &slow, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &slow);
         assert!(d.regressions() >= 3, "{}", d.render());
-        assert!(d
-            .findings
-            .iter()
-            .any(|f| f.item.contains("time_ns")
-                && f.severity == Severity::Regression
-                && f.p_value.is_some_and(|p| p < 0.05)));
+        assert!(d.findings.iter().any(|f| f.item.contains("time_ns")
+            && f.severity == Severity::Regression
+            && f.p_value.is_some_and(|p| p < 0.05)));
     }
 
     #[test]
@@ -1159,23 +443,17 @@ mod tests {
         };
         let d = diff_values(&base, &slow, &opts).expect("diff");
         assert_eq!(d.regressions(), 0, "{}", d.render());
+        assert!(!d.findings.iter().any(|f| f.item.contains("time_ns")));
     }
 
     #[test]
     fn quality_drop_gates_with_metric_direction() {
         let base = report(1.0, 0.0);
         let worse = report(1.0, -10.0); // PSNR down = worse
-        let d = diff_values(&base, &worse, &DiffOptions::default()).expect("diff");
-        assert!(
-            d.findings
-                .iter()
-                .any(|f| f.item.contains("quality") && f.severity == Severity::Regression),
-            "{}",
-            d.render()
-        );
+        let d = diff(&base, &worse);
+        assert!(regressed(&d, "quality"), "{}", d.render());
         // And a PSNR *increase* is an improvement, not a regression.
-        let better = report(1.0, 10.0);
-        let d = diff_values(&base, &better, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &report(1.0, 10.0));
         assert_eq!(d.regressions(), 0, "{}", d.render());
         assert!(d
             .findings
@@ -1187,273 +465,230 @@ mod tests {
     fn small_noise_does_not_gate() {
         let base = report(1.0, 0.0);
         // 1% timing drift, under the 5% threshold.
-        let near = report(1.01, 0.0);
-        let d = diff_values(&base, &near, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &report(1.01, 0.0));
         assert_eq!(d.regressions(), 0, "{}", d.render());
     }
 
     #[test]
     fn missing_kernel_is_a_regression() {
-        let base = report(1.0, 0.0);
-        let mut r = QorReport {
-            schema: QOR_SCHEMA.to_owned(),
-            name: "test".to_owned(),
-            git: "deadbeef".to_owned(),
-            threads: 1,
-            reps: 5,
-            degraded: false,
-            small: true,
-            kernels: vec![],
-        };
-        r.kernels.clear();
-        let empty = parse(&r.to_json()).unwrap();
-        let d = diff_values(&base, &empty, &DiffOptions::default()).expect("diff");
-        assert_eq!(d.regressions(), 1);
-        assert!(d.findings[0].note.contains("kernel missing"));
+        let base = crate::qor::fixture(1.0, 0.0).metrics();
+        let d = compare(&base, &[], &DiffOptions::default());
+        assert_eq!(d.len(), base.len());
+        assert!(d
+            .iter()
+            .all(|f| f.severity == Severity::Regression && f.note.contains("missing")));
+    }
+
+    #[test]
+    fn qor_achieved_ratio_change_gates() {
+        let base = crate::qor::fixture(1.0, 0.0).metrics();
+        let cand = with_value(base.clone(), "sobel @ ratio 0.5 · achieved_ratio", 0.6);
+        let d = compare(&base, &cand, &DiffOptions::default());
+        assert_eq!(
+            d.iter()
+                .filter(|f| f.severity == Severity::Regression)
+                .count(),
+            1
+        );
     }
 
     #[test]
     fn manifest_phase_slowdown_gates() {
-        let mk = |wall: f64, phase: f64| {
-            parse(&format!(
-                r#"{{"wall_clock_ns": {wall}, "phases": [
-                    {{"name": "analyze", "total_ns": {phase}, "count": 1, "children": [
-                        {{"name": "sweep", "total_ns": {phase}, "count": 1, "children": []}}
-                    ]}}
-                ], "counters": [{{"name": "tasks.accurate", "value": 10}}]}}"#
-            ))
-            .unwrap()
+        let mk = |wall: u64, phase: u64| {
+            let node = |name: &str, children| PhaseNode {
+                name: name.to_owned(),
+                total_ns: phase,
+                count: 1,
+                children,
+            };
+            RunManifest {
+                name: "test".to_owned(),
+                git: "deadbeef".to_owned(),
+                threads: 1,
+                config: vec![],
+                wall_clock_ns: wall,
+                phase_total_ns: phase,
+                phases: vec![node("analyze", vec![node("sweep", vec![])])],
+                counters: vec![CounterSnapshot {
+                    name: "tasks.accurate".to_owned(),
+                    value: 10,
+                }],
+                histograms: vec![],
+                task_events: vec![],
+                task_events_dropped: 0,
+                degraded: false,
+            }
         };
-        let base = mk(1000.0, 800.0);
-        let d = diff_values(&base, &mk(1000.0, 1000.0), &DiffOptions::default()).unwrap();
-        assert!(
-            d.findings
-                .iter()
-                .any(|f| f.item == "phase analyze" && f.severity == Severity::Regression),
-            "{}",
-            d.render()
-        );
+        let base = value(mk(1000, 800).to_json());
+        let d = diff(&base, &value(mk(1000, 1000).to_json()));
+        assert_eq!(d.schema, None);
+        assert!(regressed(&d, "phase analyze"), "{}", d.render());
         assert!(d.findings.iter().any(|f| f.item == "phase analyze/sweep"));
         // Self-compare is clean.
-        let d = diff_values(&base, &base, &DiffOptions::default()).unwrap();
-        assert_eq!(d.regressions(), 0);
+        assert_eq!(diff(&base, &base).regressions(), 0);
     }
 
     #[test]
     fn manifest_counter_drift_gates_both_directions() {
-        let mk = |v: u64| {
-            parse(&format!(
-                r#"{{"wall_clock_ns": 1000, "phases": [],
-                     "counters": [{{"name": "tasks.accurate", "value": {v}}}]}}"#
-            ))
-            .unwrap()
-        };
+        let base = vec![Metric::new(
+            "counter tasks.accurate",
+            "count",
+            Better::Either,
+            100.0,
+        )];
         let opts = DiffOptions::default();
-        let up = diff_values(&mk(100), &mk(150), &opts).unwrap();
-        assert_eq!(up.regressions(), 1, "{}", up.render());
-        let down = diff_values(&mk(100), &mk(50), &opts).unwrap();
-        assert_eq!(down.regressions(), 1, "{}", down.render());
-    }
-
-    /// One-kernel adaptive report with the given contract bits.
-    fn adaptive_report(ok: bool, degraded: bool, steps: u64) -> Value {
-        use crate::adaptive::{
-            AdaptiveKernel, AdaptiveOutcome, AdaptiveReport, StaticBest, ADAPTIVE_SCHEMA,
-        };
-        let r = AdaptiveReport {
-            schema: ADAPTIVE_SCHEMA.to_owned(),
-            name: "test".to_owned(),
-            git: "deadbeef".to_owned(),
-            threads: 1,
-            small: true,
-            degraded,
-            kernels: vec![AdaptiveKernel {
-                name: "sobel".to_owned(),
-                metric: "psnr_db".to_owned(),
-                higher_is_better: true,
-                target_kind: "at_least".to_owned(),
-                target: 25.0,
-                non_flat: true,
-                best_static: Some(StaticBest {
-                    ratio: 0.8,
-                    quality: 28.9,
-                    energy_j: 2.0,
-                }),
-                adaptive: AdaptiveOutcome {
-                    final_ratio: 0.62,
-                    quality: 25.4,
-                    energy_j: 1.6,
-                    steps,
-                    converged: ok,
-                    converged_step: ok.then(|| steps.saturating_sub(1)),
-                    evals: steps + 1,
-                    non_finite: 0,
-                },
-                target_met: ok,
-                dominates: ok,
-            }],
-        };
-        parse(&r.to_json()).expect("round-trip")
-    }
-
-    #[test]
-    fn detect_recognises_adaptive_reports() {
+        for drifted in [150.0, 50.0] {
+            let cand = with_value(base.clone(), "counter tasks.accurate", drifted);
+            assert_eq!(
+                compare(&base, &cand, &opts)[0].severity,
+                Severity::Regression
+            );
+        }
         assert_eq!(
-            detect(&adaptive_report(true, false, 6)),
-            Ok(ArtifactKind::Adaptive)
+            compare(&base, &base, &opts)[0].severity,
+            Severity::Unchanged
         );
     }
 
     #[test]
     fn adaptive_self_comparison_is_clean() {
         let r = adaptive_report(true, false, 6);
-        let d = diff_values(&r, &r, &DiffOptions::default()).expect("diff");
+        let d = diff(&r, &r);
         assert_eq!(d.regressions(), 0, "{}", d.render());
         assert!(d.warnings.is_empty());
     }
 
     #[test]
     fn broken_controller_contract_gates() {
-        let base = adaptive_report(true, false, 6);
-        let bad = adaptive_report(false, false, 6);
-        let d = diff_values(&base, &bad, &DiffOptions::default()).expect("diff");
+        let d = diff(
+            &adaptive_report(true, false, 6),
+            &adaptive_report(false, false, 6),
+        );
         // target_met, converged, and dominance all broke.
         assert_eq!(d.regressions(), 3, "{}", d.render());
         assert!(d.render().contains("dominates best static"));
+        // One flipped bit is enough.
+        let base = crate::adaptive::fixture(true, false, 6).metrics();
+        let cand = with_value(base.clone(), "sobel · converged", 0.0);
+        let d = compare(&base, &cand, &DiffOptions::default());
+        assert_eq!(
+            d.iter()
+                .filter(|f| f.severity == Severity::Regression)
+                .count(),
+            1
+        );
     }
 
     #[test]
-    fn convergence_step_blowup_gates_with_slack() {
+    fn convergence_step_increase_gates() {
+        // Both runs are deterministic, so steps gate on the plain
+        // relative threshold: any extra step past 5% is a regression.
         let base = adaptive_report(true, false, 6);
-        // 8 steps is within 6·1.5 + 2 = 11: fine.
-        let near = adaptive_report(true, false, 8);
-        let d = diff_values(&base, &near, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &adaptive_report(true, false, 5));
         assert_eq!(d.regressions(), 0, "{}", d.render());
-        // 20 steps is a blow-up.
-        let slow = adaptive_report(true, false, 20);
-        let d = diff_values(&base, &slow, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &adaptive_report(true, false, 20));
         assert_eq!(d.regressions(), 1, "{}", d.render());
         assert!(d.render().contains("convergence steps"));
-    }
-
-    /// One-image JPEG scenario report with controllable contract bits
-    /// and a PSNR offset on the significance curve.
-    fn jpeg_report(ok: bool, psnr_delta: f64) -> Value {
-        use crate::jpeg::{JpegAdaptive, JpegImage, JpegPoint, JpegReport, JPEG_SCHEMA};
-        let point = |ratio: f64, delta: f64| JpegPoint {
-            ratio,
-            psnr_db: 40.0 + 20.0 * ratio + delta,
-            ssim: 0.99 + 0.01 * ratio,
-            bits: 4096,
-            bits_per_pixel: 1.5,
-            energy_j: 0.002 + 0.02 * ratio,
-            accurate_blocks: (ratio * 16.0).ceil() as u64,
-            approx_blocks: 16 - (ratio * 16.0).ceil() as u64,
-            roundtrip_ok: ok,
-        };
-        let r = JpegReport {
-            schema: JPEG_SCHEMA.to_owned(),
-            name: "bench_jpeg".to_owned(),
-            git: "deadbeef".to_owned(),
-            threads: 1,
-            small: true,
-            degraded: false,
-            images: vec![JpegImage {
-                name: "scene".to_owned(),
-                width: 32,
-                height: 32,
-                blocks: 16,
-                curve: [0.0, 0.5, 1.0].map(|r| point(r, psnr_delta)).to_vec(),
-                random_curve: [0.0, 0.5, 1.0].map(|r| point(r, -5.0)).to_vec(),
-                sig_dominates_random: ok,
-                adaptive: JpegAdaptive {
-                    target_psnr_db: 50.0,
-                    final_ratio: 0.4,
-                    psnr_db: 51.0,
-                    energy_j: 0.01,
-                    bits_per_pixel: 1.5,
-                    steps: 3,
-                    converged: ok,
-                    target_met: ok,
-                },
-            }],
-        };
-        parse(&r.to_json()).expect("round-trip")
-    }
-
-    #[test]
-    fn detect_recognises_jpeg_reports() {
-        assert_eq!(detect(&jpeg_report(true, 0.0)), Ok(ArtifactKind::Jpeg));
     }
 
     #[test]
     fn jpeg_self_comparison_is_clean() {
         let r = jpeg_report(true, 0.0);
-        let d = diff_values(&r, &r, &DiffOptions::default()).expect("diff");
+        let d = diff(&r, &r);
         assert_eq!(d.regressions(), 0, "{}", d.render());
     }
 
     #[test]
     fn broken_codec_contract_gates() {
-        let base = jpeg_report(true, 0.0);
-        let bad = jpeg_report(false, 0.0);
-        let d = diff_values(&base, &bad, &DiffOptions::default()).expect("diff");
+        let d = diff(&jpeg_report(true, 0.0), &jpeg_report(false, 0.0));
         // round-trip, dominance, target_met, converged all broke.
         assert_eq!(d.regressions(), 4, "{}", d.render());
         assert!(d.render().contains("significance dominates random"));
         assert!(d.render().contains("bitstreams round-trip"));
+        // A changed accurate-block tally (an `exact` metric) gates too.
+        let base = crate::jpeg::fixture(true, 0.0).metrics();
+        let cand = with_value(
+            base.clone(),
+            "scene curve @ ratio 0.5 · accurate_blocks",
+            9.0,
+        );
+        let d = compare(&base, &cand, &DiffOptions::default());
+        assert_eq!(
+            d.iter()
+                .filter(|f| f.severity == Severity::Regression)
+                .count(),
+            1
+        );
     }
 
     #[test]
     fn jpeg_psnr_drop_gates() {
         let base = jpeg_report(true, 0.0);
-        let worse = jpeg_report(true, -10.0);
-        let d = diff_values(&base, &worse, &DiffOptions::default()).expect("diff");
-        assert!(
-            d.findings
-                .iter()
-                .any(|f| f.item.contains("curve") && f.item.contains("psnr_db")
-                    && f.severity == Severity::Regression),
-            "{}",
-            d.render()
-        );
+        let d = diff(&base, &jpeg_report(true, -10.0));
+        assert!(regressed(&d, "curve @ ratio 0 · psnr_db"), "{}", d.render());
         // A PSNR *gain* on the significance curve never gates.
-        let better = jpeg_report(true, 10.0);
-        let d = diff_values(&base, &better, &DiffOptions::default()).expect("diff");
+        let d = diff(&base, &jpeg_report(true, 10.0));
         assert_eq!(d.regressions(), 0, "{}", d.render());
     }
 
     #[test]
     fn jpeg_missing_image_is_a_regression() {
-        let base = jpeg_report(true, 0.0);
-        let mut empty = jpeg_report(true, 0.0);
-        if let Value::Obj(entries) = &mut empty {
-            entries.retain(|(k, _)| k != "images");
-            entries.push(("images".to_owned(), Value::Arr(vec![])));
-        }
-        let d = diff_values(&base, &empty, &DiffOptions::default()).expect("diff");
-        assert_eq!(d.regressions(), 1, "{}", d.render());
-        assert!(d.findings[0].note.contains("image missing"));
+        let base = crate::jpeg::fixture(true, 0.0).metrics();
+        let mut cand = base.clone();
+        cand.retain(|m| !m.name.starts_with("scene "));
+        let d = compare(&base, &cand, &DiffOptions::default());
+        assert_eq!(d.len(), base.len());
+        assert!(d.iter().all(
+            |f| f.severity == Severity::Regression && f.note.contains("missing from candidate")
+        ));
+    }
+
+    #[test]
+    fn obs_contract_bit_gates() {
+        let base = crate::obs::fixture(true).metrics();
+        let opts = DiffOptions::default();
+        assert!(compare(&base, &base, &opts)
+            .iter()
+            .all(|f| f.severity == Severity::Unchanged));
+        let cand = with_value(base.clone(), "contract · trace_roundtrip", 0.0);
+        let d = compare(&base, &cand, &opts);
+        assert_eq!(
+            d.iter()
+                .filter(|f| f.severity == Severity::Regression)
+                .count(),
+            1
+        );
+        // Contract bits are judged on the candidate even when the
+        // baseline does not list them.
+        let d = compare(&[], &crate::obs::fixture(false).metrics(), &opts);
+        assert_eq!(d.len(), 4);
+        assert!(d.iter().all(|f| f.severity == Severity::Regression));
     }
 
     #[test]
     fn degraded_inputs_surface_as_warnings() {
         let clean = adaptive_report(true, false, 6);
         let degraded = adaptive_report(true, true, 6);
-        let d = diff_values(&clean, &degraded, &DiffOptions::default()).expect("diff");
-        assert_eq!(d.regressions(), 0, "degraded warns, not gates: {}", d.render());
+        let d = diff(&clean, &degraded);
+        assert_eq!(
+            d.regressions(),
+            0,
+            "degraded warns, not gates: {}",
+            d.render()
+        );
         assert_eq!(d.warnings.len(), 1);
         assert!(d.render().contains("WARNING"), "{}", d.render());
+        let d = diff(&degraded, &degraded);
+        assert_eq!(d.warnings.len(), 2, "both sides degraded: {:?}", d.warnings);
+    }
 
-        // Same flag on a QoR report.
-        let mut q = report(1.0, 0.0);
-        let dq = diff_values(&q, &q, &DiffOptions::default()).expect("diff");
-        assert!(dq.warnings.is_empty());
-        if let Value::Obj(entries) = &mut q {
-            entries.retain(|(k, _)| k != "degraded");
-            entries.push(("degraded".to_owned(), Value::Bool(true)));
-        }
-        let dq = diff_values(&q, &q, &DiffOptions::default()).expect("diff");
-        assert_eq!(dq.warnings.len(), 2, "both sides degraded: {:?}", dq.warnings);
+    #[test]
+    fn schema_mismatch_and_missing_metrics_are_refused() {
+        let opts = DiffOptions::default();
+        let err = diff_values(&report(1.0, 0.0), &jpeg_report(true, 0.0), &opts).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let bare = parse(r#"{"schema":"scorpio-qor-v1"}"#).unwrap();
+        let err = diff_values(&bare, &bare, &opts).unwrap_err();
+        assert!(err.contains("regenerate"), "{err}");
     }
 }

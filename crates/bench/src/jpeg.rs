@@ -20,6 +20,7 @@ use scorpio_kernels::jpeg;
 use scorpio_quality::{psnr_images, ssim, GrayImage};
 use scorpio_runtime::controller::adaptive::{AdaptiveController, Objective};
 use scorpio_runtime::controller::QualityTarget;
+use scorpio_obs::gate::{self, Better, Metric};
 use scorpio_runtime::{EnergyModel, Executor};
 use serde::Serialize;
 
@@ -131,9 +132,95 @@ pub struct JpegReport {
 }
 
 impl JpegReport {
-    /// Serialises the report as JSON.
+    /// Serialises the report, with its [`JpegReport::metrics`], as JSON.
     pub fn to_json(&self) -> String {
-        scorpio_obs::json::to_string(self)
+        gate::to_json(self, &self.metrics())
+    }
+
+    /// The gated metrics, per image: the codec contract (every sweep
+    /// point round-trips bit-exactly, significance dominates random,
+    /// the adaptive run meets its target and converges), then per sweep
+    /// point of both curves PSNR/SSIM, modeled energy, bits per pixel
+    /// (actual coded size: drift either way gates) and the accurate
+    /// block tally (deterministic), then the adaptive outcome.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut out = Vec::new();
+        for img in &self.images {
+            let at = |what: &str| format!("{} · {what}", img.name);
+            let curves = [("curve", &img.curve), ("random_curve", &img.random_curve)];
+            let roundtrip = curves
+                .iter()
+                .all(|(_, pts)| !pts.is_empty() && pts.iter().all(|p| p.roundtrip_ok));
+            out.extend([
+                Metric::contract(at("bitstreams round-trip"), roundtrip),
+                Metric::contract(at("significance dominates random"), img.sig_dominates_random),
+                Metric::contract(at("adaptive target_met"), img.adaptive.target_met),
+                Metric::contract(at("adaptive converged"), img.adaptive.converged),
+            ]);
+            for (curve, points) in curves {
+                for p in points {
+                    let at = |what: &str| format!("{} {curve} @ ratio {} · {what}", img.name, p.ratio);
+                    out.extend([
+                        Metric::new(at("psnr_db"), "dB", Better::Higher, p.psnr_db),
+                        Metric::new(at("ssim"), "ssim", Better::Higher, p.ssim),
+                        Metric::new(at("energy_j"), "J", Better::Lower, p.energy_j),
+                        Metric::new(at("bits_per_pixel"), "bpp", Better::Either, p.bits_per_pixel),
+                        Metric::new(at("accurate_blocks"), "blocks", Better::Exact, p.accurate_blocks as f64),
+                    ]);
+                }
+            }
+            let a = &img.adaptive;
+            out.extend([
+                Metric::new(at("adaptive psnr_db"), "dB", Better::Higher, a.psnr_db),
+                Metric::new(at("adaptive energy_j"), "J", Better::Lower, a.energy_j),
+                Metric::new(at("adaptive steps"), "steps", Better::Lower, a.steps as f64),
+            ]);
+        }
+        out
+    }
+}
+
+/// A one-image report whose contract bits all equal `ok`, with
+/// `psnr_delta` added to the significance curve's PSNR.
+#[cfg(test)]
+pub(crate) fn fixture(ok: bool, psnr_delta: f64) -> JpegReport {
+    let point = |ratio: f64, delta: f64| JpegPoint {
+        ratio,
+        psnr_db: 40.0 + 20.0 * ratio + delta,
+        ssim: 0.99 + 0.01 * ratio,
+        bits: 4096,
+        bits_per_pixel: 1.5,
+        energy_j: 0.002 + 0.02 * ratio,
+        accurate_blocks: (ratio * 16.0).ceil() as u64,
+        approx_blocks: 16 - (ratio * 16.0).ceil() as u64,
+        roundtrip_ok: ok,
+    };
+    JpegReport {
+        schema: JPEG_SCHEMA.to_owned(),
+        name: "bench_jpeg".to_owned(),
+        git: "deadbeef".to_owned(),
+        threads: 1,
+        small: true,
+        degraded: false,
+        images: vec![JpegImage {
+            name: "scene".to_owned(),
+            width: 32,
+            height: 32,
+            blocks: 16,
+            curve: [0.0, 0.5, 1.0].map(|r| point(r, psnr_delta)).to_vec(),
+            random_curve: [0.0, 0.5, 1.0].map(|r| point(r, -5.0)).to_vec(),
+            sig_dominates_random: ok,
+            adaptive: JpegAdaptive {
+                target_psnr_db: 50.0,
+                final_ratio: 0.4,
+                psnr_db: 51.0,
+                energy_j: 0.01,
+                bits_per_pixel: 1.5,
+                steps: 3,
+                converged: ok,
+                target_met: ok,
+            },
+        }],
     }
 }
 

@@ -15,6 +15,7 @@
 //! `baselines/BENCH_obs_small.json` enforces them on any host; raw
 //! nanosecond columns only gate in full (same-machine) mode.
 
+use scorpio_obs::gate::{self, Better, Metric};
 use serde::Serialize;
 
 /// Format tag of `BENCH_obs.json`.
@@ -79,11 +80,60 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// The schema tag a parsed artifact must carry to be this kind.
-    pub fn matches_schema(value: &scorpio_obs::json::Value) -> bool {
-        value
-            .get("schema")
-            .and_then(scorpio_obs::json::Value::as_str)
-            == Some(OBS_SCHEMA)
+    /// Serialises the report, with its [`ObsReport::metrics`], as JSON.
+    pub fn to_json(&self) -> String {
+        gate::to_json(self, &self.metrics())
+    }
+
+    /// The gated metrics: the four contract bits, then each arm's
+    /// service-time p50/p90 (machine-dependent, so skipped under
+    /// `--quality-only`). The measured `overhead_pct` itself is gated
+    /// only through the `overhead_within_bound` bit.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let c = &self.contract;
+        let mut out: Vec<Metric> = [
+            ("exposition_valid", c.exposition_valid),
+            ("windows_nonempty", c.windows_nonempty),
+            ("trace_roundtrip", c.trace_roundtrip),
+            ("overhead_within_bound", c.overhead_within_bound),
+        ]
+        .into_iter()
+        .map(|(what, ok)| Metric::contract(format!("contract · {what}"), ok))
+        .collect();
+        for m in &self.modes {
+            let label = if m.obs { "obs-on" } else { "obs-off" };
+            out.extend([
+                Metric::new(format!("{label} · service_p50_ns"), "ns", Better::Lower, m.service_p50_ns),
+                Metric::new(format!("{label} · service_p90_ns"), "ns", Better::Lower, m.service_p90_ns),
+            ]);
+        }
+        out
+    }
+}
+
+/// A two-arm report whose four contract bits all equal `ok`.
+#[cfg(test)]
+pub(crate) fn fixture(ok: bool) -> ObsReport {
+    let mode = |obs: bool| ObsMode {
+        obs,
+        requests: 60,
+        service_p50_ns: 130_000.0,
+        service_p90_ns: 3.0e7,
+        service_mean_ns: 1.0e7,
+    };
+    ObsReport {
+        schema: OBS_SCHEMA.to_owned(),
+        workers: 2,
+        requests_per_mode: 60,
+        overhead_bound_pct: 10.0,
+        overhead_pct: -1.0,
+        contract: ObsContract {
+            exposition_valid: ok,
+            exposition_samples: 169,
+            windows_nonempty: ok,
+            trace_roundtrip: ok,
+            overhead_within_bound: ok,
+        },
+        modes: vec![mode(true), mode(false)],
     }
 }

@@ -2,9 +2,13 @@
 //! curves the sweep harness writes to `BENCH_qor.json`, joining the
 //! quality metrics from `scorpio-quality` with the runtime's achieved
 //! ratio and repeated wall-time samples. `scorpio_diff` compares two of
-//! these files point by point and gates on regressions.
+//! these files through their [`QorReport::metrics`] and gates on
+//! regressions.
 
+use scorpio_obs::gate::{self, Better, Metric};
 use serde::Serialize;
+
+use crate::stats;
 
 /// Schema tag stamped into every report so `scorpio_diff` can tell QoR
 /// reports and run manifests apart (and reject future format changes).
@@ -78,8 +82,69 @@ pub struct QorReport {
 }
 
 impl QorReport {
-    /// Serialises the report as JSON.
+    /// Serialises the report, with its [`QorReport::metrics`], as JSON.
     pub fn to_json(&self) -> String {
-        scorpio_obs::json::to_string(self)
+        gate::to_json(self, &self.metrics())
+    }
+
+    /// The gated metrics, per kernel and ratio point: quality
+    /// (metric-direction aware), modeled energy, the achieved ratio
+    /// (the runtime's scheduling is deterministic, so any drift gates)
+    /// and the wall time with its repeated samples.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut out = Vec::new();
+        for k in &self.kernels {
+            let better = if k.higher_is_better {
+                Better::Higher
+            } else {
+                Better::Lower
+            };
+            for p in &k.points {
+                let at = |what: &str| format!("{} @ ratio {} · {what}", k.name, p.ratio);
+                let samples: Vec<f64> = p.time_ns_samples.iter().map(|&t| t as f64).collect();
+                out.extend([
+                    Metric::new(at(&format!("quality({})", k.metric)), &k.metric, better, p.quality),
+                    Metric::new(at("energy_j"), "J", Better::Lower, p.energy_j),
+                    Metric::new(at("achieved_ratio"), "ratio", Better::Exact, p.achieved_ratio),
+                    Metric::new(at("time_ns"), "ns", Better::Lower, stats::mean(&samples))
+                        .with_samples(samples),
+                ]);
+            }
+        }
+        out
+    }
+}
+
+/// A one-kernel sobel report: `time_scale` multiplies every timing
+/// sample, `quality_delta` shifts the PSNR.
+#[cfg(test)]
+pub(crate) fn fixture(time_scale: f64, quality_delta: f64) -> QorReport {
+    let point = |ratio: f64| QorPoint {
+        ratio,
+        quality: 30.0 + 10.0 * ratio + quality_delta,
+        energy_j: 1.0 + ratio,
+        achieved_ratio: ratio,
+        accurate: (ratio * 10.0) as u64,
+        approximate: 10 - (ratio * 10.0) as u64,
+        dropped: 0,
+        time_ns_samples: [1000.0, 1010.0, 990.0, 1005.0, 995.0]
+            .iter()
+            .map(|t| (t * time_scale) as u64)
+            .collect(),
+    };
+    QorReport {
+        schema: QOR_SCHEMA.to_owned(),
+        name: "test".to_owned(),
+        git: "deadbeef".to_owned(),
+        threads: 1,
+        reps: 5,
+        small: true,
+        degraded: false,
+        kernels: vec![QorKernel {
+            name: "sobel".to_owned(),
+            metric: "psnr_db".to_owned(),
+            higher_is_better: true,
+            points: vec![point(0.0), point(0.5), point(1.0)],
+        }],
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `scorpio_diff` binary: the regression gate
-//! must fail (exit 1) on a synthetically injected slowdown or quality
-//! loss and pass (exit 0) on self-comparison.
+//! must fail (exit 1) on a synthetically injected slowdown, a quality
+//! loss or a dropped kernel, and pass (exit 0) on self-comparison.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -148,6 +148,28 @@ fn quality_only_ignores_timing_but_catches_quality_loss() {
 }
 
 #[test]
+fn gate_fails_when_a_baseline_metric_is_missing() {
+    let dir = temp_dir("missing");
+    let base = write_report(&dir, "base.json", &report(1.0, 0.0));
+    let mut fewer = report(1.0, 0.0);
+    fewer.kernels.pop();
+    let fewer = write_report(&dir, "fewer.json", &fewer);
+    let out = scorpio_diff(&[
+        base.to_str().unwrap(),
+        fewer.to_str().unwrap(),
+        "--gate",
+        "--quality-only",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a dropped kernel must fail the gate:\n{stdout}"
+    );
+    assert!(stdout.contains("missing from candidate"), "{stdout}");
+}
+
+#[test]
 fn bad_input_exits_with_usage_error() {
     let dir = temp_dir("bad");
     let bogus = dir.join("bogus.json");
@@ -156,4 +178,10 @@ fn bad_input_exits_with_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     let out = scorpio_diff(&["one-arg-only"]);
     assert_eq!(out.status.code(), Some(2));
+    // Valid JSON without a metrics list: regenerate, don't guess.
+    let bare = dir.join("bare.json");
+    std::fs::write(&bare, r#"{"schema":"scorpio-qor-v1","kernels":[]}"#).expect("write bare file");
+    let out = scorpio_diff(&[bare.to_str().unwrap(), bare.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("regenerate"));
 }

@@ -663,8 +663,10 @@ impl Drop for RingHandle {
     fn drop(&mut self) {
         // Flush this thread's records into the spill list so scoped
         // executor workers (one taskwait's lifetime) don't lose events,
-        // and drop the ring from the live registry.
-        let gen = self.ring.gen.load(Ordering::SeqCst);
+        // and drop the ring from the live registry. Records of an older
+        // generation were already drained (or reset away): flushing them
+        // would only take spill room from live records.
+        let gen = GENERATION.load(Ordering::SeqCst);
         let records = self.ring.snapshot(gen).unwrap_or_default();
         let cap = SPILL_CAPACITY.load(Ordering::SeqCst);
         let mut c = collector().lock().expect("event collector poisoned");

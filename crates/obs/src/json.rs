@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 /// let json = scorpio_obs::json::to_string(&P { x: 1.5, name: "a".into() });
 /// assert_eq!(json, r#"{"x":1.5,"name":"a"}"#);
 /// ```
-pub fn to_string<T: Serialize>(value: &T) -> String {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     value
         .serialize(&mut Ser { out: &mut out })
@@ -387,6 +387,11 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a single line of `[`s (e.g. from
+/// a socket client) would overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (trailing whitespace allowed, nothing else
 /// after the value).
 ///
@@ -398,11 +403,14 @@ impl Value {
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error,
+/// or of the first array/object nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -414,8 +422,10 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -449,8 +459,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -552,12 +576,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice: both are ASCII, so the cut always lands
+                    // on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
                 None => return Err("unterminated string".to_owned()),
             }
@@ -586,13 +612,17 @@ mod tests {
 
     #[test]
     fn round_trips_nested_document() {
-        let doc = r#"{"a":[1,2.5,-3],"b":{"c":"x\"y","d":null},"e":true}"#;
+        let doc = r#"{"a":[1,2.5,-3],"b":{"c":"x\"y","d":null},"e":true,"é":"naïve → ✓ 🦀\n\u00e9\\"}"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("e"), Some(&Value::Bool(true)));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(
             v.get("b").unwrap().get("c").and_then(Value::as_str),
             Some("x\"y")
+        );
+        assert_eq!(
+            v.get("é").and_then(Value::as_str),
+            Some("naïve → ✓ 🦀\n\u{e9}\\")
         );
     }
 
@@ -613,8 +643,18 @@ mod tests {
     #[test]
     fn escape_and_parse_agree() {
         let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd\te\u{1}");
+        let s = "a\"b\\c\nd\te\u{1}ü€𝄞\"\\ end";
+        escape_into(&mut out, s);
         let v = parse(&out).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+        assert_eq!(v.as_str(), Some(s));
+    }
+
+    #[test]
+    fn rejects_nesting_past_max_depth() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 }

@@ -56,6 +56,7 @@
 
 pub mod events;
 pub mod expose;
+pub mod gate;
 pub mod json;
 mod manifest;
 mod metrics;

@@ -7,8 +7,9 @@ use std::time::Instant;
 use serde::Serialize;
 
 use crate::events::{self, TaskEventRecord};
+use crate::gate::{self, Better, Metric};
 use crate::span::{self, TraceEvent};
-use crate::{chrome_trace_json, events_snapshot, json, registry};
+use crate::{chrome_trace_json, events_snapshot, registry};
 
 /// One `key = value` configuration entry of a run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -125,12 +126,48 @@ pub struct RunManifest {
     pub task_events: Vec<TaskEventRecord>,
     /// Task events lost to full rings during the session.
     pub task_events_dropped: u64,
+    /// `task_events_dropped > 0`: the event timeline is truncated.
+    pub degraded: bool,
 }
 
 impl RunManifest {
-    /// Serialises the manifest as JSON.
+    /// Serialises the manifest, with its [`RunManifest::metrics`], as
+    /// JSON.
     pub fn to_json(&self) -> String {
-        json::to_string(self)
+        gate::to_json(self, &self.metrics())
+    }
+
+    /// The gated metrics: the wall clock and every phase path (single
+    /// timing samples, lower is better) and every counter (work
+    /// accounting is deterministic, so drift either way is flagged).
+    pub fn metrics(&self) -> Vec<Metric> {
+        fn phases(nodes: &[PhaseNode], prefix: &str, out: &mut Vec<Metric>) {
+            for n in nodes {
+                let path = if prefix.is_empty() {
+                    n.name.clone()
+                } else {
+                    format!("{prefix}/{}", n.name)
+                };
+                out.push(Metric::new(
+                    format!("phase {path}"),
+                    "ns",
+                    Better::Lower,
+                    n.total_ns as f64,
+                ));
+                phases(&n.children, &path, out);
+            }
+        }
+        let mut out = vec![Metric::new(
+            "wall_clock_ns",
+            "ns",
+            Better::Lower,
+            self.wall_clock_ns as f64,
+        )];
+        phases(&self.phases, "", &mut out);
+        out.extend(self.counters.iter().map(|c| {
+            Metric::new(format!("counter {}", c.name), "count", Better::Either, c.value as f64)
+        }));
+        out
     }
 
     /// Flat list of every phase name in the tree (depth-first).
@@ -258,6 +295,7 @@ impl RunSession {
         let counter_delta = |name: &str, value: u64| {
             value.saturating_sub(self.counter_base.get(name).copied().unwrap_or(0))
         };
+        let task_events_dropped = events::events_dropped().saturating_sub(self.dropped_base);
         RunManifest {
             name: self.name.clone(),
             git: git_describe(),
@@ -304,7 +342,8 @@ impl RunSession {
                 .filter(|e| e.seq >= self.event_watermark)
                 .map(|e| e.to_record())
                 .collect(),
-            task_events_dropped: events::events_dropped().saturating_sub(self.dropped_base),
+            task_events_dropped,
+            degraded: task_events_dropped > 0,
         }
     }
 

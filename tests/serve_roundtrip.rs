@@ -195,8 +195,12 @@ fn malformed_and_unknown_requests_get_error_replies_without_killing_the_server()
     let (addr, server) = spawn_server(1);
     let mut client = Client::connect(&addr).expect("connect");
 
+    // 200,000 nested `[`: the parser must refuse it by depth instead of
+    // recursing until the daemon's stack overflows.
+    let deep = "[".repeat(200_000);
     let probes = [
         ("{not json at all", "expected"),
+        (deep.as_str(), "nesting"),
         (r#"{"kernel":"warp","items":[1]}"#, "unknown kernel"),
         (r#"{"kernel":"maclaurin","n":4,"items":[]}"#, "empty"),
         (r#"{"kernel":"maclaurin","n":4,"ratio":1.5,"items":[0.2]}"#, "ratio"),
