@@ -8,15 +8,15 @@
 use serde::Serialize;
 
 use crate::graph::SigGraph;
-use crate::report::{Report, VarKind};
+use crate::report::Report;
 
 /// Serialisable view of one registered variable.
 #[derive(Debug, Clone, Serialize)]
 pub struct VarRecord {
     /// Registration name.
     pub name: String,
-    /// `"input"`, `"intermediate"` or `"output"`.
-    pub kind: String,
+    /// `"input"`, `"intermediate"` or `"output"` ([`crate::VarKind::as_str`]).
+    pub kind: &'static str,
     /// Enclosure bounds.
     pub enclosure: [f64; 2],
     /// Interval-derivative bounds.
@@ -62,14 +62,6 @@ pub struct ReportRecord {
 impl Report {
     /// Builds the serialisable record of this report.
     pub fn to_record(&self) -> ReportRecord {
-        let kind_str = |k: VarKind| {
-            match k {
-                VarKind::Input => "input",
-                VarKind::Intermediate => "intermediate",
-                VarKind::Output => "output",
-            }
-            .to_owned()
-        };
         ReportRecord {
             tape_len: self.tape_len(),
             output_significance_raw: self.output_significance_raw(),
@@ -78,7 +70,7 @@ impl Report {
                 .iter()
                 .map(|v| VarRecord {
                     name: v.name.clone(),
-                    kind: kind_str(v.kind),
+                    kind: v.kind.as_str(),
                     enclosure: [v.enclosure.inf(), v.enclosure.sup()],
                     derivative: [v.derivative.inf(), v.derivative.sup()],
                     significance_raw: v.significance_raw,

@@ -21,14 +21,21 @@ pub enum VarKind {
     Output,
 }
 
-impl fmt::Display for VarKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl VarKind {
+    /// `"input"`, `"intermediate"` or `"output"`: the spelling of
+    /// `Display`, the CSV export and the JSON records.
+    pub fn as_str(self) -> &'static str {
+        match self {
             VarKind::Input => "input",
             VarKind::Intermediate => "intermediate",
             VarKind::Output => "output",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for VarKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -152,7 +159,7 @@ impl fmt::Display for Report {
                 f,
                 "{:<20} {:<13} {:>11.4} {:>26} {:>26}",
                 v.name,
-                v.kind.to_string(),
+                v.kind.as_str(),
                 v.significance,
                 v.enclosure.to_string(),
                 v.derivative.to_string()

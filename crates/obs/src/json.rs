@@ -8,9 +8,17 @@
 //! writers produce; it accepts exactly the subset the writers emit
 //! (objects, arrays, strings, finite numbers, `1e999` infinities,
 //! booleans, `null`).
+//!
+//! Numbers are written without `core::fmt`: integers through a
+//! two-digit table, finite floats through the in-tree shortest
+//! round-trip formatter in `json/num.rs`, whose output is byte-identical
+//! to `format!("{}", v)` for every finite `f64` (checked against `std`
+//! by its oracle tests). NaN is written as `null` and `±inf` as
+//! `±1e999`.
 
 use serde::ser::{self, Serialize};
-use std::fmt::Write as _;
+
+mod num;
 
 /// Serialises any `Serialize` value to a JSON string.
 ///
@@ -36,26 +44,38 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
 
 /// Appends `s` to `out` as a JSON string literal (quoted, escaped).
 pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Start of the run of bytes that need no escaping, copied in one
+    // piece when the next escape (or the end) is reached. Every byte
+    // that needs escaping is ASCII, so each cut is a char boundary.
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
 fn fmt_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        num::write_finite_f64(out, v);
     } else if v.is_nan() {
         out.push_str("null");
     } else if v > 0.0 {
@@ -112,7 +132,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Ser<'a> {
         self.serialize_i64(v as i64)
     }
     fn serialize_i64(self, v: i64) -> Result<(), Error> {
-        let _ = write!(self.out, "{v}");
+        num::write_i64(self.out, v);
         Ok(())
     }
     fn serialize_u8(self, v: u8) -> Result<(), Error> {
@@ -125,7 +145,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Ser<'a> {
         self.serialize_u64(v as u64)
     }
     fn serialize_u64(self, v: u64) -> Result<(), Error> {
-        let _ = write!(self.out, "{v}");
+        num::write_u64(self.out, v);
         Ok(())
     }
     fn serialize_f32(self, v: f32) -> Result<(), Error> {
@@ -137,7 +157,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Ser<'a> {
         Ok(())
     }
     fn serialize_char(self, v: char) -> Result<(), Error> {
-        escape_into(self.out, &v.to_string());
+        escape_into(self.out, v.encode_utf8(&mut [0; 4]));
         Ok(())
     }
     fn serialize_str(self, v: &str) -> Result<(), Error> {
@@ -647,6 +667,52 @@ mod tests {
         escape_into(&mut out, s);
         let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some(s));
+    }
+
+    /// The per-char escaper `escape_into` replaced, kept as its oracle.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escape_into_matches_per_char_reference() {
+        let cases = [
+            "",
+            "plain ascii key",
+            "\"",
+            "\\",
+            "say \"hi\" \\ bye",
+            "\u{1}",
+            "\u{1f}",
+            "\u{0}\u{8}\u{b}\u{c}\u{1e}",
+            "\n\r\t",
+            "line\nbreak\r\n\ttab",
+            "naïve → ✓ 🦀",
+            "ü\"€\\𝄞\n",
+            "clean run \u{1}dirty\"clean again\\é\u{1f}end",
+            "\u{7f}\u{80}\u{ff}\u{2028}",
+        ];
+        for s in cases {
+            let mut out = String::new();
+            escape_into(&mut out, s);
+            assert_eq!(out, escape_per_char(s), "{s:?}");
+        }
+        for c in ['"', '\\', '\u{1}', 'é', '🦀'] {
+            assert_eq!(to_string(&c), escape_per_char(&c.to_string()));
+        }
     }
 
     #[test]

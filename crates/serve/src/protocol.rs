@@ -551,7 +551,7 @@ pub fn vars_to_record(vars: &VarSignificances) -> ReportRecord {
             .iter()
             .map(|v| VarRecord {
                 name: v.name.clone(),
-                kind: v.kind.to_string(),
+                kind: v.kind.as_str(),
                 enclosure: [v.enclosure.inf(), v.enclosure.sup()],
                 derivative: [v.derivative.inf(), v.derivative.sup()],
                 significance_raw: v.significance_raw,

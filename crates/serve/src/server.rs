@@ -578,6 +578,12 @@ impl Server {
     }
 }
 
+/// Longest request line a connection accepts, in bytes without the
+/// newline. A longer line gets an error reply and is discarded through
+/// its newline, so no connection buffers more than this (plus one read)
+/// of unparsed input.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
 /// Reads newline-delimited requests off one connection and writes one
 /// response line per request, in order. Returns when the peer closes,
 /// on an I/O error, or right after serving a `shutdown`.
@@ -587,7 +593,11 @@ fn connection_loop(
     job_tx: &mpsc::Sender<Job>,
     addr: SocketAddr,
 ) {
+    // The unterminated start of the next line.
     let mut pending = Vec::new();
+    // Set while skipping the rest of an over-long line that has
+    // already had its error reply.
+    let mut discarding = false;
     let mut chunk = [0u8; 4096];
     loop {
         let n = match stream.read(&mut chunk) {
@@ -608,14 +618,31 @@ fn connection_loop(
             }
             Err(_) => return,
         };
-        pending.extend_from_slice(&chunk[..n]);
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..pos]).into_owned();
-            if line.trim().is_empty() {
+        let mut fresh = &chunk[..n];
+        if discarding {
+            let Some(end) = fresh.iter().position(|&b| b == b'\n') else {
                 continue;
-            }
-            let (mut response, is_shutdown) = handle_line(&line, shared, job_tx);
+            };
+            discarding = false;
+            fresh = &fresh[end + 1..];
+        }
+        // `pending` holds no newline, so only the fresh bytes are
+        // searched; after a line is cut off, the rest is all fresh.
+        let mut scan_from = pending.len();
+        pending.extend_from_slice(fresh);
+        while let Some(offset) = pending[scan_from..].iter().position(|&b| b == b'\n') {
+            let end = scan_from + offset;
+            scan_from = 0;
+            let line: Vec<u8> = pending.drain(..=end).collect();
+            let (mut response, is_shutdown) = if end > MAX_LINE_BYTES {
+                (line_too_long(shared), false)
+            } else {
+                let line = String::from_utf8_lossy(&line[..end]);
+                if line.trim().is_empty() {
+                    continue;
+                }
+                handle_line(&line, shared, job_tx)
+            };
             response.push('\n');
             let write = stream.write_all(response.as_bytes());
             if is_shutdown {
@@ -629,7 +656,24 @@ fn connection_loop(
                 return;
             }
         }
+        if pending.len() > MAX_LINE_BYTES {
+            pending = Vec::new();
+            discarding = true;
+            let mut response = line_too_long(shared);
+            response.push('\n');
+            if stream.write_all(response.as_bytes()).is_err() {
+                return;
+            }
+        }
     }
+}
+
+/// Counts an over-long line as a failed request and builds its reply.
+fn line_too_long(shared: &Shared) -> String {
+    shared.requests.fetch_add(1, Ordering::Relaxed);
+    shared.count_error();
+    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+    error_line(0, message)
 }
 
 /// Executes one request line, returning the response line and whether

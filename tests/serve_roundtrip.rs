@@ -15,6 +15,7 @@ use scorpio::kernels::dct;
 use scorpio::obs::json::{self, Value};
 use scorpio::serve::kernels::KernelRequest;
 use scorpio::serve::protocol::vars_to_record;
+use scorpio::serve::server::MAX_LINE_BYTES;
 use scorpio::serve::{Client, Server, ServerConfig, ServerSummary};
 
 /// One analyze line per kernel, covering every structural-parameter
@@ -230,6 +231,33 @@ fn malformed_and_unknown_requests_get_error_replies_without_killing_the_server()
     );
 
     fresh.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server run");
+}
+
+#[test]
+fn over_long_line_gets_an_error_reply_and_the_connection_keeps_serving() {
+    let (addr, server) = spawn_server(1);
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // A line of exactly the bound is still read and parsed.
+    let stats = r#"{"id":7,"cmd":"stats"}"#;
+    let at_bound = stats.to_owned() + &" ".repeat(MAX_LINE_BYTES - stats.len());
+    let reply = client.request(&at_bound).expect("reply at the bound");
+    assert_ok(&reply);
+    assert_eq!(reply.get("id").and_then(Value::as_f64), Some(7.0));
+
+    let over = "x".repeat(MAX_LINE_BYTES + 1);
+    let reply = client.request(&over).expect("error reply to an over-long line");
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(false)));
+    let error = reply.get("error").and_then(Value::as_str).expect("error text");
+    assert!(error.contains("longer than"), "{error}");
+
+    // The rest of the over-long line was discarded: the next line on the
+    // same connection is answered on its own.
+    let stats = client.stats().expect("stats after the over-long line");
+    assert!(stats.get("errors").and_then(Value::as_f64).expect("errors") >= 1.0);
+
+    client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
 }
 
