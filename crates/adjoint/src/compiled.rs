@@ -11,23 +11,25 @@
 //!
 //! [`CompiledTape::compile`] flattens a recorded trace into parallel
 //! arrays (one op, one predecessor pair and one recorded value per
-//! node, with the input nodes indexed up front). [`CompiledTape::replay`]
-//! then re-evaluates the whole trace for fresh input values in a single
-//! tight forward loop — zero `RefCell` borrows, zero node pushes, zero
-//! allocation in the steady state — recomputing node values *and* local
-//! partials with exactly the formulas the [`crate::Var`] overloads use,
-//! so a replayed sweep is bit-identical to a fresh recording of the
-//! same trace. [`CompiledTape::adjoints_into`] runs the reverse sweep
-//! over the replayed buffers, mirroring [`Tape::adjoints_in`].
+//! node, with the input nodes indexed up front).
+//! [`CompiledTape::replay_lanes`] then re-evaluates the whole trace for
+//! a block of fresh input values in a single tight forward loop — zero
+//! `RefCell` borrows, zero node pushes, zero allocation in the steady
+//! state — recomputing node values *and* local partials with exactly
+//! the formulas the [`crate::Var`] overloads use, so a replayed sweep is
+//! bit-identical to a fresh recording of the same trace; a single item
+//! is a block of width 1. [`CompiledTape::adjoints_into_lanes`] runs the
+//! reverse sweep over the replayed buffers, mirroring
+//! [`Tape::adjoints_in`] (see the [`lanes`](crate::lanes) module).
 //!
 //! Replay is only sound while the trace shape is actually fixed:
 //! recording is value-dependent (a branch can send different inputs
 //! down different traces), which a replayer cannot detect because it
-//! never re-runs the user closure. [`CompiledTape::replay`] validates
-//! input arity; detecting control-flow divergence is the caller's
-//! responsibility (the `scorpio-core` `ReplayOrRecord` driver refuses
-//! to replay traces that executed a branch and falls back to full
-//! re-recording).
+//! never re-runs the user closure. [`CompiledTape::replay_lanes`]
+//! validates input arity; detecting control-flow divergence is the
+//! caller's responsibility (the `scorpio-core` `ReplayOrRecord` driver
+//! refuses to replay traces that executed a branch and falls back to
+//! full re-recording).
 
 use std::fmt;
 
@@ -41,7 +43,7 @@ use crate::value::Scalar;
 /// # Example
 ///
 /// ```
-/// use scorpio_adjoint::{CompiledTape, ReplayBuffers, Tape};
+/// use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, Tape};
 ///
 /// // Record y = x·sin(x) once…
 /// let tape = Tape::<f64>::new();
@@ -50,13 +52,14 @@ use crate::value::Scalar;
 /// let y_id = y.id();
 /// let compiled = CompiledTape::compile(&tape);
 ///
-/// // …then replay it for a different input without re-recording.
-/// let mut buf = ReplayBuffers::new();
-/// compiled.replay(&[0.7], &mut buf).unwrap();
-/// assert_eq!(buf.value(y_id), 0.7 * 0.7f64.sin());
-/// compiled.adjoints_into(&[(y_id, 1.0)], &mut buf);
+/// // …then replay it for a different input without re-recording (one
+/// // item is a lane block of width 1).
+/// let mut buf = LaneReplayBuffers::<f64, 1>::new();
+/// compiled.replay_lanes(&[[0.7]], &mut buf).unwrap();
+/// assert_eq!(buf.value(y_id, 0), 0.7 * 0.7f64.sin());
+/// compiled.adjoints_into_lanes(&[(y_id, 1.0)], &mut buf);
 /// let want = 0.7f64.sin() + 0.7 * 0.7f64.cos();
-/// assert!((buf.adjoint(x.id()) - want).abs() < 1e-15);
+/// assert!((buf.adjoint(x.id(), 0) - want).abs() < 1e-15);
 /// ```
 pub struct CompiledTape<V> {
     pub(crate) ops: Vec<Op>,
@@ -67,7 +70,7 @@ pub struct CompiledTape<V> {
     /// recorded trace without holding the original tape alive.
     pub(crate) recorded: Vec<V>,
     /// Input node ids in registration order — the positional slots
-    /// [`CompiledTape::replay`] binds fresh values to.
+    /// [`CompiledTape::replay_lanes`] binds fresh values to.
     pub(crate) inputs: Vec<NodeId>,
     successors: Successors,
     histogram: OpHistogram,
@@ -77,16 +80,15 @@ pub struct CompiledTape<V> {
 /// operand values `a`/`b`, plus the local partial derivatives with
 /// respect to each operand — exactly the formulas the [`crate::Var`]
 /// overloads record (keep this and `var.rs` in lockstep; the
-/// replay-identity suites enforce bit-equality). Shared by the scalar
-/// [`CompiledTape::replay`] loop and the multi-lane
-/// [`CompiledTape::replay_lanes`] loop so the two interpreters cannot
-/// drift apart: a lane executes the same scalar operations in the same
-/// order as a scalar replay, which is what makes lane replay
-/// bit-identical per lane.
+/// replay-identity suites enforce bit-equality). The lane interpreter
+/// [`CompiledTape::replay_lanes`] applies it to every lane, so each
+/// lane executes the same scalar operations in the same order as a
+/// fresh recording of its item — which is what makes replay
+/// bit-identical per lane at every width.
 ///
 /// `Op::Input` / `Op::Const` never reach this function — they bind
 /// per-item inputs / compile-time constants and are handled by the
-/// replay loops directly.
+/// replay loop directly.
 #[inline(always)]
 pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
     match op {
@@ -265,98 +267,6 @@ impl<V: Scalar> CompiledTape<V> {
     pub fn op_histogram(&self) -> OpHistogram {
         self.histogram
     }
-
-    /// Replays the trace with fresh input values: a single forward loop
-    /// over the fixed node sequence re-evaluating every node value and
-    /// local partial into `buf`, using exactly the formulas the
-    /// [`crate::Var`] overloads record — a replayed trace is
-    /// bit-identical to re-recording it with the same inputs.
-    ///
-    /// `inputs` binds the input nodes positionally, in registration
-    /// order. The buffers are resized on first use and reused
-    /// afterwards; the steady state allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeMismatch`] (leaving `buf` unspecified) when
-    /// `inputs` does not provide exactly one value per input slot.
-    pub fn replay(&self, inputs: &[V], buf: &mut ReplayBuffers<V>) -> Result<(), ShapeMismatch> {
-        let _span = scorpio_obs::span_detail("forward");
-        if inputs.len() != self.inputs.len() {
-            return Err(ShapeMismatch {
-                expected: self.inputs.len(),
-                got: inputs.len(),
-            });
-        }
-        let n = self.ops.len();
-        buf.resize(n);
-        let mut next_input = 0usize;
-        for j in 0..n {
-            let (v, pa, pb) = match self.ops[j] {
-                Op::Input => {
-                    let x = inputs[next_input];
-                    next_input += 1;
-                    (x, V::zero(), V::zero())
-                }
-                Op::Const => (self.recorded[j], V::zero(), V::zero()),
-                op => {
-                    // Operand values: predecessor slots are always
-                    // earlier in the sequence, so reading them back out
-                    // of `values` is the forward sweep's data flow.
-                    // Unary nodes carry an INVALID second slot — only
-                    // dereference it for binary ops.
-                    let a = buf.values[self.preds[j][0].index()];
-                    let b = if op.arity() == 2 {
-                        buf.values[self.preds[j][1].index()]
-                    } else {
-                        V::zero()
-                    };
-                    eval_op(op, a, b)
-                }
-            };
-            buf.values[j] = v;
-            buf.pa[j] = pa;
-            buf.pb[j] = pb;
-        }
-        Ok(())
-    }
-
-    /// Reverse (adjoint) sweep over the replayed buffers, mirroring
-    /// [`Tape::adjoints_in`] operation for operation: after this call
-    /// `buf.adjoint(id)` is bit-identical to what a fresh recording's
-    /// reverse sweep would produce for the same inputs and seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seed id is out of range, or if `buf` has not been
-    /// filled by a [`CompiledTape::replay`] of this trace.
-    pub fn adjoints_into(&self, seeds: &[(NodeId, V)], buf: &mut ReplayBuffers<V>) {
-        let n = self.ops.len();
-        assert_eq!(
-            buf.values.len(),
-            n,
-            "adjoints_into: buffers were not replayed for this trace"
-        );
-        buf.adj.clear();
-        buf.adj.resize(n, V::zero());
-        for &(id, seed) in seeds {
-            buf.adj[id.index()] = buf.adj[id.index()] + seed;
-        }
-        for j in (0..n).rev() {
-            let a = buf.adj[j];
-            if a.is_zero() {
-                continue;
-            }
-            for k in 0..self.ops[j].arity() {
-                let p = self.preds[j][k];
-                if p != NodeId::INVALID {
-                    let partial = if k == 0 { buf.pa[j] } else { buf.pb[j] };
-                    let contribution = partial * a;
-                    buf.adj[p.index()] = buf.adj[p.index()] + contribution;
-                }
-            }
-        }
-    }
 }
 
 impl<V: Scalar> fmt::Debug for CompiledTape<V> {
@@ -368,72 +278,9 @@ impl<V: Scalar> fmt::Debug for CompiledTape<V> {
     }
 }
 
-/// Reusable value/partial/adjoint buffers for replaying one
-/// [`CompiledTape`] — the replay-mode analogue of the tape arena plus
-/// adjoint scratch vector. One set per worker; sized on first replay,
-/// zero allocation afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayBuffers<V> {
-    values: Vec<V>,
-    /// Local partial with respect to the first operand, per node.
-    pa: Vec<V>,
-    /// Local partial with respect to the second operand, per node.
-    pb: Vec<V>,
-    adj: Vec<V>,
-}
-
-impl<V: Scalar> ReplayBuffers<V> {
-    /// Empty buffers; the first replay sizes them.
-    pub fn new() -> ReplayBuffers<V> {
-        ReplayBuffers {
-            values: Vec::new(),
-            pa: Vec::new(),
-            pb: Vec::new(),
-            adj: Vec::new(),
-        }
-    }
-
-    fn resize(&mut self, n: usize) {
-        // resize() both shrinks and grows; the fill value is only used
-        // for growth and every slot is overwritten by the forward loop.
-        self.values.resize(n, V::zero());
-        self.pa.resize(n, V::zero());
-        self.pb.resize(n, V::zero());
-    }
-
-    /// The replayed value `[u_j]` of node `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the last replayed trace.
-    pub fn value(&self, id: NodeId) -> V {
-        self.values[id.index()]
-    }
-
-    /// The adjoint `∇_{u_j} y` of node `id` from the last
-    /// [`CompiledTape::adjoints_into`] sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or no sweep has run.
-    pub fn adjoint(&self, id: NodeId) -> V {
-        self.adj[id.index()]
-    }
-
-    /// All replayed node values in execution order.
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// All adjoints in execution order (empty before the first sweep).
-    pub fn adjoints(&self) -> &[V] {
-        &self.adj
-    }
-}
-
 /// Replay was handed a different number of input values than the
 /// compiled trace has input slots — the structural guard of
-/// [`CompiledTape::replay`].
+/// [`CompiledTape::replay_lanes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShapeMismatch {
     /// Input slots the compiled trace expects.
@@ -455,12 +302,13 @@ impl fmt::Display for ShapeMismatch {
 impl std::error::Error for ShapeMismatch {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::lanes::LaneReplayBuffers;
     use scorpio_interval::Interval;
 
     /// Records a trace exercising every operator class.
-    fn record_all_ops(tape: &Tape<f64>, x0: f64, y0: f64) -> NodeId {
+    pub(crate) fn record_all_ops(tape: &Tape<f64>, x0: f64, y0: f64) -> NodeId {
         let x = tape.var(x0);
         let y = tape.var(y0);
         let c = tape.constant(0.75);
@@ -477,75 +325,76 @@ mod tests {
         acc.id()
     }
 
-    #[test]
-    fn replay_is_bit_identical_to_rerecording_f64() {
-        let tape = Tape::<f64>::new();
-        let out = record_all_ops(&tape, 0.4, 1.1);
+    /// A two-input interval trace touching the interval-specific
+    /// partials (hypot, min/max).
+    pub(crate) fn record_interval(tape: &Tape<Interval>, x0: Interval, y0: Interval) -> NodeId {
+        let x = tape.var(x0);
+        let y = tape.var(y0);
+        let s = (x.sqr() + y.sqr()) * 0.7;
+        let z = (s.sin() + x.hypot(y)).exp() + x.min(y).max(x * 0.1);
+        z.id()
+    }
+
+    pub(crate) fn same_f64(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
+    }
+
+    pub(crate) fn same_interval(a: Interval, b: Interval) -> bool {
+        a.inf().to_bits() == b.inf().to_bits() && a.sup().to_bits() == b.sup().to_bits()
+    }
+
+    /// Lane-replays `items` (lane `l` binds `items[l]`) through the
+    /// trace `record` produces, then checks every node value and
+    /// adjoint of every lane against a fresh recording of that item.
+    pub(crate) fn assert_lanes_match_recording<V: Scalar, const LANES: usize>(
+        items: [[V; 2]; LANES],
+        record: impl Fn(&Tape<V>, V, V) -> NodeId,
+        same: impl Fn(V, V) -> bool,
+    ) {
+        let tape = Tape::<V>::new();
+        let out = record(&tape, items[0][0], items[0][1]);
         let compiled = CompiledTape::compile(&tape);
-        let mut buf = ReplayBuffers::new();
+        let staging: [[V; LANES]; 2] =
+            std::array::from_fn(|s| std::array::from_fn(|l| items[l][s]));
+        let mut buf = LaneReplayBuffers::<V, LANES>::new();
+        compiled.replay_lanes(&staging, &mut buf).unwrap();
+        compiled.adjoints_into_lanes(&[(out, V::one())], &mut buf);
 
-        for &(x0, y0) in &[(0.4, 1.1), (-0.8, 0.2), (1.7, -0.4), (0.01, 9.5)] {
-            compiled.replay(&[x0, y0], &mut buf).unwrap();
-            compiled.adjoints_into(&[(out, 1.0)], &mut buf);
-
-            let fresh = Tape::<f64>::new();
-            let fresh_out = record_all_ops(&fresh, x0, y0);
+        for (l, &[x0, y0]) in items.iter().enumerate() {
+            let fresh = Tape::<V>::new();
+            let fresh_out = record(&fresh, x0, y0);
             assert_eq!(fresh_out, out, "trace shape must not depend on inputs");
-            let adj = fresh.adjoints(&[(fresh_out, 1.0)]);
+            let adj = fresh.adjoints(&[(fresh_out, V::one())]);
             fresh.with_nodes(|nodes| {
                 for (j, node) in nodes.iter().enumerate() {
                     let id = NodeId::from_index(j);
-                    assert_eq!(
-                        buf.value(id).to_bits(),
-                        node.value().to_bits(),
-                        "value diverged at node {j} ({:?})",
-                        node.op()
-                    );
-                    assert_eq!(
-                        buf.adjoint(id).to_bits(),
-                        adj.get(id).to_bits(),
-                        "adjoint diverged at node {j} ({:?})",
-                        node.op()
-                    );
+                    let op = node.op();
+                    let (value, adjoint) = (buf.value(id, l), buf.adjoint(id, l));
+                    assert!(same(value, node.value()), "value: node {j} lane {l} ({op:?})");
+                    assert!(same(adjoint, adj.get(id)), "adjoint: node {j} lane {l} ({op:?})");
                 }
             });
         }
     }
 
+    const F64_ITEMS: [[f64; 2]; 4] = [[0.4, 1.1], [-0.8, 0.2], [1.7, -0.4], [0.01, 9.5]];
+
+    #[test]
+    fn replay_is_bit_identical_to_rerecording_f64() {
+        for item in F64_ITEMS {
+            assert_lanes_match_recording([item], record_all_ops, same_f64);
+        }
+        assert_lanes_match_recording(F64_ITEMS, record_all_ops, same_f64);
+    }
+
     #[test]
     fn replay_is_bit_identical_to_rerecording_interval() {
-        let record = |tape: &Tape<Interval>, r: f64| -> NodeId {
-            let x = tape.var(Interval::centered(0.5, r));
-            let y = tape.var(Interval::centered(-0.25, r));
-            let s = (x.sqr() + y.sqr()) * 0.7;
-            let z = (s.sin() + x.hypot(y)).exp() + x.min(y).max(x * 0.1);
-            z.id()
-        };
-        let tape = Tape::<Interval>::new();
-        let out = record(&tape, 0.125);
-        let compiled = CompiledTape::compile(&tape);
-        let mut buf = ReplayBuffers::new();
-
-        for &r in &[0.125, 0.5, 0.03125] {
-            let inputs = [Interval::centered(0.5, r), Interval::centered(-0.25, r)];
-            compiled.replay(&inputs, &mut buf).unwrap();
-            compiled.adjoints_into(&[(out, Interval::ONE)], &mut buf);
-
-            let fresh = Tape::<Interval>::new();
-            let fresh_out = record(&fresh, r);
-            let adj = fresh.adjoints(&[(fresh_out, Interval::ONE)]);
-            fresh.with_nodes(|nodes| {
-                for (j, node) in nodes.iter().enumerate() {
-                    let id = NodeId::from_index(j);
-                    let (v, w) = (buf.value(id), node.value());
-                    assert_eq!(v.inf().to_bits(), w.inf().to_bits(), "node {j} inf");
-                    assert_eq!(v.sup().to_bits(), w.sup().to_bits(), "node {j} sup");
-                    let (a, b) = (buf.adjoint(id), adj.get(id));
-                    assert_eq!(a.inf().to_bits(), b.inf().to_bits(), "adj {j} inf");
-                    assert_eq!(a.sup().to_bits(), b.sup().to_bits(), "adj {j} sup");
-                }
-            });
+        let items = [0.125, 0.5, 0.03125, 0.25]
+            .map(|r| [Interval::centered(0.5, r), Interval::centered(-0.25, r)]);
+        for item in items {
+            assert_lanes_match_recording([item], record_interval, same_interval);
         }
+        assert_lanes_match_recording(items, record_interval, same_interval);
     }
 
     #[test]
@@ -554,10 +403,15 @@ mod tests {
         let x = tape.var(1.0);
         let _ = x.exp();
         let compiled = CompiledTape::compile(&tape);
-        let mut buf = ReplayBuffers::new();
-        let err = compiled.replay(&[1.0, 2.0], &mut buf).unwrap_err();
+        let err = compiled
+            .replay_lanes(&[[1.0], [2.0]], &mut LaneReplayBuffers::new())
+            .unwrap_err();
         assert_eq!(err, ShapeMismatch { expected: 1, got: 2 });
         assert!(err.to_string().contains("1 input slot"));
+        let err = compiled
+            .replay_lanes(&[[1.0; 4], [2.0; 4]], &mut LaneReplayBuffers::new())
+            .unwrap_err();
+        assert_eq!(err, ShapeMismatch { expected: 1, got: 2 });
     }
 
     #[test]

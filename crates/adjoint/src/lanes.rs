@@ -1,17 +1,16 @@
-//! Multi-lane replay: execute a compiled op stream once per **block of
+//! Lane replay: execute a compiled op stream once per **block of
 //! `LANES` items** instead of once per item.
 //!
-//! [`CompiledTape::replay`] already strips recording overhead, but it
-//! still walks the op stream — decoding one [`Op`] discriminant and one
-//! predecessor pair per node — for *every* item of a batch. For
-//! data-parallel workloads (pixels, options, DCT blocks) the stream is
-//! identical across items, so that decode work is redundant across the
-//! batch. The lane engine amortises it: [`LaneReplayBuffers`] stores one
-//! `[V; LANES]` block per node (a structure-of-lane-blocks layout), and
+//! This is the one replay interpreter of a [`CompiledTape`]. For
+//! data-parallel workloads (pixels, options, DCT blocks) the op stream
+//! is identical across items, so decoding one [`Op`] discriminant and
+//! one predecessor pair per node is redundant across a batch. The lane
+//! engine amortises it: [`LaneReplayBuffers`] stores one `[V; LANES]`
+//! block per node (a structure-of-lane-blocks layout), and
 //! [`CompiledTape::replay_lanes`] / [`CompiledTape::adjoints_into_lanes`]
 //! walk the stream **once per lane block**, executing each op over all
 //! `LANES` items with a fixed-width inner loop the compiler can
-//! autovectorize.
+//! autovectorize. A single item is the width-1 instance.
 //!
 //! Memory layout per node `j`:
 //!
@@ -24,13 +23,16 @@
 //! # Bit-identity
 //!
 //! Lane `l` of a lane replay performs exactly the scalar operations, in
-//! exactly the order, that a scalar [`CompiledTape::replay`] of item `l`
-//! performs — both funnel through the same `eval_op` evaluator — so each
-//! lane is bit-identical to the scalar path. The reverse sweep preserves
-//! this by keeping the scalar sweep's zero-adjoint skip *per lane*: the
-//! skip is not a harmless shortcut under IEEE-754 (an infinite partial
-//! times a zero adjoint would inject a NaN, and `-0.0 + 0.0` flips the
-//! sign of zero), so lanes whose adjoint is zero must not accumulate.
+//! exactly the order, that a fresh recording of item `l` performs — the
+//! shared `eval_op` evaluator mirrors the [`crate::Var`] overloads — so
+//! each lane is bit-identical to re-recording at every width. The
+//! reverse sweep preserves this by keeping [`Tape::adjoints_in`]'s
+//! zero-adjoint skip *per lane*: the skip is not a harmless shortcut
+//! under IEEE-754 (an infinite partial times a zero adjoint would inject
+//! a NaN, and `-0.0 + 0.0` flips the sign of zero), so lanes whose
+//! adjoint is zero must not accumulate.
+//!
+//! [`Tape::adjoints_in`]: crate::Tape::adjoints_in
 //!
 //! # Example
 //!
@@ -60,9 +62,10 @@ use crate::node::{NodeId, Op};
 use crate::value::Scalar;
 
 /// Reusable lane-blocked value/partial/adjoint buffers for
-/// [`CompiledTape::replay_lanes`] — the multi-lane analogue of
-/// [`crate::ReplayBuffers`]. One `[V; LANES]` block per node; one set
-/// per worker; sized on first replay, zero allocation afterwards.
+/// [`CompiledTape::replay_lanes`] — the replay-mode analogue of the
+/// tape arena plus adjoint scratch vector. One `[V; LANES]` block per
+/// node; one set per worker; sized on first replay, zero allocation
+/// afterwards.
 #[derive(Debug, Clone)]
 pub struct LaneReplayBuffers<V, const LANES: usize> {
     values: Vec<[V; LANES]>,
@@ -157,10 +160,10 @@ impl<V: Scalar> CompiledTape<V> {
     /// one walk of the op stream, each op evaluated over a fixed-width
     /// lane array. `inputs` is **slot-major**: `inputs[s][l]` is the
     /// value bound to input slot `s` for item `l` (transposed from the
-    /// per-item layout scalar replay takes).
+    /// per-item layout a recording binds).
     ///
-    /// Each lane is bit-identical to a scalar [`CompiledTape::replay`]
-    /// of the same item (see the [module docs](crate::lanes) for why).
+    /// Each lane is bit-identical to a fresh recording of the same item
+    /// (see the [module docs](crate::lanes) for why).
     ///
     /// # Errors
     ///
@@ -230,8 +233,8 @@ impl<V: Scalar> CompiledTape<V> {
 
     /// Reverse (adjoint) sweep over the replayed lane blocks: every
     /// seed is broadcast across all `LANES` lanes, and each lane's
-    /// accumulation is bit-identical to a scalar
-    /// [`CompiledTape::adjoints_into`] sweep of that item.
+    /// accumulation is bit-identical to a [`crate::Tape::adjoints_in`]
+    /// sweep over a fresh recording of that item.
     ///
     /// # Panics
     ///
@@ -258,7 +261,7 @@ impl<V: Scalar> CompiledTape<V> {
         for j in (0..n).rev() {
             let a = buf.adj[j];
             // Whole-node fast path: if every lane's adjoint is zero the
-            // scalar sweep would skip this node in every lane.
+            // recorded sweep would skip this node in every lane.
             if a.iter().all(|x| x.is_zero()) {
                 continue;
             }
@@ -268,12 +271,12 @@ impl<V: Scalar> CompiledTape<V> {
                     let partial = if k == 0 { buf.pa[j] } else { buf.pb[j] };
                     let slot = &mut buf.adj[p.index()];
                     for l in 0..LANES {
-                        // Per-lane zero skip, mirroring the scalar
+                        // Per-lane zero skip, mirroring the recorded
                         // sweep's `is_zero` guard: skipping is not a
                         // no-op under IEEE-754 (inf/NaN partials times
                         // a zero adjoint inject NaNs; `-0.0 + 0.0`
                         // flips the sign of zero), so a lane only
-                        // accumulates when its scalar twin would.
+                        // accumulates when its recorded twin would.
                         if !a[l].is_zero() {
                             slot[l] = slot[l] + partial[l] * a[l];
                         }
@@ -287,110 +290,31 @@ impl<V: Scalar> CompiledTape<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::ReplayBuffers;
+    use crate::compiled::tests::{
+        assert_lanes_match_recording, record_all_ops, record_interval, same_f64, same_interval,
+    };
     use crate::tape::Tape;
     use scorpio_interval::Interval;
 
-    /// Records a trace exercising every operator class (mirrors the
-    /// scalar replay suite).
-    fn record_all_ops(tape: &Tape<f64>, x0: f64, y0: f64) -> NodeId {
-        let x = tape.var(x0);
-        let y = tape.var(y0);
-        let c = tape.constant(0.75);
-        let mut acc = x + y - c;
-        acc = acc * x / (y + 2.5);
-        acc = acc + (-x);
-        acc = acc + x.sin() + x.cos() + (x * 0.3).tan();
-        acc = acc + (x * 0.2).exp() + (y + 3.0).ln() + (y + 4.0).sqrt();
-        acc = acc + x.sqr() + (y + 2.0).recip();
-        acc = acc + x.powi(3) + (y + 5.0).powf(1.3) + x.powi(0);
-        acc = acc + x.abs() + x.atan() + x.tanh() + (x * 0.5).sinh() + (x * 0.5).cosh();
-        acc = acc + x.erf() + x.cndf();
-        acc = acc + x.hypot(y) + x.min(y) + x.max(y);
-        acc.id()
+    #[test]
+    fn lane_replay_is_bit_identical_to_rerecording_f64() {
+        let items: [[f64; 2]; 8] = std::array::from_fn(|l| {
+            let t = l as f64;
+            [0.4 - 0.3 * t, 1.1 + 0.7 * t]
+        });
+        assert_lanes_match_recording(items, record_all_ops, same_f64);
     }
 
     #[test]
-    fn lane_replay_is_bit_identical_to_scalar_replay_f64() {
-        let tape = Tape::<f64>::new();
-        let out = record_all_ops(&tape, 0.4, 1.1);
-        let compiled = CompiledTape::compile(&tape);
-
-        const LANES: usize = 4;
-        let xs = [0.4, -0.8, 1.7, 0.01];
-        let ys = [1.1, 0.2, -0.4, 9.5];
-        let mut lanes = LaneReplayBuffers::<f64, LANES>::new();
-        compiled.replay_lanes(&[xs, ys], &mut lanes).unwrap();
-        compiled.adjoints_into_lanes(&[(out, 1.0)], &mut lanes);
-
-        let mut scalar = ReplayBuffers::new();
-        for l in 0..LANES {
-            compiled.replay(&[xs[l], ys[l]], &mut scalar).unwrap();
-            compiled.adjoints_into(&[(out, 1.0)], &mut scalar);
-            for j in 0..compiled.len() {
-                let id = NodeId::from_index(j);
-                assert_eq!(
-                    lanes.value(id, l).to_bits(),
-                    scalar.value(id).to_bits(),
-                    "value diverged at node {j} lane {l} ({:?})",
-                    compiled.op(j)
-                );
-                assert_eq!(
-                    lanes.adjoint(id, l).to_bits(),
-                    scalar.adjoint(id).to_bits(),
-                    "adjoint diverged at node {j} lane {l} ({:?})",
-                    compiled.op(j)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_replay_is_bit_identical_to_scalar_replay_interval() {
-        let record = |tape: &Tape<Interval>, r: f64| -> NodeId {
-            let x = tape.var(Interval::centered(0.5, r));
-            let y = tape.var(Interval::centered(-0.25, r));
-            let s = (x.sqr() + y.sqr()) * 0.7;
-            let z = (s.sin() + x.hypot(y)).exp() + x.min(y).max(x * 0.1);
-            z.id()
-        };
-        let tape = Tape::<Interval>::new();
-        let out = record(&tape, 0.125);
-        let compiled = CompiledTape::compile(&tape);
-
-        const LANES: usize = 2;
-        let radii = [0.125, 0.03125];
-        let xs = [
-            Interval::centered(0.5, radii[0]),
-            Interval::centered(0.5, radii[1]),
-        ];
-        let ys = [
-            Interval::centered(-0.25, radii[0]),
-            Interval::centered(-0.25, radii[1]),
-        ];
-        let mut lanes = LaneReplayBuffers::<Interval, LANES>::new();
-        compiled.replay_lanes(&[xs, ys], &mut lanes).unwrap();
-        compiled.adjoints_into_lanes(&[(out, Interval::ONE)], &mut lanes);
-
-        let mut scalar = ReplayBuffers::new();
-        for l in 0..LANES {
-            compiled.replay(&[xs[l], ys[l]], &mut scalar).unwrap();
-            compiled.adjoints_into(&[(out, Interval::ONE)], &mut scalar);
-            for j in 0..compiled.len() {
-                let id = NodeId::from_index(j);
-                let (v, w) = (lanes.value(id, l), scalar.value(id));
-                assert_eq!(v.inf().to_bits(), w.inf().to_bits(), "node {j} lane {l} inf");
-                assert_eq!(v.sup().to_bits(), w.sup().to_bits(), "node {j} lane {l} sup");
-                let (a, b) = (lanes.adjoint(id, l), scalar.adjoint(id));
-                assert_eq!(a.inf().to_bits(), b.inf().to_bits(), "adj {j} lane {l} inf");
-                assert_eq!(a.sup().to_bits(), b.sup().to_bits(), "adj {j} lane {l} sup");
-            }
-        }
+    fn lane_replay_is_bit_identical_to_rerecording_interval() {
+        let items = [0.125, 0.03125]
+            .map(|r| [Interval::centered(0.5, r), Interval::centered(-0.25, r)]);
+        assert_lanes_match_recording(items, record_interval, same_interval);
     }
 
     /// Zero adjoints must stay skipped per lane: a dead subtree with an
     /// infinite partial must not leak NaN into lanes that never touch
-    /// it, and signed zeros must survive exactly as in scalar replay.
+    /// it, and signed zeros must survive exactly as in a recorded sweep.
     #[test]
     fn lane_reverse_sweep_keeps_per_lane_zero_skip() {
         let tape = Tape::<f64>::new();

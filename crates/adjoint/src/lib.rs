@@ -57,7 +57,7 @@ mod tape;
 mod value;
 mod var;
 
-pub use compiled::{CompiledTape, ReplayBuffers, ShapeMismatch};
+pub use compiled::{CompiledTape, ShapeMismatch};
 pub use lanes::LaneReplayBuffers;
 pub use dot::{dot_options, DotOptions};
 pub use dual::Dual;

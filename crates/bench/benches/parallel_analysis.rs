@@ -93,10 +93,10 @@ fn bench_compiled_replay(c: &mut Criterion) {
 }
 
 /// Lane-replay ablation: the 32×24 Fig. 5 grid on one worker at
-/// 1/2/4/8 replay lanes per compiled-trace walk. Width 1 routes every
-/// item through the per-item scalar replay path, so its row is the
-/// scalar baseline the wider rows are judged against; results are
-/// bit-identical at every width.
+/// 1/2/4/8 replay lanes per compiled-trace walk. Width 1 is the
+/// single-lane instance of the one interpreter (one walk per item), so
+/// its row is the baseline the wider rows are judged against; results
+/// are bit-identical at every width.
 fn bench_lane_replay(c: &mut Criterion) {
     let lens = Lens::for_image(1280, 960);
     let engine = ParallelAnalysis::new(1);

@@ -198,9 +198,9 @@ fn main() {
     // ── Lane-width ablation (one worker) ─────────────────────────────
     // The lane-blocked replay engine at 1/2/4/8 lanes per compiled-trace
     // walk, judged by single-thread throughput: the fisheye grid above,
-    // a BlackScholes option book, and a DCT block batch. Width 1 routes
-    // through the per-item scalar replay path, so its row is the true
-    // scalar baseline; results are bit-identical at every width.
+    // a BlackScholes option book, and a DCT block batch. Width 1 is the
+    // single-lane instance of the one interpreter (one walk per item), so
+    // its row is the baseline; results are bit-identical at every width.
     let lane_engine = ParallelAnalysis::new(1);
     let fisheye_rows = lane_sweep("fisheye_grid", analyses, |lanes| {
         let out = match lanes {

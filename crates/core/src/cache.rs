@@ -277,6 +277,7 @@ mod tests {
     use super::*;
     use crate::error::AnalysisError;
     use crate::replay::ReplayOrRecord;
+    use crate::report::{Report, VarSignificances};
     use crate::session::{Analysis, AnalysisArena};
     use scorpio_interval::Interval;
 
@@ -284,15 +285,20 @@ mod tests {
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         driver
-            .run_keyed_in(n as u64, &mut arena, &[Interval::new(0.1, 0.9)], |ctx| {
-                let x = ctx.input("x", 0.0, 1.0);
-                let mut acc = ctx.constant(0.0);
-                for i in 0..n {
-                    acc = acc + x.powi(i as i32 + 1);
-                }
-                ctx.output(&acc, "y");
-                Ok::<(), AnalysisError>(())
-            })
+            .run::<VarSignificances, _>(
+                Some(n as u64),
+                &mut arena,
+                &[Interval::new(0.1, 0.9)],
+                |ctx| {
+                    let x = ctx.input("x", 0.0, 1.0);
+                    let mut acc = ctx.constant(0.0);
+                    for i in 0..n {
+                        acc = acc + x.powi(i as i32 + 1);
+                    }
+                    ctx.output(&acc, "y");
+                    Ok::<(), AnalysisError>(())
+                },
+            )
             .unwrap();
         driver.share().unwrap()
     }
@@ -388,7 +394,7 @@ mod tests {
         driver.install(&trace);
         let mut arena = AnalysisArena::new();
         let report = driver
-            .run_keyed_in(4, &mut arena, &[Interval::new(0.2, 0.8)], |ctx| {
+            .run::<Report, _>(Some(4), &mut arena, &[Interval::new(0.2, 0.8)], |ctx| {
                 let x = ctx.input("x", 0.0, 1.0);
                 let mut acc = ctx.constant(0.0);
                 for i in 0..4 {

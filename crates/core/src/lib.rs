@@ -87,7 +87,7 @@ pub use export::{NodeRecord, ReportRecord, VarRecord};
 pub use graph::{SigGraph, SigNode};
 pub use parallel::{ParallelAnalysis, DEFAULT_LANES};
 pub use replay::{CompiledTrace, LaneScratch, ReplayOrRecord, ReplayStats};
-pub use report::{Report, RegisteredVar, VarKind, VarSignificances};
+pub use report::{OutputDetail, Report, RegisteredVar, VarKind, VarSignificances};
 pub use session::{Analysis, AnalysisArena, Ctx, Ia1s};
 pub use workflow::{LevelStats, Partition};
 

@@ -31,15 +31,16 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, ReplayBuffers, Tape, Var};
+use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, Tape, Var};
 
 use crate::error::AnalysisError;
 use crate::report::VarKind;
 
 /// Lane width of the Monte-Carlo sample-replay loops: full blocks of
 /// this many samples share one walk of the compiled op stream
-/// ([`CompiledTape::replay_lanes`]); the trailing partial block replays
-/// per sample. Same width rationale as [`crate::parallel::DEFAULT_LANES`].
+/// ([`CompiledTape::replay_lanes`]); the verification sample and the
+/// trailing partial block replay as width-1 blocks. Same width
+/// rationale as [`crate::parallel::DEFAULT_LANES`].
 const MC_LANES: usize = crate::parallel::DEFAULT_LANES;
 
 /// Active value for Monte-Carlo runs: point-valued AD.
@@ -219,30 +220,16 @@ where
             per_sample.push(compiled.verify_entries);
             rest = &rest[1..];
             // Full lane blocks share one walk of the op stream; the
-            // trailing remainder replays per sample (bit-identical
+            // trailing remainder replays as width-1 blocks (bit-identical
             // either way).
-            let mut lane_buf = LaneReplayBuffers::new();
-            let mut staging = Vec::new();
+            let mut wide = SampleLanes::<MC_LANES>::default();
             let mut chunks = rest.chunks_exact(MC_LANES);
             for block in chunks.by_ref() {
-                per_sample.extend(replay_sample_block(
-                    &compiled.tape,
-                    &trace,
-                    &mut lane_buf,
-                    &mut staging,
-                    block,
-                ));
+                per_sample.extend(wide.replay(&compiled.tape, &trace, block));
             }
-            let mut buf = ReplayBuffers::new();
-            let mut values = Vec::new();
-            for &s in chunks.remainder() {
-                per_sample.push(replay_sample(
-                    &compiled.tape,
-                    &trace,
-                    &mut buf,
-                    &mut values,
-                    s,
-                ));
+            let mut single = SampleLanes::<1>::default();
+            for s in chunks.remainder().chunks(1) {
+                per_sample.extend(single.replay(&compiled.tape, &trace, s));
             }
             replayed = rest.len();
             rest = &[];
@@ -306,25 +293,18 @@ where
             // Replay is infallible and identical wherever it runs: fan
             // the remaining samples over the workers in lane blocks —
             // each full block is one walk of the op stream, the
-            // trailing partial block replays per sample.
+            // trailing partial block replays as width-1 blocks.
             let blocks: Vec<&[u64]> = sample_seeds[2..].chunks(MC_LANES).collect();
             let replayed = executor.map_with_state(
                 &blocks,
-                || {
-                    (
-                        LaneReplayBuffers::<f64, MC_LANES>::new(),
-                        Vec::new(),
-                        ReplayBuffers::new(),
-                        Vec::new(),
-                    )
-                },
-                |(lane_buf, staging, buf, values), _, &block| {
+                <(SampleLanes<MC_LANES>, SampleLanes<1>)>::default,
+                |(wide, single), _, &block| {
                     if block.len() == MC_LANES {
-                        replay_sample_block(&compiled.tape, &trace, lane_buf, staging, block)
+                        wide.replay(&compiled.tape, &trace, block)
                     } else {
                         block
-                            .iter()
-                            .map(|&s| replay_sample(&compiled.tape, &trace, buf, values, s))
+                            .chunks(1)
+                            .flat_map(|s| single.replay(&compiled.tape, &trace, s))
                             .collect()
                     }
                 },
@@ -465,10 +445,8 @@ where
     let compiled = CompiledTape::compile(tape);
     // Recording clears the tape, but `compiled` is an owned snapshot.
     let (recorded, _) = record_sample(tape, scratch, verify_seed, f)?;
-    let mut buf = ReplayBuffers::new();
-    let mut values = Vec::new();
-    let replayed = replay_sample(&compiled, trace, &mut buf, &mut values, verify_seed);
-    if entries_bit_equal(&recorded, &replayed) {
+    let replayed = SampleLanes::<1>::default().replay(&compiled, trace, &[verify_seed]);
+    if entries_bit_equal(&recorded, &replayed[0]) {
         Ok(Some(VerifiedCompile {
             tape: compiled,
             verify_entries: recorded,
@@ -478,94 +456,63 @@ where
     }
 }
 
-/// Replays one sample through the compiled trace: re-draws the input
-/// values from the recorded ranges with the sample's own RNG (exactly
-/// the sequence [`McCtx::input`] would consume), then runs the compiled
-/// forward and reverse sweeps.
-fn replay_sample(
-    compiled: &CompiledTape<f64>,
-    trace: &RecordedTrace,
-    buf: &mut ReplayBuffers<f64>,
-    values: &mut Vec<f64>,
-    sample_seed: u64,
-) -> Vec<SampleEntry> {
-    let mut rng = StdRng::seed_from_u64(sample_seed);
-    values.clear();
-    for &(lo, hi) in &trace.ranges {
-        values.push(if lo == hi {
-            lo
-        } else {
-            rng.gen_range(lo..=hi)
-        });
-    }
-    compiled
-        .replay(values, buf)
-        .expect("input arity is fixed by the recorded ranges");
-    let seeds: Vec<(NodeId, f64)> = trace
-        .entries
-        .iter()
-        .filter(|(_, _, k)| *k == VarKind::Output)
-        .map(|(_, id, _)| (*id, 1.0))
-        .collect();
-    compiled.adjoints_into(&seeds, buf);
-    trace
-        .entries
-        .iter()
-        .map(|(name, id, kind)| SampleEntry {
-            name: name.clone(),
-            kind: *kind,
-            product: buf.value(*id) * buf.adjoint(*id),
-            value: buf.value(*id),
-        })
-        .collect()
+/// Lane replay state for blocks of `LANES` Monte-Carlo samples: the
+/// lane buffers plus the slot-major input staging area.
+#[derive(Default)]
+struct SampleLanes<const LANES: usize> {
+    buf: LaneReplayBuffers<f64, LANES>,
+    staging: Vec<[f64; LANES]>,
 }
 
-/// Replays one full block of [`MC_LANES`] samples with a **single**
-/// walk of the compiled op stream: each sample's inputs are re-drawn
-/// with its own RNG into the slot-major `staging` area, then the lane
-/// forward/reverse sweeps run all lanes at once. Per sample, the
-/// extracted entries are bit-identical to [`replay_sample`]'s (each
-/// lane performs the same scalar operations in the same order).
-fn replay_sample_block(
-    compiled: &CompiledTape<f64>,
-    trace: &RecordedTrace,
-    buf: &mut LaneReplayBuffers<f64, MC_LANES>,
-    staging: &mut Vec<[f64; MC_LANES]>,
-    sample_seeds: &[u64],
-) -> Vec<Vec<SampleEntry>> {
-    debug_assert_eq!(sample_seeds.len(), MC_LANES);
-    staging.clear();
-    staging.resize(trace.ranges.len(), [0.0; MC_LANES]);
-    for (l, &s) in sample_seeds.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(s);
-        for (slot, &(lo, hi)) in trace.ranges.iter().enumerate() {
-            staging[slot][l] = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
+impl<const LANES: usize> SampleLanes<LANES> {
+    /// Replays one full block of `LANES` samples with a **single** walk
+    /// of the compiled op stream: each sample's inputs are re-drawn from
+    /// the recorded ranges with its own RNG (exactly the sequence
+    /// [`McCtx::input`] would consume) into the staging area, then the
+    /// lane forward/reverse sweeps run all lanes at once. Per sample,
+    /// the extracted entries are bit-identical to a recording's (each
+    /// lane performs the same scalar operations in the same order).
+    fn replay(
+        &mut self,
+        compiled: &CompiledTape<f64>,
+        trace: &RecordedTrace,
+        sample_seeds: &[u64],
+    ) -> Vec<Vec<SampleEntry>> {
+        debug_assert_eq!(sample_seeds.len(), LANES);
+        self.staging.clear();
+        self.staging.resize(trace.ranges.len(), [0.0; LANES]);
+        for (l, &s) in sample_seeds.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(s);
+            for (slot, &(lo, hi)) in trace.ranges.iter().enumerate() {
+                self.staging[slot][l] = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
+            }
         }
+        compiled
+            .replay_lanes(&self.staging, &mut self.buf)
+            .expect("input arity is fixed by the recorded ranges");
+        let seeds: Vec<(NodeId, f64)> = trace
+            .entries
+            .iter()
+            .filter(|(_, _, k)| *k == VarKind::Output)
+            .map(|(_, id, _)| (*id, 1.0))
+            .collect();
+        compiled.adjoints_into_lanes(&seeds, &mut self.buf);
+        let buf = &self.buf;
+        (0..LANES)
+            .map(|l| {
+                trace
+                    .entries
+                    .iter()
+                    .map(|(name, id, kind)| SampleEntry {
+                        name: name.clone(),
+                        kind: *kind,
+                        product: buf.value(*id, l) * buf.adjoint(*id, l),
+                        value: buf.value(*id, l),
+                    })
+                    .collect()
+            })
+            .collect()
     }
-    compiled
-        .replay_lanes(staging, buf)
-        .expect("input arity is fixed by the recorded ranges");
-    let seeds: Vec<(NodeId, f64)> = trace
-        .entries
-        .iter()
-        .filter(|(_, _, k)| *k == VarKind::Output)
-        .map(|(_, id, _)| (*id, 1.0))
-        .collect();
-    compiled.adjoints_into_lanes(&seeds, buf);
-    (0..MC_LANES)
-        .map(|l| {
-            trace
-                .entries
-                .iter()
-                .map(|(name, id, kind)| SampleEntry {
-                    name: name.clone(),
-                    kind: *kind,
-                    product: buf.value(*id, l) * buf.adjoint(*id, l),
-                    value: buf.value(*id, l),
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Bitwise comparison of two samples' entry lists.

@@ -15,6 +15,13 @@
 //! it would serially — parallel output is bit-identical to the
 //! `threads == 1` baseline (which runs inline, bypassing the pool).
 //!
+//! Two batch entry points: [`ParallelAnalysis::run_batch`] records
+//! every item afresh (the reference the replay path is tested
+//! against), and [`ParallelAnalysis::run_batch_replay_vars_map_lanes`]
+//! records once per worker and lane-replays the compiled trace for the
+//! rest of the batch, mapping each item's [`VarSignificances`] to the
+//! caller's result.
+//!
 //! ```
 //! use scorpio_core::parallel::ParallelAnalysis;
 //!
@@ -43,7 +50,7 @@ use crate::session::{Analysis, AnalysisArena, Ctx};
 /// Default node capacity each worker's arena is warmed to.
 const DEFAULT_ARENA_CAPACITY: usize = 1024;
 
-/// Lane width the non-`_lanes` replay batch methods use: four f64
+/// Lane width the kernels' batch entry points replay at: four f64
 /// lanes fill one 256-bit vector register and one 32-byte block per
 /// node stays cache-friendly for the large (~10⁴-node) kernel traces.
 /// The `bench_parallel` lane ablation measures the alternatives.
@@ -119,22 +126,6 @@ impl ParallelAnalysis {
         T: Sync,
         F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
     {
-        self.run_batch_map(items, |arena, analysis, _, item| {
-            analysis.run_in(arena, |ctx| f(ctx, item))
-        })
-    }
-
-    /// General form of [`ParallelAnalysis::run_batch`]: `f` receives the
-    /// worker's arena, the engine's [`Analysis`], the item index and the
-    /// item, and may run any number of analyses in the arena, returning
-    /// an arbitrary per-item result (e.g. a single extracted
-    /// significance instead of a whole [`Report`]).
-    pub fn run_batch_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, AnalysisError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&mut AnalysisArena, &Analysis, usize, &T) -> Result<R, AnalysisError> + Sync,
-    {
         let _span = scorpio_obs::span("parallel_batch");
         scorpio_obs::count("parallel.items", items.len() as u64);
         let results = self.executor.map_with_state(
@@ -143,19 +134,28 @@ impl ParallelAnalysis {
                 scorpio_obs::count("parallel.arena_init", 1);
                 AnalysisArena::with_capacity(self.arena_capacity)
             },
-            |arena, i, item| f(arena, &self.analysis, i, item),
+            |arena, _, item| self.analysis.run_in(arena, |ctx| f(ctx, item)),
         );
         // Item order is preserved by map_with_state, so collect() stops
         // at the first failing index — matching the serial loop.
         results.into_iter().collect()
     }
 
-    /// [`ParallelAnalysis::run_batch`] in record-once / replay-many mode:
-    /// each worker records and [compiles](scorpio_adjoint::CompiledTape)
-    /// its first item's trace, then *replays* it for every further item
-    /// with that item's input intervals — no re-recording, no `RefCell`
-    /// traffic, no allocation — yielding bit-identical reports (see
-    /// [`ReplayOrRecord`]).
+    /// [`ParallelAnalysis::run_batch`] in record-once / replay-many
+    /// mode, mapping each item's registered rows through `map`: each
+    /// worker records and [compiles](scorpio_adjoint::CompiledTape) its
+    /// first item's trace, then *replays* it for the items that follow
+    /// with their input intervals — no re-recording, no `RefCell`
+    /// traffic, no allocation — yielding rows bit-identical to a fresh
+    /// recording (see [`ReplayOrRecord`]).
+    ///
+    /// Items are chunked into `LANES`-sized blocks **at the executor
+    /// granularity** (workers claim whole blocks, so a block's lanes
+    /// always share one worker's compiled trace), and each full block is
+    /// served by **one** walk of the compiled op stream
+    /// ([`ReplayOrRecord::run_block`]); partial trailing blocks and
+    /// shape-divergent blocks run item by item. Results are
+    /// bit-identical for every width.
     ///
     /// `inputs_of` must return the per-item input boxes **in
     /// registration order**, and the closure's trace shape must not
@@ -163,133 +163,12 @@ impl ParallelAnalysis {
     /// automatically disables replay for safety). The returned
     /// [`ReplayStats`] aggregate all workers; a high
     /// [`fallback_rate`](ReplayStats::fallback_rate) means the batch is
-    /// not actually shape-uniform and plain [`ParallelAnalysis::run_batch`]
-    /// would be just as fast.
+    /// not actually shape-uniform.
     ///
     /// # Errors
     ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay<T, I, F>(
-        &self,
-        items: &[T],
-        inputs_of: I,
-        f: F,
-    ) -> Result<(Vec<Report>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        I: Fn(&T) -> Vec<Interval> + Sync,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
-    {
-        self.run_batch_replay_lanes::<DEFAULT_LANES, _, _, _>(items, inputs_of, f)
-    }
-
-    /// [`ParallelAnalysis::run_batch_replay`] with an explicit lane
-    /// width (that method fixes `LANES` = [`DEFAULT_LANES`]): workers
-    /// claim blocks of `LANES` items and serve each full block with
-    /// **one** walk of the compiled op stream
-    /// ([`ReplayOrRecord::run_lanes_in`]); partial trailing blocks and
-    /// shape-divergent blocks fall back to per-item scalar replay.
-    /// Results stay bit-identical to the scalar batch for every width.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay_lanes<const LANES: usize, T, I, F>(
-        &self,
-        items: &[T],
-        inputs_of: I,
-        f: F,
-    ) -> Result<(Vec<Report>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        I: Fn(&T) -> Vec<Interval> + Sync,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
-    {
-        self.run_batch_blocks::<LANES, _, _, _>(items, |arena, driver, lanes, block, out| {
-            driver.run_lanes_in(arena, lanes, block, &inputs_of, &f, out)
-        })
-    }
-
-    /// Variable-rows-only variant of [`ParallelAnalysis::run_batch_replay`]:
-    /// returns one [`VarSignificances`] per item instead of a full
-    /// [`Report`], skipping significance-graph construction entirely —
-    /// the fast path for kernels that only read registered rows.
-    /// Chunks items into [`DEFAULT_LANES`]-wide lane blocks like
-    /// [`ParallelAnalysis::run_batch_replay`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay_vars<T, I, F>(
-        &self,
-        items: &[T],
-        inputs_of: I,
-        f: F,
-    ) -> Result<(Vec<VarSignificances>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        I: Fn(&T) -> Vec<Interval> + Sync,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
-    {
-        self.run_batch_replay_vars_lanes::<DEFAULT_LANES, _, _, _>(items, inputs_of, f)
-    }
-
-    /// [`ParallelAnalysis::run_batch_replay_vars`] with an explicit
-    /// lane width (see [`ParallelAnalysis::run_batch_replay_lanes`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay_vars_lanes<const LANES: usize, T, I, F>(
-        &self,
-        items: &[T],
-        inputs_of: I,
-        f: F,
-    ) -> Result<(Vec<VarSignificances>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        I: Fn(&T) -> Vec<Interval> + Sync,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
-    {
-        self.run_batch_blocks::<LANES, _, _, _>(items, |arena, driver, lanes, block, out| {
-            driver.run_vars_lanes_in(arena, lanes, block, &inputs_of, &f, out)
-        })
-    }
-
-    /// Lane-batched rows-then-extract driver: runs the replay batch in
-    /// [`DEFAULT_LANES`]-wide lane blocks and maps every item's
-    /// [`VarSignificances`] through `map` — the shape the kernel batch
-    /// entry points use (register closure + row extraction, no per-item
-    /// driver plumbing).
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay_vars_map<T, R, I, F, M>(
-        &self,
-        items: &[T],
-        inputs_of: I,
-        f: F,
-        map: M,
-    ) -> Result<(Vec<R>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn(&T) -> Vec<Interval> + Sync,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
-        M: Fn(&T, &VarSignificances) -> Result<R, AnalysisError> + Sync,
-    {
-        self.run_batch_replay_vars_map_lanes::<DEFAULT_LANES, _, _, _, _, _>(
-            items, inputs_of, f, map,
-        )
-    }
-
-    /// [`ParallelAnalysis::run_batch_replay_vars_map`] with an explicit
-    /// lane width (see [`ParallelAnalysis::run_batch_replay_lanes`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
+    /// As [`ParallelAnalysis::run_batch`]: the first failing block is,
+    /// by construction, the one holding the lowest-indexed failing item.
     pub fn run_batch_replay_vars_map_lanes<const LANES: usize, T, R, I, F, M>(
         &self,
         items: &[T],
@@ -303,41 +182,6 @@ impl ParallelAnalysis {
         I: Fn(&T) -> Vec<Interval> + Sync,
         F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
         M: Fn(&T, &VarSignificances) -> Result<R, AnalysisError> + Sync,
-    {
-        self.run_batch_blocks::<LANES, _, _, _>(items, |arena, driver, lanes, block, out| {
-            let mut vars = Vec::with_capacity(block.len());
-            driver.run_vars_lanes_in(arena, lanes, block, &inputs_of, &f, &mut vars)?;
-            for (item, v) in block.iter().zip(&vars) {
-                out.push(map(item, v)?);
-            }
-            Ok(())
-        })
-    }
-
-    /// The lane-block fan-out all replay batch modes share: items are
-    /// chunked into `LANES`-sized blocks **at the executor granularity**
-    /// (workers claim whole blocks, so a block's lanes always share one
-    /// worker's compiled trace), `g` serves one block into its output
-    /// vector, and per-item results are re-flattened in item order.
-    /// Error behaviour matches the per-item modes: the first failing
-    /// block is, by construction, the one holding the lowest-indexed
-    /// failing item.
-    fn run_batch_blocks<const LANES: usize, T, R, G>(
-        &self,
-        items: &[T],
-        g: G,
-    ) -> Result<(Vec<R>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        R: Send,
-        G: Fn(
-                &mut AnalysisArena,
-                &mut ReplayOrRecord,
-                &mut LaneScratch<LANES>,
-                &[T],
-                &mut Vec<R>,
-            ) -> Result<(), AnalysisError>
-            + Sync,
     {
         let _span = scorpio_obs::span("parallel_batch");
         scorpio_obs::count("parallel.items", items.len() as u64);
@@ -353,11 +197,18 @@ impl ParallelAnalysis {
                 )
             },
             |(arena, driver, lanes), _, block| {
+                // Snapshot the worker's counters around the block so the
+                // delta can ride back with the results (worker state
+                // itself is dropped inside the pool).
                 let before = driver.stats();
-                let mut out = Vec::with_capacity(block.len());
-                let result = g(arena, driver, lanes, block, &mut out);
-                let after = driver.stats();
-                result.map(|()| (out, after.since(before)))
+                let mut vars = Vec::with_capacity(block.len());
+                driver.run_block(None, arena, lanes, block, &inputs_of, &f, &mut vars)?;
+                let out = block
+                    .iter()
+                    .zip(&vars)
+                    .map(|(item, v)| map(item, v))
+                    .collect::<Result<Vec<R>, _>>()?;
+                Ok((out, driver.stats().since(before)))
             },
         );
         let mut stats = ReplayStats::default();
@@ -366,58 +217,6 @@ impl ParallelAnalysis {
             let (rs, delta) = result?;
             stats.merge(delta);
             out.extend(rs);
-        }
-        Ok((out, stats))
-    }
-
-    /// General form of the replay modes: `f` receives the worker's arena,
-    /// the worker's [`ReplayOrRecord`] driver, the item index and the
-    /// item, and drives the replay itself (e.g. via
-    /// [`ReplayOrRecord::run_keyed_in`] when the trace shape depends on
-    /// non-input data). Returns per-item results in item order plus the
-    /// replay/record/fallback counters aggregated over all workers.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelAnalysis::run_batch`].
-    pub fn run_batch_replay_map<T, R, F>(
-        &self,
-        items: &[T],
-        f: F,
-    ) -> Result<(Vec<R>, ReplayStats), AnalysisError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&mut AnalysisArena, &mut ReplayOrRecord, usize, &T) -> Result<R, AnalysisError>
-            + Sync,
-    {
-        let _span = scorpio_obs::span("parallel_batch");
-        scorpio_obs::count("parallel.items", items.len() as u64);
-        let results = self.executor.map_with_state(
-            items,
-            || {
-                scorpio_obs::count("parallel.arena_init", 1);
-                (
-                    AnalysisArena::with_capacity(self.arena_capacity),
-                    ReplayOrRecord::new(self.analysis.clone()),
-                )
-            },
-            |(arena, driver), i, item| {
-                // Snapshot the worker's counters around the item so the
-                // per-item delta can ride back with the result (worker
-                // state itself is dropped inside the pool).
-                let before = driver.stats();
-                let result = f(arena, driver, i, item);
-                let after = driver.stats();
-                result.map(|r| (r, after.since(before)))
-            },
-        );
-        let mut stats = ReplayStats::default();
-        let mut out = Vec::with_capacity(items.len());
-        for result in results {
-            let (r, delta) = result?;
-            stats.merge(delta);
-            out.push(r);
         }
         Ok((out, stats))
     }
@@ -479,20 +278,36 @@ mod tests {
         }
     }
 
+    /// Lane-replays `items` at width `LANES`, keeping every item's rows.
+    fn replay_vars<const LANES: usize, T: Sync>(
+        engine: &ParallelAnalysis,
+        items: &[T],
+        inputs_of: impl Fn(&T) -> Vec<Interval> + Sync,
+        f: impl Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError> + Sync,
+    ) -> (Vec<VarSignificances>, ReplayStats) {
+        engine
+            .run_batch_replay_vars_map_lanes::<LANES, _, _, _, _, _>(items, inputs_of, f, |_, v| {
+                Ok(v.clone())
+            })
+            .unwrap()
+    }
+
     #[test]
     fn batch_map_extracts_scalars() {
         let items: Vec<f64> = (1..=8).map(|i| i as f64 * 0.1).collect();
         let engine = ParallelAnalysis::new(2).with_arena_capacity(64);
-        let sigs = engine
-            .run_batch_map(&items, |arena, analysis, _, &r| {
-                let report = analysis.run_in(arena, |ctx| {
+        let (sigs, _) = engine
+            .run_batch_replay_vars_map_lanes::<DEFAULT_LANES, _, _, _, _, _>(
+                &items,
+                |&r| vec![Interval::centered(1.0, r)],
+                |ctx, &r| {
                     let x = ctx.input_centered("x", 1.0, r);
                     let y = x.sqr() + x;
                     ctx.output(&y, "y");
                     Ok(())
-                })?;
-                Ok(report.var("x").map(|v| v.significance_raw).unwrap_or(0.0))
-            })
+                },
+                |_, vars| Ok(vars.var("x").map(|v| v.significance_raw).unwrap_or(0.0)),
+            )
             .unwrap();
         assert_eq!(sigs.len(), 8);
         // Wider input intervals can only grow the raw significance.
@@ -515,12 +330,13 @@ mod tests {
         let inputs_of = |&r: &f64| vec![Interval::centered(0.5, r)];
         let engine = ParallelAnalysis::new(1);
         let recorded = engine.run_batch(&items, closure).unwrap();
-        let (replayed, stats) = engine.run_batch_replay(&items, inputs_of, closure).unwrap();
+        let (replayed, stats) =
+            replay_vars::<DEFAULT_LANES, _>(&engine, &items, inputs_of, closure);
         assert_eq!(stats.records, 1, "only the first item may record");
         assert_eq!(stats.replays, items.len() as u64 - 1);
         assert_eq!(stats.fallbacks, 0);
-        // 32 items in 4-wide blocks: block 0 warms up on the scalar
-        // path (record + 3 scalar replays), blocks 1..8 lane-replay.
+        // 32 items in 4-wide blocks: block 0 warms up item by item
+        // (record + 3 width-1 replays), blocks 1..8 lane-replay.
         assert_eq!(stats.lane_blocks, 7);
         assert_eq!(stats.lane_remainder, 4);
         for (a, b) in replayed.iter().zip(&recorded) {
@@ -531,20 +347,10 @@ mod tests {
                 assert_eq!(va.significance_raw.to_bits(), vb.significance_raw.to_bits());
             }
         }
-
-        // The rows-only fast path agrees too.
-        let (vars, _) = engine
-            .run_batch_replay_vars(&items, inputs_of, closure)
-            .unwrap();
-        for (v, b) in vars.iter().zip(&recorded) {
-            for (va, vb) in v.registered().iter().zip(b.registered()) {
-                assert_eq!(va.significance.to_bits(), vb.significance.to_bits());
-            }
-        }
     }
 
     /// A batch whose size is not a multiple of the lane width: the
-    /// trailing partial block must be scalar-replayed — visible in
+    /// trailing partial block must run item by item — visible in
     /// `lane_remainder` — and stay bit-identical to the recording batch.
     #[test]
     fn lane_remainder_items_are_scalar_replayed() {
@@ -558,11 +364,9 @@ mod tests {
         let inputs_of = |&r: &f64| vec![Interval::centered(0.5, r)];
         let engine = ParallelAnalysis::new(1);
         let recorded = engine.run_batch(&items, closure).unwrap();
-        let (replayed, stats) = engine
-            .run_batch_replay_lanes::<4, _, _, _>(&items, inputs_of, closure)
-            .unwrap();
-        // Block 0 warms up scalar (4 items), blocks 1/2 lane-replay,
-        // the trailing 13 % 4 = 1 item is scalar remainder.
+        let (replayed, stats) = replay_vars::<4, _>(&engine, &items, inputs_of, closure);
+        // Block 0 warms up item by item (4 items), blocks 1/2
+        // lane-replay, the trailing 13 % 4 = 1 item is remainder.
         assert_eq!(stats.lane_blocks, 2);
         assert_eq!(stats.lane_remainder, 5);
         assert_eq!(stats.records, 1);
@@ -574,9 +378,9 @@ mod tests {
         }
     }
 
-    /// Input arity diverging *inside* a lane block: the block must fall
-    /// back to the scalar driver (re-recording as needed) instead of
-    /// lane-replaying a wrong trace.
+    /// Input arity diverging *inside* a lane block: the block must run
+    /// item by item (re-recording as needed) instead of lane-replaying
+    /// a wrong trace.
     #[test]
     fn lane_block_with_divergent_arity_falls_back() {
         // Items 0..6 bind one input, items 6..8 bind two: the arity
@@ -603,9 +407,7 @@ mod tests {
         };
         let engine = ParallelAnalysis::new(1);
         let recorded = engine.run_batch(&items, closure).unwrap();
-        let (replayed, stats) = engine
-            .run_batch_replay_lanes::<4, _, _, _>(&items, inputs_of, closure)
-            .unwrap();
+        let (replayed, stats) = replay_vars::<4, _>(&engine, &items, inputs_of, closure);
         // Block 1 (items 4..8) mixes arities: no lane block may serve
         // it, and the two-input items force a re-record fallback.
         assert_eq!(stats.lane_blocks, 0);
@@ -620,8 +422,8 @@ mod tests {
         }
     }
 
-    /// Width-1 lane batches are routed to the scalar driver — the
-    /// ablation baseline really is the scalar replay path.
+    /// Width-1 batches run item by item: each replay counts in
+    /// `replays`, never in `lane_blocks`.
     #[test]
     fn one_lane_batch_degenerates_to_scalar_replay() {
         let items: Vec<f64> = (0..6).map(|i| 0.1 + 0.05 * i as f64).collect();
@@ -632,13 +434,8 @@ mod tests {
             Ok(())
         };
         let engine = ParallelAnalysis::new(1);
-        let (_, stats) = engine
-            .run_batch_replay_lanes::<1, _, _, _>(
-                &items,
-                |&r| vec![Interval::centered(0.5, r)],
-                closure,
-            )
-            .unwrap();
+        let (_, stats) =
+            replay_vars::<1, _>(&engine, &items, |&r| vec![Interval::centered(0.5, r)], closure);
         assert_eq!(stats.lane_blocks, 0);
         assert_eq!(stats.records, 1);
         assert_eq!(stats.replays, 5);

@@ -22,8 +22,14 @@
 //! * a replay must bind exactly the compiled input arity; a different
 //!   input count forces re-recording;
 //! * callers whose trace shape depends on non-input data (e.g. a series
-//!   length) signal it via [`ReplayOrRecord::run_keyed_in`] — a changed
-//!   key invalidates the compiled trace.
+//!   length) pass it as the `key` of [`ReplayOrRecord::run`] /
+//!   [`ReplayOrRecord::run_block`] — a changed key invalidates the
+//!   compiled trace.
+//!
+//! Every replay runs the lane interpreter
+//! ([`CompiledTape::replay_lanes`]): a full block of same-shape items
+//! shares one walk of the op stream, and a single item is a block of
+//! width 1.
 //!
 //! [`ReplayOrRecord::stats`] exposes how often each path ran, so a
 //! workload whose shape churns (high fallback rate) is visible instead
@@ -35,10 +41,7 @@ use scorpio_adjoint::{CompiledTape, LaneReplayBuffers};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
-use crate::report::{
-    build_report_replayed, build_report_replayed_lanes, build_report_with, build_vars_replayed,
-    build_vars_replayed_lanes, build_vars_with, Report, VarSignificances,
-};
+use crate::report::{build_recorded, build_replayed, OutputDetail, Report, VarSignificances};
 use crate::session::{Analysis, AnalysisArena, Ctx, Registrations};
 
 /// Counters for the replay/record decision of a [`ReplayOrRecord`]
@@ -111,8 +114,8 @@ struct CompiledAnalysis {
     /// and must never be replayed.
     branched: bool,
     /// The caller-supplied shape key the trace was recorded under (see
-    /// [`ReplayOrRecord::run_keyed_in`]); a run with a different key
-    /// must re-record.
+    /// [`ReplayOrRecord::run`]); a run with a different key must
+    /// re-record.
     key: Option<u64>,
 }
 
@@ -276,17 +279,100 @@ impl ReplayOrRecord {
         self.compiled = None;
     }
 
-    /// Runs one item: replays the compiled trace when its shape is
-    /// trustworthy for `inputs`, records (and re-compiles) otherwise.
-    /// `inputs` positionally override the closure's declared input
-    /// ranges — on the recording run as well, so both paths analyse
-    /// identical input boxes and the produced [`Report`] is
-    /// bit-identical either way.
+    /// Runs one item: replays the compiled trace (as a width-1 lane
+    /// block in the arena) when its shape is trustworthy for `inputs`,
+    /// records (and re-compiles) otherwise. `inputs` positionally
+    /// override the closure's declared input ranges — on the recording
+    /// run as well, so both paths analyse identical input boxes and the
+    /// result is bit-identical either way.
+    ///
+    /// `key` is the caller's **shape key**: anything that determines
+    /// the trace structure beyond the inputs (a loop trip count, a
+    /// model variant, …). A key different from the compiled trace's
+    /// invalidates it and re-records. `D` picks the detail: a full
+    /// [`Report`] or the registered rows only ([`VarSignificances`],
+    /// which skips the node graph; its rows are bit-identical to the
+    /// full report's).
     ///
     /// # Errors
     ///
     /// Propagates closure and report-building errors on the record
     /// path; replay itself cannot fail once a trace is compiled.
+    pub fn run<D, F>(
+        &mut self,
+        key: Option<u64>,
+        arena: &mut AnalysisArena,
+        inputs: &[Interval],
+        f: F,
+    ) -> Result<D, AnalysisError>
+    where
+        D: OutputDetail,
+        F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
+    {
+        if self.replay_ready(key, inputs) {
+            let _span = scorpio_obs::span_detail("replay");
+            scorpio_obs::count("replay.replays", 1);
+            self.stats.replays += 1;
+            let lanes = &mut arena.lanes;
+            lanes.staging.clear();
+            lanes.staging.extend(inputs.iter().map(|&v| [v]));
+            let [result] = self.replay_staged(lanes)?;
+            return Ok(result);
+        }
+        let regs = self.record(key, arena, inputs, f)?;
+        build_recorded(&arena.tape, &regs, self.analysis.delta(), &mut arena.scratch)
+    }
+
+    /// Runs one **lane block** of up to `LANES` items, appending one
+    /// result per item to `out` in item order.
+    ///
+    /// When the block is full, the compiled trace is trustworthy and
+    /// every item binds the compiled input arity, the whole block is
+    /// served by **one** walk of the op stream
+    /// ([`CompiledTape::replay_lanes`]) — counted in
+    /// [`ReplayStats::lane_blocks`]. Otherwise every item takes
+    /// [`ReplayOrRecord::run`] (recording when needed) — counted in
+    /// [`ReplayStats::lane_remainder`]. Either way each item's result is
+    /// bit-identical to a fresh recording of that item. `key` and `D`
+    /// are as for [`ReplayOrRecord::run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayOrRecord::run`]; a failing item stops the block at
+    /// the lowest failing index (earlier items' results stay in `out`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_block<const LANES: usize, D, T, I, F>(
+        &mut self,
+        key: Option<u64>,
+        arena: &mut AnalysisArena,
+        lanes: &mut LaneScratch<LANES>,
+        block: &[T],
+        inputs_of: &I,
+        f: &F,
+        out: &mut Vec<D>,
+    ) -> Result<(), AnalysisError>
+    where
+        D: OutputDetail,
+        I: Fn(&T) -> Vec<Interval>,
+        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
+    {
+        if self.stage_lane_block(key, lanes, block, inputs_of) {
+            let _span = scorpio_obs::span_detail("replay_lanes");
+            out.extend(self.replay_staged(lanes)?);
+            return Ok(());
+        }
+        for item in block {
+            let inputs = inputs_of(item);
+            out.push(self.run(key, arena, &inputs, |ctx| f(ctx, item))?);
+        }
+        Ok(())
+    }
+
+    /// Unkeyed [`ReplayOrRecord::run`] returning a full [`Report`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayOrRecord::run`].
     pub fn run_in<F>(
         &mut self,
         arena: &mut AnalysisArena,
@@ -296,38 +382,16 @@ impl ReplayOrRecord {
     where
         F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
     {
-        self.run_report(None, arena, inputs, f)
+        self.run(None, arena, inputs, f)
     }
 
-    /// [`ReplayOrRecord::run_in`] with a caller-supplied **shape key**:
-    /// pass anything that determines the trace structure beyond the
-    /// inputs (a loop trip count, a model variant, …). A key different
-    /// from the compiled trace's invalidates it and re-records.
+    /// Unkeyed [`ReplayOrRecord::run`] returning the registered rows
+    /// only — the hot path for batch kernels that never touch the node
+    /// graph.
     ///
     /// # Errors
     ///
-    /// As [`ReplayOrRecord::run_in`].
-    pub fn run_keyed_in<F>(
-        &mut self,
-        key: u64,
-        arena: &mut AnalysisArena,
-        inputs: &[Interval],
-        f: F,
-    ) -> Result<Report, AnalysisError>
-    where
-        F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
-    {
-        self.run_report(Some(key), arena, inputs, f)
-    }
-
-    /// Like [`ReplayOrRecord::run_in`] but returning only the
-    /// registered-variable rows ([`VarSignificances`]) — the hot path
-    /// for batch kernels that never touch the node graph. Rows are
-    /// bit-identical to the corresponding full-report rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplayOrRecord::run_in`].
+    /// As [`ReplayOrRecord::run`].
     pub fn run_vars_in<F>(
         &mut self,
         arena: &mut AnalysisArena,
@@ -337,44 +401,14 @@ impl ReplayOrRecord {
     where
         F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
     {
-        self.run_vars(None, arena, inputs, f)
+        self.run(None, arena, inputs, f)
     }
 
-    /// [`ReplayOrRecord::run_vars_in`] with a shape key (see
-    /// [`ReplayOrRecord::run_keyed_in`]).
+    /// Unkeyed [`ReplayOrRecord::run_block`] producing full [`Report`]s.
     ///
     /// # Errors
     ///
-    /// As [`ReplayOrRecord::run_in`].
-    pub fn run_keyed_vars_in<F>(
-        &mut self,
-        key: u64,
-        arena: &mut AnalysisArena,
-        inputs: &[Interval],
-        f: F,
-    ) -> Result<VarSignificances, AnalysisError>
-    where
-        F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
-    {
-        self.run_vars(Some(key), arena, inputs, f)
-    }
-
-    /// Runs one **lane block** of up to `LANES` items, appending one
-    /// [`Report`] per item to `out` in item order.
-    ///
-    /// When the block is full, the compiled trace is trustworthy and
-    /// every item binds the compiled input arity, the whole block is
-    /// served by **one** walk of the op stream
-    /// ([`CompiledTape::replay_lanes`]) — counted in
-    /// [`ReplayStats::lane_blocks`]. Otherwise every item takes the
-    /// scalar [`ReplayOrRecord::run_in`] path (recording when needed) —
-    /// counted in [`ReplayStats::lane_remainder`]. Either way each
-    /// item's report is bit-identical to a scalar run of that item.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplayOrRecord::run_in`]; a failing item stops the block at
-    /// the lowest failing index (earlier items' results stay in `out`).
+    /// As [`ReplayOrRecord::run_block`].
     pub fn run_lanes_in<const LANES: usize, T, I, F>(
         &mut self,
         arena: &mut AnalysisArena,
@@ -388,145 +422,27 @@ impl ReplayOrRecord {
         I: Fn(&T) -> Vec<Interval>,
         F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
     {
-        self.run_lanes(None, arena, lanes, block, inputs_of, f, out)
+        self.run_block(None, arena, lanes, block, inputs_of, f, out)
     }
 
-    /// [`ReplayOrRecord::run_lanes_in`] with a shape key (see
-    /// [`ReplayOrRecord::run_keyed_in`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplayOrRecord::run_lanes_in`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_keyed_lanes_in<const LANES: usize, T, I, F>(
-        &mut self,
-        key: u64,
-        arena: &mut AnalysisArena,
+    /// Replays the block staged in `lanes` through the held compiled
+    /// trace and builds one result per lane.
+    fn replay_staged<D: OutputDetail, const LANES: usize>(
+        &self,
         lanes: &mut LaneScratch<LANES>,
-        block: &[T],
-        inputs_of: &I,
-        f: &F,
-        out: &mut Vec<Report>,
-    ) -> Result<(), AnalysisError>
-    where
-        I: Fn(&T) -> Vec<Interval>,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
-    {
-        self.run_lanes(Some(key), arena, lanes, block, inputs_of, f, out)
-    }
-
-    /// Variable-rows-only twin of [`ReplayOrRecord::run_lanes_in`]
-    /// (see [`ReplayOrRecord::run_vars_in`] for what the rows skip).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplayOrRecord::run_lanes_in`].
-    pub fn run_vars_lanes_in<const LANES: usize, T, I, F>(
-        &mut self,
-        arena: &mut AnalysisArena,
-        lanes: &mut LaneScratch<LANES>,
-        block: &[T],
-        inputs_of: &I,
-        f: &F,
-        out: &mut Vec<VarSignificances>,
-    ) -> Result<(), AnalysisError>
-    where
-        I: Fn(&T) -> Vec<Interval>,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
-    {
-        self.run_vars_lanes(None, arena, lanes, block, inputs_of, f, out)
-    }
-
-    /// [`ReplayOrRecord::run_vars_lanes_in`] with a shape key (see
-    /// [`ReplayOrRecord::run_keyed_in`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplayOrRecord::run_lanes_in`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_keyed_vars_lanes_in<const LANES: usize, T, I, F>(
-        &mut self,
-        key: u64,
-        arena: &mut AnalysisArena,
-        lanes: &mut LaneScratch<LANES>,
-        block: &[T],
-        inputs_of: &I,
-        f: &F,
-        out: &mut Vec<VarSignificances>,
-    ) -> Result<(), AnalysisError>
-    where
-        I: Fn(&T) -> Vec<Interval>,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
-    {
-        self.run_vars_lanes(Some(key), arena, lanes, block, inputs_of, f, out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_lanes<const LANES: usize, T, I, F>(
-        &mut self,
-        key: Option<u64>,
-        arena: &mut AnalysisArena,
-        lanes: &mut LaneScratch<LANES>,
-        block: &[T],
-        inputs_of: &I,
-        f: &F,
-        out: &mut Vec<Report>,
-    ) -> Result<(), AnalysisError>
-    where
-        I: Fn(&T) -> Vec<Interval>,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
-    {
-        if self.stage_lane_block(key, lanes, block, inputs_of) {
-            let _span = scorpio_obs::span_detail("replay_lanes");
-            let c = self.compiled.as_ref().expect("staged block checked");
-            c.tape
-                .replay_lanes(&lanes.staging, &mut lanes.buf)
-                .expect("staging validated input arity");
-            let delta = self.analysis.delta();
-            return build_report_replayed_lanes(&c.tape, &c.regs, delta, &mut lanes.buf, out);
-        }
-        for item in block {
-            let inputs = inputs_of(item);
-            out.push(self.run_report(key, arena, &inputs, |ctx| f(ctx, item))?);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_vars_lanes<const LANES: usize, T, I, F>(
-        &mut self,
-        key: Option<u64>,
-        arena: &mut AnalysisArena,
-        lanes: &mut LaneScratch<LANES>,
-        block: &[T],
-        inputs_of: &I,
-        f: &F,
-        out: &mut Vec<VarSignificances>,
-    ) -> Result<(), AnalysisError>
-    where
-        I: Fn(&T) -> Vec<Interval>,
-        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
-    {
-        if self.stage_lane_block(key, lanes, block, inputs_of) {
-            let _span = scorpio_obs::span_detail("replay_lanes");
-            let c = self.compiled.as_ref().expect("staged block checked");
-            c.tape
-                .replay_lanes(&lanes.staging, &mut lanes.buf)
-                .expect("staging validated input arity");
-            return build_vars_replayed_lanes(&c.tape, &c.regs, &mut lanes.buf, out);
-        }
-        for item in block {
-            let inputs = inputs_of(item);
-            out.push(self.run_vars(key, arena, &inputs, |ctx| f(ctx, item))?);
-        }
-        Ok(())
+    ) -> Result<[D; LANES], AnalysisError> {
+        let c = self.compiled.as_ref().expect("staged against a compiled trace");
+        c.tape
+            .replay_lanes(&lanes.staging, &mut lanes.buf)
+            .expect("staging validated input arity");
+        build_replayed(&c.tape, &c.regs, self.analysis.delta(), &mut lanes.buf)
     }
 
     /// Decides whether `block` can be served by one lane replay and, if
     /// so, fills `lanes.staging` with the slot-major transposed inputs
     /// (`staging[s][l]` = input slot `s` of item `l`) and bumps the
-    /// lane counters. On `false` the caller must take the scalar path —
-    /// the items are accounted to [`ReplayStats::lane_remainder`] here.
+    /// lane counters. On `false` the caller must run the items one by
+    /// one — they are accounted to [`ReplayStats::lane_remainder`] here.
     fn stage_lane_block<const LANES: usize, T, I>(
         &mut self,
         key: Option<u64>,
@@ -537,19 +453,19 @@ impl ReplayOrRecord {
     where
         I: Fn(&T) -> Vec<Interval>,
     {
-        let scalar_fallback = |stats: &mut ReplayStats| {
+        let per_item = |stats: &mut ReplayStats| {
             stats.lane_remainder += block.len() as u64;
             scorpio_obs::count("replay.lane_remainder", block.len() as u64);
             false
         };
-        // LANES == 1 degenerates to scalar replay: route it there so a
-        // width-1 lane ablation measures the true scalar baseline.
+        // A width-1 block is a single item: route it through `run`, so it
+        // counts in `replays` and never in `lane_blocks`.
         if LANES <= 1 || block.len() != LANES {
-            return scalar_fallback(&mut self.stats);
+            return per_item(&mut self.stats);
         }
         let arity = match &self.compiled {
             Some(c) if !c.branched && c.key == key => c.tape.input_count(),
-            _ => return scalar_fallback(&mut self.stats),
+            _ => return per_item(&mut self.stats),
         };
         lanes.staging.clear();
         lanes.staging.resize(arity, [Interval::ONE; LANES]);
@@ -557,10 +473,10 @@ impl ReplayOrRecord {
             let inputs = inputs_of(item);
             if inputs.len() != arity {
                 // Divergent input arity *inside* the block: the block
-                // cannot share one trace, so every item falls back to
-                // the scalar driver (which records as needed).
+                // cannot share one trace, so every item runs on its own
+                // (recording as needed).
                 scorpio_obs::count("replay.fallback.lane_divergent", 1);
-                return scalar_fallback(&mut self.stats);
+                return per_item(&mut self.stats);
             }
             for (s, &v) in inputs.iter().enumerate() {
                 lanes.staging[s][l] = v;
@@ -595,54 +511,6 @@ impl ReplayOrRecord {
             debug_assert_ne!(c.tape.input_count(), inputs.len());
             "replay.fallback.input_arity"
         })
-    }
-
-    fn run_report<F>(
-        &mut self,
-        key: Option<u64>,
-        arena: &mut AnalysisArena,
-        inputs: &[Interval],
-        f: F,
-    ) -> Result<Report, AnalysisError>
-    where
-        F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
-    {
-        if self.replay_ready(key, inputs) {
-            let _span = scorpio_obs::span_detail("replay");
-            scorpio_obs::count("replay.replays", 1);
-            let c = self.compiled.as_ref().expect("replay_ready checked");
-            c.tape
-                .replay(inputs, &mut arena.replay)
-                .expect("replay_ready validated input arity");
-            self.stats.replays += 1;
-            return build_report_replayed(&c.tape, &c.regs, self.analysis.delta(), &mut arena.replay);
-        }
-        let regs = self.record(key, arena, inputs, f)?;
-        build_report_with(&arena.tape, regs, self.analysis.delta(), &mut arena.scratch)
-    }
-
-    fn run_vars<F>(
-        &mut self,
-        key: Option<u64>,
-        arena: &mut AnalysisArena,
-        inputs: &[Interval],
-        f: F,
-    ) -> Result<VarSignificances, AnalysisError>
-    where
-        F: FnOnce(&Ctx<'_>) -> Result<(), AnalysisError>,
-    {
-        if self.replay_ready(key, inputs) {
-            let _span = scorpio_obs::span_detail("replay");
-            scorpio_obs::count("replay.replays", 1);
-            let c = self.compiled.as_ref().expect("replay_ready checked");
-            c.tape
-                .replay(inputs, &mut arena.replay)
-                .expect("replay_ready validated input arity");
-            self.stats.replays += 1;
-            return build_vars_replayed(&c.tape, &c.regs, &mut arena.replay);
-        }
-        let regs = self.record(key, arena, inputs, f)?;
-        build_vars_with(&arena.tape, &regs, &mut arena.scratch)
     }
 
     /// Records `f` into the arena tape (inputs overriding declared
@@ -703,11 +571,12 @@ impl ReplayOrRecord {
     }
 }
 
-/// Caller-owned scratch for the lane-batched driver methods: the
-/// lane-blocked replay buffers plus the slot-major staging area the
-/// per-item inputs are transposed into. One per worker, like
-/// [`AnalysisArena`] — it cannot live inside the arena because the lane
-/// width is a const generic chosen per call site.
+/// Scratch for one lane width: the lane-blocked replay buffers plus the
+/// slot-major staging area the per-item inputs are transposed into.
+/// [`AnalysisArena`] holds the width-1 instance that single-item runs
+/// replay through; [`ReplayOrRecord::run_block`] takes a caller-owned
+/// one per worker, since its width is a const generic chosen per call
+/// site.
 #[derive(Debug)]
 pub struct LaneScratch<const LANES: usize> {
     buf: LaneReplayBuffers<Interval, LANES>,
@@ -823,7 +692,7 @@ mod tests {
         let mut arena = AnalysisArena::new();
         let run = |driver: &mut ReplayOrRecord, arena: &mut AnalysisArena, n: usize| {
             driver
-                .run_keyed_in(n as u64, arena, &[Interval::new(0.2, 0.4)], |ctx| {
+                .run::<Report, _>(Some(n as u64), arena, &[Interval::new(0.2, 0.4)], |ctx| {
                     let x = ctx.input("x", 0.0, 1.0);
                     let mut acc = ctx.constant(0.0);
                     for i in 0..n {
@@ -908,7 +777,7 @@ mod tests {
         let inputs = [Interval::centered(0.3, 0.2)];
         let mut warm = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
-        let expected = warm.run_keyed_in(7, &mut arena, &inputs, poly).unwrap();
+        let expected = warm.run::<Report, _>(Some(7), &mut arena, &inputs, poly).unwrap();
         let trace = warm.share().expect("straight-line trace must be shareable");
         assert_eq!(trace.shape_key(), Some(7));
         assert!(trace.input_count() == 1 && trace.node_count() > 0);
@@ -916,7 +785,7 @@ mod tests {
         let mut cold = ReplayOrRecord::new(Analysis::new());
         cold.install(&trace);
         assert!(cold.has_compiled());
-        let replayed = cold.run_keyed_in(7, &mut arena, &inputs, poly).unwrap();
+        let replayed = cold.run::<Report, _>(Some(7), &mut arena, &inputs, poly).unwrap();
         assert_eq!(cold.stats().records, 0, "install must skip recording");
         assert_eq!(cold.stats().replays, 1);
         for (a, b) in replayed.registered().iter().zip(expected.registered()) {
@@ -932,14 +801,14 @@ mod tests {
         let inputs = [Interval::centered(0.3, 0.2)];
         let mut warm = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
-        warm.run_keyed_in(1, &mut arena, &inputs, poly).unwrap();
+        warm.run::<Report, _>(Some(1), &mut arena, &inputs, poly).unwrap();
         let trace = warm.share().unwrap();
 
         let mut other = ReplayOrRecord::new(Analysis::new());
         other.install(&trace);
         // Requesting a different shape key must not replay the foreign
         // trace — the keyed guard records afresh instead.
-        other.run_keyed_in(2, &mut arena, &inputs, poly).unwrap();
+        other.run::<Report, _>(Some(2), &mut arena, &inputs, poly).unwrap();
         assert_eq!(other.stats().records, 1);
         assert_eq!(other.stats().replays, 0);
         assert_eq!(other.stats().fallbacks, 1);

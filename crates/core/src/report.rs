@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, ReplayBuffers, Tape};
+use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, Op, Tape};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
@@ -192,100 +192,6 @@ fn significance_raw_from(value: Interval, adjoint: Interval) -> f64 {
     }
 }
 
-/// Builds the report from a recorded tape: performs the reverse sweep
-/// (with every registered output seeded by 1, per §2.3 for vector
-/// functions) and evaluates Eq. 11 for every node. The reverse sweep
-/// runs in the caller-provided `scratch` buffer (cleared and resized as
-/// needed), which is handed back on return, so arena-driven repeated
-/// analyses allocate the adjoint vector once instead of per run.
-pub(crate) fn build_report_with(
-    tape: &Tape<Interval>,
-    regs: Registrations,
-    delta: f64,
-    scratch: &mut Vec<Interval>,
-) -> Result<Report, AnalysisError> {
-    let outputs = output_nodes(&regs)?;
-
-    let seeds: Vec<(NodeId, Interval)> =
-        outputs.iter().map(|&o| (o, Interval::ONE)).collect();
-    let adjoints = {
-        let _span = scorpio_obs::span("reverse");
-        tape.adjoints_in(&seeds, std::mem::take(scratch))
-    };
-
-    let _span = scorpio_obs::span("significance");
-    // Rows + normalization denominator via the shared assembly (Eq. 11
-    // with the round-to-nearest product; see `registered_rows`).
-    let (registered, total_raw) = registered_rows(
-        &regs,
-        &outputs,
-        |node| tape.value(node),
-        |node| adjoints.get(node),
-    );
-    let significance_raw = |node: NodeId, value: Interval| -> f64 {
-        significance_raw_from(value, adjoints.get(node))
-    };
-    let normalize = |raw: f64| {
-        if total_raw > 0.0 && total_raw.is_finite() {
-            raw / total_raw
-        } else {
-            raw
-        }
-    };
-
-    // Zero-copy graph construction: one borrow of the arena for the
-    // whole loop, rather than cloning the trace (or re-borrowing the
-    // tape per node) just to read it once.
-    let mut nodes: Vec<SigNode> = tape.with_nodes(|nodes| {
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let id = NodeId::from_index(i);
-                let raw = significance_raw(id, node.value());
-                SigNode {
-                    id: i,
-                    op: node.op(),
-                    preds: node.preds().map(|p| p.index()).collect(),
-                    value: node.value(),
-                    derivative: adjoints.get(id),
-                    significance: normalize(raw),
-                    level: None,
-                    name: None,
-                    is_output: false,
-                    removed: false,
-                }
-            })
-            .collect()
-    });
-
-    for entry in &regs.entries {
-        let idx = entry.node.index();
-        nodes[idx].name = Some(entry.name.clone());
-        if entry.kind == VarKind::Output {
-            nodes[idx].is_output = true;
-        }
-    }
-
-    let empty_nodes: Vec<usize> = nodes
-        .iter()
-        .filter(|n| n.value.is_empty())
-        .map(|n| n.id)
-        .collect();
-    scorpio_obs::count("analysis.empty_enclosures", empty_nodes.len() as u64);
-    let graph = SigGraph::new(nodes, outputs.iter().map(|o| o.index()).collect());
-    let report = Report {
-        registered,
-        graph,
-        output_significance_raw: total_raw,
-        delta,
-        tape_len: tape.len(),
-        empty_nodes,
-    };
-    *scratch = adjoints.into_inner();
-    Ok(report)
-}
-
 /// The registered-variable rows of a report without the node-level
 /// [`SigGraph`] — the light extraction the batch replay entry points
 /// use when only named significances are consumed. Every field is
@@ -325,35 +231,103 @@ impl VarSignificances {
     }
 }
 
-/// Output node ids of `regs`, or the [`AnalysisError::NoOutputs`] error.
-fn output_nodes(regs: &Registrations) -> Result<Vec<NodeId>, AnalysisError> {
-    let outputs: Vec<NodeId> = regs
+mod sealed {
+    use super::{RegisteredVar, SigGraph};
+
+    /// The constructor half of [`OutputDetail`](super::OutputDetail),
+    /// unreachable from outside the crate so the trait stays closed.
+    pub trait Sealed: Sized {
+        /// Wraps finished rows; `graph` builds the node-level graph and
+        /// the empty-enclosure list, and is only called by [`Report`](super::Report).
+        fn assemble(
+            rows: Vec<RegisteredVar>,
+            output_significance_raw: f64,
+            tape_len: usize,
+            delta: f64,
+            graph: impl FnOnce() -> (SigGraph, Vec<usize>),
+        ) -> Self;
+    }
+}
+
+/// The detail level an analysis run produces: a full [`Report`]
+/// (registered rows plus the node-level [`SigGraph`]) or the registered
+/// rows only ([`VarSignificances`], which skips the graph). The
+/// [`crate::ReplayOrRecord`] driver is generic over it; the trait is
+/// sealed, and those two types are its only implementations.
+pub trait OutputDetail: sealed::Sealed {}
+
+impl OutputDetail for Report {}
+impl OutputDetail for VarSignificances {}
+
+impl sealed::Sealed for Report {
+    fn assemble(
+        registered: Vec<RegisteredVar>,
+        output_significance_raw: f64,
+        tape_len: usize,
+        delta: f64,
+        graph: impl FnOnce() -> (SigGraph, Vec<usize>),
+    ) -> Report {
+        let (graph, empty_nodes) = graph();
+        Report {
+            registered,
+            graph,
+            output_significance_raw,
+            delta,
+            tape_len,
+            empty_nodes,
+        }
+    }
+}
+
+impl sealed::Sealed for VarSignificances {
+    fn assemble(
+        vars: Vec<RegisteredVar>,
+        output_significance_raw: f64,
+        tape_len: usize,
+        _delta: f64,
+        _graph: impl FnOnce() -> (SigGraph, Vec<usize>),
+    ) -> VarSignificances {
+        VarSignificances {
+            vars,
+            output_significance_raw,
+            tape_len,
+        }
+    }
+}
+
+/// Output node ids of `regs` (every one seeded with adjoint 1, per §2.3
+/// for vector functions), or the [`AnalysisError::NoOutputs`] error.
+fn output_seeds(regs: &Registrations) -> Result<Vec<(NodeId, Interval)>, AnalysisError> {
+    let seeds: Vec<(NodeId, Interval)> = regs
         .entries
         .iter()
         .filter(|e| e.kind == VarKind::Output)
-        .map(|e| e.node)
+        .map(|e| (e.node, Interval::ONE))
         .collect();
-    if outputs.is_empty() {
+    if seeds.is_empty() {
         return Err(AnalysisError::NoOutputs);
     }
-    Ok(outputs)
+    Ok(seeds)
 }
 
-/// Assembles the per-registration rows shared by every report flavour.
-///
-/// `value_of` / `adjoint_of` look up the forward and reverse sweep
-/// results per node; the arithmetic (Eq. 11 + normalization) is exactly
-/// [`build_report_with`]'s, so recorded and replayed rows agree bit for
-/// bit.
-fn registered_rows(
+/// The single row/graph assembler behind every builder: evaluates
+/// Eq. 11 (round-to-nearest product, normalized by the summed output
+/// significances) for the registered rows and, when `D` asks for it,
+/// for every node of the graph. `value_of` / `adjoint_of` look up one
+/// finished forward and reverse sweep per node and `node_of` the
+/// node's operator and predecessors, so recorded and replayed results
+/// run the same arithmetic and agree bit for bit.
+fn assemble<D: OutputDetail>(
     regs: &Registrations,
-    outputs: &[NodeId],
+    seeds: &[(NodeId, Interval)],
+    delta: f64,
+    len: usize,
     value_of: impl Fn(NodeId) -> Interval,
     adjoint_of: impl Fn(NodeId) -> Interval,
-) -> (Vec<RegisteredVar>, f64) {
-    let significance_raw =
-        |node: NodeId| -> f64 { significance_raw_from(value_of(node), adjoint_of(node)) };
-    let total_raw: f64 = outputs.iter().map(|&o| significance_raw(o)).sum();
+    node_of: impl Fn(usize) -> (Op, Vec<usize>),
+) -> D {
+    let significance_raw = |id: NodeId| significance_raw_from(value_of(id), adjoint_of(id));
+    let total_raw: f64 = seeds.iter().map(|&(o, _)| significance_raw(o)).sum();
     let normalize = |raw: f64| {
         if total_raw > 0.0 && total_raw.is_finite() {
             raw / total_raw
@@ -377,228 +351,104 @@ fn registered_rows(
             }
         })
         .collect();
-    (rows, total_raw)
+    D::assemble(rows, total_raw, len, delta, || {
+        let mut nodes: Vec<SigNode> = (0..len)
+            .map(|i| {
+                let id = NodeId::from_index(i);
+                let (op, preds) = node_of(i);
+                SigNode {
+                    id: i,
+                    op,
+                    preds,
+                    value: value_of(id),
+                    derivative: adjoint_of(id),
+                    significance: normalize(significance_raw(id)),
+                    level: None,
+                    name: None,
+                    is_output: false,
+                    removed: false,
+                }
+            })
+            .collect();
+        for entry in &regs.entries {
+            let node = &mut nodes[entry.node.index()];
+            node.name = Some(entry.name.clone());
+            node.is_output |= entry.kind == VarKind::Output;
+        }
+        let empty_nodes: Vec<usize> = nodes
+            .iter()
+            .filter(|n| n.value.is_empty())
+            .map(|n| n.id)
+            .collect();
+        scorpio_obs::count("analysis.empty_enclosures", empty_nodes.len() as u64);
+        let outputs = seeds.iter().map(|&(o, _)| o.index()).collect();
+        (SigGraph::new(nodes, outputs), empty_nodes)
+    })
 }
 
-/// [`build_report_with`]'s registered rows from a *recorded* tape,
-/// without building the node graph.
-pub(crate) fn build_vars_with(
+/// Builds a result from a recorded tape: performs the reverse sweep
+/// and evaluates Eq. 11. The sweep runs in the caller-provided
+/// `scratch` buffer (cleared and resized as needed), which is handed
+/// back on return, so arena-driven repeated analyses allocate the
+/// adjoint vector once instead of per run.
+pub(crate) fn build_recorded<D: OutputDetail>(
     tape: &Tape<Interval>,
     regs: &Registrations,
+    delta: f64,
     scratch: &mut Vec<Interval>,
-) -> Result<VarSignificances, AnalysisError> {
-    let outputs = output_nodes(regs)?;
-    let seeds: Vec<(NodeId, Interval)> =
-        outputs.iter().map(|&o| (o, Interval::ONE)).collect();
+) -> Result<D, AnalysisError> {
+    let seeds = output_seeds(regs)?;
     let adjoints = {
         let _span = scorpio_obs::span("reverse");
         tape.adjoints_in(&seeds, std::mem::take(scratch))
     };
     let _span = scorpio_obs::span("significance");
-    let (vars, total_raw) = registered_rows(
-        regs,
-        &outputs,
-        |node| tape.value(node),
-        |node| adjoints.get(node),
-    );
-    let result = VarSignificances {
-        vars,
-        output_significance_raw: total_raw,
-        tape_len: tape.len(),
-    };
+    // One borrow of the arena for the whole assembly, rather than
+    // cloning the trace or re-borrowing the tape per node.
+    let result = tape.with_nodes(|nodes| {
+        assemble(
+            regs,
+            &seeds,
+            delta,
+            nodes.len(),
+            |id| nodes[id.index()].value(),
+            |id| adjoints.get(id),
+            |i| (nodes[i].op(), nodes[i].preds().map(|p| p.index()).collect()),
+        )
+    });
     *scratch = adjoints.into_inner();
     Ok(result)
 }
 
-/// Runs the reverse sweep over already-replayed buffers (every output
-/// seeded with 1, as in [`build_report_with`]).
-fn replayed_adjoints(
-    compiled: &CompiledTape<Interval>,
-    outputs: &[NodeId],
-    buf: &mut ReplayBuffers<Interval>,
-) {
-    let _span = scorpio_obs::span_detail("reverse");
-    let seeds: Vec<(NodeId, Interval)> =
-        outputs.iter().map(|&o| (o, Interval::ONE)).collect();
-    compiled.adjoints_into(&seeds, buf);
-}
-
-/// Full report from a compiled trace whose buffers have been filled by
-/// [`CompiledTape::replay`] — the replay-mode twin of
-/// [`build_report_with`], producing bit-identical contents (values and
-/// partials are recomputed with the recording formulas, the reverse
-/// sweep mirrors [`Tape::adjoints_in`], and the assembly below runs the
-/// same row/graph arithmetic).
-pub(crate) fn build_report_replayed(
-    compiled: &CompiledTape<Interval>,
-    regs: &Registrations,
-    delta: f64,
-    buf: &mut ReplayBuffers<Interval>,
-) -> Result<Report, AnalysisError> {
-    let outputs = output_nodes(regs)?;
-    replayed_adjoints(compiled, &outputs, buf);
-    let _span = scorpio_obs::span_detail("significance");
-    Ok(replayed_report_from(
-        compiled,
-        regs,
-        &outputs,
-        delta,
-        |node| buf.value(node),
-        |node| buf.adjoint(node),
-    ))
-}
-
-/// Assembles one [`Report`] from replayed sweep results exposed via
-/// accessor closures — shared by the scalar and the per-lane replayed
-/// report builders, so lane-built reports run exactly the scalar
-/// assembly arithmetic.
-fn replayed_report_from(
-    compiled: &CompiledTape<Interval>,
-    regs: &Registrations,
-    outputs: &[NodeId],
-    delta: f64,
-    value_of: impl Fn(NodeId) -> Interval,
-    adjoint_of: impl Fn(NodeId) -> Interval,
-) -> Report {
-    let (registered, total_raw) = registered_rows(regs, outputs, &value_of, &adjoint_of);
-
-    let significance_raw =
-        |id: NodeId| -> f64 { significance_raw_from(value_of(id), adjoint_of(id)) };
-    let normalize = |raw: f64| {
-        if total_raw > 0.0 && total_raw.is_finite() {
-            raw / total_raw
-        } else {
-            raw
-        }
-    };
-    let mut nodes: Vec<SigNode> = (0..compiled.len())
-        .map(|i| {
-            let id = NodeId::from_index(i);
-            SigNode {
-                id: i,
-                op: compiled.op(i),
-                preds: compiled.preds_of(i).map(|p| p.index()).collect(),
-                value: value_of(id),
-                derivative: adjoint_of(id),
-                significance: normalize(significance_raw(id)),
-                level: None,
-                name: None,
-                is_output: false,
-                removed: false,
-            }
-        })
-        .collect();
-    for entry in &regs.entries {
-        let idx = entry.node.index();
-        nodes[idx].name = Some(entry.name.clone());
-        if entry.kind == VarKind::Output {
-            nodes[idx].is_output = true;
-        }
-    }
-
-    let empty_nodes: Vec<usize> = nodes
-        .iter()
-        .filter(|n| n.value.is_empty())
-        .map(|n| n.id)
-        .collect();
-    scorpio_obs::count("analysis.empty_enclosures", empty_nodes.len() as u64);
-    let graph = SigGraph::new(nodes, outputs.iter().map(|o| o.index()).collect());
-    Report {
-        registered,
-        graph,
-        output_significance_raw: total_raw,
-        delta,
-        tape_len: compiled.len(),
-        empty_nodes,
-    }
-}
-
-/// Full reports for every lane of a lane-replayed block — the lane twin
-/// of [`build_report_replayed`]: one reverse sweep over the lane
-/// buffers (each output seeded with 1 in every lane), then the shared
-/// report assembly per lane. Appends `LANES` reports to `out` in lane
-/// (= item) order.
-pub(crate) fn build_report_replayed_lanes<const LANES: usize>(
+/// Builds one result per lane of a block whose buffers
+/// [`CompiledTape::replay_lanes`] has filled: one reverse sweep over
+/// the lane buffers (each output seeded with 1 in every lane), then the
+/// shared assembly per lane, in lane (= item) order. Values and partials
+/// are recomputed with the recording formulas and the sweep mirrors
+/// [`Tape::adjoints_in`], so each lane is bit-identical to
+/// [`build_recorded`] over a fresh recording of its item.
+pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
     compiled: &CompiledTape<Interval>,
     regs: &Registrations,
     delta: f64,
     buf: &mut LaneReplayBuffers<Interval, LANES>,
-    out: &mut Vec<Report>,
-) -> Result<(), AnalysisError> {
-    let outputs = output_nodes(regs)?;
+) -> Result<[D; LANES], AnalysisError> {
+    let seeds = output_seeds(regs)?;
     {
         let _span = scorpio_obs::span_detail("reverse");
-        let seeds: Vec<(NodeId, Interval)> =
-            outputs.iter().map(|&o| (o, Interval::ONE)).collect();
         compiled.adjoints_into_lanes(&seeds, buf);
     }
     let _span = scorpio_obs::span_detail("significance");
-    for l in 0..LANES {
-        out.push(replayed_report_from(
-            compiled,
+    let node_of = |i: usize| (compiled.op(i), compiled.preds_of(i).map(|p| p.index()).collect());
+    Ok(std::array::from_fn(|l| {
+        assemble(
             regs,
-            &outputs,
+            &seeds,
             delta,
-            |node| buf.value(node, l),
-            |node| buf.adjoint(node, l),
-        ));
-    }
-    Ok(())
-}
-
-/// Registered rows for every lane of a lane-replayed block — the lane
-/// twin of [`build_vars_replayed`]. Appends `LANES` results to `out`
-/// in lane (= item) order; rows are bit-identical to what a scalar
-/// replay of each item would produce.
-pub(crate) fn build_vars_replayed_lanes<const LANES: usize>(
-    compiled: &CompiledTape<Interval>,
-    regs: &Registrations,
-    buf: &mut LaneReplayBuffers<Interval, LANES>,
-    out: &mut Vec<VarSignificances>,
-) -> Result<(), AnalysisError> {
-    let outputs = output_nodes(regs)?;
-    {
-        let _span = scorpio_obs::span_detail("reverse");
-        let seeds: Vec<(NodeId, Interval)> =
-            outputs.iter().map(|&o| (o, Interval::ONE)).collect();
-        compiled.adjoints_into_lanes(&seeds, buf);
-    }
-    let _span = scorpio_obs::span_detail("significance");
-    for l in 0..LANES {
-        let (vars, total_raw) = registered_rows(
-            regs,
-            &outputs,
-            |node| buf.value(node, l),
-            |node| buf.adjoint(node, l),
-        );
-        out.push(VarSignificances {
-            vars,
-            output_significance_raw: total_raw,
-            tape_len: compiled.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Registered rows only, from replayed buffers — the hot path of the
-/// batch kernels (skips the whole per-node graph construction).
-pub(crate) fn build_vars_replayed(
-    compiled: &CompiledTape<Interval>,
-    regs: &Registrations,
-    buf: &mut ReplayBuffers<Interval>,
-) -> Result<VarSignificances, AnalysisError> {
-    let outputs = output_nodes(regs)?;
-    replayed_adjoints(compiled, &outputs, buf);
-    let _span = scorpio_obs::span_detail("significance");
-    let (vars, total_raw) = registered_rows(
-        regs,
-        &outputs,
-        |node| buf.value(node),
-        |node| buf.adjoint(node),
-    );
-    Ok(VarSignificances {
-        vars,
-        output_significance_raw: total_raw,
-        tape_len: compiled.len(),
-    })
+            compiled.len(),
+            |id| buf.value(id, l),
+            |id| buf.adjoint(id, l),
+            node_of,
+        )
+    }))
 }

@@ -2,11 +2,12 @@
 
 use std::cell::{Cell, RefCell};
 
-use scorpio_adjoint::{NodeId, ReplayBuffers, Tape, Var};
+use scorpio_adjoint::{NodeId, Tape, Var};
 use scorpio_interval::{Interval, Trichotomy};
 
 use crate::error::AnalysisError;
-use crate::report::{build_report_with, Report, VarKind};
+use crate::replay::LaneScratch;
+use crate::report::{build_recorded, Report, VarKind};
 
 /// The active interval type of the analysis — the Rust spelling of the
 /// paper's `dco::ia1s::type` (interval arithmetic, first-order adjoint,
@@ -230,10 +231,9 @@ impl<'t> Ctx<'t> {
 pub struct AnalysisArena {
     pub(crate) tape: Tape<Interval>,
     pub(crate) scratch: Vec<Interval>,
-    /// Compiled-replay buffers (values, local partials, adjoints) for
-    /// the arena's [`crate::ReplayOrRecord`] mode; empty until the
-    /// first replay, reused afterwards.
-    pub(crate) replay: ReplayBuffers<Interval>,
+    /// Width-1 lane scratch the single-item [`crate::ReplayOrRecord::run`]
+    /// replays through; empty until the first replay, reused afterwards.
+    pub(crate) lanes: LaneScratch<1>,
 }
 
 impl AnalysisArena {
@@ -247,7 +247,7 @@ impl AnalysisArena {
         AnalysisArena {
             tape: Tape::with_capacity(capacity),
             scratch: Vec::with_capacity(capacity),
-            replay: ReplayBuffers::new(),
+            lanes: LaneScratch::new(),
         }
     }
 
@@ -353,7 +353,7 @@ impl Analysis {
         closure_result?;
         let regs = ctx.into_registrations()?;
         scorpio_obs::count("analysis.nodes_recorded", arena.tape.len() as u64);
-        let report = build_report_with(&arena.tape, regs, self.delta, &mut arena.scratch)?;
+        let report = build_recorded(&arena.tape, &regs, self.delta, &mut arena.scratch)?;
         Ok((report, declared))
     }
 }

@@ -17,7 +17,7 @@
 //! second task group combines the partial sums (`t = √(tx² + ty²)`,
 //! clipped to `[0, 255]`) and always runs accurately.
 
-use scorpio_core::{Analysis, AnalysisError, ParallelAnalysis, Report};
+use scorpio_core::{Analysis, AnalysisError, ParallelAnalysis, Report, DEFAULT_LANES};
 use scorpio_quality::GrayImage;
 use scorpio_runtime::perforation::Perforator;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
@@ -301,7 +301,7 @@ pub fn analysis_combine_threaded(
         .collect();
     let engine = ParallelAnalysis::new(threads);
     engine
-        .run_batch_replay_vars_map(
+        .run_batch_replay_vars_map_lanes::<DEFAULT_LANES, _, _, _, _, _>(
             &lows,
             |&lo| {
                 // Both inputs range over the window, in registration order.

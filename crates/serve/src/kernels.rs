@@ -28,8 +28,8 @@
 //! spelled out here next to its registration closure.
 
 use scorpio_core::{
-    Analysis, AnalysisArena, AnalysisError, Ctx, LaneScratch, Report, ReplayOrRecord,
-    VarSignificances, DEFAULT_LANES,
+    Analysis, AnalysisArena, AnalysisError, Ctx, LaneScratch, OutputDetail, Report,
+    ReplayOrRecord, VarSignificances, DEFAULT_LANES,
 };
 use scorpio_kernels::blackscholes::{self, Option_};
 use scorpio_kernels::dct::{self, BLOCK};
@@ -40,6 +40,11 @@ use scorpio_obs::json::Value;
 /// Names of the served kernels, in catalogue order (the order stats
 /// responses and per-kernel counters use).
 pub const KERNEL_NAMES: [&str; 5] = ["fisheye", "blackscholes", "dct", "maclaurin", "nbody"];
+
+/// Most items one analyze request may carry: 64× a typical 64-item
+/// batch and above a whole 64×48 fisheye grid. Larger batches get an
+/// `ok:false` reply instead of tying a worker up for minutes.
+pub const MAX_ITEMS: usize = 4096;
 
 /// Catalogue index of `name`, if it names a served kernel.
 pub fn kernel_index(name: &str) -> Option<usize> {
@@ -142,6 +147,12 @@ impl KernelRequest {
             .ok_or_else(|| "missing \"items\" array".to_string())?;
         if items.is_empty() {
             return Err("\"items\" must not be empty".to_string());
+        }
+        if items.len() > MAX_ITEMS {
+            return Err(format!(
+                "\"items\" holds {} items, more than the {MAX_ITEMS} one request may carry",
+                items.len()
+            ));
         }
         match kernel {
             "fisheye" => {
@@ -268,9 +279,7 @@ impl KernelRequest {
     }
 
     /// Runs the batch in variables-only detail (skips the significance
-    /// graph; the serve default), chunking items at
-    /// [`DEFAULT_LANES`] granularity so full blocks take one walk of
-    /// the compiled op stream.
+    /// graph; the serve default).
     ///
     /// # Errors
     ///
@@ -281,85 +290,11 @@ impl KernelRequest {
         arena: &mut AnalysisArena,
         lanes: &mut LaneScratch<DEFAULT_LANES>,
     ) -> Result<Vec<VarSignificances>, AnalysisError> {
-        let key = self.shape_key();
-        let mut out = Vec::with_capacity(self.len());
-        match self {
-            KernelRequest::Fisheye {
-                width,
-                height,
-                items,
-            } => {
-                let lens = Lens::for_image(*width, *height);
-                for block in items.chunks(DEFAULT_LANES) {
-                    driver.run_keyed_vars_lanes_in(
-                        key,
-                        arena,
-                        lanes,
-                        block,
-                        &|&(u, v)| fisheye::inverse_mapping_inputs(&lens, u, v),
-                        &|ctx, &(u, v)| fisheye::register_inverse_mapping(ctx, &lens, u, v),
-                        &mut out,
-                    )?;
-                }
-            }
-            KernelRequest::Blackscholes { items } => {
-                for block in items.chunks(DEFAULT_LANES) {
-                    driver.run_keyed_vars_lanes_in(
-                        key,
-                        arena,
-                        lanes,
-                        block,
-                        &blackscholes::option_inputs,
-                        &|ctx, o| blackscholes::register_option(ctx, o),
-                        &mut out,
-                    )?;
-                }
-            }
-            KernelRequest::Dct { radius, items } => {
-                for block in items.chunks(DEFAULT_LANES) {
-                    driver.run_keyed_vars_lanes_in(
-                        key,
-                        arena,
-                        lanes,
-                        block,
-                        &|b| dct::block_inputs(b, *radius),
-                        &|ctx, b| dct::register_block(ctx, b, *radius),
-                        &mut out,
-                    )?;
-                }
-            }
-            KernelRequest::Maclaurin { n, items } => {
-                for block in items.chunks(DEFAULT_LANES) {
-                    driver.run_keyed_vars_lanes_in(
-                        key,
-                        arena,
-                        lanes,
-                        block,
-                        &|&x0| maclaurin::series_inputs(x0),
-                        &|ctx, &x0| maclaurin::register_series(ctx, x0, *n),
-                        &mut out,
-                    )?;
-                }
-            }
-            KernelRequest::Nbody { items } => {
-                for block in items.chunks(DEFAULT_LANES) {
-                    driver.run_keyed_vars_lanes_in(
-                        key,
-                        arena,
-                        lanes,
-                        block,
-                        &|&(r0, radius)| nbody::pair_inputs(r0, radius),
-                        &|ctx, &(r0, radius)| nbody::register_pair(ctx, r0, radius),
-                        &mut out,
-                    )?;
-                }
-            }
-        }
-        Ok(out)
+        self.run(driver, arena, lanes)
     }
 
     /// Runs the batch in full detail (complete [`Report`]s including
-    /// the node-level significance graph), one keyed replay per item.
+    /// the node-level significance graph).
     ///
     /// # Errors
     ///
@@ -368,9 +303,32 @@ impl KernelRequest {
         &self,
         driver: &mut ReplayOrRecord,
         arena: &mut AnalysisArena,
+        lanes: &mut LaneScratch<DEFAULT_LANES>,
     ) -> Result<Vec<Report>, AnalysisError> {
-        let key = self.shape_key();
+        self.run(driver, arena, lanes)
+    }
+
+    /// Runs the batch at detail `D` under the request's shape key,
+    /// chunking items at [`DEFAULT_LANES`] granularity so full blocks
+    /// take one walk of the compiled op stream.
+    fn run<D: OutputDetail>(
+        &self,
+        driver: &mut ReplayOrRecord,
+        arena: &mut AnalysisArena,
+        lanes: &mut LaneScratch<DEFAULT_LANES>,
+    ) -> Result<Vec<D>, AnalysisError> {
+        let key = Some(self.shape_key());
         let mut out = Vec::with_capacity(self.len());
+        // A macro rather than a helper fn: the closures differ in type
+        // per kernel, and a helper's bounds would have to name
+        // `Interval`, from a crate this one does not depend on.
+        macro_rules! run_blocks {
+            ($items:expr, $inputs_of:expr, $register:expr) => {
+                for block in $items.chunks(DEFAULT_LANES) {
+                    driver.run_block(key, arena, lanes, block, &$inputs_of, &$register, &mut out)?;
+                }
+            };
+        }
         match self {
             KernelRequest::Fisheye {
                 width,
@@ -378,44 +336,37 @@ impl KernelRequest {
                 items,
             } => {
                 let lens = Lens::for_image(*width, *height);
-                for &(u, v) in items {
-                    let inputs = fisheye::inverse_mapping_inputs(&lens, u, v);
-                    out.push(driver.run_keyed_in(key, arena, &inputs, |ctx| {
-                        fisheye::register_inverse_mapping(ctx, &lens, u, v)
-                    })?);
-                }
+                run_blocks!(
+                    items,
+                    |&(u, v)| fisheye::inverse_mapping_inputs(&lens, u, v),
+                    |ctx, &(u, v)| fisheye::register_inverse_mapping(ctx, &lens, u, v)
+                );
             }
             KernelRequest::Blackscholes { items } => {
-                for o in items {
-                    let inputs = blackscholes::option_inputs(o);
-                    out.push(driver.run_keyed_in(key, arena, &inputs, |ctx| {
-                        blackscholes::register_option(ctx, o)
-                    })?);
-                }
+                run_blocks!(items, blackscholes::option_inputs, |ctx, o| {
+                    blackscholes::register_option(ctx, o)
+                });
             }
             KernelRequest::Dct { radius, items } => {
-                for b in items {
-                    let inputs = dct::block_inputs(b, *radius);
-                    out.push(driver.run_keyed_in(key, arena, &inputs, |ctx| {
-                        dct::register_block(ctx, b, *radius)
-                    })?);
-                }
+                run_blocks!(
+                    items,
+                    |b| dct::block_inputs(b, *radius),
+                    |ctx, b| dct::register_block(ctx, b, *radius)
+                );
             }
             KernelRequest::Maclaurin { n, items } => {
-                for &x0 in items {
-                    let inputs = maclaurin::series_inputs(x0);
-                    out.push(driver.run_keyed_in(key, arena, &inputs, |ctx| {
-                        maclaurin::register_series(ctx, x0, *n)
-                    })?);
-                }
+                run_blocks!(
+                    items,
+                    |&x0| maclaurin::series_inputs(x0),
+                    |ctx, &x0| maclaurin::register_series(ctx, x0, *n)
+                );
             }
             KernelRequest::Nbody { items } => {
-                for &(r0, radius) in items {
-                    let inputs = nbody::pair_inputs(r0, radius);
-                    out.push(driver.run_keyed_in(key, arena, &inputs, |ctx| {
-                        nbody::register_pair(ctx, r0, radius)
-                    })?);
-                }
+                run_blocks!(
+                    items,
+                    |&(r0, radius)| nbody::pair_inputs(r0, radius),
+                    |ctx, &(r0, radius)| nbody::register_pair(ctx, r0, radius)
+                );
             }
         }
         Ok(out)
@@ -506,11 +457,13 @@ mod tests {
     fn replayed_batch_is_bit_identical_to_direct_calls() {
         let req = KernelRequest::Maclaurin {
             n: 8,
-            items: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+            items: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         };
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
-        let full = req.run_full(&mut driver, &mut arena).unwrap();
+        let full = req
+            .run_full(&mut driver, &mut arena, &mut LaneScratch::new())
+            .unwrap();
         let direct = req.direct_reports().unwrap();
         assert_eq!(full.len(), direct.len());
         for (a, b) in full.iter().zip(&direct) {
@@ -520,13 +473,26 @@ mod tests {
             );
         }
         assert!(driver.stats().replays > 0, "batch must replay after item 1");
+        assert_eq!(driver.stats().lane_blocks, 1, "full detail must use lane blocks");
+    }
+
+    #[test]
+    fn item_count_is_bounded() {
+        let line = |count: usize| {
+            let items = vec!["0.5"; count].join(",");
+            format!(r#"{{"kernel":"maclaurin","n":4,"items":[{items}]}}"#)
+        };
+        let at_bound = KernelRequest::from_value(&parse(&line(MAX_ITEMS)).unwrap()).unwrap();
+        assert_eq!(at_bound.len(), MAX_ITEMS);
+        let err = KernelRequest::from_value(&parse(&line(MAX_ITEMS + 1)).unwrap()).unwrap_err();
+        assert!(err.contains(&MAX_ITEMS.to_string()), "{err}");
     }
 
     #[test]
     fn vars_rows_match_full_reports() {
-        // 9 items: the first block of 4 is warm-up (records scalar),
-        // the second full block replays as one lane sweep, the ninth
-        // item is scalar remainder.
+        // 9 items: the first block of 4 is warm-up (record + width-1
+        // replays), the second full block replays as one lane sweep, the
+        // ninth item is remainder.
         let req = KernelRequest::Nbody {
             items: (0..9)
                 .map(|i| (1.0 + 0.12 * i as f64, 0.01 + 0.005 * i as f64))

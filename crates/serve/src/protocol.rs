@@ -297,7 +297,8 @@ pub struct ReplayStatsRecord {
     pub fallbacks: u64,
     /// Full lane blocks replayed in one op-stream walk.
     pub lane_blocks: u64,
-    /// Items served scalar by the lane drivers.
+    /// Items the lane drivers served one by one (width-1 replays or
+    /// recordings) instead of in a full lane block.
     pub lane_remainder: u64,
 }
 

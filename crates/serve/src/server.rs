@@ -958,7 +958,7 @@ fn run_analyze_spanned(
                 .kernel
                 .run_vars(driver, arena, lanes)
                 .map(|vars| (vars.iter().map(vars_to_record).collect::<Vec<_>>(), vars_sigs(&vars))),
-            Detail::Full => request.kernel.run_full(driver, arena).map(|reports| {
+            Detail::Full => request.kernel.run_full(driver, arena, lanes).map(|reports| {
                 (
                     reports.iter().map(|r| r.to_record()).collect::<Vec<_>>(),
                     reports

@@ -13,17 +13,14 @@
 use proptest::prelude::*;
 use scorpio::analysis::{
     Analysis, AnalysisArena, AnalysisError, Ctx, LaneScratch, ParallelAnalysis, ReplayOrRecord,
-    VarSignificances,
+    Report, VarSignificances,
 };
 use scorpio::interval::Interval;
 use scorpio::kernels::{blackscholes, dct, fisheye, maclaurin, sobel};
 
 /// Asserts two reports carry identical registered rows, bit for bit
 /// (enclosures, interval adjoints, raw and normalized significances).
-fn assert_reports_bit_equal(
-    replayed: &scorpio::analysis::Report,
-    recorded: &scorpio::analysis::Report,
-) -> Result<(), TestCaseError> {
+fn assert_reports_bit_equal(replayed: &Report, recorded: &Report) -> Result<(), TestCaseError> {
     prop_assert_eq!(replayed.tape_len(), recorded.tape_len());
     prop_assert_eq!(replayed.registered().len(), recorded.registered().len());
     for (a, b) in replayed.registered().iter().zip(recorded.registered()) {
@@ -53,6 +50,29 @@ fn maclaurin_closure(n: usize) -> impl Fn(&Ctx<'_>) -> Result<(), AnalysisError>
     }
 }
 
+/// Full gradient range the Sobel combine windows slide across.
+const SOBEL_SPAN: f64 = 2040.0;
+
+/// Start of operating window `i` of `k`, as `sobel::analysis_combine`
+/// places them.
+fn sobel_window_start(i: usize, k: usize) -> f64 {
+    -1020.0 + (i as f64 / k.max(2) as f64) * (SOBEL_SPAN / 2.0)
+}
+
+/// The Sobel combine registration over the window starting at `lo`
+/// (the closure `sobel::analysis_combine` replays).
+fn sobel_combine(ctx: &Ctx<'_>, lo: f64) -> Result<(), AnalysisError> {
+    let width = SOBEL_SPAN / 2.0;
+    let tx = ctx.input("tx", lo, lo + width);
+    let ty = ctx.input("ty", lo, lo + width);
+    let t = tx.hypot(ty);
+    let hi = ctx.constant(255.0);
+    let zero = ctx.constant(0.0);
+    let pixel = t.min(hi).max(zero);
+    ctx.output(&pixel, "pixel");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -69,8 +89,8 @@ proptest! {
         let mut arena = AnalysisArena::new();
         for &x0 in &x0s {
             let inputs = [Interval::centered(x0, 0.5)];
-            let replayed = driver
-                .run_keyed_in(n as u64, &mut arena, &inputs, maclaurin_closure(n))
+            let replayed: Report = driver
+                .run(Some(n as u64), &mut arena, &inputs, maclaurin_closure(n))
                 .unwrap();
             let recorded = maclaurin::analysis(x0, n).unwrap();
             assert_reports_bit_equal(&replayed, &recorded)?;
@@ -112,22 +132,9 @@ proptest! {
     #[test]
     fn sobel_replay_bit_identity(k in 2usize..14) {
         let points = sobel::analysis_combine(k).unwrap();
-        let span = 2040.0;
-        let width = span / 2.0;
         for (i, &(sx, sy)) in points.iter().enumerate() {
-            let lo = -1020.0 + (i as f64 / k.max(2) as f64) * (span - width);
-            let report = Analysis::new()
-                .run(|ctx| {
-                    let tx = ctx.input("tx", lo, lo + width);
-                    let ty = ctx.input("ty", lo, lo + width);
-                    let t = tx.hypot(ty);
-                    let hi = ctx.constant(255.0);
-                    let zero = ctx.constant(0.0);
-                    let pixel = t.min(hi).max(zero);
-                    ctx.output(&pixel, "pixel");
-                    Ok(())
-                })
-                .unwrap();
+            let lo = sobel_window_start(i, k);
+            let report = Analysis::new().run(|ctx| sobel_combine(ctx, lo)).unwrap();
             prop_assert_eq!(
                 sx.to_bits(),
                 report.var("tx").unwrap().significance_raw.to_bits(),
@@ -226,10 +233,10 @@ fn assert_vars_bit_equal(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Maclaurin, lane-blocked: `run_keyed_lanes_in` over 4-wide blocks
+    /// Maclaurin, lane-blocked: keyed `run_block` over 4-wide blocks
     /// agrees bitwise with fresh per-item recordings. The first block
-    /// warms up through the scalar path (nothing is compiled yet); the
-    /// second is served by one lane sweep.
+    /// warms up item by item (nothing is compiled yet); the second is
+    /// served by one lane sweep.
     #[test]
     fn maclaurin_lane_replay_bit_identity(
         x0 in -0.35f64..0.35,
@@ -241,11 +248,11 @@ proptest! {
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         let mut lanes = LaneScratch::<LANES>::new();
-        let mut reports = Vec::new();
+        let mut reports: Vec<Report> = Vec::new();
         for block in x0s.chunks(LANES) {
             driver
-                .run_keyed_lanes_in(
-                    n as u64,
+                .run_block(
+                    Some(n as u64),
                     &mut arena,
                     &mut lanes,
                     block,
@@ -264,74 +271,80 @@ proptest! {
         prop_assert_eq!(driver.stats().lane_remainder, LANES as u64);
     }
 
-    /// Fisheye grid: every lane width produces the same bits (the grid
-    /// is 15 pixels, so every width > 1 also exercises a trailing
-    /// partial block through the scalar remainder path).
+    /// Fisheye grid: every lane width, 1 included, agrees bitwise with
+    /// fresh per-pixel recordings (the grid is 15 pixels, so every width
+    /// > 1 also exercises a trailing partial block).
     #[test]
     fn fisheye_lane_widths_bit_identity(focal in 40.0f64..200.0) {
         let lens = fisheye::Lens { focal, ..fisheye::Lens::for_image(64, 48) };
-        let engine = ParallelAnalysis::new(1);
-        let scalar = fisheye::analysis_inverse_mapping_grid_lanes::<1>(&lens, 5, 3, &engine)
+        let (cell_w, cell_h) = (lens.width as f64 / 5.0, lens.height as f64 / 3.0);
+        let fresh: Vec<f64> = (0..3)
+            .flat_map(|gy| (0..5).map(move |gx| (gx as f64 + 0.5, gy as f64 + 0.5)))
+            .map(|(gx, gy)| fisheye::analysis_inverse_mapping(&lens, gx * cell_w, gy * cell_h))
+            .collect::<Result<_, _>>()
             .unwrap();
+        let engine = ParallelAnalysis::new(1);
         for sigs in [
+            fisheye::analysis_inverse_mapping_grid_lanes::<1>(&lens, 5, 3, &engine).unwrap(),
             fisheye::analysis_inverse_mapping_grid_lanes::<2>(&lens, 5, 3, &engine).unwrap(),
             fisheye::analysis_inverse_mapping_grid_lanes::<4>(&lens, 5, 3, &engine).unwrap(),
             fisheye::analysis_inverse_mapping_grid_lanes::<8>(&lens, 5, 3, &engine).unwrap(),
         ] {
-            prop_assert_eq!(scalar.len(), sigs.len());
-            for (a, b) in scalar.iter().zip(&sigs) {
+            prop_assert_eq!(fresh.len(), sigs.len());
+            for (a, b) in fresh.iter().zip(&sigs) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
 
-    /// Sobel combine: the lane-batched batch entry point agrees bitwise
-    /// with a scalar (per-item) replay driver over the same operating
-    /// points.
+    /// Sobel combine: the lane-batched entry point and a width-1 replay
+    /// driver over the same operating points both agree bitwise with
+    /// fresh per-point recordings.
     #[test]
     fn sobel_lane_vs_scalar_replay(k in 2usize..14) {
         let points = sobel::analysis_combine(k).unwrap();
-        let span = 2040.0;
-        let width = span / 2.0;
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         for (i, &(sx, sy)) in points.iter().enumerate() {
-            let lo = -1020.0 + (i as f64 / k.max(2) as f64) * (span - width);
-            let window = Interval::new(lo, lo + width);
-            let vars = driver
-                .run_vars_in(&mut arena, &[window, window], |ctx| {
-                    let tx = ctx.input("tx", lo, lo + width);
-                    let ty = ctx.input("ty", lo, lo + width);
-                    let t = tx.hypot(ty);
-                    let hi = ctx.constant(255.0);
-                    let zero = ctx.constant(0.0);
-                    let pixel = t.min(hi).max(zero);
-                    ctx.output(&pixel, "pixel");
-                    Ok(())
-                })
+            let lo = sobel_window_start(i, k);
+            let window = Interval::new(lo, lo + SOBEL_SPAN / 2.0);
+            let single = driver
+                .run_vars_in(&mut arena, &[window, window], |ctx| sobel_combine(ctx, lo))
                 .unwrap();
-            prop_assert_eq!(sx.to_bits(), vars.var("tx").unwrap().significance_raw.to_bits());
-            prop_assert_eq!(sy.to_bits(), vars.var("ty").unwrap().significance_raw.to_bits());
+            let fresh = Analysis::new().run(|ctx| sobel_combine(ctx, lo)).unwrap();
+            for name in ["tx", "ty"] {
+                let want = fresh.var(name).unwrap().significance_raw.to_bits();
+                prop_assert_eq!(single.var(name).unwrap().significance_raw.to_bits(), want);
+            }
+            prop_assert_eq!(sx.to_bits(), fresh.var("tx").unwrap().significance_raw.to_bits());
+            prop_assert_eq!(sy.to_bits(), fresh.var("ty").unwrap().significance_raw.to_bits());
         }
+        prop_assert_eq!(driver.stats().replays, points.len() as u64 - 1);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// BlackScholes: every lane width prices the same book to the same
-    /// bits (odd book sizes exercise the remainder path).
+    /// BlackScholes: every lane width, 1 included, prices the book to
+    /// the bits of fresh per-option recordings (odd book sizes exercise
+    /// the remainder path).
     #[test]
     fn blackscholes_lane_widths_bit_identity(seed in 0u64..1000, n in 2usize..12) {
         let options = blackscholes::generate_options(n, seed);
+        let mut arena = AnalysisArena::new();
+        let fresh: Vec<_> = options
+            .iter()
+            .map(|o| blackscholes::analysis_option_in(&mut arena, o).unwrap())
+            .collect();
         let engine = ParallelAnalysis::new(1);
-        let scalar = blackscholes::analysis_options_lanes::<1>(&options, &engine).unwrap();
         for sigs in [
+            blackscholes::analysis_options_lanes::<1>(&options, &engine).unwrap(),
             blackscholes::analysis_options_lanes::<4>(&options, &engine).unwrap(),
             blackscholes::analysis_options_lanes::<8>(&options, &engine).unwrap(),
         ] {
-            prop_assert_eq!(scalar.len(), sigs.len());
-            for (a, b) in scalar.iter().zip(&sigs) {
+            prop_assert_eq!(fresh.len(), sigs.len());
+            for (a, b) in fresh.iter().zip(&sigs) {
                 prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
                 prop_assert_eq!(a.2.to_bits(), b.2.to_bits());
@@ -344,9 +357,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// DCT: the lane-blocked batch agrees bitwise with the width-1
-    /// scalar batch on the heaviest trace (5 blocks: one full 4-wide
-    /// lane block plus a trailing remainder).
+    /// DCT: the width-1 and the 4-wide lane batches agree bitwise with
+    /// fresh per-block recordings on the heaviest trace (5 blocks: one
+    /// full 4-wide lane block plus a trailing remainder).
     #[test]
     fn dct_lane_widths_bit_identity(seed in 0u64..100, radius in 1.0f64..16.0) {
         use rand::{Rng, SeedableRng};
@@ -362,14 +375,22 @@ proptest! {
                 b
             })
             .collect();
+        let mut arena = AnalysisArena::new();
+        let fresh: Vec<_> = blocks
+            .iter()
+            .map(|b| dct::coefficient_map(&dct::analysis_in(&mut arena, b, radius).unwrap()))
+            .collect();
         let engine = ParallelAnalysis::new(1);
-        let scalar = dct::analysis_blocks_lanes::<1>(&blocks, radius, &engine).unwrap();
-        let laned = dct::analysis_blocks_lanes::<4>(&blocks, radius, &engine).unwrap();
-        prop_assert_eq!(scalar.len(), laned.len());
-        for (a, b) in scalar.iter().zip(&laned) {
-            for v in 0..dct::BLOCK {
-                for u in 0..dct::BLOCK {
-                    prop_assert_eq!(a[v][u].to_bits(), b[v][u].to_bits());
+        for maps in [
+            dct::analysis_blocks_lanes::<1>(&blocks, radius, &engine).unwrap(),
+            dct::analysis_blocks_lanes::<4>(&blocks, radius, &engine).unwrap(),
+        ] {
+            prop_assert_eq!(fresh.len(), maps.len());
+            for (a, b) in fresh.iter().zip(&maps) {
+                for v in 0..dct::BLOCK {
+                    for u in 0..dct::BLOCK {
+                        prop_assert_eq!(a[v][u].to_bits(), b[v][u].to_bits());
+                    }
                 }
             }
         }
@@ -379,8 +400,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A partial trailing block (fewer items than lanes) is served by
-    /// the scalar remainder path, bit-identical to per-item replay.
+    /// A partial trailing block (fewer items than lanes) runs item by
+    /// item, bit-identical to a per-item replay driver.
     #[test]
     fn lane_remainder_block_is_scalar_replayed(
         x0 in -0.3f64..0.3,
@@ -391,10 +412,11 @@ proptest! {
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         let mut lanes = LaneScratch::<LANES>::new();
-        let mut lane_vars = Vec::new();
+        let mut lane_vars: Vec<VarSignificances> = Vec::new();
         for block in x0s.chunks(LANES) {
             driver
-                .run_vars_lanes_in(
+                .run_block(
+                    None,
                     &mut arena,
                     &mut lanes,
                     block,
@@ -404,7 +426,7 @@ proptest! {
                 )
                 .unwrap();
         }
-        // Warm-up block (scalar) + trailing partial block (scalar).
+        // Warm-up block + trailing partial block, both item by item.
         prop_assert_eq!(driver.stats().lane_blocks, 0);
         prop_assert_eq!(driver.stats().lane_remainder, (LANES + rest) as u64);
         let mut scalar_driver = ReplayOrRecord::new(Analysis::new());
@@ -419,7 +441,7 @@ proptest! {
     }
 
     /// An input-arity change *inside* a lane block must divert the
-    /// whole block to the scalar path (where the divergent item
+    /// whole block to per-item runs (where the divergent item
     /// re-records) — and still produce fresh-recording bits for every
     /// item.
     #[test]
@@ -446,10 +468,18 @@ proptest! {
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         let mut lanes = LaneScratch::<LANES>::new();
-        let mut lane_vars = Vec::new();
+        let mut lane_vars: Vec<VarSignificances> = Vec::new();
         for block in items.chunks(LANES) {
             driver
-                .run_vars_lanes_in(&mut arena, &mut lanes, block, &inputs_of, &register, &mut lane_vars)
+                .run_block(
+                    None,
+                    &mut arena,
+                    &mut lanes,
+                    block,
+                    &inputs_of,
+                    &register,
+                    &mut lane_vars,
+                )
                 .unwrap();
         }
         prop_assert_eq!(driver.stats().lane_blocks, 0);
@@ -475,18 +505,18 @@ fn shape_divergence_falls_back_to_rerecording() {
     let mut arena = AnalysisArena::new();
     let inputs = [Interval::centered(0.3, 0.5)];
 
-    let a = driver
-        .run_keyed_in(4, &mut arena, &inputs, maclaurin_closure(4))
+    let a: Report = driver
+        .run(Some(4), &mut arena, &inputs, maclaurin_closure(4))
         .unwrap();
-    let b = driver
-        .run_keyed_in(4, &mut arena, &inputs, maclaurin_closure(4))
+    let b: Report = driver
+        .run(Some(4), &mut arena, &inputs, maclaurin_closure(4))
         .unwrap();
     assert_eq!(a.tape_len(), b.tape_len());
     assert_eq!(driver.stats().replays, 1);
 
     // New shape key: the compiled 4-term trace must not be replayed.
-    let c = driver
-        .run_keyed_in(7, &mut arena, &inputs, maclaurin_closure(7))
+    let c: Report = driver
+        .run(Some(7), &mut arena, &inputs, maclaurin_closure(7))
         .unwrap();
     assert!(c.tape_len() > b.tape_len(), "7-term trace must be larger");
     let recorded = maclaurin::analysis(0.3, 7).unwrap();

@@ -13,14 +13,16 @@ use std::thread;
 use scorpio::analysis::{Analysis, AnalysisArena, ReplayOrRecord};
 use scorpio::kernels::dct;
 use scorpio::obs::json::{self, Value};
-use scorpio::serve::kernels::KernelRequest;
+use scorpio::serve::kernels::{KernelRequest, MAX_ITEMS};
 use scorpio::serve::protocol::vars_to_record;
 use scorpio::serve::server::MAX_LINE_BYTES;
 use scorpio::serve::{Client, Server, ServerConfig, ServerSummary};
 
 /// One analyze line per kernel, covering every structural-parameter
-/// field the protocol knows.
-const REQUEST_LINES: [&str; 5] = [
+/// field the protocol knows, plus a 13-option full-detail batch: after
+/// its first block of 4 (a warm-up when the cache is cold) it fills two
+/// more full lane blocks and leaves a one-item remainder.
+const REQUEST_LINES: [&str; 6] = [
     r#"{"kernel":"fisheye","width":48,"height":32,"detail":"full","items":[{"u":3.5,"v":7.25},{"u":40.0,"v":21.5},{"u":11.0,"v":30.0}]}"#,
     r#"{"kernel":"blackscholes","detail":"full","items":[{"spot":100.0,"strike":95.0,"rate":0.03,"volatility":0.25,"time":1.0},{"spot":87.5,"strike":110.0,"rate":0.01,"volatility":0.4,"time":0.5}]}"#,
     r#"{"kernel":"maclaurin","n":9,"detail":"full","items":[0.12,0.31,-0.27,0.44,0.05]}"#,
@@ -28,6 +30,7 @@ const REQUEST_LINES: [&str; 5] = [
     // DCT stays at vars detail: its node-level significance graph
     // (12k nodes) takes minutes to compute, far too slow for tier-1.
     // The shared fields are still compared bit-for-bit below.
+    r#"{"kernel":"blackscholes","detail":"full","items":[{"spot":80.0,"strike":100.0,"rate":0.01,"volatility":0.15,"time":0.25},{"spot":83.5,"strike":97.5,"rate":0.0125,"volatility":0.175,"time":0.5},{"spot":87.0,"strike":105.0,"rate":0.015,"volatility":0.2,"time":0.75},{"spot":90.5,"strike":92.5,"rate":0.0175,"volatility":0.225,"time":1.0},{"spot":94.0,"strike":110.0,"rate":0.01,"volatility":0.25,"time":0.25},{"spot":97.5,"strike":100.0,"rate":0.0125,"volatility":0.275,"time":0.5},{"spot":101.0,"strike":102.5,"rate":0.015,"volatility":0.15,"time":0.75},{"spot":104.5,"strike":95.0,"rate":0.0175,"volatility":0.175,"time":1.0},{"spot":108.0,"strike":107.5,"rate":0.01,"volatility":0.2,"time":0.25},{"spot":111.5,"strike":90.0,"rate":0.0125,"volatility":0.225,"time":0.5},{"spot":115.0,"strike":100.0,"rate":0.015,"volatility":0.25,"time":0.75},{"spot":118.5,"strike":97.5,"rate":0.0175,"volatility":0.275,"time":1.0},{"spot":122.0,"strike":105.0,"rate":0.01,"volatility":0.15,"time":0.25}]}"#,
     r#"{"kernel":"dct","radius":2.0,"detail":"vars","items":[[10,20,30,40,50,60,70,80,15,25,35,45,55,65,75,85,12,22,32,42,52,62,72,82,17,27,37,47,57,67,77,87,11,21,31,41,51,61,71,81,16,26,36,46,56,66,76,86,13,23,33,43,53,63,73,83,18,28,38,48,58,68,78,88]]}"#,
 ];
 
@@ -108,6 +111,14 @@ fn served_reports_are_bit_identical_to_direct_library_calls() {
         let tasks = reply.get("tasks").and_then(Value::as_arr).expect("tasks");
         assert_eq!(tasks.len(), direct.len(), "one task row per item");
     }
+    // The 13-option batch is served in full detail by lane blocks.
+    let stats = client.stats().expect("stats");
+    let lane_blocks = stats
+        .get("replay")
+        .and_then(|r| r.get("lane_blocks"))
+        .and_then(Value::as_f64)
+        .expect("replay.lane_blocks");
+    assert!(lane_blocks >= 2.0, "full detail must replay lane blocks: {lane_blocks}");
     client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
 }
@@ -199,6 +210,10 @@ fn malformed_and_unknown_requests_get_error_replies_without_killing_the_server()
     // 200,000 nested `[`: the parser must refuse it by depth instead of
     // recursing until the daemon's stack overflows.
     let deep = "[".repeat(200_000);
+    let too_many = format!(
+        r#"{{"kernel":"maclaurin","n":4,"items":[{}]}}"#,
+        vec!["0.2"; MAX_ITEMS + 1].join(",")
+    );
     let probes = [
         ("{not json at all", "expected"),
         (deep.as_str(), "nesting"),
@@ -206,11 +221,13 @@ fn malformed_and_unknown_requests_get_error_replies_without_killing_the_server()
         (r#"{"kernel":"maclaurin","n":4,"items":[]}"#, "empty"),
         (r#"{"kernel":"maclaurin","n":4,"ratio":1.5,"items":[0.2]}"#, "ratio"),
         (r#"{"kernel":"dct","items":[[1,2,3]]}"#, "64"),
+        (too_many.as_str(), "4096"),
     ];
-    for (line, _needle) in probes {
+    for (line, needle) in probes {
         let reply = client.request(line).expect("error reply still arrives");
         assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{line}");
-        assert!(reply.get("error").and_then(Value::as_str).is_some(), "{line}");
+        let error = reply.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(error.contains(needle), "{needle}: {error}");
     }
 
     // The same connection and a fresh one must still be served.
