@@ -10,7 +10,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 use crate::interval::Interval;
 use crate::real;
-use crate::rounding::{pad_hi, pad_lo, round_hi, round_lo};
+use crate::rounding::{pad_hi, pad_lo, round_hi_unless_exact, round_lo};
 
 /// Decides conservatively whether some point `offset + k·period` (k ∈ ℤ)
 /// lies in `[lo, hi]`. "Conservative" means: may answer `true` when the
@@ -60,7 +60,11 @@ impl Interval {
         }
         let lo = self.mig();
         let hi = self.mag();
-        Interval::make(round_lo(lo * lo).max(0.0), round_hi(hi * hi))
+        // `mag == 0` is the only exact zero square; `1e-200²` underflows.
+        Interval::make(
+            round_lo(lo * lo).max(0.0),
+            round_hi_unless_exact(hi * hi, || hi == 0.0),
+        )
     }
 
     /// Square root; the domain is intersected with `[0, ∞)`.
@@ -82,7 +86,8 @@ impl Interval {
         } else {
             round_lo(self.inf().sqrt()).max(0.0)
         };
-        Interval::make(lo, round_hi(self.sup().sqrt()))
+        // `sqrt` of a nonzero double is never zero, so a zero is exact.
+        Interval::make(lo, round_hi_unless_exact(self.sup().sqrt(), || true))
     }
 
     /// Reciprocal `1/x`; the same zero-divisor rules as division apply.
@@ -470,6 +475,19 @@ mod tests {
         let partial = iv(-1.0, 4.0).sqrt();
         assert_eq!(partial.inf(), 0.0);
         assert!(partial.contains(2.0));
+    }
+
+    #[test]
+    fn sqr_sqrt_of_zero_are_exact() {
+        assert_eq!(Interval::ZERO.sqrt(), Interval::ZERO);
+        assert_eq!(Interval::ZERO.sqr(), Interval::ZERO);
+        assert_eq!(iv(-1.0, 0.0).sqrt(), Interval::ZERO);
+    }
+
+    #[test]
+    fn underflowed_sqr_still_widens() {
+        assert!(iv(1e-200, 1e-200).sqr().sup() > 0.0);
+        assert!(iv(-1e-200, 0.0).sqr().sup() > 0.0);
     }
 
     #[test]

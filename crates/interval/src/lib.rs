@@ -12,7 +12,9 @@
 //! of the operands is always contained in the returned interval. Directed
 //! (outward) rounding is implemented in software by nudging computed bounds
 //! with [`next_down`]/[`next_up`], so the enclosure property holds despite
-//! the hardware rounding mode being round-to-nearest.
+//! the hardware rounding mode being round-to-nearest. A bound that is
+//! provably exactly zero is not nudged, so exact zeros never turn into
+//! subnormals (see [`rounding`]).
 //!
 //! # Quick start
 //!

@@ -14,6 +14,31 @@
 //! rounded; for those the interval kernels in this crate pad by
 //! [`ULP_PAD_TRANSCENDENTAL`] steps, which covers the ≤ 1–2 ULP error bound
 //! of every libm implementation in practical use.
+//!
+//! # Exact zero stays zero
+//!
+//! The one-ULP step is only needed when the round-to-nearest result may
+//! differ from the exact one. A bound that is **provably exactly zero**
+//! is left as `0.0` (`round_lo_unless_exact`, `round_hi_unless_exact`):
+//! stepping it would turn an exact zero into the subnormal `∓4.9e-324`,
+//! which then spreads through every later product and sum and makes each
+//! interval operation that touches it several times slower. A zero is
+//! provably exact when
+//!
+//! - it is a sum or difference: Rust runs with gradual underflow (FTZ/DAZ
+//!   are never enabled), and the exact sum of two doubles is a multiple of
+//!   the smallest subnormal, so `x ± y` rounds to zero only when it *is*
+//!   zero;
+//! - it is a product and every corner product that rounded to zero has an
+//!   exactly zero factor (the `0 · ∞ = 0` convention counts as one); a
+//!   zero from two nonzero factors is an underflow and still widens;
+//! - it is a quotient and every zero corner quotient has a zero dividend;
+//!   `1e-200 / 1e200` or `1 / ∞` still widen;
+//! - it is `sqrt(0)`, or the upper bound of `sqr` over `[0, 0]`.
+//!
+//! The kernels state the condition; the check runs only on the rare branch
+//! where a bound is `== 0.0`. Every other bound keeps its widening, and
+//! transcendental padding is unchanged.
 
 /// Number of ULP steps by which transcendental function results are padded
 /// outward to absorb libm rounding error.
@@ -103,6 +128,30 @@ pub(crate) fn round_hi(x: f64) -> f64 {
         x
     } else {
         next_up(x)
+    }
+}
+
+/// [`round_lo`], except that a zero which `exact_zero` proves exact stays
+/// `0.0` (see the module docs). `exact_zero` is called only when
+/// `x == 0.0`.
+#[inline]
+pub(crate) fn round_lo_unless_exact(x: f64, exact_zero: impl FnOnce() -> bool) -> f64 {
+    if x == 0.0 && exact_zero() {
+        0.0
+    } else {
+        round_lo(x)
+    }
+}
+
+/// [`round_hi`], except that a zero which `exact_zero` proves exact stays
+/// `0.0` (see the module docs). `exact_zero` is called only when
+/// `x == 0.0`.
+#[inline]
+pub(crate) fn round_hi_unless_exact(x: f64, exact_zero: impl FnOnce() -> bool) -> f64 {
+    if x == 0.0 && exact_zero() {
+        0.0
+    } else {
+        round_hi(x)
     }
 }
 
