@@ -15,12 +15,15 @@
 //! [`CompiledTape::replay_lanes`] then re-evaluates the whole trace for
 //! a block of fresh input values in a single tight forward loop — zero
 //! `RefCell` borrows, zero node pushes, zero allocation in the steady
-//! state — recomputing node values *and* local partials with exactly
-//! the formulas the [`crate::Var`] overloads use, so a replayed sweep is
-//! bit-identical to a fresh recording of the same trace; a single item
-//! is a block of width 1. [`CompiledTape::adjoints_into_lanes`] runs the
-//! reverse sweep over the replayed buffers, mirroring
-//! [`Tape::adjoints_in`] (see the [`lanes`](crate::lanes) module).
+//! state — recomputing node values and the local partials of the
+//! nonlinear ops with exactly the formulas the [`crate::Var`] overloads
+//! use (the linear ops' partials are `±1` or an operand value, which the
+//! reverse sweep reads directly), so a replayed sweep is bit-identical to
+//! a fresh recording of the same trace; a single item is a block of
+//! width 1. [`CompiledTape::adjoints_into_lanes`] runs the reverse sweep
+//! over the replayed buffers, mirroring [`Tape::adjoints_in`], for the
+//! adjoints an [`AdjointDemand`](crate::AdjointDemand) asks for (see the
+//! [`lanes`](crate::lanes) module).
 //!
 //! Replay is only sound while the trace shape is actually fixed:
 //! recording is value-dependent (a branch can send different inputs
@@ -43,7 +46,7 @@ use crate::value::Scalar;
 /// # Example
 ///
 /// ```
-/// use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, Tape};
+/// use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, Tape};
 ///
 /// // Record y = x·sin(x) once…
 /// let tape = Tape::<f64>::new();
@@ -57,7 +60,7 @@ use crate::value::Scalar;
 /// let mut buf = LaneReplayBuffers::<f64, 1>::new();
 /// compiled.replay_lanes(&[[0.7]], &mut buf).unwrap();
 /// assert_eq!(buf.value(y_id, 0), 0.7 * 0.7f64.sin());
-/// compiled.adjoints_into_lanes(&[(y_id, 1.0)], &mut buf);
+/// compiled.adjoints_into_lanes(&[(y_id, 1.0)], AdjointDemand::All, &mut buf);
 /// let want = 0.7f64.sin() + 0.7 * 0.7f64.cos();
 /// assert!((buf.adjoint(x.id(), 0) - want).abs() < 1e-15);
 /// ```
@@ -84,7 +87,10 @@ pub struct CompiledTape<V> {
 /// [`CompiledTape::replay_lanes`] applies it to every lane, so each
 /// lane executes the same scalar operations in the same order as a
 /// fresh recording of its item — which is what makes replay
-/// bit-identical per lane at every width.
+/// bit-identical per lane at every width. For `Add`/`Sub`/`Neg`/`Mul`
+/// replay keeps only the value: the lane reverse sweep rebuilds these
+/// arms' partials (`±1`, the other operand) itself, so the two must
+/// agree.
 ///
 /// `Op::Input` / `Op::Const` never reach this function — they bind
 /// per-item inputs / compile-time constants and are handled by the
@@ -304,7 +310,7 @@ impl std::error::Error for ShapeMismatch {}
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::lanes::LaneReplayBuffers;
+    use crate::lanes::{AdjointDemand, LaneReplayBuffers};
     use scorpio_interval::Interval;
 
     /// Records a trace exercising every operator class.
@@ -344,8 +350,13 @@ pub(crate) mod tests {
     }
 
     /// Lane-replays `items` (lane `l` binds `items[l]`) through the
-    /// trace `record` produces, then checks every node value and
-    /// adjoint of every lane against a fresh recording of that item.
+    /// trace `record` produces, then checks every lane against a fresh
+    /// recording of its item: every node value, and every adjoint of
+    /// the full sweep ([`AdjointDemand::All`]). A second sweep over the
+    /// same replay lists only the output and the trace's first constant
+    /// ([`AdjointDemand::Listed`]): every non-`Const` node and the
+    /// listed constant must still match, and every other constant's
+    /// slot must hold zero (no seed reaches it).
     pub(crate) fn assert_lanes_match_recording<V: Scalar, const LANES: usize>(
         items: [[V; 2]; LANES],
         record: impl Fn(&Tape<V>, V, V) -> NodeId,
@@ -354,11 +365,21 @@ pub(crate) mod tests {
         let tape = Tape::<V>::new();
         let out = record(&tape, items[0][0], items[0][1]);
         let compiled = CompiledTape::compile(&tape);
+        let first_const = (0..compiled.len())
+            .find(|&j| compiled.op(j) == Op::Const)
+            .map(NodeId::from_index)
+            .expect("the trace records a constant");
         let staging: [[V; LANES]; 2] =
             std::array::from_fn(|s| std::array::from_fn(|l| items[l][s]));
-        let mut buf = LaneReplayBuffers::<V, LANES>::new();
-        compiled.replay_lanes(&staging, &mut buf).unwrap();
-        compiled.adjoints_into_lanes(&[(out, V::one())], &mut buf);
+        let mut full = LaneReplayBuffers::<V, LANES>::new();
+        compiled.replay_lanes(&staging, &mut full).unwrap();
+        let mut listed = full.clone();
+        compiled.adjoints_into_lanes(&[(out, V::one())], AdjointDemand::All, &mut full);
+        compiled.adjoints_into_lanes(
+            &[(out, V::one())],
+            AdjointDemand::Listed(&[out, first_const]),
+            &mut listed,
+        );
 
         for (l, &[x0, y0]) in items.iter().enumerate() {
             let fresh = Tape::<V>::new();
@@ -369,9 +390,18 @@ pub(crate) mod tests {
                 for (j, node) in nodes.iter().enumerate() {
                     let id = NodeId::from_index(j);
                     let op = node.op();
-                    let (value, adjoint) = (buf.value(id, l), buf.adjoint(id, l));
+                    let (value, adjoint) = (full.value(id, l), full.adjoint(id, l));
                     assert!(same(value, node.value()), "value: node {j} lane {l} ({op:?})");
                     assert!(same(adjoint, adj.get(id)), "adjoint: node {j} lane {l} ({op:?})");
+                    let want = if op != Op::Const || id == first_const {
+                        adj.get(id)
+                    } else {
+                        V::zero()
+                    };
+                    assert!(
+                        same(listed.adjoint(id, l), want),
+                        "listed adjoint: node {j} lane {l} ({op:?})"
+                    );
                 }
             });
         }

@@ -12,13 +12,33 @@
 //! `LANES` items with a fixed-width inner loop the compiler can
 //! autovectorize. A single item is the width-1 instance.
 //!
-//! Memory layout per node `j`:
+//! Memory layout:
 //!
 //! ```text
-//! values[j] = [ item0, item1, …, item{LANES-1} ]   // one cache block
-//! pa[j]     = [ ∂φ/∂a per item … ]
-//! pb[j]     = [ ∂φ/∂b per item … ]
+//! values[j]   = [ item0, item1, …, item{LANES-1} ]   // every node j
+//! adj[j]      = [ ∇_{u_j} y per item … ]             // every node j
+//! partials[k] = [ ∂φ/∂operand per item … ]           // nonlinear ops only
 //! ```
+//!
+//! # Partials only where they are not free
+//!
+//! `Input`/`Const` have no operands, and the local partials of the
+//! linear ops are literals or operand values: `±1` for `Add`/`Sub`/`Neg`
+//! and the *other* operand's value for `Mul`. The forward loop stores
+//! only those of the remaining (nonlinear) ops, one block per operand,
+//! in execution order; the reverse sweep multiplies by literal `±1`
+//! blocks or reads the operand's `values` block for the linear ops and
+//! walks the `partials` table backwards for the rest. It still computes
+//! `partial · adj` with the same operands, so no rounding changes.
+//!
+//! # Adjoints on demand
+//!
+//! A `Const` node has no predecessors, so accumulating into its adjoint
+//! feeds no other node. Most callers read only a few adjoints (a report
+//! of the registered variables, a Monte-Carlo sample), so the sweep
+//! takes an [`AdjointDemand`]: with [`AdjointDemand::Listed`] it skips
+//! the `partial · adj` products into every constant not listed — on a
+//! DCT trace a third of all nodes. Every other adjoint is unaffected.
 //!
 //! # Bit-identity
 //!
@@ -37,7 +57,7 @@
 //! # Example
 //!
 //! ```
-//! use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, Tape};
+//! use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, Tape};
 //!
 //! // Record y = x·sin(x) once…
 //! let tape = Tape::<f64>::new();
@@ -49,7 +69,7 @@
 //! let mut buf = LaneReplayBuffers::<f64, 4>::new();
 //! let xs = [0.1, 0.2, 0.3, 0.4];
 //! compiled.replay_lanes(&[xs], &mut buf).unwrap();
-//! compiled.adjoints_into_lanes(&[(y.id(), 1.0)], &mut buf);
+//! compiled.adjoints_into_lanes(&[(y.id(), 1.0)], AdjointDemand::All, &mut buf);
 //! for (l, &x0) in xs.iter().enumerate() {
 //!     assert_eq!(buf.value(y.id(), l), x0 * x0.sin());
 //!     let want = x0.sin() + x0 * x0.cos();
@@ -63,17 +83,19 @@ use crate::value::Scalar;
 
 /// Reusable lane-blocked value/partial/adjoint buffers for
 /// [`CompiledTape::replay_lanes`] — the replay-mode analogue of the
-/// tape arena plus adjoint scratch vector. One `[V; LANES]` block per
-/// node; one set per worker; sized on first replay, zero allocation
-/// afterwards.
+/// tape arena plus adjoint scratch vector. One `[V; LANES]` value and
+/// adjoint block per node, partial blocks for nonlinear ops only; one
+/// set per worker; sized on first replay, zero allocation afterwards.
 #[derive(Debug, Clone)]
 pub struct LaneReplayBuffers<V, const LANES: usize> {
     values: Vec<[V; LANES]>,
-    /// Local partial with respect to the first operand, per node/lane.
-    pa: Vec<[V; LANES]>,
-    /// Local partial with respect to the second operand, per node/lane.
-    pb: Vec<[V; LANES]>,
+    /// Local partials of the nonlinear ops (see [`stores_partials`]),
+    /// one block per operand, in execution order.
+    partials: Vec<[V; LANES]>,
     adj: Vec<[V; LANES]>,
+    /// Per node: does the reverse sweep accumulate into its adjoint?
+    /// Rebuilt by every sweep from its [`AdjointDemand`].
+    accumulate: Vec<bool>,
 }
 
 impl<V: Scalar, const LANES: usize> LaneReplayBuffers<V, LANES> {
@@ -81,18 +103,10 @@ impl<V: Scalar, const LANES: usize> LaneReplayBuffers<V, LANES> {
     pub fn new() -> LaneReplayBuffers<V, LANES> {
         LaneReplayBuffers {
             values: Vec::new(),
-            pa: Vec::new(),
-            pb: Vec::new(),
+            partials: Vec::new(),
             adj: Vec::new(),
+            accumulate: Vec::new(),
         }
-    }
-
-    fn resize(&mut self, n: usize) {
-        // resize() both shrinks and grows; the fill value is only used
-        // for growth and every slot is overwritten by the forward loop.
-        self.values.resize(n, [V::zero(); LANES]);
-        self.pa.resize(n, [V::zero(); LANES]);
-        self.pb.resize(n, [V::zero(); LANES]);
     }
 
     /// The replayed value `[u_j]` of node `id` in lane `lane`.
@@ -108,22 +122,15 @@ impl<V: Scalar, const LANES: usize> LaneReplayBuffers<V, LANES> {
     /// The adjoint `∇_{u_j} y` of node `id` in lane `lane` from the
     /// last [`CompiledTape::adjoints_into_lanes`] sweep.
     ///
+    /// A `Const` node the sweep's [`AdjointDemand`] did not ask for is
+    /// not accumulated into: its slot holds only the seeds the sweep was
+    /// given for it, so zero unless the constant was itself seeded.
+    ///
     /// # Panics
     ///
     /// Panics if `id` or `lane` is out of range or no sweep has run.
     pub fn adjoint(&self, id: NodeId, lane: usize) -> V {
         self.adj[id.index()][lane]
-    }
-
-    /// All replayed lane blocks in execution order.
-    pub fn values(&self) -> &[[V; LANES]] {
-        &self.values
-    }
-
-    /// All adjoint lane blocks in execution order (empty before the
-    /// first sweep).
-    pub fn adjoints(&self) -> &[[V; LANES]] {
-        &self.adj
     }
 }
 
@@ -133,10 +140,36 @@ impl<V: Scalar, const LANES: usize> Default for LaneReplayBuffers<V, LANES> {
     }
 }
 
+/// The adjoints a [`CompiledTape::adjoints_into_lanes`] sweep must
+/// produce. Every non-`Const` node's adjoint is always exact (other
+/// adjoints flow through it); the demand decides only which constants'
+/// adjoints are accumulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdjointDemand<'a> {
+    /// Every node, constants included — what a node-level report reads.
+    All,
+    /// The non-`Const` nodes plus these (typically the registered
+    /// variables); any other constant's slot keeps only its seeds.
+    Listed(&'a [NodeId]),
+}
+
+/// `true` for the ops whose local partials the forward loop stores: all
+/// but `Input`/`Const` (no operands) and the linear `Add`/`Sub`/`Neg`/
+/// `Mul`, whose partials the reverse sweep rebuilds as `±1` literals or
+/// operand values — the same values `eval_op` returns for them.
+#[inline(always)]
+fn stores_partials(op: Op) -> bool {
+    !matches!(
+        op,
+        Op::Input | Op::Const | Op::Add | Op::Sub | Op::Neg | Op::Mul
+    )
+}
+
 /// Evaluates one compute op over a whole lane block. `op` is passed by
 /// the caller's per-variant dispatch so that after inlining the
 /// `eval_op` match folds to a single arm, leaving a straight-line
-/// fixed-width loop the compiler autovectorizes.
+/// fixed-width loop the compiler autovectorizes; a caller that drops the
+/// partials lets the compiler drop their computation too.
 #[inline(always)]
 fn eval_op_lanes<V: Scalar, const LANES: usize>(
     op: Op,
@@ -182,21 +215,18 @@ impl<V: Scalar> CompiledTape<V> {
             });
         }
         let n = self.ops.len();
-        buf.resize(n);
+        // resize() both shrinks and grows; the fill value is only used
+        // for growth and every slot is overwritten below.
+        buf.values.resize(n, [V::zero(); LANES]);
+        buf.partials.clear();
         let mut next_input = 0usize;
         for j in 0..n {
             match self.ops[j] {
                 Op::Input => {
                     buf.values[j] = inputs[next_input];
                     next_input += 1;
-                    buf.pa[j] = [V::zero(); LANES];
-                    buf.pb[j] = [V::zero(); LANES];
                 }
-                Op::Const => {
-                    buf.values[j] = [self.recorded[j]; LANES];
-                    buf.pa[j] = [V::zero(); LANES];
-                    buf.pb[j] = [V::zero(); LANES];
-                }
+                Op::Const => buf.values[j] = [self.recorded[j]; LANES],
                 op => {
                     // Predecessor slots are always earlier in the
                     // sequence; copying the operand blocks out keeps the
@@ -212,19 +242,26 @@ impl<V: Scalar> CompiledTape<V> {
                     // The arithmetic workhorses get literal-op calls so
                     // each inlined `eval_op` match folds to one arm and
                     // the lane loop vectorizes; rarer ops share the
-                    // generic arm (same code, one extra branch).
-                    let (v, pa, pb) = match op {
-                        Op::Add => eval_op_lanes(Op::Add, &a, &b),
-                        Op::Sub => eval_op_lanes(Op::Sub, &a, &b),
-                        Op::Mul => eval_op_lanes(Op::Mul, &a, &b),
-                        Op::Div => eval_op_lanes(Op::Div, &a, &b),
-                        Op::Neg => eval_op_lanes(Op::Neg, &a, &b),
-                        Op::Sqr => eval_op_lanes(Op::Sqr, &a, &b),
-                        other => eval_op_lanes(other, &a, &b),
+                    // generic arm (same code, one extra branch). The
+                    // linear ops keep only the value.
+                    buf.values[j] = match op {
+                        Op::Add => eval_op_lanes(Op::Add, &a, &b).0,
+                        Op::Sub => eval_op_lanes(Op::Sub, &a, &b).0,
+                        Op::Mul => eval_op_lanes(Op::Mul, &a, &b).0,
+                        Op::Neg => eval_op_lanes(Op::Neg, &a, &b).0,
+                        _ => {
+                            let (v, pa, pb) = match op {
+                                Op::Div => eval_op_lanes(Op::Div, &a, &b),
+                                Op::Sqr => eval_op_lanes(Op::Sqr, &a, &b),
+                                other => eval_op_lanes(other, &a, &b),
+                            };
+                            buf.partials.push(pa);
+                            if op.arity() == 2 {
+                                buf.partials.push(pb);
+                            }
+                            v
+                        }
                     };
-                    buf.values[j] = v;
-                    buf.pa[j] = pa;
-                    buf.pb[j] = pb;
                 }
             }
         }
@@ -234,15 +271,19 @@ impl<V: Scalar> CompiledTape<V> {
     /// Reverse (adjoint) sweep over the replayed lane blocks: every
     /// seed is broadcast across all `LANES` lanes, and each lane's
     /// accumulation is bit-identical to a [`crate::Tape::adjoints_in`]
-    /// sweep over a fresh recording of that item.
+    /// sweep over a fresh recording of that item — for every node
+    /// under [`AdjointDemand::All`], and for every non-`Const` and every
+    /// listed node under [`AdjointDemand::Listed`] (see
+    /// [`LaneReplayBuffers::adjoint`] for the other constants).
     ///
     /// # Panics
     ///
-    /// Panics if a seed id is out of range, or if `buf` has not been
-    /// filled by a [`CompiledTape::replay_lanes`] of this trace.
+    /// Panics if a seed or listed id is out of range, or if `buf` has
+    /// not been filled by a [`CompiledTape::replay_lanes`] of this trace.
     pub fn adjoints_into_lanes<const LANES: usize>(
         &self,
         seeds: &[(NodeId, V)],
+        demand: AdjointDemand<'_>,
         buf: &mut LaneReplayBuffers<V, LANES>,
     ) {
         let n = self.ops.len();
@@ -251,39 +292,73 @@ impl<V: Scalar> CompiledTape<V> {
             n,
             "adjoints_into_lanes: buffers were not replayed for this trace"
         );
-        buf.adj.clear();
-        buf.adj.resize(n, [V::zero(); LANES]);
+        let LaneReplayBuffers {
+            values,
+            partials,
+            adj,
+            accumulate,
+        } = buf;
+        accumulate.clear();
+        match demand {
+            AdjointDemand::All => accumulate.resize(n, true),
+            AdjointDemand::Listed(ids) => {
+                accumulate.extend(self.ops.iter().map(|&op| op != Op::Const));
+                for id in ids {
+                    accumulate[id.index()] = true;
+                }
+            }
+        }
+        adj.clear();
+        adj.resize(n, [V::zero(); LANES]);
         for &(id, seed) in seeds {
-            for lane in &mut buf.adj[id.index()] {
+            for lane in &mut adj[id.index()] {
                 *lane = *lane + seed;
             }
         }
+        let one = [V::one(); LANES];
+        let neg_one = [-V::one(); LANES];
+        // The nonlinear ops' partial blocks, consumed back to front.
+        let mut next_partial = partials.len();
         for j in (0..n).rev() {
-            let a = buf.adj[j];
+            let op = self.ops[j];
+            if stores_partials(op) {
+                next_partial -= op.arity();
+            }
+            let a = adj[j];
             // Whole-node fast path: if every lane's adjoint is zero the
             // recorded sweep would skip this node in every lane.
             if a.iter().all(|x| x.is_zero()) {
                 continue;
             }
-            for k in 0..self.ops[j].arity() {
-                let p = self.preds[j][k];
-                if p != NodeId::INVALID {
-                    let partial = if k == 0 { buf.pa[j] } else { buf.pb[j] };
-                    let slot = &mut buf.adj[p.index()];
-                    for l in 0..LANES {
-                        // Per-lane zero skip, mirroring the recorded
-                        // sweep's `is_zero` guard: skipping is not a
-                        // no-op under IEEE-754 (inf/NaN partials times
-                        // a zero adjoint inject NaNs; `-0.0 + 0.0`
-                        // flips the sign of zero), so a lane only
-                        // accumulates when its recorded twin would.
-                        if !a[l].is_zero() {
-                            slot[l] = slot[l] + partial[l] * a[l];
-                        }
+            // Operand order matches the recorded sweep (first operand
+            // first), which matters when both operands are one node.
+            for k in 0..op.arity() {
+                let pred = self.preds[j][k];
+                if !accumulate[pred.index()] {
+                    continue;
+                }
+                let partial = match op {
+                    Op::Add => &one,
+                    Op::Sub if k == 0 => &one,
+                    Op::Sub | Op::Neg => &neg_one,
+                    Op::Mul => &values[self.preds[j][1 - k].index()],
+                    _ => &partials[next_partial + k],
+                };
+                let slot = &mut adj[pred.index()];
+                for l in 0..LANES {
+                    // Per-lane zero skip, mirroring the recorded sweep's
+                    // `is_zero` guard: skipping is not a no-op under
+                    // IEEE-754 (inf/NaN partials times a zero adjoint
+                    // inject NaNs; `-0.0 + 0.0` flips the sign of zero),
+                    // so a lane only accumulates when its recorded twin
+                    // would.
+                    if !a[l].is_zero() {
+                        slot[l] = slot[l] + partial[l] * a[l];
                     }
                 }
             }
         }
+        debug_assert_eq!(next_partial, 0, "partials table out of step with the op stream");
     }
 }
 
@@ -328,7 +403,7 @@ mod tests {
         // its infinite partial must never be multiplied in.
         let mut lanes = LaneReplayBuffers::<f64, 2>::new();
         compiled.replay_lanes(&[[0.0, 0.5]], &mut lanes).unwrap();
-        compiled.adjoints_into_lanes(&[(z_id, 1.0)], &mut lanes);
+        compiled.adjoints_into_lanes(&[(z_id, 1.0)], AdjointDemand::All, &mut lanes);
         for l in 0..2 {
             assert_eq!(lanes.adjoint(x.id(), l).to_bits(), 1.0f64.to_bits());
             assert!(lanes.adjoint(y_id, l) == 0.0);

@@ -58,7 +58,7 @@ mod value;
 mod var;
 
 pub use compiled::{CompiledTape, ShapeMismatch};
-pub use lanes::LaneReplayBuffers;
+pub use lanes::{AdjointDemand, LaneReplayBuffers};
 pub use dot::{dot_options, DotOptions};
 pub use dual::Dual;
 pub use liveness::LivenessSummary;

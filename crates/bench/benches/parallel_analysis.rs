@@ -3,14 +3,19 @@
 //! ablation (one warm arena vs a fresh tape per analysis), the
 //! compiled-replay ablation (record-once / replay-many vs re-recording)
 //! at a single worker, the lane-replay ablation (1/2/4/8 replay lanes
-//! per compiled-trace walk), and the scorpio-obs overhead check (the
-//! same analysis batch with tracing disabled vs enabled — disabled must
-//! be within noise of the pre-instrumentation baseline).
+//! per compiled-trace walk), the DCT lane-sweep layer (forward replay and
+//! reverse sweep of one 4-block lane block, timed apart), and the
+//! scorpio-obs overhead check (the same analysis batch with tracing
+//! disabled vs enabled — disabled must be within noise of the
+//! pre-instrumentation baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Tape};
 use scorpio_core::{Analysis, AnalysisArena, ParallelAnalysis, ReplayOrRecord};
+use scorpio_interval::Interval;
+use scorpio_kernels::dct::{self, BLOCK, QUANT};
 use scorpio_kernels::fisheye::{
     analysis_inverse_mapping, analysis_inverse_mapping_grid, analysis_inverse_mapping_grid_lanes,
     analysis_inverse_mapping_in, analysis_inverse_mapping_replay_in, Lens,
@@ -124,6 +129,92 @@ fn bench_lane_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// Records the op sequence of `dct::register_block` (forward DCT,
+/// quant/dequant surrogate, inverse DCT, min/max clip; 25,154 nodes)
+/// straight onto an interval tape, returning the registered nodes
+/// (pixels, coefficients, outputs) and the output seeds.
+fn record_dct_block(tape: &Tape<Interval>, radius: f64) -> (Vec<NodeId>, Vec<(NodeId, Interval)>) {
+    let basis = |u: usize, x: usize| {
+        let alpha = if u == 0 { (1.0f64 / 8.0).sqrt() } else { (2.0f64 / 8.0).sqrt() };
+        alpha * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos()
+    };
+    let pixels: Vec<_> = dct::block_inputs(&dct::natural_test_block(), radius)
+        .into_iter()
+        .map(|p| tape.var(p))
+        .collect();
+    let mut registered: Vec<NodeId> = pixels.iter().map(|p| p.id()).collect();
+    let mut coeffs = Vec::with_capacity(BLOCK * BLOCK);
+    for (v, quant_row) in QUANT.iter().enumerate() {
+        for (u, &q) in quant_row.iter().enumerate() {
+            let mut acc = tape.constant(Interval::point(0.0));
+            for y in 0..BLOCK {
+                for x in 0..BLOCK {
+                    acc = acc + pixels[y * BLOCK + x] * (basis(v, y) * basis(u, x));
+                }
+            }
+            let c = (acc / q) * q;
+            registered.push(c.id());
+            coeffs.push(c);
+        }
+    }
+    let lo = tape.constant(Interval::point(0.0));
+    let hi = tape.constant(Interval::point(255.0));
+    let mut seeds = Vec::with_capacity(BLOCK * BLOCK);
+    for y in 0..BLOCK {
+        for x in 0..BLOCK {
+            let mut acc = tape.constant(Interval::point(0.0));
+            for v in 0..BLOCK {
+                for u in 0..BLOCK {
+                    acc = acc + coeffs[v * BLOCK + u] * (basis(v, y) * basis(u, x));
+                }
+            }
+            let px = acc.min(hi).max(lo);
+            registered.push(px.id());
+            seeds.push((px.id(), Interval::ONE));
+        }
+    }
+    (registered, seeds)
+}
+
+/// The sweep layer alone: one 4-block DCT lane block at pixel radius 1,
+/// forward replay and reverse sweep timed apart; the reverse sweep for
+/// the registered nodes only (a rows-only report, the serve default)
+/// and for every node (a full report).
+fn bench_dct_lane_sweep(c: &mut Criterion) {
+    let tape = Tape::<Interval>::new();
+    let (registered, seeds) = record_dct_block(&tape, 1.0);
+    let compiled = CompiledTape::compile(&tape);
+    let mut blocks = [dct::natural_test_block(); 4];
+    for (i, block) in blocks.iter_mut().enumerate() {
+        for p in block.iter_mut().flatten() {
+            *p = (*p + 13.0 * i as f64).min(255.0);
+        }
+    }
+    let per_block: Vec<Vec<Interval>> = blocks.iter().map(|b| dct::block_inputs(b, 1.0)).collect();
+    let staging: Vec<[Interval; 4]> = (0..compiled.input_count())
+        .map(|s| std::array::from_fn(|l| per_block[l][s]))
+        .collect();
+    let mut buf = LaneReplayBuffers::<Interval, 4>::new();
+    let mut group = c.benchmark_group("dct_lane_sweep");
+    // Median of many single-sweep samples: one sweep is ~2 ms.
+    group.sample_size(200);
+    group.bench_function("forward", |b| {
+        b.iter(|| compiled.replay_lanes(black_box(&staging), &mut buf).unwrap())
+    });
+    for (name, demand) in [
+        ("reverse_registered", AdjointDemand::Listed(&registered)),
+        ("reverse_full", AdjointDemand::All),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                compiled.adjoints_into_lanes(black_box(&seeds), demand, &mut buf);
+                buf.adjoint(registered[0], 0)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Observability overhead: the identical 64-analysis batch with the
 /// `scorpio-obs` layer off (the default — every instrumentation site
 /// is a single relaxed atomic load) and on (spans + counters recorded
@@ -206,6 +297,7 @@ criterion_group!(
     bench_tape_reuse,
     bench_compiled_replay,
     bench_lane_replay,
+    bench_dct_lane_sweep,
     bench_obs_overhead
 );
 criterion_main!(benches);

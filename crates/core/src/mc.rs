@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, Tape, Var};
+use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Tape, Var};
 
 use crate::error::AnalysisError;
 use crate::report::VarKind;
@@ -496,7 +496,9 @@ impl<const LANES: usize> SampleLanes<LANES> {
             .filter(|(_, _, k)| *k == VarKind::Output)
             .map(|(_, id, _)| (*id, 1.0))
             .collect();
-        compiled.adjoints_into_lanes(&seeds, &mut self.buf);
+        // Only the registered nodes' adjoints are read below.
+        let registered: Vec<NodeId> = trace.entries.iter().map(|(_, id, _)| *id).collect();
+        compiled.adjoints_into_lanes(&seeds, AdjointDemand::Listed(&registered), &mut self.buf);
         let buf = &self.buf;
         (0..LANES)
             .map(|l| {

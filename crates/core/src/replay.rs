@@ -638,25 +638,71 @@ mod tests {
         assert_eq!(driver.stats().fallbacks, 0);
     }
 
+    /// Registered constants that feed later ops: `k` as an
+    /// intermediate, `z` as an output (seeded with 1 *and* accumulated
+    /// into by `y`). A sweep that never accumulates into constants
+    /// reports `k`'s derivative as 0 and `z`'s as the bare seed.
+    fn registered_consts(ctx: &Ctx<'_>) -> Result<(), AnalysisError> {
+        let x = ctx.input("x", -1.0, 1.0);
+        let k = ctx.constant(1.5);
+        ctx.intermediate(&k, "k");
+        let z = ctx.constant(-0.25);
+        ctx.output(&z, "z");
+        let t = x.sqr() * k;
+        ctx.intermediate(&t, "t");
+        let y = t + x.sin() * z + k;
+        ctx.output(&y, "y");
+        Ok(())
+    }
+
+    fn assert_rows_bit_equal(vars: &VarSignificances, full: &Report) {
+        assert_eq!(
+            vars.output_significance_raw().to_bits(),
+            full.output_significance_raw().to_bits()
+        );
+        assert_eq!(vars.registered().len(), full.registered().len());
+        for (a, b) in vars.registered().iter().zip(full.registered()) {
+            assert_eq!((&a.name, a.kind, a.node), (&b.name, b.kind, b.node));
+            for (x, y) in [(a.enclosure, b.enclosure), (a.derivative, b.derivative)] {
+                assert_eq!(x.inf().to_bits(), y.inf().to_bits(), "{}: {x} vs {y}", a.name);
+                assert_eq!(x.sup().to_bits(), y.sup().to_bits(), "{}: {x} vs {y}", a.name);
+            }
+            assert_eq!(a.significance_raw.to_bits(), b.significance_raw.to_bits());
+            assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+        }
+    }
+
+    /// Rows-only replay (width 1 and a 4-lane block) must match a full
+    /// recorded report's rows bit for bit, registered constants included.
     #[test]
     fn vars_rows_match_full_report_rows() {
-        let mut driver = ReplayOrRecord::new(Analysis::new());
-        let mut arena = AnalysisArena::new();
-        for r in [0.1, 0.4] {
-            let inputs = [Interval::centered(0.3, r)];
-            let vars = driver.run_vars_in(&mut arena, &inputs, poly).unwrap();
-            let (full, _) = Analysis::new()
-                .run_with_overrides(poly, inputs.to_vec())
-                .unwrap();
-            assert_eq!(vars.registered().len(), full.registered().len());
-            assert_eq!(
-                vars.output_significance_raw().to_bits(),
-                full.output_significance_raw().to_bits()
-            );
-            for (a, b) in vars.registered().iter().zip(full.registered()) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+        type Closure = fn(&Ctx<'_>) -> Result<(), AnalysisError>;
+        let radii = [0.1, 0.4, 0.25, 0.05];
+        let full_rows = |f: Closure, r: f64| {
+            let inputs = vec![Interval::centered(0.3, r)];
+            Analysis::new().run_with_overrides(f, inputs).unwrap().0
+        };
+        for f in [poly as Closure, registered_consts] {
+            let mut driver = ReplayOrRecord::new(Analysis::new());
+            let mut arena = AnalysisArena::new();
+            // The first item records, the rest replay at width 1.
+            for r in radii {
+                let inputs = [Interval::centered(0.3, r)];
+                let vars = driver.run_vars_in(&mut arena, &inputs, f).unwrap();
+                assert_rows_bit_equal(&vars, &full_rows(f, r));
             }
+            let mut lanes = LaneScratch::<4>::new();
+            let mut out: Vec<VarSignificances> = Vec::new();
+            let inputs_of = |&r: &f64| vec![Interval::centered(0.3, r)];
+            let item = |ctx: &Ctx<'_>, _: &f64| f(ctx);
+            driver
+                .run_block(None, &mut arena, &mut lanes, &radii, &inputs_of, &item, &mut out)
+                .unwrap();
+            for (vars, r) in out.iter().zip(radii) {
+                assert_rows_bit_equal(vars, &full_rows(f, r));
+            }
+            assert_eq!(driver.stats().records, 1);
+            assert_eq!(driver.stats().lane_blocks, 1);
         }
     }
 

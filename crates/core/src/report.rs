@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use scorpio_adjoint::{CompiledTape, LaneReplayBuffers, NodeId, Op, Tape};
+use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Op, Tape};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
@@ -237,6 +237,10 @@ mod sealed {
     /// The constructor half of [`OutputDetail`](super::OutputDetail),
     /// unreachable from outside the crate so the trait stays closed.
     pub trait Sealed: Sized {
+        /// `true` when the result reads every node's adjoint (the
+        /// node-level graph), `false` when only the registered rows'.
+        const READS_EVERY_NODE: bool;
+
         /// Wraps finished rows; `graph` builds the node-level graph and
         /// the empty-enclosure list, and is only called by [`Report`](super::Report).
         fn assemble(
@@ -260,6 +264,8 @@ impl OutputDetail for Report {}
 impl OutputDetail for VarSignificances {}
 
 impl sealed::Sealed for Report {
+    const READS_EVERY_NODE: bool = true;
+
     fn assemble(
         registered: Vec<RegisteredVar>,
         output_significance_raw: f64,
@@ -280,6 +286,8 @@ impl sealed::Sealed for Report {
 }
 
 impl sealed::Sealed for VarSignificances {
+    const READS_EVERY_NODE: bool = false;
+
     fn assemble(
         vars: Vec<RegisteredVar>,
         output_significance_raw: f64,
@@ -426,7 +434,9 @@ pub(crate) fn build_recorded<D: OutputDetail>(
 /// shared assembly per lane, in lane (= item) order. Values and partials
 /// are recomputed with the recording formulas and the sweep mirrors
 /// [`Tape::adjoints_in`], so each lane is bit-identical to
-/// [`build_recorded`] over a fresh recording of its item.
+/// [`build_recorded`] over a fresh recording of its item. A rows-only
+/// `D` asks the sweep for the registered nodes' adjoints alone, which
+/// skips the accumulation into every unregistered constant.
 pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
     compiled: &CompiledTape<Interval>,
     regs: &Registrations,
@@ -436,7 +446,13 @@ pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
     let seeds = output_seeds(regs)?;
     {
         let _span = scorpio_obs::span_detail("reverse");
-        compiled.adjoints_into_lanes(&seeds, buf);
+        let registered: Vec<NodeId> = regs.entries.iter().map(|e| e.node).collect();
+        let demand = if D::READS_EVERY_NODE {
+            AdjointDemand::All
+        } else {
+            AdjointDemand::Listed(&registered)
+        };
+        compiled.adjoints_into_lanes(&seeds, demand, buf);
     }
     let _span = scorpio_obs::span_detail("significance");
     let node_of = |i: usize| (compiled.op(i), compiled.preds_of(i).map(|p| p.index()).collect());

@@ -130,15 +130,19 @@ impl Client {
     }
 
     /// Reads bytes until the next newline, buffering any overshoot for
-    /// the following call.
+    /// the following call. Each byte is searched for the newline once,
+    /// so a multi-megabyte reply costs linear time.
     fn read_line(&mut self) -> io::Result<String> {
         let mut chunk = [0u8; 4096];
+        let mut scanned = 0;
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.pending.drain(..=pos).collect();
-                return String::from_utf8(line[..pos].to_vec())
+            if let Some(pos) = self.pending[scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.pending.drain(..=scanned + pos).collect();
+                line.pop();
+                return String::from_utf8(line)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
             }
+            scanned = self.pending.len();
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(

@@ -10,11 +10,9 @@
 
 use std::thread;
 
-use scorpio::analysis::{Analysis, AnalysisArena, ReplayOrRecord};
-use scorpio::kernels::dct;
+use scorpio::analysis::Analysis;
 use scorpio::obs::json::{self, Value};
 use scorpio::serve::kernels::{KernelRequest, MAX_ITEMS};
-use scorpio::serve::protocol::vars_to_record;
 use scorpio::serve::server::MAX_LINE_BYTES;
 use scorpio::serve::{Client, Server, ServerConfig, ServerSummary};
 
@@ -27,11 +25,12 @@ const REQUEST_LINES: [&str; 6] = [
     r#"{"kernel":"blackscholes","detail":"full","items":[{"spot":100.0,"strike":95.0,"rate":0.03,"volatility":0.25,"time":1.0},{"spot":87.5,"strike":110.0,"rate":0.01,"volatility":0.4,"time":0.5}]}"#,
     r#"{"kernel":"maclaurin","n":9,"detail":"full","items":[0.12,0.31,-0.27,0.44,0.05]}"#,
     r#"{"kernel":"nbody","detail":"full","items":[{"r0":1.1,"radius":0.05},{"r0":1.9,"radius":0.02},{"r0":0.95,"radius":0.08}]}"#,
-    // DCT stays at vars detail: its node-level significance graph
-    // (12k nodes) takes minutes to compute, far too slow for tier-1.
-    // The shared fields are still compared bit-for-bit below.
+    // Eight DCT blocks in full detail: the first block of 4 records and
+    // replays item by item, the second is one lane block over the warm
+    // trace, so every node's derivative (the 8,450 constants' included)
+    // of both paths is compared with direct library calls.
     r#"{"kernel":"blackscholes","detail":"full","items":[{"spot":80.0,"strike":100.0,"rate":0.01,"volatility":0.15,"time":0.25},{"spot":83.5,"strike":97.5,"rate":0.0125,"volatility":0.175,"time":0.5},{"spot":87.0,"strike":105.0,"rate":0.015,"volatility":0.2,"time":0.75},{"spot":90.5,"strike":92.5,"rate":0.0175,"volatility":0.225,"time":1.0},{"spot":94.0,"strike":110.0,"rate":0.01,"volatility":0.25,"time":0.25},{"spot":97.5,"strike":100.0,"rate":0.0125,"volatility":0.275,"time":0.5},{"spot":101.0,"strike":102.5,"rate":0.015,"volatility":0.15,"time":0.75},{"spot":104.5,"strike":95.0,"rate":0.0175,"volatility":0.175,"time":1.0},{"spot":108.0,"strike":107.5,"rate":0.01,"volatility":0.2,"time":0.25},{"spot":111.5,"strike":90.0,"rate":0.0125,"volatility":0.225,"time":0.5},{"spot":115.0,"strike":100.0,"rate":0.015,"volatility":0.25,"time":0.75},{"spot":118.5,"strike":97.5,"rate":0.0175,"volatility":0.275,"time":1.0},{"spot":122.0,"strike":105.0,"rate":0.01,"volatility":0.15,"time":0.25}]}"#,
-    r#"{"kernel":"dct","radius":2.0,"detail":"vars","items":[[10,20,30,40,50,60,70,80,15,25,35,45,55,65,75,85,12,22,32,42,52,62,72,82,17,27,37,47,57,67,77,87,11,21,31,41,51,61,71,81,16,26,36,46,56,66,76,86,13,23,33,43,53,63,73,83,18,28,38,48,58,68,78,88]]}"#,
+    r#"{"kernel":"dct","radius":2.0,"detail":"full","items":[[10,20,30,40,50,60,70,80,15,25,35,45,55,65,75,85,12,22,32,42,52,62,72,82,17,27,37,47,57,67,77,87,11,21,31,41,51,61,71,81,16,26,36,46,56,66,76,86,13,23,33,43,53,63,73,83,18,28,38,48,58,68,78,88],[17,27,37,47,57,67,77,87,22,32,42,52,62,72,82,92,19,29,39,49,59,69,79,89,24,34,44,54,64,74,84,94,18,28,38,48,58,68,78,88,23,33,43,53,63,73,83,93,20,30,40,50,60,70,80,90,25,35,45,55,65,75,85,95],[24,34,44,54,64,74,84,94,29,39,49,59,69,79,89,99,26,36,46,56,66,76,86,96,31,41,51,61,71,81,91,101,25,35,45,55,65,75,85,95,30,40,50,60,70,80,90,100,27,37,47,57,67,77,87,97,32,42,52,62,72,82,92,102],[31,41,51,61,71,81,91,101,36,46,56,66,76,86,96,106,33,43,53,63,73,83,93,103,38,48,58,68,78,88,98,108,32,42,52,62,72,82,92,102,37,47,57,67,77,87,97,107,34,44,54,64,74,84,94,104,39,49,59,69,79,89,99,109],[38,48,58,68,78,88,98,108,43,53,63,73,83,93,103,113,40,50,60,70,80,90,100,110,45,55,65,75,85,95,105,115,39,49,59,69,79,89,99,109,44,54,64,74,84,94,104,114,41,51,61,71,81,91,101,111,46,56,66,76,86,96,106,116],[45,55,65,75,85,95,105,115,50,60,70,80,90,100,110,120,47,57,67,77,87,97,107,117,52,62,72,82,92,102,112,122,46,56,66,76,86,96,106,116,51,61,71,81,91,101,111,121,48,58,68,78,88,98,108,118,53,63,73,83,93,103,113,123],[52,62,72,82,92,102,112,122,57,67,77,87,97,107,117,127,54,64,74,84,94,104,114,124,59,69,79,89,99,109,119,129,53,63,73,83,93,103,113,123,58,68,78,88,98,108,118,128,55,65,75,85,95,105,115,125,60,70,80,90,100,110,120,130],[59,69,79,89,99,109,119,129,64,74,84,94,104,114,124,134,61,71,81,91,101,111,121,131,66,76,86,96,106,116,126,136,60,70,80,90,100,110,120,130,65,75,85,95,105,115,125,135,62,72,82,92,102,112,122,132,67,77,87,97,107,117,127,137]]}"#,
 ];
 
 fn spawn_server(
@@ -64,28 +63,9 @@ fn assert_ok(reply: &Value) {
 
 /// The reports a direct, replay-free library caller would produce for
 /// `line`, parsed back through the same JSON writer the server uses.
-/// DCT gets a vars-detail baseline (fresh driver per item, so every
-/// item takes the pure record path): its full node graph takes minutes
-/// to build, which is exactly why the serve request elides it too.
 fn direct_report_values(line: &str) -> Vec<Value> {
-    let request = KernelRequest::from_value(&json::parse(line).unwrap()).unwrap();
-    if let KernelRequest::Dct { radius, items } = &request {
-        return items
-            .iter()
-            .map(|b| {
-                let mut driver = ReplayOrRecord::new(Analysis::new());
-                let mut arena = AnalysisArena::new();
-                let vars = driver
-                    .run_vars_in(&mut arena, &dct::block_inputs(b, *radius), |ctx| {
-                        dct::register_block(ctx, b, *radius)
-                    })
-                    .expect("direct dct analysis");
-                assert_eq!(driver.stats().records, 1, "baseline must not replay");
-                json::parse(&json::to_string(&vars_to_record(&vars))).unwrap()
-            })
-            .collect();
-    }
-    request
+    KernelRequest::from_value(&json::parse(line).unwrap())
+        .unwrap()
         .direct_reports()
         .expect("direct analysis")
         .iter()
@@ -97,9 +77,23 @@ fn direct_report_values(line: &str) -> Vec<Value> {
 fn served_reports_are_bit_identical_to_direct_library_calls() {
     let (addr, server) = spawn_server(2);
     let mut client = Client::connect(&addr).expect("connect");
+    let lane_blocks = |client: &mut Client| {
+        client
+            .stats()
+            .expect("stats")
+            .get("replay")
+            .and_then(|r| r.get("lane_blocks"))
+            .and_then(Value::as_f64)
+            .expect("replay.lane_blocks")
+    };
     for line in REQUEST_LINES {
+        let blocks_before = lane_blocks(&mut client);
         let reply = client.request(line).expect("request");
         assert_ok(&reply);
+        if line.contains(r#""kernel":"dct""#) {
+            let replayed = lane_blocks(&mut client) - blocks_before;
+            assert!(replayed >= 1.0, "the DCT batch must replay a lane block");
+        }
         let served = reply.get("reports").and_then(Value::as_arr).expect("reports");
         let direct = direct_report_values(line);
         assert_eq!(served.len(), direct.len());
@@ -111,14 +105,10 @@ fn served_reports_are_bit_identical_to_direct_library_calls() {
         let tasks = reply.get("tasks").and_then(Value::as_arr).expect("tasks");
         assert_eq!(tasks.len(), direct.len(), "one task row per item");
     }
-    // The 13-option batch is served in full detail by lane blocks.
-    let stats = client.stats().expect("stats");
-    let lane_blocks = stats
-        .get("replay")
-        .and_then(|r| r.get("lane_blocks"))
-        .and_then(Value::as_f64)
-        .expect("replay.lane_blocks");
-    assert!(lane_blocks >= 2.0, "full detail must replay lane blocks: {lane_blocks}");
+    // The 13-option batch and the DCT batch are served in full detail
+    // by lane blocks.
+    let lane_blocks = lane_blocks(&mut client);
+    assert!(lane_blocks >= 3.0, "full detail must replay lane blocks: {lane_blocks}");
     client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
 }
