@@ -33,7 +33,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::thread;
 
-use scorpio_bench::{arg_value, out_dir_arg, ObsContract, ObsMode, ObsReport, OBS_SCHEMA};
+use scorpio_bench::{
+    arg_value, out_dir_arg, request_line, ObsContract, ObsMode, ObsReport, OBS_SCHEMA,
+};
 use scorpio_core::audit::SplitMix64;
 use scorpio_obs::expose::validate_exposition;
 use scorpio_obs::json::Value;
@@ -45,51 +47,12 @@ use scorpio_serve::{Client, Server, ServerConfig, ServerSummary};
 /// clock-read noise.
 const KERNELS: [&str; 3] = ["maclaurin", "dct", "fisheye"];
 const BATCH_DEFAULT: usize = 16;
-const FISHEYE_DIM: usize = 32;
-const MACLAURIN_N: usize = 12;
+/// The accurate-computation ratio of every request.
+const RATIO: f64 = 0.7;
 
 /// The trace id the round-trip probe supplies (hex on the wire).
 const PROBE_TRACE_ID: &str = "c0ffee";
 const PROBE_TRACE_ID_FULL: &str = "0000000000c0ffee";
-
-fn request_line(id: u64, kernel: &str, batch: usize, rng: &mut SplitMix64) -> String {
-    let mut line = format!(r#"{{"id":{id},"kernel":"{kernel}","ratio":0.7"#);
-    match kernel {
-        "fisheye" => {
-            line.push_str(&format!(r#","width":{FISHEYE_DIM},"height":{FISHEYE_DIM}"#));
-        }
-        "maclaurin" => line.push_str(&format!(r#","n":{MACLAURIN_N}"#)),
-        "dct" => line.push_str(r#","radius":1.0"#),
-        _ => unreachable!("unserved kernel"),
-    }
-    line.push_str(r#","items":["#);
-    for i in 0..batch {
-        if i > 0 {
-            line.push(',');
-        }
-        match kernel {
-            "fisheye" => {
-                let u = rng.next_f64() * FISHEYE_DIM as f64;
-                let v = rng.next_f64() * FISHEYE_DIM as f64;
-                line.push_str(&format!(r#"{{"u":{u},"v":{v}}}"#));
-            }
-            "dct" => {
-                line.push('[');
-                for p in 0..64 {
-                    if p > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&format!("{:.3}", rng.next_f64() * 255.0));
-                }
-                line.push(']');
-            }
-            "maclaurin" => line.push_str(&format!("{}", rng.next_f64() * 0.9 - 0.45)),
-            _ => unreachable!("unserved kernel"),
-        }
-    }
-    line.push_str("]}");
-    line
-}
 
 fn is_ok(v: &Value) -> bool {
     matches!(v.get("ok"), Some(Value::Bool(true)))
@@ -148,7 +111,7 @@ fn scrape_sidecar(addr: SocketAddr) -> String {
 /// reassemblable span tree in the exemplar dump. Must run while the
 /// exemplar ring still has room, so retention is unconditional.
 fn check_trace_roundtrip(client: &mut Client, rng: &mut SplitMix64) -> bool {
-    let mut line = request_line(777, "maclaurin", 4, rng);
+    let mut line = request_line(777, "maclaurin", 4, RATIO, rng);
     line.insert_str(line.len() - 1, &format!(r#","trace_id":"{PROBE_TRACE_ID}""#));
     let reply = send_ok(client, &line);
     if reply.get("trace_id").and_then(Value::as_str) != Some(PROBE_TRACE_ID_FULL) {
@@ -244,13 +207,14 @@ fn measure_arm(
     let mut client = Client::connect(addr).expect("connect to server");
     let mut rng = SplitMix64::new(seed);
     for kernel in KERNELS {
-        send_ok(&mut client, &request_line(1, kernel, batch, &mut rng));
-        send_ok(&mut client, &request_line(2, kernel, batch, &mut rng));
+        send_ok(&mut client, &request_line(1, kernel, batch, RATIO, &mut rng));
+        send_ok(&mut client, &request_line(2, kernel, batch, RATIO, &mut rng));
     }
     let mut service_ns = Vec::with_capacity(requests);
     for i in 0..requests {
         let kernel = KERNELS[i % KERNELS.len()];
-        let reply = send_ok(&mut client, &request_line(100 + i as u64, kernel, batch, &mut rng));
+        let line = request_line(100 + i as u64, kernel, batch, RATIO, &mut rng);
+        let reply = send_ok(&mut client, &line);
         assert!(
             matches!(reply.get("cached"), Some(Value::Bool(true))),
             "{kernel}: warm request missed the cache"
@@ -283,7 +247,7 @@ fn run_contract(
     // Load every kernel so the windows and per-kernel metrics are warm.
     for kernel in KERNELS {
         for id in 0..4 {
-            send_ok(&mut client, &request_line(10 + id, kernel, batch, &mut rng));
+            send_ok(&mut client, &request_line(10 + id, kernel, batch, RATIO, &mut rng));
         }
     }
 

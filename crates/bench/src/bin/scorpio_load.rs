@@ -1,257 +1,58 @@
-//! Mixed-kernel load generator and cold/warm-cache ablation for
-//! `scorpio_serve`, writing `BENCH_serve.json`.
+//! Smoke probe for `scorpio_serve`: the end-to-end check the verify
+//! workflow runs against the daemon.
 //!
 //! ```text
-//! scorpio_load [--addr HOST:PORT]          # default: spawn an in-process server
-//!              [--connections N] [--requests N] [--batch N] [--seed N]
-//!              [--ratios R1,R2,...] [--cold-reps N] [--warm-reps N]
-//!              [--mode closed|open] [--rps N]
-//!              [--workers N] [--cache-capacity N] [--out-dir DIR]
-//!              [--smoke]
+//! scorpio_load [--addr HOST:PORT]   # default: spawn an in-process server
+//!              [--out-dir DIR]      # the in-process server's run manifest
 //! ```
 //!
-//! Three phases, all driven by a deterministic SplitMix64 stream:
-//!
-//! 1. **Cold ablation** — per kernel, `--cold-reps` single-item
-//!    requests each preceded by `cache_clear`, so every one pays the
-//!    full record-compile cost.
-//! 2. **Warm ablation** — per kernel, `--warm-reps` single-item
-//!    requests against the populated cache (every reply must say
-//!    `cached: true`); the cold/warm ratio is the record-vs-replay
-//!    speedup as seen over the wire.
-//! 3. **Steady state** — `--connections` client threads send
-//!    `--requests` mixed-kernel batch requests (closed loop, or open
-//!    loop paced at `--rps`); the cache-counter delta gives the
-//!    steady-state hit rate.
-//!
-//! `--smoke` instead sends one request per kernel plus a malformed
-//! line and an unknown kernel (both must produce error replies without
-//! killing the server), then checks the live-observability surface —
-//! the `metrics` verb must render valid Prometheus exposition, every
-//! kernel's sliding window must have seen the traffic, and a
-//! client-supplied trace id must round-trip into the exemplar dump as
-//! a span tree — and exits non-zero on any failure. This is what the
-//! repo's verify workflow runs.
+//! Sends one two-item request per kernel plus a malformed line and an
+//! unknown kernel (both must produce error replies without killing the
+//! server), then checks the live-observability surface — the `metrics`
+//! verb must render valid Prometheus exposition, every kernel's sliding
+//! window must have seen the traffic, and a client-supplied trace id
+//! must round-trip into the exemplar dump as a span tree — and exits
+//! non-zero on any failure. Serving cost (cold and warm service time,
+//! cache hit ratio, wire latency quantiles) is measured by perfbench,
+//! not here.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::thread;
-use std::time::{Duration, Instant};
 
-use scorpio_bench::{arg_value, flag_present, out_dir_arg};
+use scorpio_bench::{arg_value, out_dir_arg, request_line};
 use scorpio_core::audit::SplitMix64;
-use scorpio_obs::json::{self, Value};
+use scorpio_obs::json::Value;
 use scorpio_serve::kernels::KERNEL_NAMES;
 use scorpio_serve::{Client, Server, ServerConfig, ServerSummary};
-use serde::Serialize;
 
-/// Fixed structural parameters: one shape per kernel keeps the
-/// ablation honest (the cache holds exactly five traces).
-const FISHEYE_DIM: usize = 64;
-const MACLAURIN_N: usize = 12;
-const DCT_RADIUS: f64 = 1.0;
-
-#[derive(Serialize)]
-struct LatencySummary {
-    reps: usize,
-    mean_us: f64,
-    p50_us: f64,
-    p90_us: f64,
-    p99_us: f64,
-}
-
-/// Cold/warm ablation for one kernel. *Wire* latency is what the
-/// client observes (includes loopback + thread-handoff overhead, which
-/// the cache cannot help); *service* time is the server-side
-/// `server_ns` for the same requests — record+compile vs replay, the
-/// work the cache actually removes. The headline speedup is the
-/// service-time p50 ratio.
-#[derive(Serialize)]
-struct KernelAblation {
-    kernel: &'static str,
-    cold_wire: LatencySummary,
-    warm_wire: LatencySummary,
-    cold_service: LatencySummary,
-    warm_service: LatencySummary,
-    warm_vs_cold_speedup: f64,
-    warm_vs_cold_wire_speedup: f64,
-}
-
-#[derive(Serialize)]
-struct SteadyKernel {
-    kernel: &'static str,
-    requests: u64,
-    cached_fraction: f64,
-}
-
-#[derive(Serialize)]
-struct SteadySummary {
-    requests: usize,
-    batch: usize,
-    connections: usize,
-    mode: String,
-    seconds: f64,
-    requests_per_sec: f64,
-    items_per_sec: f64,
-    latency: LatencySummary,
-    service: LatencySummary,
-    cache_hit_rate: f64,
-    per_kernel: Vec<SteadyKernel>,
-}
-
-#[derive(Serialize)]
-struct ServerSection {
-    workers: u64,
-    requests: u64,
-    errors: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_insertions: u64,
-    cache_evictions: u64,
-    cache_len: u64,
-    cache_capacity: u64,
-    replays: u64,
-    records: u64,
-    fallbacks: u64,
-    lane_blocks: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    schema: &'static str,
-    seed: u64,
-    ratios: Vec<f64>,
-    batch: usize,
-    connections: usize,
-    cold_reps: usize,
-    warm_reps: usize,
-    in_process_server: bool,
-    server_workers: usize,
-    available_parallelism: usize,
-    kernels: Vec<KernelAblation>,
-    steady: SteadySummary,
-    server: ServerSection,
-}
-
-/// Builds one deterministic analyze-request line for kernel
-/// `KERNEL_NAMES[kernel]` with `batch` items.
-fn request_line(id: u64, kernel: usize, batch: usize, ratio: f64, rng: &mut SplitMix64) -> String {
-    let mut line = format!(
-        r#"{{"id":{id},"kernel":"{}","ratio":{ratio}"#,
-        KERNEL_NAMES[kernel]
-    );
-    match KERNEL_NAMES[kernel] {
-        "fisheye" => {
-            line.push_str(&format!(r#","width":{FISHEYE_DIM},"height":{FISHEYE_DIM}"#));
-        }
-        "maclaurin" => line.push_str(&format!(r#","n":{MACLAURIN_N}"#)),
-        "dct" => line.push_str(&format!(r#","radius":{DCT_RADIUS}"#)),
-        _ => {}
-    }
-    line.push_str(r#","items":["#);
-    for i in 0..batch {
-        if i > 0 {
-            line.push(',');
-        }
-        match KERNEL_NAMES[kernel] {
-            "fisheye" => {
-                let u = rng.next_f64() * FISHEYE_DIM as f64;
-                let v = rng.next_f64() * FISHEYE_DIM as f64;
-                line.push_str(&format!(r#"{{"u":{u},"v":{v}}}"#));
-            }
-            "blackscholes" => {
-                let spot = 80.0 + 40.0 * rng.next_f64();
-                let strike = 80.0 + 40.0 * rng.next_f64();
-                let rate = 0.01 + 0.04 * rng.next_f64();
-                let vol = 0.1 + 0.4 * rng.next_f64();
-                let time = 0.25 + 1.75 * rng.next_f64();
-                line.push_str(&format!(
-                    r#"{{"spot":{spot},"strike":{strike},"rate":{rate},"volatility":{vol},"time":{time}}}"#
-                ));
-            }
-            "dct" => {
-                line.push('[');
-                for p in 0..64 {
-                    if p > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&format!("{:.3}", rng.next_f64() * 255.0));
-                }
-                line.push(']');
-            }
-            "maclaurin" => line.push_str(&format!("{}", rng.next_f64() * 0.9 - 0.45)),
-            "nbody" => {
-                let r0 = 0.9 + 1.1 * rng.next_f64();
-                let radius = 0.01 + 0.09 * rng.next_f64();
-                line.push_str(&format!(r#"{{"r0":{r0},"radius":{radius}}}"#));
-            }
-            _ => unreachable!("unserved kernel"),
-        }
-    }
-    line.push_str("]}");
-    line
-}
+/// Seed of the request stream.
+const SEED: u64 = 42;
+/// Accurate-computation ratio of every request.
+const RATIO: f64 = 1.0;
+/// Worker threads of the in-process server.
+const WORKERS: usize = 2;
+/// Trace-cache capacity of the in-process server.
+const CACHE_CAPACITY: usize = 64;
 
 fn is_ok(v: &Value) -> bool {
     matches!(v.get("ok"), Some(Value::Bool(true)))
 }
 
-fn is_cached(v: &Value) -> bool {
-    matches!(v.get("cached"), Some(Value::Bool(true)))
-}
-
-/// Nearest-rank percentile over an unsorted latency sample.
-fn summarize(samples_us: &[f64]) -> LatencySummary {
-    assert!(!samples_us.is_empty(), "latency sample must be non-empty");
-    let mut sorted = samples_us.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pick = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    LatencySummary {
-        reps: sorted.len(),
-        mean_us: sorted.iter().sum::<f64>() / sorted.len() as f64,
-        p50_us: pick(0.50),
-        p90_us: pick(0.90),
-        p99_us: pick(0.99),
-    }
-}
-
-/// Reads `section.key` (or a top-level `key`) out of a stats response.
-fn stat_u64(v: &Value, section: Option<&str>, key: &str) -> u64 {
-    let obj = match section {
-        Some(s) => v.get(s).unwrap_or(&Value::Null),
-        None => v,
-    };
-    obj.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64
-}
-
-/// One timed request, returning the reply, the client-observed wire
-/// latency and the server-reported service time, both in µs. Panics
-/// (failing the bench loudly) on transport errors or error replies —
-/// load results against a half-dead server would be meaningless.
-fn timed_request(client: &mut Client, line: &str) -> (Value, f64, f64) {
-    let start = Instant::now();
-    let reply = client.request(line).expect("serve request failed");
-    let wire_us = start.elapsed().as_secs_f64() * 1e6;
-    assert!(
-        is_ok(&reply),
-        "server returned an error reply: {}",
-        reply.get("error").and_then(Value::as_str).unwrap_or("?")
-    );
-    let service_us = reply.get("server_ns").and_then(Value::as_f64).unwrap_or(0.0) / 1e3;
-    (reply, wire_us, service_us)
+/// Reads the top-level counter `key` out of a stats response.
+fn stat_u64(v: &Value, key: &str) -> u64 {
+    v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64
 }
 
 /// Spawns an in-process server on an ephemeral port, returning its
 /// address and the `run()` thread.
 fn spawn_server(
-    workers: usize,
-    cache_capacity: usize,
     out_dir: std::path::PathBuf,
 ) -> (SocketAddr, thread::JoinHandle<std::io::Result<ServerSummary>>) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers,
-        cache_capacity,
+        workers: WORKERS,
+        cache_capacity: CACHE_CAPACITY,
         manifest: Some("serve".to_string()),
         out_dir,
         ..ServerConfig::default()
@@ -263,11 +64,11 @@ fn spawn_server(
 
 /// One request per kernel, malformed-line and unknown-kernel error
 /// probes, then a stats check — the verify-workflow smoke.
-fn run_smoke(addr: &str, ratio: f64, seed: u64) -> Result<(), String> {
+fn run_smoke(addr: &str) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(SEED);
     for (k, kernel) in KERNEL_NAMES.iter().enumerate() {
-        let line = request_line(1 + k as u64, k, 2, ratio, &mut rng);
+        let line = request_line(1 + k as u64, kernel, 2, RATIO, &mut rng);
         let reply = client.request(&line).map_err(|e| format!("{kernel}: {e}"))?;
         if !is_ok(&reply) {
             return Err(format!(
@@ -298,12 +99,12 @@ fn run_smoke(addr: &str, ratio: f64, seed: u64) -> Result<(), String> {
         return Err(format!("unknown kernel was not rejected: {msg:?}"));
     }
     let stats = client.stats().map_err(|e| format!("stats after errors: {e}"))?;
-    if !is_ok(&stats) || stat_u64(&stats, None, "errors") < 2 {
+    if !is_ok(&stats) || stat_u64(&stats, "errors") < 2 {
         return Err("stats did not record the two error probes".to_string());
     }
     println!(
         "smoke errors: ok (malformed + unknown kernel rejected, server still serving, {} requests total)",
-        stat_u64(&stats, None, "requests")
+        stat_u64(&stats, "requests")
     );
 
     // Live-observability surface, on the same connection.
@@ -337,7 +138,7 @@ fn run_smoke(addr: &str, ratio: f64, seed: u64) -> Result<(), String> {
     }
     println!("smoke windows: ok (all {} kernels report 1m traffic)", KERNEL_NAMES.len());
 
-    let mut traced = request_line(99, 0, 1, ratio, &mut rng);
+    let mut traced = request_line(99, KERNEL_NAMES[0], 1, RATIO, &mut rng);
     traced.insert_str(traced.len() - 1, r#","trace_id":"beef""#);
     let reply = client.request(&traced).map_err(|e| format!("traced probe: {e}"))?;
     if reply.get("trace_id").and_then(Value::as_str) != Some("000000000000beef") {
@@ -362,247 +163,34 @@ fn run_smoke(addr: &str, ratio: f64, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    let usize_arg = |flag: &str, default: usize| {
-        arg_value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} must be a non-negative integer"))
-        })
-    };
-    let out_dir = out_dir_arg();
-    let seed = usize_arg("--seed", 42) as u64;
-    let batch = usize_arg("--batch", 6).max(1);
-    let connections = usize_arg("--connections", 2).max(1);
-    let requests = usize_arg("--requests", 200).max(connections);
-    let cold_reps = usize_arg("--cold-reps", 3).max(1);
-    let warm_reps = usize_arg("--warm-reps", cold_reps.max(10));
-    let workers = usize_arg("--workers", 2).max(1);
-    let cache_capacity = usize_arg("--cache-capacity", 64).max(1);
-    let mode = arg_value("--mode").unwrap_or_else(|| "closed".to_string());
-    assert!(mode == "closed" || mode == "open", "--mode must be closed or open");
-    let rps: f64 = arg_value("--rps").map_or(100.0, |v| v.parse().expect("--rps must be a number"));
-    assert!(rps > 0.0, "--rps must be positive");
-    let ratios: Vec<f64> = arg_value("--ratios")
-        .unwrap_or_else(|| "1.0,0.7,0.4".to_string())
-        .split(',')
-        .map(|r| {
-            let r: f64 = r.trim().parse().expect("--ratios must be comma-separated numbers");
-            assert!((0.0..=1.0).contains(&r), "ratios must be in [0, 1]");
-            r
-        })
-        .collect();
-    assert!(!ratios.is_empty(), "--ratios must name at least one ratio");
-
     // Point at a running server, or host one in this process.
     let (addr, server_handle) = match arg_value("--addr") {
         Some(addr) => (addr, None),
         None => {
-            let (addr, handle) = spawn_server(workers, cache_capacity, out_dir.clone());
-            println!("spawned in-process server on {addr} ({workers} workers)");
+            let (addr, handle) = spawn_server(out_dir_arg());
+            println!("spawned in-process server on {addr} ({WORKERS} workers)");
             (addr.to_string(), Some(handle))
         }
     };
-    let in_process = server_handle.is_some();
-    let shutdown_server = |handle: Option<thread::JoinHandle<std::io::Result<ServerSummary>>>| {
-        if let Some(handle) = handle {
-            let mut client = Client::connect(&addr).expect("connect for shutdown");
-            client.shutdown().expect("shutdown request");
-            let summary = handle.join().expect("server thread").expect("server run");
-            println!(
-                "server closed: {} requests, {} cache hits / {} misses",
-                summary.requests, summary.cache.hits, summary.cache.misses
-            );
-        }
-    };
-
-    if flag_present("--smoke") {
-        let result = run_smoke(&addr, ratios[0], seed);
-        shutdown_server(server_handle);
-        return match result {
-            Ok(()) => {
-                println!("smoke: all checks passed");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smoke FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // ── Phase 1+2: cold vs warm ablation, one kernel at a time ──────
-    // Single-item requests so each cold sample pays exactly one
-    // record+compile and each warm sample is exactly one replay.
-    let mut client = Client::connect(&addr).expect("connect to server");
-    let mut rng = SplitMix64::new(seed);
-    let mut kernels = Vec::with_capacity(KERNEL_NAMES.len());
-    for (k, kernel) in KERNEL_NAMES.iter().enumerate() {
-        let mut cold_wire = Vec::with_capacity(cold_reps);
-        let mut cold_service = Vec::with_capacity(cold_reps);
-        for rep in 0..cold_reps {
-            client.cache_clear().expect("cache_clear");
-            let line = request_line(1000 + rep as u64, k, 1, ratios[0], &mut rng);
-            let (reply, wire, service) = timed_request(&mut client, &line);
-            assert!(!is_cached(&reply), "{kernel}: cold request hit the cache");
-            cold_wire.push(wire);
-            cold_service.push(service);
-        }
-        // One untimed fill so every timed warm sample replays.
-        timed_request(&mut client, &request_line(1999, k, 1, ratios[0], &mut rng));
-        let mut warm_wire = Vec::with_capacity(warm_reps);
-        let mut warm_service = Vec::with_capacity(warm_reps);
-        for rep in 0..warm_reps {
-            let line = request_line(2000 + rep as u64, k, 1, ratios[0], &mut rng);
-            let (reply, wire, service) = timed_request(&mut client, &line);
-            assert!(is_cached(&reply), "{kernel}: warm request missed the cache");
-            warm_wire.push(wire);
-            warm_service.push(service);
-        }
-        let cold_wire = summarize(&cold_wire);
-        let warm_wire = summarize(&warm_wire);
-        let cold_service = summarize(&cold_service);
-        let warm_service = summarize(&warm_service);
-        let speedup = cold_service.p50_us / warm_service.p50_us;
-        let wire_speedup = cold_wire.p50_us / warm_wire.p50_us;
+    let result = run_smoke(&addr);
+    if let Some(handle) = server_handle {
+        let mut client = Client::connect(&addr).expect("connect for shutdown");
+        client.shutdown().expect("shutdown request");
+        let summary = handle.join().expect("server thread").expect("server run");
         println!(
-            "{kernel:>13}: service cold p50 {:>8.1} µs, warm p50 {:>7.1} µs ({speedup:.2}x); \
-             wire cold p50 {:>8.1} µs, warm p50 {:>7.1} µs ({wire_speedup:.2}x)",
-            cold_service.p50_us, warm_service.p50_us, cold_wire.p50_us, warm_wire.p50_us
+            "server closed: {} requests, {} cache hits / {} misses",
+            summary.requests, summary.cache.hits, summary.cache.misses
         );
-        kernels.push(KernelAblation {
-            kernel,
-            cold_wire,
-            warm_wire,
-            cold_service,
-            warm_service,
-            warm_vs_cold_speedup: speedup,
-            warm_vs_cold_wire_speedup: wire_speedup,
-        });
     }
-
-    // ── Phase 3: steady-state mixed traffic ─────────────────────────
-    // Prime every kernel's trace (the last ablation pass cleared the
-    // earlier kernels' entries), then measure from a counter snapshot.
-    for k in 0..KERNEL_NAMES.len() {
-        timed_request(&mut client, &request_line(2999, k, 1, ratios[0], &mut rng));
+    match result {
+        Ok(()) => {
+            println!("smoke: all checks passed");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("smoke FAILED: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let before = client.stats().expect("stats before steady phase");
-    let pace = (mode == "open").then(|| Duration::from_secs_f64(connections as f64 / rps));
-    let steady_start = Instant::now();
-    let samples: Vec<(usize, f64, f64, bool)> = thread::scope(|s| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let addr = &addr;
-                let ratios = &ratios;
-                // Spread the request remainder over the first threads.
-                let quota = requests / connections + usize::from(c < requests % connections);
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect steady client");
-                    let mut rng = SplitMix64::new(seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let start = Instant::now();
-                    let mut samples = Vec::with_capacity(quota);
-                    for i in 0..quota {
-                        if let Some(pace) = pace {
-                            let due = pace * i as u32;
-                            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                                thread::sleep(wait);
-                            }
-                        }
-                        let kernel = rng.below(KERNEL_NAMES.len());
-                        let ratio = ratios[rng.below(ratios.len())];
-                        let line = request_line(10_000 + i as u64, kernel, batch, ratio, &mut rng);
-                        let (reply, wire, service) = timed_request(&mut client, &line);
-                        samples.push((kernel, wire, service, is_cached(&reply)));
-                    }
-                    samples
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("steady client thread"))
-            .collect()
-    });
-    let steady_seconds = steady_start.elapsed().as_secs_f64();
-    let after = client.stats().expect("stats after steady phase");
-
-    let hits = stat_u64(&after, Some("cache"), "hits") - stat_u64(&before, Some("cache"), "hits");
-    let misses =
-        stat_u64(&after, Some("cache"), "misses") - stat_u64(&before, Some("cache"), "misses");
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let per_kernel: Vec<SteadyKernel> = KERNEL_NAMES
-        .iter()
-        .enumerate()
-        .map(|(k, kernel)| {
-            let total = samples.iter().filter(|(sk, ..)| *sk == k).count() as u64;
-            let cached = samples.iter().filter(|(sk, .., c)| *sk == k && *c).count() as u64;
-            SteadyKernel {
-                kernel,
-                requests: total,
-                cached_fraction: cached as f64 / total.max(1) as f64,
-            }
-        })
-        .collect();
-    let latencies: Vec<f64> = samples.iter().map(|&(_, wire, _, _)| wire).collect();
-    let services: Vec<f64> = samples.iter().map(|&(_, _, service, _)| service).collect();
-    let steady = SteadySummary {
-        requests: samples.len(),
-        batch,
-        connections,
-        mode: mode.clone(),
-        seconds: steady_seconds,
-        requests_per_sec: samples.len() as f64 / steady_seconds,
-        items_per_sec: (samples.len() * batch) as f64 / steady_seconds,
-        latency: summarize(&latencies),
-        service: summarize(&services),
-        cache_hit_rate: hit_rate,
-        per_kernel,
-    };
-    println!(
-        "steady state ({mode} loop): {} requests × {batch} items in {steady_seconds:.2} s \
-         ({:.0} req/s, p50 {:.1} µs, cache hit rate {:.1}%)",
-        steady.requests,
-        steady.requests_per_sec,
-        steady.latency.p50_us,
-        hit_rate * 100.0
-    );
-
-    let server = ServerSection {
-        workers: stat_u64(&after, None, "workers"),
-        requests: stat_u64(&after, None, "requests"),
-        errors: stat_u64(&after, None, "errors"),
-        cache_hits: stat_u64(&after, Some("cache"), "hits"),
-        cache_misses: stat_u64(&after, Some("cache"), "misses"),
-        cache_insertions: stat_u64(&after, Some("cache"), "insertions"),
-        cache_evictions: stat_u64(&after, Some("cache"), "evictions"),
-        cache_len: stat_u64(&after, Some("cache"), "len"),
-        cache_capacity: stat_u64(&after, Some("cache"), "capacity"),
-        replays: stat_u64(&after, Some("replay"), "replays"),
-        records: stat_u64(&after, Some("replay"), "records"),
-        fallbacks: stat_u64(&after, Some("replay"), "fallbacks"),
-        lane_blocks: stat_u64(&after, Some("replay"), "lane_blocks"),
-    };
-    let report = BenchReport {
-        schema: "scorpio-serve-bench-v1",
-        seed,
-        ratios,
-        batch,
-        connections,
-        cold_reps,
-        warm_reps,
-        in_process_server: in_process,
-        server_workers: workers,
-        available_parallelism: thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        kernels,
-        steady,
-        server,
-    };
-    std::fs::create_dir_all(&out_dir).expect("create --out-dir");
-    let path = out_dir.join("BENCH_serve.json");
-    std::fs::write(&path, json::to_string(&report) + "\n").expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
-
-    shutdown_server(server_handle);
-    ExitCode::SUCCESS
 }

@@ -15,8 +15,8 @@
 //! events, cache counters) into `--out-dir` and prints a lifetime
 //! summary.
 //!
-//! Drive it with `scorpio_load` (mixed-kernel load + `BENCH_serve.json`
-//! ablation) or any line client:
+//! Probe it with `scorpio_load --addr <addr>` (the end-to-end smoke),
+//! load it with perfbench, or drive it from any line client:
 //!
 //! ```text
 //! {"id":1,"kernel":"maclaurin","n":12,"ratio":0.5,"items":[0.3,0.4]}

@@ -15,6 +15,7 @@
 //! the contract bits (round-trip, significance-dominates-random,
 //! adaptive target met).
 
+use scorpio_core::audit::SplitMix64;
 use scorpio_core::ParallelAnalysis;
 use scorpio_kernels::jpeg;
 use scorpio_quality::{psnr_images, ssim, GrayImage};
@@ -23,8 +24,6 @@ use scorpio_runtime::controller::QualityTarget;
 use scorpio_obs::gate::{self, Better, Metric};
 use scorpio_runtime::{EnergyModel, Executor};
 use serde::Serialize;
-
-use crate::stats::SplitMix64;
 
 /// Schema tag of `BENCH_jpeg.json`.
 pub const JPEG_SCHEMA: &str = "scorpio-jpeg-v1";
@@ -229,10 +228,7 @@ pub(crate) fn fixture(ok: bool, psnr_delta: f64) -> JpegReport {
 pub fn random_significance(n_blocks: usize, seed: u64) -> Vec<f64> {
     let mut rng = SplitMix64::new(seed);
     (0..n_blocks)
-        .map(|_| {
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            u * jpeg::SIGNIFICANCE_CEILING * 0.999_999
-        })
+        .map(|_| rng.next_f64() * jpeg::SIGNIFICANCE_CEILING * 0.999_999)
         .collect()
 }
 

@@ -269,6 +269,94 @@ pub fn finish_trace(
     }
 }
 
+/// Fisheye image side (pixels) of every [`request_line`].
+const FISHEYE_DIM: usize = 32;
+/// Maclaurin series length of every [`request_line`].
+const MACLAURIN_N: usize = 12;
+
+/// Builds one deterministic serve-protocol analyze request for
+/// `kernel` with `batch` items drawn from `rng`, in one fixed shape per
+/// kernel (fisheye 32×32, Maclaurin `n` 12, DCT radius 1) so a server's
+/// cache holds one trace per kernel. The line for a given seed is part
+/// of the contract: `bench_obs`'s paired arms send the same bytes, so
+/// the draw order must not change.
+///
+/// ```
+/// use scorpio_bench::request_line;
+/// use scorpio_core::audit::SplitMix64;
+/// let line = request_line(7, "maclaurin", 2, 0.7, &mut SplitMix64::new(1));
+/// assert!(line.starts_with(r#"{"id":7,"kernel":"maclaurin","ratio":0.7,"n":12,"items":["#));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `kernel` is not a served kernel name.
+pub fn request_line(
+    id: u64,
+    kernel: &str,
+    batch: usize,
+    ratio: f64,
+    rng: &mut scorpio_core::audit::SplitMix64,
+) -> String {
+    let mut line = format!(r#"{{"id":{id},"kernel":"{kernel}","ratio":{ratio}"#);
+    match kernel {
+        "fisheye" => {
+            let _ = write!(line, r#","width":{FISHEYE_DIM},"height":{FISHEYE_DIM}"#);
+        }
+        "maclaurin" => {
+            let _ = write!(line, r#","n":{MACLAURIN_N}"#);
+        }
+        "dct" => line.push_str(r#","radius":1.0"#),
+        "blackscholes" | "nbody" => {}
+        _ => panic!("unserved kernel {kernel:?}"),
+    }
+    line.push_str(r#","items":["#);
+    for i in 0..batch {
+        if i > 0 {
+            line.push(',');
+        }
+        match kernel {
+            "fisheye" => {
+                let u = rng.next_f64() * FISHEYE_DIM as f64;
+                let v = rng.next_f64() * FISHEYE_DIM as f64;
+                let _ = write!(line, r#"{{"u":{u},"v":{v}}}"#);
+            }
+            "blackscholes" => {
+                let spot = 80.0 + 40.0 * rng.next_f64();
+                let strike = 80.0 + 40.0 * rng.next_f64();
+                let rate = 0.01 + 0.04 * rng.next_f64();
+                let vol = 0.1 + 0.4 * rng.next_f64();
+                let time = 0.25 + 1.75 * rng.next_f64();
+                let _ = write!(
+                    line,
+                    r#"{{"spot":{spot},"strike":{strike},"rate":{rate},"volatility":{vol},"time":{time}}}"#
+                );
+            }
+            "dct" => {
+                line.push('[');
+                for p in 0..64 {
+                    if p > 0 {
+                        line.push(',');
+                    }
+                    let _ = write!(line, "{:.3}", rng.next_f64() * 255.0);
+                }
+                line.push(']');
+            }
+            "maclaurin" => {
+                let _ = write!(line, "{}", rng.next_f64() * 0.9 - 0.45);
+            }
+            "nbody" => {
+                let r0 = 0.9 + 1.1 * rng.next_f64();
+                let radius = 0.01 + 0.09 * rng.next_f64();
+                let _ = write!(line, r#"{{"r0":{r0},"radius":{radius}}}"#);
+            }
+            _ => unreachable!("kernel checked above"),
+        }
+    }
+    line.push_str("]}");
+    line
+}
+
 /// One row of the Fig. 7 sweep CSV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {

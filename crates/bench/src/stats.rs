@@ -6,6 +6,8 @@
 //! Everything here is deterministic — the bootstrap uses an explicit
 //! SplitMix64 seed — so `scorpio_diff` verdicts are reproducible.
 
+use scorpio_core::audit::SplitMix64;
+
 /// Result of a Welch two-sample t-test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welch {
@@ -165,33 +167,6 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Deterministic SplitMix64 stream (same generator the vendored `rand`
-/// shim builds on) — good enough statistical quality for bootstrap
-/// resampling and fully reproducible from the seed.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n` (`n > 0`).
-    fn index(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 /// Percentile bootstrap confidence interval for `mean(b) − mean(a)`.
 ///
 /// Draws `resamples` bootstrap replicates (seeded, deterministic) and
@@ -213,7 +188,7 @@ pub fn bootstrap_mean_diff_ci(
     let resample_mean = |xs: &[f64], rng: &mut SplitMix64| {
         let mut sum = 0.0;
         for _ in 0..xs.len() {
-            sum += xs[rng.index(xs.len())];
+            sum += xs[rng.below(xs.len())];
         }
         sum / xs.len() as f64
     };

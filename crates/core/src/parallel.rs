@@ -53,7 +53,10 @@ const DEFAULT_ARENA_CAPACITY: usize = 1024;
 /// Lane width the kernels' batch entry points replay at: four f64
 /// lanes fill one 256-bit vector register and one 32-byte block per
 /// node stays cache-friendly for the large (~10⁴-node) kernel traces.
-/// The `bench_parallel` lane ablation measures the alternatives.
+/// EXPERIMENTS.md ("Lane-width table") records the last 1/2/4/8-lane
+/// sweep over the fisheye grid, a Black-Scholes book and DCT blocks;
+/// the Criterion `lane_replay` group of the `parallel_analysis` bench
+/// re-times the alternatives.
 pub const DEFAULT_LANES: usize = 4;
 
 /// Driver fanning independent significance analyses over a worker pool,

@@ -27,8 +27,8 @@
 //!   Chrome-trace + run-manifest export (see `docs/architecture.md`);
 //! * [`serve`] — analysis-as-a-service: a persistent
 //!   newline-delimited-JSON TCP server whose workers share compiled
-//!   traces through a shape-keyed tape cache (the `scorpio_serve` and
-//!   `scorpio_load` binaries).
+//!   traces through a shape-keyed tape cache (the `scorpio_serve`
+//!   daemon and its `scorpio_load` smoke probe).
 //!
 //! # Quick start
 //!

@@ -2,9 +2,9 @@
 //!
 //! One request out, one response line back, per call — exactly the
 //! per-connection ordering the server guarantees. Used by the
-//! `scorpio_load` generator, the round-trip integration test and the
-//! verify smoke; library users talking to a server from Rust can use
-//! it too:
+//! `scorpio_load` smoke probe, `bench_obs` and the round-trip
+//! integration test; library users talking to a server from Rust can
+//! use it too:
 //!
 //! ```no_run
 //! use scorpio_serve::Client;
@@ -74,15 +74,6 @@ impl Client {
     /// As [`Client::request`].
     pub fn stats(&mut self) -> io::Result<Value> {
         self.request(r#"{"cmd":"stats"}"#)
-    }
-
-    /// Drops every cached compiled trace server-side.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`].
-    pub fn cache_clear(&mut self) -> io::Result<Value> {
-        self.request(r#"{"cmd":"cache_clear"}"#)
     }
 
     /// Fetches the Prometheus text exposition (the `metrics` verb) and

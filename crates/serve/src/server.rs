@@ -32,8 +32,8 @@
 //!
 //! Clearing on miss keeps worker-private state from shadowing the
 //! cache: after `cache_clear`, the next request per shape genuinely
-//! re-records — which is exactly what the cold-vs-warm ablation in
-//! `scorpio_load` measures.
+//! re-records, the miss path perfbench times as
+//! `serve.kernels.run_vars_cold_us`.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
