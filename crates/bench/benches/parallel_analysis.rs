@@ -4,10 +4,11 @@
 //! compiled-replay ablation (record-once / replay-many vs re-recording)
 //! at a single worker, the lane-replay ablation (1/2/4/8 replay lanes
 //! per compiled-trace walk), the DCT lane-sweep layer (forward replay and
-//! reverse sweep of one 4-block lane block, timed apart), and the
-//! scorpio-obs overhead check (the same analysis batch with tracing
-//! disabled vs enabled — disabled must be within noise of the
-//! pre-instrumentation baseline).
+//! reverse sweep of one 4-block lane block, timed apart), the Fig. 7
+//! sweep layer (`taskwait` dispatch alone, and the DCT tasked and
+//! perforated kernels), and the scorpio-obs overhead check (the same
+//! analysis batch with tracing disabled vs enabled — disabled must be
+//! within noise of the pre-instrumentation baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,6 +21,8 @@ use scorpio_kernels::fisheye::{
     analysis_inverse_mapping, analysis_inverse_mapping_grid, analysis_inverse_mapping_grid_lanes,
     analysis_inverse_mapping_in, analysis_inverse_mapping_replay_in, Lens,
 };
+use scorpio_quality::SyntheticImage;
+use scorpio_runtime::{Executor, TaskCtx, TaskGroup};
 
 fn bench_grid_scaling(c: &mut Criterion) {
     let lens = Lens::for_image(1280, 960);
@@ -215,6 +218,39 @@ fn bench_dct_lane_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Fig. 7 sweep layer, untraced: the runtime's per-task cost alone
+/// (a `taskwait` over N-body's group size of no-op tasks on one worker,
+/// half of them approximate) and the DCT kernel bodies it dispatches,
+/// tasked and perforated, at ratio 0.5 on a 256² image.
+fn bench_taskwait(c: &mut Criterion) {
+    scorpio_obs::disable();
+    let mut group = c.benchmark_group("taskwait");
+    // Median of many samples: one N-body-sized group is ~1 ms.
+    group.sample_size(100);
+    let one = Executor::new(1);
+    group.bench_function("empty_13824", |b| {
+        b.iter(|| {
+            let mut tasks = TaskGroup::new("empty");
+            for i in 0..13_824u32 {
+                tasks.spawn(
+                    f64::from(i % 97) / 97.0,
+                    |ctx: &TaskCtx| ctx.count_accurate_ops(1),
+                    Some(|ctx: &TaskCtx| ctx.count_approx_ops(1)),
+                );
+            }
+            tasks.taskwait(&one, 0.5)
+        })
+    });
+    let img = SyntheticImage::ValueNoise.render(256, 256, 202);
+    group.bench_function("dct_tasked_256", |b| {
+        b.iter(|| dct::tasked(black_box(&img), &one, 0.5))
+    });
+    group.bench_function("dct_perforated_256", |b| {
+        b.iter(|| dct::perforated(black_box(&img), 0.5))
+    });
+    group.finish();
+}
+
 /// Observability overhead: the identical 64-analysis batch with the
 /// `scorpio-obs` layer off (the default — every instrumentation site
 /// is a single relaxed atomic load) and on (spans + counters recorded
@@ -298,6 +334,7 @@ criterion_group!(
     bench_compiled_replay,
     bench_lane_replay,
     bench_dct_lane_sweep,
+    bench_taskwait,
     bench_obs_overhead
 );
 criterion_main!(benches);

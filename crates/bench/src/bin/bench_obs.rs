@@ -27,19 +27,19 @@
 //!   children, all stamped with the id);
 //! * the `metrics` verb — and the HTTP sidecar — must render valid
 //!   Prometheus text exposition;
-//! * every loaded kernel's 10s sliding window must report the traffic.
+//! * every loaded kernel's 1m sliding window must report the traffic.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::thread;
 
+use scorpio_bench::probe::{check_trace_roundtrip, check_windows, is_ok, LocalServer};
 use scorpio_bench::{
     arg_value, out_dir_arg, request_line, ObsContract, ObsMode, ObsReport, OBS_SCHEMA,
 };
 use scorpio_core::audit::SplitMix64;
 use scorpio_obs::expose::validate_exposition;
 use scorpio_obs::json::Value;
-use scorpio_serve::{Client, Server, ServerConfig, ServerSummary};
+use scorpio_serve::{Client, ServerConfig};
 
 /// Kernels the ablation loads, with one fixed shape each. Moderate
 /// batches keep per-request service time well above the fixed cost of
@@ -52,11 +52,6 @@ const RATIO: f64 = 0.7;
 
 /// The trace id the round-trip probe supplies (hex on the wire).
 const PROBE_TRACE_ID: &str = "c0ffee";
-const PROBE_TRACE_ID_FULL: &str = "0000000000c0ffee";
-
-fn is_ok(v: &Value) -> bool {
-    matches!(v.get("ok"), Some(Value::Bool(true)))
-}
 
 /// Sends one analyze line, asserting success, and returns the reply.
 fn send_ok(client: &mut Client, line: &str) -> Value {
@@ -69,24 +64,21 @@ fn send_ok(client: &mut Client, line: &str) -> Value {
     reply
 }
 
+/// Spawns an in-process server, with the HTTP metrics sidecar when
+/// `metrics` is set.
 fn spawn_server(
     workers: usize,
     obs: bool,
     metrics: bool,
-    out_dir: std::path::PathBuf,
-) -> (SocketAddr, Option<SocketAddr>, thread::JoinHandle<std::io::Result<ServerSummary>>) {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
+    out_dir: &std::path::Path,
+) -> LocalServer {
+    LocalServer::spawn(ServerConfig {
         workers,
         obs,
         metrics_addr: metrics.then(|| "127.0.0.1:0".to_string()),
-        out_dir,
+        out_dir: out_dir.to_path_buf(),
         ..ServerConfig::default()
     })
-    .expect("bind in-process server");
-    let addr = server.local_addr().expect("server local_addr");
-    let metrics_addr = server.metrics_local_addr();
-    (addr, metrics_addr, thread::spawn(move || server.run()))
 }
 
 /// Scrapes the HTTP metrics sidecar once and returns the response body.
@@ -105,79 +97,6 @@ fn scrape_sidecar(addr: SocketAddr) -> String {
     );
     let body_at = response.find("\r\n\r\n").expect("sidecar response without header break");
     response[body_at + 4..].to_string()
-}
-
-/// Sends the traced probe and verifies the id round-trips into a
-/// reassemblable span tree in the exemplar dump. Must run while the
-/// exemplar ring still has room, so retention is unconditional.
-fn check_trace_roundtrip(client: &mut Client, rng: &mut SplitMix64) -> bool {
-    let mut line = request_line(777, "maclaurin", 4, RATIO, rng);
-    line.insert_str(line.len() - 1, &format!(r#","trace_id":"{PROBE_TRACE_ID}""#));
-    let reply = send_ok(client, &line);
-    if reply.get("trace_id").and_then(Value::as_str) != Some(PROBE_TRACE_ID_FULL) {
-        eprintln!("trace probe: reply did not echo the supplied trace id");
-        return false;
-    }
-    let dump = client.exemplars().expect("exemplars request");
-    let Some(exemplars) = dump.get("exemplars").and_then(Value::as_arr) else {
-        eprintln!("trace probe: exemplars reply without exemplar list");
-        return false;
-    };
-    let Some(ex) = exemplars
-        .iter()
-        .find(|e| e.get("trace_id").and_then(Value::as_str) == Some(PROBE_TRACE_ID_FULL))
-    else {
-        eprintln!("trace probe: supplied trace id not retained in the exemplar ring");
-        return false;
-    };
-    let spans = ex.get("spans").and_then(Value::as_arr).unwrap_or(&[]);
-    let has_root = spans
-        .iter()
-        .any(|s| s.get("path").and_then(Value::as_str) == Some("serve.request"));
-    let has_child = spans.iter().any(|s| {
-        s.get("path")
-            .and_then(Value::as_str)
-            .is_some_and(|p| p.starts_with("serve.request/"))
-    });
-    if !has_root || !has_child {
-        eprintln!(
-            "trace probe: span tree not reassemblable ({} spans, root: {has_root}, nested: {has_child})",
-            spans.len()
-        );
-        return false;
-    }
-    true
-}
-
-/// `true` when every loaded kernel's sliding window saw requests. The
-/// 1m span is the liveness probe: on a badly loaded box the contract
-/// phase can stretch past the 10s span's retention (its rotation is
-/// covered by the obs crate's unit and property tests), while 60s of
-/// slack keeps the check deterministic.
-fn check_windows(client: &mut Client) -> bool {
-    let windows = client.window().expect("window request");
-    let kernels = windows.get("kernels").and_then(Value::as_arr).unwrap_or(&[]);
-    let mut ok = true;
-    for kernel in KERNELS {
-        let seen = kernels
-            .iter()
-            .find(|k| k.get("kernel").and_then(Value::as_str) == Some(kernel))
-            .and_then(|k| k.get("spans"))
-            .and_then(Value::as_arr)
-            .and_then(|spans| {
-                spans
-                    .iter()
-                    .find(|s| s.get("span").and_then(Value::as_str) == Some("1m"))
-            })
-            .and_then(|s| s.get("requests"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        if seen <= 0.0 {
-            eprintln!("window check: {kernel} 1m window is empty");
-            ok = false;
-        }
-    }
-    ok
 }
 
 /// Nearest-rank percentile over an unsorted nanosecond sample.
@@ -203,8 +122,8 @@ fn measure_arm(
         // on; the untraced arm must actively turn it off.
         scorpio_obs::disable();
     }
-    let (addr, _, handle) = spawn_server(workers, obs, false, out_dir.to_path_buf());
-    let mut client = Client::connect(addr).expect("connect to server");
+    let server = spawn_server(workers, obs, false, out_dir);
+    let mut client = Client::connect(server.addr).expect("connect to server");
     let mut rng = SplitMix64::new(seed);
     for kernel in KERNELS {
         send_ok(&mut client, &request_line(1, kernel, batch, RATIO, &mut rng));
@@ -221,8 +140,7 @@ fn measure_arm(
         );
         service_ns.push(reply.get("server_ns").and_then(Value::as_f64).unwrap_or(0.0));
     }
-    client.shutdown().expect("shutdown request");
-    handle.join().expect("server thread").expect("server run");
+    server.shutdown(&mut client);
     service_ns
 }
 
@@ -236,13 +154,16 @@ fn run_contract(
     seed: u64,
     out_dir: &std::path::Path,
 ) -> (bool, u64, bool, bool) {
-    let (addr, metrics_addr, handle) = spawn_server(workers, true, true, out_dir.to_path_buf());
-    let mut client = Client::connect(addr).expect("connect to server");
+    let server = spawn_server(workers, true, true, out_dir);
+    let mut client = Client::connect(server.addr).expect("connect to server");
     let mut rng = SplitMix64::new(seed);
 
     // Trace round-trip probe first: the exemplar ring is empty, so the
     // probe is retained unconditionally.
-    let trace_roundtrip = check_trace_roundtrip(&mut client, &mut rng);
+    let probe = request_line(777, "maclaurin", 4, RATIO, &mut rng);
+    let trace_roundtrip = check_trace_roundtrip(&mut client, &probe, PROBE_TRACE_ID)
+        .map_err(|e| eprintln!("{e}"))
+        .is_ok();
 
     // Load every kernel so the windows and per-kernel metrics are warm.
     for kernel in KERNELS {
@@ -259,7 +180,7 @@ fn run_contract(
             None
         }
     };
-    let sidecar_body = scrape_sidecar(metrics_addr.expect("sidecar bound"));
+    let sidecar_body = scrape_sidecar(server.metrics_addr.expect("sidecar bound"));
     let sidecar_ok = match validate_exposition(&sidecar_body) {
         Ok(_) => true,
         Err(e) => {
@@ -267,9 +188,10 @@ fn run_contract(
             false
         }
     };
-    let windows_nonempty = check_windows(&mut client);
-    client.shutdown().expect("shutdown request");
-    handle.join().expect("server thread").expect("server run");
+    let windows_nonempty = check_windows(&mut client, &KERNELS)
+        .map_err(|e| eprintln!("{e}"))
+        .is_ok();
+    server.shutdown(&mut client);
     (
         verb_samples.is_some() && sidecar_ok,
         verb_samples.unwrap_or(0),

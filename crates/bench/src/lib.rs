@@ -10,6 +10,7 @@ pub mod adaptive;
 pub mod diff;
 pub mod jpeg;
 pub mod obs;
+pub mod probe;
 pub mod qor;
 pub mod stats;
 

@@ -19,6 +19,8 @@
 
 pub mod codec;
 
+use std::sync::OnceLock;
+
 use scorpio_core::{
     Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, Report, DEFAULT_LANES,
 };
@@ -46,7 +48,6 @@ pub const QUANT: [[f64; BLOCK]; BLOCK] = [
 ];
 
 /// DCT-II basis factor `α(u)·cos((2x+1)uπ/16)/2`.
-#[inline]
 fn basis(u: usize, x: usize) -> f64 {
     let alpha = if u == 0 {
         (1.0f64 / BLOCK as f64).sqrt()
@@ -56,13 +57,22 @@ fn basis(u: usize, x: usize) -> f64 {
     alpha * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / (2 * BLOCK) as f64).cos()
 }
 
+/// The 64 [`basis`] factors, `table[u][x]`, computed on first use. Every
+/// transform reads them from here: the values are the closed form's
+/// bits, so the products (and their association) are unchanged.
+fn basis_table() -> &'static [[f64; BLOCK]; BLOCK] {
+    static TABLE: OnceLock<[[f64; BLOCK]; BLOCK]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|u| std::array::from_fn(|x| basis(u, x))))
+}
+
 /// Forward DCT of one coefficient `(u, v)` of an 8×8 block — the
 /// per-coefficient form the diagonal tasks need (64 multiply-adds).
 pub fn forward_coefficient(block: &[[f64; BLOCK]; BLOCK], u: usize, v: usize) -> f64 {
+    let b = basis_table();
     let mut acc = 0.0;
     for (y, row) in block.iter().enumerate() {
         for (x, &p) in row.iter().enumerate() {
-            acc += p * basis(v, y) * basis(u, x);
+            acc += p * b[v][y] * b[u][x];
         }
     }
     acc
@@ -91,13 +101,14 @@ pub fn quant_dequant(coeffs: &mut [[f64; BLOCK]; BLOCK]) {
 
 /// Inverse DCT of a block.
 pub fn inverse_block(coeffs: &[[f64; BLOCK]; BLOCK]) -> [[f64; BLOCK]; BLOCK] {
+    let b = basis_table();
     let mut out = [[0.0; BLOCK]; BLOCK];
     for (y, row) in out.iter_mut().enumerate() {
         for (x, p) in row.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (v, crow) in coeffs.iter().enumerate() {
                 for (u, &c) in crow.iter().enumerate() {
-                    acc += c * basis(v, y) * basis(u, x);
+                    acc += c * b[v][y] * b[u][x];
                 }
             }
             *p = acc;
@@ -422,13 +433,14 @@ pub fn register_block(
     }
 
     // Forward DCT, registering every coefficient.
+    let b = basis_table();
     let mut coeffs = Vec::with_capacity(BLOCK * BLOCK);
     for v in 0..BLOCK {
         for u in 0..BLOCK {
             let mut acc = ctx.constant(0.0);
             for y in 0..BLOCK {
                 for x in 0..BLOCK {
-                    acc = acc + pixels[y * BLOCK + x] * (basis(v, y) * basis(u, x));
+                    acc = acc + pixels[y * BLOCK + x] * (b[v][y] * b[u][x]);
                 }
             }
             // Quant/dequant surrogate: scale down and back up.
@@ -447,7 +459,7 @@ pub fn register_block(
             let mut acc = ctx.constant(0.0);
             for v in 0..BLOCK {
                 for u in 0..BLOCK {
-                    acc = acc + coeffs[v * BLOCK + u] * (basis(v, y) * basis(u, x));
+                    acc = acc + coeffs[v * BLOCK + u] * (b[v][y] * b[u][x]);
                 }
             }
             let px = acc.min(hi).max(lo);
@@ -504,6 +516,23 @@ fn coefficient_map_with(significance_of: impl Fn(&str) -> Option<f64>) -> [[f64;
 mod tests {
     use super::*;
     use scorpio_quality::{gradient, psnr_images, value_noise};
+
+    #[test]
+    fn basis_table_is_the_closed_form_bit_for_bit() {
+        let table = basis_table();
+        for u in 0..BLOCK {
+            let alpha = if u == 0 {
+                (1.0f64 / 8.0).sqrt()
+            } else {
+                (2.0f64 / 8.0).sqrt()
+            };
+            for x in 0..BLOCK {
+                let want =
+                    alpha * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos();
+                assert_eq!(table[u][x].to_bits(), want.to_bits(), "basis({u}, {x})");
+            }
+        }
+    }
 
     #[test]
     fn dct_roundtrip_without_quantisation_is_exact() {

@@ -313,12 +313,19 @@ pub fn pair_significance(atom_pos: [f64; 3], region: usize, params: &Params) -> 
     if region_of(atom_pos, params) == region {
         return 1.0;
     }
-    let c = region_center(region, params);
-    let d = (0..3)
-        .map(|k| (atom_pos[k] - c[k]).powi(2))
-        .sum::<f64>()
-        .sqrt();
+    let d = distance(atom_pos, region_center(region, params));
     let cell = params.box_len() / params.regions as f64;
+    distance_significance(d, cell)
+}
+
+/// Euclidean distance between an atom and a region centre.
+fn distance(a: [f64; 3], c: [f64; 3]) -> f64 {
+    (0..3).map(|k| (a[k] - c[k]).powi(2)).sum::<f64>().sqrt()
+}
+
+/// [`pair_significance`] of a region other than the atom's own, from
+/// the atom–centre distance `d`.
+fn distance_significance(d: f64, cell: f64) -> f64 {
     // Distance in units of cells; within one cell diameter → ≈ 1.
     (1.0 / (1.0 + (d / cell).powi(2))).min(0.99)
 }
@@ -336,9 +343,11 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
     let forces = |pos: &[[f64; 3]], stats: &mut ExecutionStats| -> Vec<[f64; 3]> {
         // Assign atoms to regions ("every few time-steps" in the paper;
         // every step here for simplicity).
+        let homes: Vec<usize> = pos.iter().map(|&p| region_of(p, params)).collect();
+        let centers: Vec<[f64; 3]> = (0..n_regions).map(|r| region_center(r, params)).collect();
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_regions];
-        for (i, &p) in pos.iter().enumerate() {
-            members[region_of(p, params)].push(i);
+        for (i, &home) in homes.iter().enumerate() {
+            members[home].push(i);
         }
         // Region summaries for the approximate bodies: a whole-region
         // centre of mass for far regions, eight octant centres of mass
@@ -349,7 +358,7 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
             .iter()
             .enumerate()
             .map(|(r, m)| {
-                let center = region_center(r, params);
+                let center = centers[r];
                 let mut com = ([0.0; 3], 0usize);
                 let mut octants = [([0.0; 3], 0usize); 8];
                 for &i in m {
@@ -388,16 +397,19 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
             for (slot, chunk) in partial.chunks_mut(n_regions).enumerate() {
                 let atom = slot;
                 let apos = pos[atom];
+                let home = homes[atom];
                 for (r, out) in chunk.iter_mut().enumerate() {
                     let mems = &members[r];
                     let summary = &coms[r];
-                    let sig = pair_significance(apos, r, params);
+                    // `pair_significance`, from the one distance the
+                    // refinement test also reads.
+                    let dist = distance(apos, centers[r]);
+                    let sig = if r == home {
+                        1.0
+                    } else {
+                        distance_significance(dist, cell)
+                    };
                     // Near regions get the octant-refined approximation.
-                    let rc = region_center(r, params);
-                    let dist = (0..3)
-                        .map(|k| (apos[k] - rc[k]).powi(2))
-                        .sum::<f64>()
-                        .sqrt();
                     let refined = dist < 2.0 * cell;
                     let out_acc: *mut [f64; 3] = out;
                     let out_acc = SendSlot(out_acc);

@@ -1,12 +1,12 @@
 //! The worker-pool executor behind `taskwait`.
 
+use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scorpio_obs::TaskClass;
 
-use crate::task::{make_ctx, ExecMode, TaskCtx};
+use crate::task::{Body, ExecMode, TaskCtx};
 
 /// A prepared job: the runtime's decision for one spawned task, carried
 /// to whichever worker claims it so the executor can attribute the
@@ -18,16 +18,18 @@ pub(crate) struct Job<'scope> {
     pub task_id: u64,
     /// The task's (clamped) significance.
     pub significance: f64,
-    /// The body to run (accurate or approximate, per `mode`).
-    pub body: Box<dyn FnOnce(&TaskCtx) + Send + 'scope>,
+    /// The task's bodies; the one `mode` names runs.
+    pub body: Box<dyn Body + 'scope>,
 }
 
 /// A fixed-width thread pool executing the task jobs of a `taskwait`.
 ///
-/// The pool is scoped: worker threads are spawned per `taskwait` with
-/// `std::thread::scope`, which lets task bodies borrow stack data (output
-/// buffers, images) without `'static` bounds — the natural translation of
-/// the paper's OpenMP tasks writing to caller-owned arrays.
+/// The calling thread is worker 0: it runs the same claim loop as the
+/// other `threads − 1` workers, which are spawned per `taskwait` with
+/// `std::thread::scope`, so a one-worker executor spawns no thread at
+/// all. Scoped workers let task bodies borrow stack data (output
+/// buffers, images) without `'static` bounds — the natural translation
+/// of the paper's OpenMP tasks writing to caller-owned arrays.
 pub struct Executor {
     threads: usize,
 }
@@ -124,44 +126,80 @@ impl Executor {
             .collect()
     }
 
-    /// Runs the prepared jobs to completion, work-stealing via a shared
-    /// atomic cursor. Blocks until every job has finished. `label` is
-    /// the task group's label, attributed to the per-task events the
-    /// workers emit while tracing is enabled.
-    pub(crate) fn run<'scope>(
-        &self,
-        label: &str,
-        jobs: Vec<Job<'scope>>,
-        accurate_ops: &Arc<AtomicU64>,
-        approx_ops: &Arc<AtomicU64>,
-    ) {
-        if jobs.is_empty() {
-            return;
-        }
-        // Wrap each job in an Option so workers can take() them through a
-        // shared slice without moving the vector.
-        let slots: Vec<parking_lot::Mutex<Option<Job<'scope>>>> =
-            jobs.into_iter().map(|j| parking_lot::Mutex::new(Some(j))).collect();
+    /// Runs the prepared jobs to completion and returns the
+    /// `(accurate, approximate)` work units their bodies counted.
+    ///
+    /// Workers claim jobs through a shared atomic cursor; the caller is
+    /// worker 0 and `min(threads, jobs) − 1` more are spawned. Blocks
+    /// until every job has finished. `label` is the task group's label,
+    /// attributed to the per-task events the workers emit while tracing
+    /// is enabled. A panicking body panics the caller once every worker
+    /// has stopped.
+    pub(crate) fn run(&self, label: &str, jobs: Vec<Job<'_>>) -> (u64, u64) {
+        let slots = JobSlots(jobs.into_iter().map(|j| UnsafeCell::new(Some(j))).collect());
         let cursor = AtomicUsize::new(0);
-        let n = slots.len();
-        let workers = self.threads.min(n);
-
+        let workers = self.threads.min(slots.0.len());
+        let work = || claim_loop(label, &slots, &cursor);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i].lock().take();
-                    if let Some(job) = job {
-                        let ctx = make_ctx(job.mode, accurate_ops, approx_ops);
-                        run_job(label, job, &ctx);
-                    }
-                });
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut ops = work();
+            for helper in helpers {
+                let (accurate, approx) = helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                ops.0 = ops.0.wrapping_add(accurate);
+                ops.1 = ops.1.wrapping_add(approx);
             }
-        });
+            ops
+        })
     }
+}
+
+/// The jobs of one `taskwait`, each taken by the one worker that
+/// claimed its index.
+struct JobSlots<'scope>(Vec<UnsafeCell<Option<Job<'scope>>>>);
+
+// SAFETY: a slot is only accessed through `JobSlots::take`, by the
+// worker that claimed its index from the shared cursor, and the cursor
+// hands every index out once — no slot is ever reached by two threads.
+// Jobs are `Send`, so moving one out on another thread is sound.
+unsafe impl Sync for JobSlots<'_> {}
+
+impl<'scope> JobSlots<'scope> {
+    /// Takes the job at `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` must have been claimed from the cursor by the calling worker.
+    unsafe fn take(&self, i: usize) -> Option<Job<'scope>> {
+        // SAFETY: the caller holds the only claim on slot `i`.
+        unsafe { (*self.0[i].get()).take() }
+    }
+}
+
+/// One worker: claims jobs until the cursor runs past the end, running
+/// each with the worker's context for its mode, and returns the
+/// `(accurate, approximate)` work units its bodies counted.
+fn claim_loop(label: &str, slots: &JobSlots<'_>, cursor: &AtomicUsize) -> (u64, u64) {
+    let accurate = TaskCtx::new(ExecMode::Accurate);
+    let approximate = TaskCtx::new(ExecMode::Approximate);
+    loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.0.len() {
+            break;
+        }
+        // SAFETY: `i` came from this worker's own `fetch_add`.
+        if let Some(job) = unsafe { slots.take(i) } {
+            let ctx = match job.mode {
+                ExecMode::Accurate => &accurate,
+                ExecMode::Approximate => &approximate,
+            };
+            run_job(label, job, ctx);
+        }
+    }
+    let (acc_a, apx_a) = accurate.ops();
+    let (acc_b, apx_b) = approximate.ops();
+    (acc_a.wrapping_add(acc_b), apx_a.wrapping_add(apx_b))
 }
 
 /// Executes one claimed job, timing it and emitting a per-task event
@@ -171,7 +209,7 @@ impl Executor {
 fn run_job(label: &str, job: Job<'_>, ctx: &TaskCtx) {
     if scorpio_obs::enabled() {
         let started = std::time::Instant::now();
-        (job.body)(ctx);
+        job.body.run(ctx);
         let class = match job.mode {
             ExecMode::Accurate => TaskClass::Accurate,
             ExecMode::Approximate => TaskClass::Approx,
@@ -184,7 +222,7 @@ fn run_job(label: &str, job: Job<'_>, ctx: &TaskCtx) {
             started.elapsed().as_nanos() as u64,
         );
     } else {
-        (job.body)(ctx);
+        job.body.run(ctx);
     }
 }
 
@@ -192,52 +230,69 @@ fn run_job(label: &str, job: Job<'_>, ctx: &TaskCtx) {
 mod tests {
     use super::*;
 
+    /// An accurate job with only an accurate body.
+    fn accurate_job<'s>(task_id: u64, body: impl FnOnce(&TaskCtx) + Send + 's) -> Job<'s> {
+        Job {
+            mode: ExecMode::Accurate,
+            task_id,
+            significance: 1.0,
+            body: crate::task::bodies(body, None::<fn(&TaskCtx)>),
+        }
+    }
+
     #[test]
     fn runs_all_jobs_in_parallel() {
-        let executor = Executor::new(4);
         let counter = AtomicUsize::new(0);
-        let acc = Arc::new(AtomicU64::new(0));
-        let apx = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<Job<'_>> = (0..100)
-            .map(|i| {
-                let counter = &counter;
-                Job {
-                    mode: ExecMode::Accurate,
-                    task_id: i,
-                    significance: 1.0,
-                    body: Box::new(move |ctx: &TaskCtx| {
+        for threads in [1, 4] {
+            counter.store(0, Ordering::Relaxed);
+            let jobs: Vec<Job<'_>> = (0..100)
+                .map(|i| {
+                    let counter = &counter;
+                    accurate_job(i, move |ctx: &TaskCtx| {
                         ctx.count_accurate_ops(2);
                         counter.fetch_add(1, Ordering::Relaxed);
-                    }),
-                }
+                    })
+                })
+                .collect();
+            let ops = Executor::new(threads).run("test", jobs);
+            assert_eq!(counter.load(Ordering::Relaxed), 100);
+            assert_eq!(ops, (200, 0));
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_jobs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        let jobs: Vec<Job<'_>> = (0..8)
+            .map(|i| {
+                let ran_on = &ran_on;
+                accurate_job(i, move |_: &TaskCtx| {
+                    ran_on.lock().unwrap().push(std::thread::current().id());
+                })
             })
             .collect();
-        executor.run("test", jobs, &acc, &apx);
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(acc.load(Ordering::Relaxed), 200);
-        assert_eq!(apx.load(Ordering::Relaxed), 0);
+        Executor::new(1).run("test", jobs);
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 8);
+        assert!(ran_on.iter().all(|&id| id == caller));
     }
 
     #[test]
     fn jobs_can_borrow_stack_data() {
         let executor = Executor::new(2);
         let mut out = vec![0u64; 8];
-        let acc = Arc::new(AtomicU64::new(0));
-        let apx = Arc::new(AtomicU64::new(0));
         {
             let jobs: Vec<Job<'_>> = out
                 .iter_mut()
                 .enumerate()
-                .map(|(i, slot)| Job {
-                    mode: ExecMode::Accurate,
-                    task_id: i as u64,
-                    significance: 1.0,
-                    body: Box::new(move |_: &TaskCtx| {
+                .map(|(i, slot)| {
+                    accurate_job(i as u64, move |_: &TaskCtx| {
                         *slot = i as u64 * 10;
-                    }),
+                    })
                 })
                 .collect();
-            executor.run("test", jobs, &acc, &apx);
+            executor.run("test", jobs);
         }
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }

@@ -1,8 +1,8 @@
 //! Tasks, task groups, and per-execution statistics.
 
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::executor::{Executor, Job};
 
@@ -23,14 +23,25 @@ pub enum ExecMode {
 /// and approximate computation they actually performed, and the
 /// [`EnergyModel`](crate::EnergyModel) prices them. Counting is what makes
 /// the energy evaluation deterministic and testable.
+///
+/// Each worker owns one context per mode and sums their counts after
+/// the `taskwait`'s join, so counting is a plain add, not an atomic.
 #[derive(Debug)]
 pub struct TaskCtx {
     mode: ExecMode,
-    accurate_ops: Arc<AtomicU64>,
-    approx_ops: Arc<AtomicU64>,
+    accurate_ops: Cell<u64>,
+    approx_ops: Cell<u64>,
 }
 
 impl TaskCtx {
+    pub(crate) fn new(mode: ExecMode) -> TaskCtx {
+        TaskCtx {
+            mode,
+            accurate_ops: Cell::new(0),
+            approx_ops: Cell::new(0),
+        }
+    }
+
     /// The mode the runtime chose for this task.
     pub fn mode(&self) -> ExecMode {
         self.mode
@@ -38,31 +49,70 @@ impl TaskCtx {
 
     /// Reports `n` units of accurate work.
     pub fn count_accurate_ops(&self, n: u64) {
-        self.accurate_ops.fetch_add(n, Ordering::Relaxed);
+        self.accurate_ops.set(self.accurate_ops.get().wrapping_add(n));
     }
 
     /// Reports `n` units of approximate work.
     pub fn count_approx_ops(&self, n: u64) {
-        self.approx_ops.fetch_add(n, Ordering::Relaxed);
+        self.approx_ops.set(self.approx_ops.get().wrapping_add(n));
+    }
+
+    /// The `(accurate, approximate)` work units counted so far.
+    pub(crate) fn ops(&self) -> (u64, u64) {
+        (self.accurate_ops.get(), self.approx_ops.get())
     }
 }
 
-type TaskFn<'scope> = Box<dyn FnOnce(&TaskCtx) + Send + 'scope>;
+/// A task's bodies, behind one allocation: the accurate closure and the
+/// optional approximate one. Running it consumes both and calls the one
+/// `ctx.mode()` names.
+pub(crate) trait Body: Send {
+    fn run(self: Box<Self>, ctx: &TaskCtx);
+}
+
+struct Bodies<A, B> {
+    accurate: A,
+    approx: Option<B>,
+}
+
+impl<A, B> Body for Bodies<A, B>
+where
+    A: FnOnce(&TaskCtx) + Send,
+    B: FnOnce(&TaskCtx) + Send,
+{
+    fn run(self: Box<Self>, ctx: &TaskCtx) {
+        let Bodies { accurate, approx } = *self;
+        match ctx.mode() {
+            ExecMode::Accurate => accurate(ctx),
+            ExecMode::Approximate => {
+                if let Some(approx) = approx {
+                    approx(ctx);
+                }
+            }
+        }
+    }
+}
+
+/// Boxes a task's accurate and optional approximate body together.
+pub(crate) fn bodies<'scope, A, B>(accurate: A, approx: Option<B>) -> Box<dyn Body + 'scope>
+where
+    A: FnOnce(&TaskCtx) + Send + 'scope,
+    B: FnOnce(&TaskCtx) + Send + 'scope,
+{
+    Box::new(Bodies { accurate, approx })
+}
 
 pub(crate) struct Task<'scope> {
     pub significance: f64,
-    pub accurate: TaskFn<'scope>,
-    pub approx: Option<TaskFn<'scope>>,
-    /// Spawn order, used for stable tie-breaking.
-    pub seq: usize,
+    pub has_approx: bool,
+    pub body: Box<dyn Body + 'scope>,
 }
 
 impl fmt::Debug for Task<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Task")
             .field("significance", &self.significance)
-            .field("has_approx", &self.approx.is_some())
-            .field("seq", &self.seq)
+            .field("has_approx", &self.has_approx)
             .finish()
     }
 }
@@ -156,12 +206,10 @@ impl<'scope> TaskGroup<'scope> {
         B: FnOnce(&TaskCtx) + Send + 'scope,
     {
         assert!(!significance.is_nan(), "task significance must not be NaN");
-        let seq = self.tasks.len();
         self.tasks.push(Task {
             significance: significance.clamp(0.0, 1.0),
-            accurate: Box::new(accurate),
-            approx: approx.map(|b| Box::new(b) as TaskFn<'scope>),
-            seq,
+            has_approx: approx.is_some(),
+            body: bodies(accurate, approx),
         });
     }
 
@@ -200,66 +248,42 @@ impl<'scope> TaskGroup<'scope> {
             return ExecutionStats::default();
         }
 
-        // Rank by significance (desc), stable in spawn order.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let ta = &self.tasks[a];
-            let tb = &self.tasks[b];
-            tb.significance
-                .partial_cmp(&ta.significance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ta.seq.cmp(&tb.seq))
-        });
-
-        let min_accurate = (ratio * n as f64).ceil() as usize;
-        let mut accurate_flags = vec![false; n];
-        for (rank, &idx) in order.iter().enumerate() {
-            accurate_flags[idx] = rank < min_accurate || self.tasks[idx].significance >= 1.0;
-        }
-
-        let accurate_ops = Arc::new(AtomicU64::new(0));
-        let approx_ops = Arc::new(AtomicU64::new(0));
-
+        let accurate = select_accurate(&self.tasks, ratio);
         let mut stats = ExecutionStats::default();
         let mut jobs: Vec<Job<'scope>> = Vec::with_capacity(n);
-        for (task, is_accurate) in self.tasks.into_iter().zip(&accurate_flags) {
-            if *is_accurate {
+        for (seq, (task, is_accurate)) in self.tasks.into_iter().zip(accurate).enumerate() {
+            let mode = if is_accurate {
                 stats.accurate += 1;
-                jobs.push(Job {
-                    mode: ExecMode::Accurate,
-                    task_id: task.seq as u64,
-                    significance: task.significance,
-                    body: task.accurate,
-                });
-            } else if let Some(approx) = task.approx {
+                ExecMode::Accurate
+            } else if task.has_approx {
                 stats.approximate += 1;
-                jobs.push(Job {
-                    mode: ExecMode::Approximate,
-                    task_id: task.seq as u64,
-                    significance: task.significance,
-                    body: approx,
-                });
+                ExecMode::Approximate
             } else {
                 stats.dropped += 1;
                 // Dropped tasks never reach a worker, so the drop
                 // decision is recorded here (zero duration).
                 scorpio_obs::task_event(
                     &self.label,
-                    task.seq as u64,
+                    seq as u64,
                     task.significance,
                     scorpio_obs::TaskClass::Dropped,
                     0,
                 );
-            }
+                continue;
+            };
+            jobs.push(Job {
+                mode,
+                task_id: seq as u64,
+                significance: task.significance,
+                body: task.body,
+            });
         }
 
         {
             let _span = scorpio_obs::span("task_execution");
-            executor.run(&self.label, jobs, &accurate_ops, &approx_ops);
+            (stats.accurate_ops, stats.approx_ops) = executor.run(&self.label, jobs);
         }
 
-        stats.accurate_ops = accurate_ops.load(Ordering::Relaxed);
-        stats.approx_ops = approx_ops.load(Ordering::Relaxed);
         scorpio_obs::count("tasks.accurate", stats.accurate as u64);
         scorpio_obs::count("tasks.approximate", stats.approximate as u64);
         scorpio_obs::count("tasks.dropped", stats.dropped as u64);
@@ -330,14 +354,35 @@ impl<'scope> TaskGroup<'scope> {
     }
 }
 
-pub(crate) fn make_ctx(
-    mode: ExecMode,
-    accurate_ops: &Arc<AtomicU64>,
-    approx_ops: &Arc<AtomicU64>,
-) -> TaskCtx {
-    TaskCtx {
-        mode,
-        accurate_ops: Arc::clone(accurate_ops),
-        approx_ops: Arc::clone(approx_ops),
+/// The runtime's decision for each task, in spawn order: `true` runs
+/// the accurate body.
+///
+/// The top `ceil(ratio · n)` tasks of the total order "significance
+/// descending, spawn order ascending" are accurate, plus every task
+/// with significance ≥ 1. The order is total, so a selection finds the
+/// same set a stable sort's prefix would.
+fn select_accurate(tasks: &[Task<'_>], ratio: f64) -> Vec<bool> {
+    let n = tasks.len();
+    let min_accurate = (ratio * n as f64).ceil() as usize;
+    if min_accurate == n {
+        return vec![true; n];
     }
+    let mut accurate: Vec<bool> = tasks.iter().map(|t| t.significance >= 1.0).collect();
+    if min_accurate > 0 {
+        // Significances are clamped and never NaN, so `partial_cmp`
+        // always answers; spawn order breaks ties.
+        let by_rank = |&a: &usize, &b: &usize| {
+            tasks[b]
+                .significance
+                .partial_cmp(&tasks[a].significance)
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        order.select_nth_unstable_by(min_accurate - 1, by_rank);
+        for &i in &order[..min_accurate] {
+            accurate[i] = true;
+        }
+    }
+    accurate
 }

@@ -164,26 +164,28 @@ fn dropped_tasks_have_no_approx_body() {
 
 #[test]
 fn work_units_are_accumulated_per_mode() {
-    let executor = Executor::new(4);
-    let mut group = TaskGroup::new("g");
-    for _ in 0..6 {
-        group.spawn(
-            0.5,
-            |ctx: &crate::TaskCtx| {
-                assert_eq!(ctx.mode(), ExecMode::Accurate);
-                ctx.count_accurate_ops(100);
-            },
-            Some(|ctx: &crate::TaskCtx| {
-                assert_eq!(ctx.mode(), ExecMode::Approximate);
-                ctx.count_approx_ops(10);
-            }),
-        );
+    for threads in [1, 4] {
+        let executor = Executor::new(threads);
+        let mut group = TaskGroup::new("g");
+        for _ in 0..6 {
+            group.spawn(
+                0.5,
+                |ctx: &crate::TaskCtx| {
+                    assert_eq!(ctx.mode(), ExecMode::Accurate);
+                    ctx.count_accurate_ops(100);
+                },
+                Some(|ctx: &crate::TaskCtx| {
+                    assert_eq!(ctx.mode(), ExecMode::Approximate);
+                    ctx.count_approx_ops(10);
+                }),
+            );
+        }
+        let stats = group.taskwait(&executor, 0.5);
+        assert_eq!(stats.accurate, 3, "{threads} workers");
+        assert_eq!(stats.approximate, 3, "{threads} workers");
+        assert_eq!(stats.accurate_ops, 300, "{threads} workers");
+        assert_eq!(stats.approx_ops, 30, "{threads} workers");
     }
-    let stats = group.taskwait(&executor, 0.5);
-    assert_eq!(stats.accurate, 3);
-    assert_eq!(stats.approximate, 3);
-    assert_eq!(stats.accurate_ops, 300);
-    assert_eq!(stats.approx_ops, 30);
 }
 
 #[test]
@@ -242,6 +244,81 @@ fn stats_merge_adds_fields() {
     assert_eq!(a.accurate, 2);
     assert_eq!(a.dropped, 6);
     assert_eq!(a.approx_ops, 40);
+}
+
+/// Significance levels the selection oracle draws from: few, so ties
+/// are common, with `-0.0` (ties `0.0`), `1.0` and an above-1 value
+/// (both forced accurate) among them.
+const ORACLE_LEVELS: [f64; 7] = [-0.0, 0.0, 0.25, 0.5, 0.99, 1.0, 1.5];
+
+/// The reference model of `taskwait`'s choice: a full stable sort on
+/// (significance desc, spawn order asc), the `ceil(ratio · n)` prefix,
+/// plus every task with significance ≥ 1.
+fn oracle_accurate_set(sigs: &[f64], ratio: f64) -> Vec<usize> {
+    let sigs: Vec<f64> = sigs.iter().map(|s| s.clamp(0.0, 1.0)).collect();
+    let mut order: Vec<usize> = (0..sigs.len()).collect();
+    order.sort_by(|&a, &b| sigs[b].partial_cmp(&sigs[a]).unwrap());
+    let prefix = (ratio * sigs.len() as f64).ceil() as usize;
+    let mut set: Vec<usize> = (0..sigs.len())
+        .filter(|&i| order[..prefix].contains(&i) || sigs[i] >= 1.0)
+        .collect();
+    set.sort_unstable();
+    set
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The executed accurate set equals the sorted-prefix oracle, at
+    /// one worker (the caller runs every task) and at three; the
+    /// remaining tasks run their approximate body or are dropped.
+    #[test]
+    fn accurate_set_matches_sorted_prefix_oracle(
+        tasks in proptest::collection::vec((0usize..ORACLE_LEVELS.len(), 0usize..4), 0..48),
+        ratio_pick in 0usize..4,
+        ratio_draw in 0.0f64..=1.0,
+        k in 0usize..48,
+    ) {
+        let n = tasks.len();
+        // Exact 0 and 1, an exact k/n, and an arbitrary draw.
+        let ratio = match ratio_pick {
+            0 => 0.0,
+            1 => 1.0,
+            2 if n > 0 => (k % (n + 1)) as f64 / n as f64,
+            _ => ratio_draw,
+        };
+        let sigs: Vec<f64> = tasks.iter().map(|&(level, _)| ORACLE_LEVELS[level]).collect();
+        // One task in four has no approximate body.
+        let has_approx: Vec<bool> = tasks.iter().map(|&(_, pick)| pick != 0).collect();
+        let want = oracle_accurate_set(&sigs, ratio);
+        for threads in [1, 3] {
+            let accurate_ran = Mutex::new(Vec::new());
+            let approx_ran = Mutex::new(Vec::new());
+            let mut group = TaskGroup::new("oracle");
+            for i in 0..n {
+                let (accurate_ran, approx_ran) = (&accurate_ran, &approx_ran);
+                group.spawn(
+                    sigs[i],
+                    move |_| accurate_ran.lock().unwrap().push(i),
+                    has_approx[i].then_some(move |_: &crate::TaskCtx| {
+                        approx_ran.lock().unwrap().push(i)
+                    }),
+                );
+            }
+            let stats = group.taskwait(&Executor::new(threads), ratio);
+            let mut accurate = accurate_ran.into_inner().unwrap();
+            accurate.sort_unstable();
+            let mut approx = approx_ran.into_inner().unwrap();
+            approx.sort_unstable();
+            prop_assert_eq!(&accurate, &want, "{} workers, ratio {}", threads, ratio);
+            let want_approx: Vec<usize> =
+                (0..n).filter(|&i| has_approx[i] && !want.contains(&i)).collect();
+            prop_assert_eq!(&approx, &want_approx, "{} workers, ratio {}", threads, ratio);
+            prop_assert_eq!(stats.accurate, want.len());
+            prop_assert_eq!(stats.approximate, want_approx.len());
+            prop_assert_eq!(stats.dropped, n - want.len() - want_approx.len());
+        }
+    }
 }
 
 proptest! {

@@ -1,13 +1,16 @@
-//! Cross-crate determinism contract of the parallel analysis engine:
-//! every parallel entry point must produce **bit-identical** results at
-//! any worker count — parallelism is a pure latency optimisation, never
-//! a semantic knob. Serial baselines (`threads == 1` runs inline,
-//! bypassing the pool) are compared against 2- and 8-worker runs via
-//! `f64::to_bits`, not approximate equality.
+//! Cross-crate determinism contract of the parallel analysis engine
+//! and the task runtime: every parallel entry point must produce
+//! **bit-identical** results at any worker count — parallelism is a
+//! pure latency optimisation, never a semantic knob. Serial baselines
+//! (`threads == 1` runs inline, bypassing the pool) are compared
+//! against multi-worker runs via `f64::to_bits`, not approximate
+//! equality.
 
 use scorpio::analysis::mc;
 use scorpio::analysis::ParallelAnalysis;
-use scorpio::kernels::{blackscholes, dct, fisheye, sobel};
+use scorpio::kernels::{blackscholes, dct, fisheye, nbody, sobel};
+use scorpio::quality::SyntheticImage;
+use scorpio::runtime::{ExecutionStats, Executor};
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
 
@@ -133,4 +136,80 @@ fn dct_blocks_match_serial_analysis() {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// The five ratios of the Fig. 7 sweep.
+const SWEEP_RATIOS: [f64; 5] = [0.0, 0.2, 0.5, 0.8, 1.0];
+
+/// Runs one `tasked` kernel at every sweep ratio on a one-worker and a
+/// three-worker executor and asserts bit-identical output and equal
+/// execution statistics (hence equal modelled energy).
+fn assert_sweep_thread_invariant(
+    kernel: &str,
+    run: impl Fn(&Executor, f64) -> (Vec<f64>, ExecutionStats),
+) {
+    let (one, three) = (Executor::new(1), Executor::new(3));
+    for ratio in SWEEP_RATIOS {
+        let (serial, serial_stats) = run(&one, ratio);
+        let (parallel, parallel_stats) = run(&three, ratio);
+        assert_eq!(serial.len(), parallel.len(), "{kernel} at ratio {ratio}");
+        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                p.to_bits(),
+                "{kernel} output {i} diverged at ratio {ratio}"
+            );
+        }
+        assert_eq!(
+            serial_stats, parallel_stats,
+            "{kernel} stats diverged at ratio {ratio}"
+        );
+    }
+}
+
+// Inputs below are the `fig7_sweep --small` workloads.
+
+#[test]
+fn sobel_sweep_is_bit_identical_across_thread_counts() {
+    let img = SyntheticImage::GaussianBlobs.render(96, 96, 101);
+    assert_sweep_thread_invariant("sobel", |executor, ratio| {
+        let (out, stats) = sobel::tasked(&img, executor, ratio);
+        (out.pixels().to_vec(), stats)
+    });
+}
+
+#[test]
+fn dct_sweep_is_bit_identical_across_thread_counts() {
+    let img = SyntheticImage::GaussianBlobs.render(96, 96, 202);
+    assert_sweep_thread_invariant("dct", |executor, ratio| {
+        let (out, stats) = dct::tasked(&img, executor, ratio);
+        (out.pixels().to_vec(), stats)
+    });
+}
+
+#[test]
+fn fisheye_sweep_is_bit_identical_across_thread_counts() {
+    let img = SyntheticImage::ValueNoise.render(160, 120, 303);
+    let lens = fisheye::Lens::for_image(160, 120);
+    assert_sweep_thread_invariant("fisheye", |executor, ratio| {
+        let (out, stats) = fisheye::tasked_with_blocks(&img, &lens, executor, ratio, 32, 24);
+        (out.pixels().to_vec(), stats)
+    });
+}
+
+#[test]
+fn nbody_sweep_is_bit_identical_across_thread_counts() {
+    let params = nbody::Params::small();
+    assert_sweep_thread_invariant("nbody", |executor, ratio| {
+        let (state, stats) = nbody::tasked(&params, executor, ratio);
+        (state.flatten(), stats)
+    });
+}
+
+#[test]
+fn blackscholes_sweep_is_bit_identical_across_thread_counts() {
+    let options = blackscholes::generate_options(4096, 404);
+    assert_sweep_thread_invariant("blackscholes", |executor, ratio| {
+        blackscholes::tasked(&options, 256, executor, ratio)
+    });
 }
