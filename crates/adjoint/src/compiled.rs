@@ -11,7 +11,11 @@
 //!
 //! [`CompiledTape::compile`] flattens a recorded trace into parallel
 //! arrays (one op, one predecessor pair and one recorded value per
-//! node, with the input nodes indexed up front).
+//! node, with the input nodes indexed up front). A product by a constant
+//! with a [`Scalar::nonzero_point`] is marked in the op stream itself, so
+//! that replay multiplies by that point with [`Scalar::mul_point`] (the
+//! [`lanes`](crate::lanes) module's "Point products"); every accessor
+//! still reads it as the recorded `Op::Mul`.
 //! [`CompiledTape::replay_lanes`] then re-evaluates the whole trace for
 //! a block of fresh input values in a single tight forward loop — zero
 //! `RefCell` borrows, zero node pushes, zero allocation in the steady
@@ -35,6 +39,7 @@
 //! full re-recording).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::node::{NodeId, Op};
 use crate::tape::{OpHistogram, Successors, Tape};
@@ -65,7 +70,8 @@ use crate::value::Scalar;
 /// assert!((buf.adjoint(x.id(), 0) - want).abs() < 1e-15);
 /// ```
 pub struct CompiledTape<V> {
-    pub(crate) ops: Vec<Op>,
+    /// The op stream: the recorded ops, with point products marked.
+    pub(crate) code: Vec<Code>,
     pub(crate) preds: Vec<[NodeId; 2]>,
     /// Values captured at compile time. Replay only reads the `Const`
     /// slots (constants are part of the trace, not of the per-item
@@ -77,6 +83,39 @@ pub struct CompiledTape<V> {
     pub(crate) inputs: Vec<NodeId>,
     successors: Successors,
     histogram: OpHistogram,
+    /// Unique per compiled trace: lets [`crate::LaneReplayBuffers`]
+    /// that last replayed this trace keep its constants' lane blocks.
+    pub(crate) id: u64,
+}
+
+/// One entry of the compiled op stream: the recorded [`Op`], except a
+/// `Mul` whose operand is a constant with a
+/// [`nonzero_point`](Scalar::nonzero_point), which carries that point so
+/// both replay sweeps can multiply by it with [`Scalar::mul_point`]. The
+/// marker rides in the payload bytes `Op::Powf` already reserves: the
+/// stream is no larger than a plain `Vec<Op>`, and there is no side
+/// table. [`CompiledTape::op`] reads every marked entry as `Op::Mul`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Code {
+    /// A recorded op, replayed as recorded.
+    Op(Op),
+    /// `Op::Mul` with the point `c` as its second operand: `x · c`.
+    MulPointRhs(f64),
+    /// `Op::Mul` with the point `c` as its first operand: `c · x`.
+    MulPointLhs(f64),
+}
+
+const _: () = assert!(std::mem::size_of::<Code>() == std::mem::size_of::<Op>());
+
+impl Code {
+    /// The recorded op.
+    #[inline(always)]
+    pub(crate) fn op(self) -> Op {
+        match self {
+            Code::Op(op) => op,
+            Code::MulPointRhs(_) | Code::MulPointLhs(_) => Op::Mul,
+        }
+    }
 }
 
 /// Evaluates one *compute* node: the value of `op` applied to the
@@ -122,15 +161,15 @@ pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
         Op::Ln => (a.ln(), a.recip(), V::zero()),
         Op::Sqrt => {
             let r = a.sqrt();
-            (r, (V::from_f64(2.0) * r).recip(), V::zero())
+            (r, times(2.0, r).recip(), V::zero())
         }
-        Op::Sqr => (a.sqr(), V::from_f64(2.0) * a, V::zero()),
+        Op::Sqr => (a.sqr(), times(2.0, a), V::zero()),
         Op::Recip => (a.recip(), -a.sqr().recip(), V::zero()),
         Op::Powi(m) => {
             let partial = if m == 0 {
                 V::zero()
             } else {
-                V::from_f64(m as f64) * a.powi(m - 1)
+                times(m as f64, a.powi(m - 1))
             };
             (a.powi(m), partial, V::zero())
         }
@@ -138,7 +177,7 @@ pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
             let partial = if p == 0.0 {
                 V::zero()
             } else {
-                V::from_f64(p) * a.powf(p - 1.0)
+                times(p, a.powf(p - 1.0))
             };
             (a.powf(p), partial, V::zero())
         }
@@ -151,14 +190,14 @@ pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
         Op::Sinh => (a.sinh(), a.cosh(), V::zero()),
         Op::Cosh => (a.cosh(), a.sinh(), V::zero()),
         Op::Erf => {
-            let two_over_sqrt_pi = V::from_f64(2.0 / std::f64::consts::PI.sqrt());
-            (a.erf(), two_over_sqrt_pi * (-a.sqr()).exp(), V::zero())
+            let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
+            (a.erf(), times(two_over_sqrt_pi, (-a.sqr()).exp()), V::zero())
         }
         Op::Cndf => {
-            let inv_sqrt_2pi = V::from_f64(1.0 / (2.0 * std::f64::consts::PI).sqrt());
+            let inv_sqrt_2pi = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
             (
                 a.cndf(),
-                inv_sqrt_2pi * (-a.sqr() / V::from_f64(2.0)).exp(),
+                times(inv_sqrt_2pi, (-a.sqr() / V::from_f64(2.0)).exp()),
                 V::zero(),
             )
         }
@@ -178,6 +217,14 @@ pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
     }
 }
 
+/// `V::from_f64(c) * x`, the product the [`crate::Var`] overloads record
+/// for a literal factor or a constant operand, through
+/// [`Scalar::mul_point`].
+#[inline(always)]
+pub(crate) fn times<V: Scalar>(c: f64, x: V) -> V {
+    x.mul_point(V::from_f64(c), c)
+}
+
 impl<V: Scalar> CompiledTape<V> {
     /// Compiles the recorded trace of `tape` into replayable form.
     ///
@@ -186,39 +233,57 @@ impl<V: Scalar> CompiledTape<V> {
     pub fn compile(tape: &Tape<V>) -> CompiledTape<V> {
         let _span = scorpio_obs::span("compile");
         scorpio_obs::count("compiled.nodes", tape.len() as u64);
-        let (ops, preds, recorded, inputs) = tape.with_nodes(|nodes| {
-            let mut ops = Vec::with_capacity(nodes.len());
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        let (code, preds, recorded, inputs) = tape.with_nodes(|nodes| {
+            let mut code = Vec::with_capacity(nodes.len());
             let mut preds = Vec::with_capacity(nodes.len());
             let mut recorded = Vec::with_capacity(nodes.len());
             let mut inputs = Vec::new();
+            // The point of a `Const` operand, if the product may use it.
+            let point = |p: NodeId| {
+                let node = &nodes[p.index()];
+                if node.op == Op::Const {
+                    node.value.nonzero_point()
+                } else {
+                    None
+                }
+            };
             for (j, node) in nodes.iter().enumerate() {
-                ops.push(node.op);
+                code.push(match node.op {
+                    Op::Mul => match (point(node.preds[0]), point(node.preds[1])) {
+                        (_, Some(c)) => Code::MulPointRhs(c),
+                        (Some(c), None) => Code::MulPointLhs(c),
+                        (None, None) => Code::Op(Op::Mul),
+                    },
+                    op => Code::Op(op),
+                });
                 preds.push(node.preds);
                 recorded.push(node.value);
                 if node.op == Op::Input {
                     inputs.push(NodeId::from_index(j));
                 }
             }
-            (ops, preds, recorded, inputs)
+            (code, preds, recorded, inputs)
         });
         CompiledTape {
-            ops,
+            code,
             preds,
             recorded,
             inputs,
             successors: tape.successors(),
             histogram: tape.op_histogram(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
     /// Number of compiled nodes.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.code.len()
     }
 
     /// `true` if the compiled trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.code.is_empty()
     }
 
     /// Number of input slots a replay must bind.
@@ -237,7 +302,7 @@ impl<V: Scalar> CompiledTape<V> {
     ///
     /// Panics if `index` is out of range.
     pub fn op(&self, index: usize) -> Op {
-        self.ops[index]
+        self.code[index].op()
     }
 
     /// Predecessors of node `index` (valid slots only), in operand
@@ -341,6 +406,39 @@ pub(crate) mod tests {
         z.id()
     }
 
+    /// An interval trace of products by constants: points on either side
+    /// (`x · c`, `2.5 · y`, `±1`, a subnormal, a point times a point), the
+    /// generic cases `0`, `-0`, `∞` and a non-point constant, and a
+    /// product of two computed nodes. The first constant is the point of
+    /// `x · c`, so a `Listed` sweep of [`assert_lanes_match_recording`]
+    /// checks that constant's own adjoint too.
+    pub(crate) fn record_point_products(
+        tape: &Tape<Interval>,
+        x0: Interval,
+        y0: Interval,
+    ) -> NodeId {
+        let x = tape.var(x0);
+        let y = tape.var(y0);
+        let c = tape.constant(Interval::point(0.375));
+        let wide = tape.constant(Interval::new(0.5, 2.0));
+        let mut acc = x * c + 2.5 * y - y * -1.0 + (c * c) * x;
+        acc = acc + x * 0.0 + y * -0.0 + wide * x;
+        acc = acc + (x * f64::INFINITY).min(y) + y * f64::from_bits(1);
+        (acc * acc).id()
+    }
+
+    /// Operands for [`record_point_products`]: `x` straddling zero,
+    /// exactly zero (`0 · ∞`), and negative; `y` with a zero bound whose
+    /// subnormal products underflow.
+    pub(crate) fn point_product_items() -> [[Interval; 2]; 4] {
+        [
+            [Interval::centered(0.5, 0.125), Interval::centered(-0.25, 0.125)],
+            [Interval::centered(-0.1, 0.25), Interval::centered(0.75, 0.5)],
+            [Interval::ZERO, Interval::new(0.0, 1e-300)],
+            [Interval::new(-3.0, -1.0), Interval::point(2.0)],
+        ]
+    }
+
     pub(crate) fn same_f64(a: f64, b: f64) -> bool {
         a.to_bits() == b.to_bits()
     }
@@ -425,6 +523,46 @@ pub(crate) mod tests {
             assert_lanes_match_recording([item], record_interval, same_interval);
         }
         assert_lanes_match_recording(items, record_interval, same_interval);
+    }
+
+    #[test]
+    fn point_products_replay_bit_identically() {
+        let items = point_product_items();
+        for item in items {
+            assert_lanes_match_recording([item], record_point_products, same_interval);
+        }
+        assert_lanes_match_recording(items, record_point_products, same_interval);
+    }
+
+    /// Products with a finite nonzero point constant on either side are
+    /// marked in the op stream; zero, infinite and non-point constants
+    /// and products of computed nodes are not, nor is anything on an
+    /// `f64` trace. Every accessor still reads each product as `Op::Mul`.
+    #[test]
+    fn compile_marks_point_products_and_reports_mul() {
+        let [[x0, y0], _, _, _] = point_product_items();
+        let tape = Tape::<Interval>::new();
+        record_point_products(&tape, x0, y0);
+        let compiled = CompiledTape::compile(&tape);
+        let count = |want: fn(&Code) -> bool| compiled.code.iter().filter(|c| want(c)).count();
+        // `x · c`, `c · c`, `y · -1`, `y · 5e-324`; then `2.5 · y`.
+        assert_eq!(count(|c| matches!(c, Code::MulPointRhs(_))), 4);
+        assert_eq!(count(|c| matches!(c, Code::MulPointLhs(_))), 1);
+        // `(c·c) · x`, `x · 0`, `y · -0`, `wide · x`, `x · ∞`, `acc · acc`.
+        assert_eq!(count(|c| *c == Code::Op(Op::Mul)), 6);
+        tape.with_nodes(|nodes| {
+            for (j, node) in nodes.iter().enumerate() {
+                assert_eq!(compiled.op(j), node.op(), "node {j}");
+                let preds: Vec<NodeId> = compiled.preds_of(j).collect();
+                assert_eq!(preds, node.preds().collect::<Vec<_>>(), "node {j}");
+            }
+        });
+        assert_eq!(compiled.op_histogram(), tape.op_histogram());
+
+        let tape = Tape::<f64>::new();
+        record_all_ops(&tape, 0.4, 1.1);
+        let compiled = CompiledTape::compile(&tape);
+        assert!(compiled.code.iter().all(|c| matches!(c, Code::Op(_))));
     }
 
     #[test]

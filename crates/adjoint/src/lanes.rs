@@ -27,9 +27,27 @@
 //! and the *other* operand's value for `Mul`. The forward loop stores
 //! only those of the remaining (nonlinear) ops, one block per operand,
 //! in execution order; the reverse sweep multiplies by literal `±1`
-//! blocks or reads the operand's `values` block for the linear ops and
-//! walks the `partials` table backwards for the rest. It still computes
+//! or reads the operand's `values` block for the linear ops and walks
+//! the `partials` table backwards for the rest. It still computes
 //! `partial · adj` with the same operands, so no rounding changes.
+//!
+//! # Point products
+//!
+//! Nearly every product in the sweeps has a point factor: the `±1` of
+//! each `Add`/`Sub`/`Neg` step of the reverse sweep, and the constant of
+//! a `Var · f64` product, which [`CompiledTape::compile`] marks in the op
+//! stream when [`Scalar::nonzero_point`] says so (for an interval: a
+//! finite nonzero point). Both sweeps multiply by such a point through
+//! [`Scalar::mul_point`], which for intervals takes two corner products
+//! instead of four (`Interval::mul_point`) and, for the literal `±1`,
+//! folds to the rounding alone. An `Add` computes its `1 · adj` once for
+//! both operands. The other factor of a marked product — the constant's
+//! own adjoint, under [`AdjointDemand::All`] or when listed — keeps the
+//! generic product. Every point product is the generic one bit for bit.
+//!
+//! A constant's block holds the same value on every replay of a trace,
+//! so a buffer writes the constants' blocks only when it last replayed
+//! another trace; [`LaneReplayBuffers::value`] reads them as before.
 //!
 //! # Adjoints on demand
 //!
@@ -77,7 +95,7 @@
 //! }
 //! ```
 
-use crate::compiled::{eval_op, CompiledTape, ShapeMismatch};
+use crate::compiled::{eval_op, times, Code, CompiledTape, ShapeMismatch};
 use crate::node::{NodeId, Op};
 use crate::value::Scalar;
 
@@ -96,6 +114,9 @@ pub struct LaneReplayBuffers<V, const LANES: usize> {
     /// Per node: does the reverse sweep accumulate into its adjoint?
     /// Rebuilt by every sweep from its [`AdjointDemand`].
     accumulate: Vec<bool>,
+    /// Id of the compiled trace whose constants `values` holds (0 for
+    /// none): a replay of that trace again leaves their blocks alone.
+    consts_of: u64,
 }
 
 impl<V: Scalar, const LANES: usize> LaneReplayBuffers<V, LANES> {
@@ -106,6 +127,7 @@ impl<V: Scalar, const LANES: usize> LaneReplayBuffers<V, LANES> {
             partials: Vec::new(),
             adj: Vec::new(),
             accumulate: Vec::new(),
+            consts_of: 0,
         }
     }
 
@@ -188,6 +210,37 @@ fn eval_op_lanes<V: Scalar, const LANES: usize>(
     (v, pa, pb)
 }
 
+/// `[c] · x` over a lane block ([`times`] per lane): a product the
+/// compiled stream marks as a point product, or the `1 · a` of an `Add`
+/// in the reverse sweep.
+#[inline(always)]
+fn mul_point_lanes<V: Scalar, const LANES: usize>(x: &[V; LANES], c: f64) -> [V; LANES] {
+    let mut v = [V::zero(); LANES];
+    for (v, &x) in v.iter_mut().zip(x) {
+        *v = times(c, x);
+    }
+    v
+}
+
+/// `slot[l] += term(l, a[l])` in every lane whose adjoint `a[l]` is
+/// nonzero. The per-lane zero skip mirrors the recorded sweep's
+/// `is_zero` guard: skipping is not a no-op under IEEE-754 (inf/NaN
+/// partials times a zero adjoint inject NaNs; `-0.0 + 0.0` flips the
+/// sign of zero), so a lane only accumulates when its recorded twin
+/// would.
+#[inline(always)]
+fn add_terms<V: Scalar, const LANES: usize>(
+    slot: &mut [V; LANES],
+    a: &[V; LANES],
+    term: impl Fn(usize, V) -> V,
+) {
+    for l in 0..LANES {
+        if !a[l].is_zero() {
+            slot[l] = slot[l] + term(l, a[l]);
+        }
+    }
+}
+
 impl<V: Scalar> CompiledTape<V> {
     /// Replays the trace for a whole block of `LANES` items at once:
     /// one walk of the op stream, each op evaluated over a fixed-width
@@ -214,20 +267,37 @@ impl<V: Scalar> CompiledTape<V> {
                 got: inputs.len(),
             });
         }
-        let n = self.ops.len();
+        let n = self.code.len();
         // resize() both shrinks and grows; the fill value is only used
-        // for growth and every slot is overwritten below.
+        // for growth and every slot is overwritten below — except the
+        // constants' blocks, which hold the same values on every replay
+        // of one trace and are written only when `buf` last replayed
+        // another one.
         buf.values.resize(n, [V::zero(); LANES]);
         buf.partials.clear();
+        let fill_consts = buf.consts_of != self.id;
+        buf.consts_of = 0;
         let mut next_input = 0usize;
         for j in 0..n {
-            match self.ops[j] {
-                Op::Input => {
+            match self.code[j] {
+                Code::Op(Op::Input) => {
                     buf.values[j] = inputs[next_input];
                     next_input += 1;
                 }
-                Op::Const => buf.values[j] = [self.recorded[j]; LANES],
-                op => {
+                Code::Op(Op::Const) => {
+                    if fill_consts {
+                        buf.values[j] = [self.recorded[j]; LANES];
+                    }
+                }
+                Code::MulPointRhs(c) => {
+                    let x = &buf.values[self.preds[j][0].index()];
+                    buf.values[j] = mul_point_lanes(x, c);
+                }
+                Code::MulPointLhs(c) => {
+                    let x = &buf.values[self.preds[j][1].index()];
+                    buf.values[j] = mul_point_lanes(x, c);
+                }
+                Code::Op(op) => {
                     // Predecessor slots are always earlier in the
                     // sequence; copying the operand blocks out keeps the
                     // borrow checker happy and the lane loop tight.
@@ -265,6 +335,7 @@ impl<V: Scalar> CompiledTape<V> {
                 }
             }
         }
+        buf.consts_of = self.id;
         Ok(())
     }
 
@@ -286,7 +357,7 @@ impl<V: Scalar> CompiledTape<V> {
         demand: AdjointDemand<'_>,
         buf: &mut LaneReplayBuffers<V, LANES>,
     ) {
-        let n = self.ops.len();
+        let n = self.code.len();
         assert_eq!(
             buf.values.len(),
             n,
@@ -297,12 +368,13 @@ impl<V: Scalar> CompiledTape<V> {
             partials,
             adj,
             accumulate,
+            consts_of: _,
         } = buf;
         accumulate.clear();
         match demand {
             AdjointDemand::All => accumulate.resize(n, true),
             AdjointDemand::Listed(ids) => {
-                accumulate.extend(self.ops.iter().map(|&op| op != Op::Const));
+                accumulate.extend(self.code.iter().map(|&code| code != Code::Op(Op::Const)));
                 for id in ids {
                     accumulate[id.index()] = true;
                 }
@@ -315,14 +387,12 @@ impl<V: Scalar> CompiledTape<V> {
                 *lane = *lane + seed;
             }
         }
-        let one = [V::one(); LANES];
-        let neg_one = [-V::one(); LANES];
         // The nonlinear ops' partial blocks, consumed back to front.
         let mut next_partial = partials.len();
         for j in (0..n).rev() {
-            let op = self.ops[j];
-            if stores_partials(op) {
-                next_partial -= op.arity();
+            let code = self.code[j];
+            if stores_partials(code.op()) {
+                next_partial -= code.op().arity();
             }
             let a = adj[j];
             // Whole-node fast path: if every lane's adjoint is zero the
@@ -330,30 +400,52 @@ impl<V: Scalar> CompiledTape<V> {
             if a.iter().all(|x| x.is_zero()) {
                 continue;
             }
-            // Operand order matches the recorded sweep (first operand
-            // first), which matters when both operands are one node.
-            for k in 0..op.arity() {
-                let pred = self.preds[j][k];
-                if !accumulate[pred.index()] {
-                    continue;
-                }
-                let partial = match op {
-                    Op::Add => &one,
-                    Op::Sub if k == 0 => &one,
-                    Op::Sub | Op::Neg => &neg_one,
-                    Op::Mul => &values[self.preds[j][1 - k].index()],
-                    _ => &partials[next_partial + k],
+            let [p0, p1] = self.preds[j];
+            // `adj[pred] += partial · a`, lane by lane, where the recorded
+            // sweep would (see `add_terms`). The partial is a point —
+            // `±1` for the linear ops, the constant of a point product —
+            // multiplied through `mul_point`, or a lane block: the other
+            // operand of a generic `Mul`, a stored nonlinear partial.
+            // Operands go in recorded order (first operand first), which
+            // matters when both operands are one node.
+            macro_rules! acc {
+                ($pred:expr, $term:expr) => {
+                    if accumulate[$pred.index()] {
+                        add_terms(&mut adj[$pred.index()], &a, $term);
+                    }
                 };
-                let slot = &mut adj[pred.index()];
-                for l in 0..LANES {
-                    // Per-lane zero skip, mirroring the recorded sweep's
-                    // `is_zero` guard: skipping is not a no-op under
-                    // IEEE-754 (inf/NaN partials times a zero adjoint
-                    // inject NaNs; `-0.0 + 0.0` flips the sign of zero),
-                    // so a lane only accumulates when its recorded twin
-                    // would.
-                    if !a[l].is_zero() {
-                        slot[l] = slot[l] + partial[l] * a[l];
+            }
+            match code {
+                Code::Op(Op::Add) => {
+                    // Both operands add the same `1 · a`.
+                    let term = mul_point_lanes(&a, 1.0);
+                    acc!(p0, |l, _| term[l]);
+                    acc!(p1, |l, _| term[l]);
+                }
+                Code::Op(Op::Sub) => {
+                    acc!(p0, |_, x| times(1.0, x));
+                    acc!(p1, |_, x| x.mul_point(-V::one(), -1.0));
+                }
+                Code::Op(Op::Neg) => acc!(p0, |_, x| x.mul_point(-V::one(), -1.0)),
+                Code::Op(Op::Mul) => {
+                    let (v0, v1) = (&values[p0.index()], &values[p1.index()]);
+                    acc!(p0, |l, x| v1[l] * x);
+                    acc!(p1, |l, x| v0[l] * x);
+                }
+                Code::MulPointRhs(c) => {
+                    let v0 = &values[p0.index()];
+                    acc!(p0, |_, x| times(c, x));
+                    acc!(p1, |l, x| v0[l] * x);
+                }
+                Code::MulPointLhs(c) => {
+                    let v1 = &values[p1.index()];
+                    acc!(p0, |l, x| v1[l] * x);
+                    acc!(p1, |_, x| times(c, x));
+                }
+                Code::Op(op) => {
+                    for (k, pred) in [p0, p1].into_iter().enumerate().take(op.arity()) {
+                        let partial = &partials[next_partial + k];
+                        acc!(pred, |l, x| partial[l] * x);
                     }
                 }
             }
@@ -407,6 +499,28 @@ mod tests {
         for l in 0..2 {
             assert_eq!(lanes.adjoint(x.id(), l).to_bits(), 1.0f64.to_bits());
             assert!(lanes.adjoint(y_id, l) == 0.0);
+        }
+    }
+
+    /// A buffer keeps a trace's constant blocks only while it replays
+    /// that trace: alternating two traces of the same length through one
+    /// buffer must read each trace's own constants every time.
+    #[test]
+    fn lane_buffers_rewrite_constants_for_another_trace() {
+        let record = |scale: f64| {
+            let tape = Tape::<f64>::new();
+            let x = tape.var(1.0);
+            let y = (x * scale).exp() + scale;
+            (CompiledTape::compile(&tape), y.id())
+        };
+        let (a, b) = (record(2.0), record(-3.0));
+        let mut buf = LaneReplayBuffers::<f64, 2>::new();
+        for ((compiled, y), scale) in [(&a, 2.0), (&b, -3.0), (&a, 2.0)] {
+            compiled.replay_lanes(&[[0.5, 0.25]], &mut buf).unwrap();
+            for (l, x) in [0.5f64, 0.25].into_iter().enumerate() {
+                assert_eq!(buf.value(*y, l), (x * scale).exp() + scale);
+                assert_eq!(buf.value(NodeId::from_index(1), l), scale);
+            }
         }
     }
 

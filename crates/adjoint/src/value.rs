@@ -118,6 +118,30 @@ pub trait Scalar:
     /// Local partials of `hypot(a, b)` given the already-computed result
     /// `value = hypot(a, b)`; each partial is bounded by `[-1, 1]`.
     fn hypot_partials(self, other: Self, value: Self) -> (Self, Self);
+
+    /// `point · self`, where `point` is a point value of `c` (such as
+    /// `Self::from_f64(c)`, `Self::one()` or `-Self::one()`), bit for bit.
+    /// The default is that product; a type may compute it from `c` alone
+    /// when that gives the same bits more cheaply. Lane replay multiplies
+    /// by `±1` in every linear reverse step and by the constant of every
+    /// [`Scalar::nonzero_point`] product through this.
+    #[inline]
+    fn mul_point(self, point: Self, c: f64) -> Self {
+        let _ = c;
+        point * self
+    }
+
+    /// `Some(c)` if `self` is the point value of a finite nonzero `c` for
+    /// which [`Scalar::mul_point`] is cheaper than the generic product:
+    /// then `Self::from_f64(c)` is `self` bit for bit, and for every `x`,
+    /// `x * self`, `self * x` and `x.mul_point(self, c)` are the same
+    /// bits. Compiling a trace rewrites a product with such a constant
+    /// into a point product ([`crate::CompiledTape::compile`]). The
+    /// default is `None`: no rewrite.
+    #[inline]
+    fn nonzero_point(self) -> Option<f64> {
+        None
+    }
 }
 
 impl Scalar for f64 {
@@ -265,6 +289,16 @@ impl Scalar for Interval {
     #[inline]
     fn from_f64(x: f64) -> Self {
         Interval::point(x)
+    }
+    /// [`Interval::mul_point`]: two corner products instead of four.
+    #[inline]
+    fn mul_point(self, _point: Self, c: f64) -> Self {
+        Interval::mul_point(self, c)
+    }
+    #[inline]
+    fn nonzero_point(self) -> Option<f64> {
+        let c = self.inf();
+        (self.is_point() && c.is_finite() && c != 0.0).then_some(c)
     }
     #[inline]
     fn width(self) -> f64 {

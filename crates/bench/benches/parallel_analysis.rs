@@ -3,7 +3,7 @@
 //! ablation (one warm arena vs a fresh tape per analysis), the
 //! compiled-replay ablation (record-once / replay-many vs re-recording)
 //! at a single worker, the lane-replay ablation (1/2/4/8 replay lanes
-//! per compiled-trace walk), the DCT lane-sweep layer (forward replay and
+//! per compiled-trace walk, plus a Black–Scholes book at width 4), the DCT lane-sweep layer (forward replay and
 //! reverse sweep of one 4-block lane block, timed apart), the Fig. 7
 //! sweep layer (`taskwait` dispatch alone, and the DCT tasked and
 //! perforated kernels), and the scorpio-obs overhead check (the same
@@ -16,6 +16,7 @@ use std::hint::black_box;
 use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Tape};
 use scorpio_core::{Analysis, AnalysisArena, ParallelAnalysis, ReplayOrRecord};
 use scorpio_interval::Interval;
+use scorpio_kernels::blackscholes;
 use scorpio_kernels::dct::{self, BLOCK, QUANT};
 use scorpio_kernels::fisheye::{
     analysis_inverse_mapping, analysis_inverse_mapping_grid, analysis_inverse_mapping_grid_lanes,
@@ -104,7 +105,8 @@ fn bench_compiled_replay(c: &mut Criterion) {
 /// 1/2/4/8 replay lanes per compiled-trace walk. Width 1 is the
 /// single-lane instance of the one interpreter (one walk per item), so
 /// its row is the baseline the wider rows are judged against; results
-/// are bit-identical at every width.
+/// are bit-identical at every width. A 4,096-option Black–Scholes book
+/// at width 4 times the transcendental-heavy kernel.
 fn bench_lane_replay(c: &mut Criterion) {
     let lens = Lens::for_image(1280, 960);
     let engine = ParallelAnalysis::new(1);
@@ -129,6 +131,14 @@ fn bench_lane_replay(c: &mut Criterion) {
     lane_case!(2);
     lane_case!(4);
     lane_case!(8);
+    // Black–Scholes, the kernel behind most of the offline pipeline's
+    // analysis stage: a seeded book at the default width, one worker;
+    // one iteration is ~7 ms, so take more samples than the default.
+    let options = blackscholes::generate_options(4096, 42);
+    group.sample_size(50);
+    group.bench_function("blackscholes_4096/4", |b| {
+        b.iter(|| black_box(blackscholes::analysis_options_lanes::<4>(&options, &engine).unwrap()))
+    });
     group.finish();
 }
 

@@ -188,13 +188,15 @@ impl Interval {
         Interval { lo, hi }
     }
 
-    /// Internal constructor that maps NaN bounds to the empty set.
+    /// Internal constructor that maps NaN bounds (and inverted ones) to
+    /// the empty set: `lo <= hi` is false exactly then, so one compare
+    /// decides.
     #[inline]
     pub(crate) fn make(lo: f64, hi: f64) -> Interval {
-        if lo.is_nan() || hi.is_nan() || lo > hi {
-            Interval::EMPTY
-        } else {
+        if lo <= hi {
             Interval { lo, hi }
+        } else {
+            Interval::EMPTY
         }
     }
 

@@ -80,24 +80,20 @@ fn quotient_zero_exact(x: f64, q: f64) -> bool {
     q != 0.0 || x == 0.0
 }
 
-/// Adds; a zero bound is exact ([`sum_zero_exact`]).
+/// Adds; a zero bound is exact ([`sum_zero_exact`]). An empty operand
+/// needs no test: its NaN bounds make both sums NaN, which the rounding
+/// keeps and [`Interval::make`] turns into [`Interval::EMPTY`].
 #[inline]
 pub(crate) fn add_impl<R: Round>(a: Interval, b: Interval) -> Interval {
-    if a.is_empty() || b.is_empty() {
-        return Interval::EMPTY;
-    }
     Interval::make(
         R::lo(a.inf() + b.inf(), sum_zero_exact),
         R::hi(a.sup() + b.sup(), sum_zero_exact),
     )
 }
 
-/// Subtracts; a zero bound is exact, as for [`add_impl`].
+/// Subtracts; zero bounds and empty operands as in [`add_impl`].
 #[inline]
 pub(crate) fn sub_impl<R: Round>(a: Interval, b: Interval) -> Interval {
-    if a.is_empty() || b.is_empty() {
-        return Interval::EMPTY;
-    }
     Interval::make(
         R::lo(a.inf() - b.sup(), sum_zero_exact),
         R::hi(a.sup() - b.inf(), sum_zero_exact),
@@ -139,6 +135,28 @@ pub(crate) fn mul_impl<R: Round>(a: Interval, b: Interval) -> Interval {
             && product_zero_exact(a1, b1, p4)
     };
     Interval::make(R::lo(lo, exact_zero), R::hi(hi, exact_zero))
+}
+
+/// Multiplies by the point `[c, c]` for a finite nonzero `c`: two corner
+/// products and a select on the sign of `c` give the bounds of
+/// [`mul_impl`]`(a, [c, c])` bit for bit. Its four corners are these two
+/// products, each twice, so its `min`/`max` pick the same values and can
+/// differ only in the sign of a zero bound, which the rounding erases:
+/// an exact zero becomes `+0.0`, an inexact one a subnormal. Its
+/// exact-zero test reduces to both corners, as stated here; no `0 · ∞`
+/// corner arises. An empty `a` has NaN bounds, which the products and
+/// [`Interval::make`] carry through to [`Interval::EMPTY`].
+#[inline]
+fn mul_point_impl(a: Interval, c: f64) -> Interval {
+    debug_assert!(c.is_finite() && c != 0.0, "mul_point_impl: c = {c}");
+    let (a0, a1) = (a.inf(), a.sup());
+    let (p0, p1) = (a0 * c, a1 * c);
+    let (lo, hi) = if c > 0.0 { (p0, p1) } else { (p1, p0) };
+    let exact_zero = || product_zero_exact(a0, c, p0) && product_zero_exact(a1, c, p1);
+    Interval::make(
+        round_lo_unless_exact(lo, exact_zero),
+        round_hi_unless_exact(hi, exact_zero),
+    )
 }
 
 /// Divides; if the divisor straddles zero the result is the whole line
@@ -263,6 +281,36 @@ impl Mul for Interval {
     }
 }
 
+impl Interval {
+    /// `self · [c, c]`: the product with the point interval of `c`, bit
+    /// for bit equal to `self * Interval::point(c)` and to
+    /// `Interval::point(c) * self`, but for a finite nonzero `c` computed
+    /// from two products instead of four. `c` of `±0`, `±∞` or NaN takes
+    /// the generic product.
+    ///
+    /// ```
+    /// use scorpio_interval::Interval;
+    /// let a = Interval::new(-1.0, 3.0);
+    /// assert_eq!(a.mul_point(-0.5), a * Interval::point(-0.5));
+    /// assert_eq!(a.mul_point(0.0), a * Interval::point(0.0));
+    /// ```
+    #[inline]
+    pub fn mul_point(self, c: f64) -> Interval {
+        let point = Interval::point(c);
+        audited!(
+            "mul",
+            self,
+            point,
+            if c.is_finite() && c != 0.0 {
+                mul_point_impl(self, c)
+            } else {
+                mul_impl::<Outward>(self, point)
+            },
+            mul_impl::<Nearest>(self, point)
+        )
+    }
+}
+
 impl Div for Interval {
     type Output = Interval;
     #[inline]
@@ -292,6 +340,22 @@ impl Neg for Interval {
     }
 }
 
+impl Mul<f64> for Interval {
+    type Output = Interval;
+    #[inline]
+    fn mul(self, rhs: f64) -> Interval {
+        self.mul_point(rhs)
+    }
+}
+
+impl Mul<Interval> for f64 {
+    type Output = Interval;
+    #[inline]
+    fn mul(self, rhs: Interval) -> Interval {
+        rhs.mul_point(self)
+    }
+}
+
 macro_rules! scalar_rhs_ops {
     ($($trait:ident :: $method:ident),* $(,)?) => {
         $(
@@ -313,7 +377,7 @@ macro_rules! scalar_rhs_ops {
     };
 }
 
-scalar_rhs_ops!(Add::add, Sub::sub, Mul::mul, Div::div);
+scalar_rhs_ops!(Add::add, Sub::sub, Div::div);
 
 macro_rules! assign_ops {
     ($($trait:ident :: $method:ident => $base:ident),* $(,)?) => {
@@ -327,7 +391,7 @@ macro_rules! assign_ops {
             impl $trait<f64> for Interval {
                 #[inline]
                 fn $method(&mut self, rhs: f64) {
-                    *self = self.$base(Interval::point(rhs));
+                    *self = self.$base(rhs);
                 }
             }
         )*

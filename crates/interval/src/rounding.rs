@@ -15,6 +15,22 @@
 //! [`ULP_PAD_TRANSCENDENTAL`] steps, which covers the ≤ 1–2 ULP error bound
 //! of every libm implementation in practical use.
 //!
+//! # Branch-free steps
+//!
+//! One ULP step is integer arithmetic on the bit pattern, written as
+//! selects rather than branches: a zero of either sign is first mapped to the zero whose
+//! pattern steps into the right neighbour of zero (`+0` going up, `-0`
+//! going down), then the pattern moves by `+1` or `-1` according to its
+//! sign bit (it grows away from zero). Inputs a step must leave alone —
+//! NaN and, for [`next_down`]/[`next_up`], the infinity the step heads
+//! for; for the outward roundings, any non-finite bound — are kept by a
+//! select on the input. `pad_lo`/`pad_hi` are [`ULP_PAD_TRANSCENDENTAL`]
+//! such steps. Each function gives the bits of the former branchy
+//! `next_down`/`next_up` with explicit NaN, infinity and zero cases; the
+//! crate's tests check that against a copy of it. The step costs the
+//! same whatever the sign of the bound, where the branchy form branched
+//! on the sign of every bound it stepped.
+//!
 //! # Exact zero stays zero
 //!
 //! The one-ULP step is only needed when the round-to-nearest result may
@@ -44,6 +60,26 @@
 /// outward to absorb libm rounding error.
 pub const ULP_PAD_TRANSCENDENTAL: u32 = 3;
 
+/// One ULP step of `x` towards `+∞` (`UP`) or towards `-∞`, without a
+/// branch (see the module docs). Exact for every `x` but NaN and the
+/// infinity the step heads for, which the callers keep by a select.
+#[inline(always)]
+fn step<const UP: bool>(x: f64) -> f64 {
+    // A zero of either sign becomes the zero whose pattern steps away
+    // from zero in the step's direction: `+0` going up, `-0` going down.
+    let zero = if UP { 0.0 } else { -0.0 };
+    let bits = (if x == 0.0 { zero } else { x }).to_bits();
+    // `sign | 1` is +1 for a positive pattern and -1 (two's complement)
+    // for a negative one: the pattern grows away from zero, that is up
+    // on the positive side and down on the negative side.
+    let sign = ((bits as i64) >> 63) as u64;
+    f64::from_bits(if UP {
+        bits.wrapping_add(sign | 1)
+    } else {
+        bits.wrapping_sub(sign | 1)
+    })
+}
+
 /// Returns the largest `f64` strictly less than `x`.
 ///
 /// Infinities are mapped towards the finite range one step at a time;
@@ -56,15 +92,13 @@ pub const ULP_PAD_TRANSCENDENTAL: u32 = 3;
 /// ```
 #[inline]
 pub fn next_down(x: f64) -> f64 {
-    if x.is_nan() || x == f64::NEG_INFINITY {
-        return x;
+    // `x > -∞` is false exactly for NaN and `-∞`.
+    let stepped = step::<false>(x);
+    if x > f64::NEG_INFINITY {
+        stepped
+    } else {
+        x
     }
-    if x == 0.0 {
-        return -f64::from_bits(1);
-    }
-    let bits = x.to_bits();
-    let next = if x > 0.0 { bits - 1 } else { bits + 1 };
-    f64::from_bits(next)
 }
 
 /// Returns the smallest `f64` strictly greater than `x`.
@@ -78,56 +112,48 @@ pub fn next_down(x: f64) -> f64 {
 /// ```
 #[inline]
 pub fn next_up(x: f64) -> f64 {
-    if x.is_nan() || x == f64::INFINITY {
-        return x;
+    let stepped = step::<true>(x);
+    if x < f64::INFINITY {
+        stepped
+    } else {
+        x
     }
-    if x == 0.0 {
-        return f64::from_bits(1);
-    }
-    let bits = x.to_bits();
-    let next = if x > 0.0 { bits + 1 } else { bits - 1 };
-    f64::from_bits(next)
 }
 
 /// Moves `x` down by `n` ULP steps (saturating at `-∞`).
 #[inline]
 pub fn steps_down(x: f64, n: u32) -> f64 {
-    let mut v = x;
-    for _ in 0..n {
-        v = next_down(v);
-    }
-    v
+    (0..n).fold(x, |v, _| next_down(v))
 }
 
 /// Moves `x` up by `n` ULP steps (saturating at `+∞`).
 #[inline]
 pub fn steps_up(x: f64, n: u32) -> f64 {
-    let mut v = x;
-    for _ in 0..n {
-        v = next_up(v);
-    }
-    v
+    (0..n).fold(x, |v, _| next_up(v))
 }
 
-/// Rounds the result of a correctly rounded operation down one step, unless
-/// it is exactly representable-infinite (kept) — helper for lower bounds.
+/// Rounds the result of a correctly rounded operation down one step —
+/// helper for lower bounds. A non-finite `x` is returned unchanged (an
+/// infinite bound is already safe; NaN marks an empty result).
 #[inline]
 pub(crate) fn round_lo(x: f64) -> f64 {
-    if x.is_infinite() {
-        x
+    let stepped = step::<false>(x);
+    if x.is_finite() {
+        stepped
     } else {
-        next_down(x)
+        x
     }
 }
 
-/// Rounds the result of a correctly rounded operation up one step — helper
-/// for upper bounds.
+/// Rounds the result of a correctly rounded operation up one step —
+/// helper for upper bounds; non-finite inputs as in [`round_lo`].
 #[inline]
 pub(crate) fn round_hi(x: f64) -> f64 {
-    if x.is_infinite() {
-        x
+    let stepped = step::<true>(x);
+    if x.is_finite() {
+        stepped
     } else {
-        next_up(x)
+        x
     }
 }
 
@@ -155,23 +181,27 @@ pub(crate) fn round_hi_unless_exact(x: f64, exact_zero: impl FnOnce() -> bool) -
     }
 }
 
-/// Pads a transcendental lower bound outward.
+/// Pads a transcendental lower bound outward by
+/// [`ULP_PAD_TRANSCENDENTAL`] steps; non-finite inputs as in
+/// [`round_lo`].
 #[inline]
 pub(crate) fn pad_lo(x: f64) -> f64 {
-    if x.is_infinite() {
-        x
+    let stepped = steps_down(x, ULP_PAD_TRANSCENDENTAL);
+    if x.is_finite() {
+        stepped
     } else {
-        steps_down(x, ULP_PAD_TRANSCENDENTAL)
+        x
     }
 }
 
-/// Pads a transcendental upper bound outward.
+/// Pads a transcendental upper bound outward (see [`pad_lo`]).
 #[inline]
 pub(crate) fn pad_hi(x: f64) -> f64 {
-    if x.is_infinite() {
-        x
+    let stepped = steps_up(x, ULP_PAD_TRANSCENDENTAL);
+    if x.is_finite() {
+        stepped
     } else {
-        steps_up(x, ULP_PAD_TRANSCENDENTAL)
+        x
     }
 }
 

@@ -217,6 +217,48 @@ proptest! {
     }
 }
 
+/// SplitMix64 (Steele, Lea, Flood 2014): a fixed seed gives the same
+/// operand set on every run. `endpoint` mixes ±0, subnormals,
+/// `1e-200…1e-150`, ordinary and huge normals and ±∞.
+struct SplitMix64(u64);
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+    fn endpoint(&mut self) -> f64 {
+        let mag = match self.next() % 6 {
+            0 => 0.0,
+            1 => f64::from_bits(1 + self.next() % ((1u64 << 52) - 1)),
+            2 => 10f64.powf(-200.0 + 50.0 * self.unit()),
+            3 => 10f64.powf(-3.0 + 6.0 * self.unit()),
+            4 => 10f64.powf(150.0 + 50.0 * self.unit()),
+            _ => f64::INFINITY,
+        };
+        if self.next() & 1 == 0 {
+            mag
+        } else {
+            -mag
+        }
+    }
+    /// A non-empty interval with at least one real member.
+    fn interval(&mut self) -> Interval {
+        loop {
+            let (x, y) = (self.endpoint(), self.endpoint());
+            let (lo, hi) = (x.min(y), x.max(y));
+            if !(lo == hi && lo.is_infinite()) {
+                return Interval::new(lo, hi);
+            }
+        }
+    }
+}
+
 /// Exact-sign sweep for the exact-zero rule of [`crate::rounding`].
 ///
 /// Every bound of `+ − × ÷`, `sqr` and `sqrt` that comes out as exactly
@@ -234,47 +276,6 @@ proptest! {
 /// underflowing corners are common.
 #[test]
 fn exact_zero_bounds_are_true_bounds() {
-    /// SplitMix64 (Steele, Lea, Flood 2014): a fixed seed gives the same
-    /// operand set on every run.
-    struct SplitMix64(u64);
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-        fn endpoint(&mut self) -> f64 {
-            let mag = match self.next() % 6 {
-                0 => 0.0,
-                1 => f64::from_bits(1 + self.next() % ((1u64 << 52) - 1)),
-                2 => 10f64.powf(-200.0 + 50.0 * self.unit()),
-                3 => 10f64.powf(-3.0 + 6.0 * self.unit()),
-                4 => 10f64.powf(150.0 + 50.0 * self.unit()),
-                _ => f64::INFINITY,
-            };
-            if self.next() & 1 == 0 {
-                mag
-            } else {
-                -mag
-            }
-        }
-        /// A non-empty interval with at least one real member.
-        fn interval(&mut self) -> Interval {
-            loop {
-                let (x, y) = (self.endpoint(), self.endpoint());
-                let (lo, hi) = (x.min(y), x.max(y));
-                if !(lo == hi && lo.is_infinite()) {
-                    return Interval::new(lo, hi);
-                }
-            }
-        }
-    }
-
     fn sign(x: f64) -> i8 {
         if x > 0.0 {
             1
@@ -351,4 +352,208 @@ fn exact_zero_bounds_are_true_bounds() {
         underflow_widened > 1_000,
         "only {underflow_widened} widened underflows"
     );
+}
+
+/// The stepping functions as they were written before the branch-free
+/// step: explicit NaN, infinity and zero cases, then `±1` on the bit
+/// pattern by sign, and the pads as loops of single steps. The oracle
+/// the rounding must equal bit for bit.
+mod stepwise {
+    pub fn next_down(x: f64) -> f64 {
+        if x.is_nan() || x == f64::NEG_INFINITY {
+            return x;
+        }
+        if x == 0.0 {
+            return -f64::from_bits(1);
+        }
+        let bits = x.to_bits();
+        f64::from_bits(if x > 0.0 { bits - 1 } else { bits + 1 })
+    }
+
+    pub fn next_up(x: f64) -> f64 {
+        if x.is_nan() || x == f64::INFINITY {
+            return x;
+        }
+        if x == 0.0 {
+            return f64::from_bits(1);
+        }
+        let bits = x.to_bits();
+        f64::from_bits(if x > 0.0 { bits + 1 } else { bits - 1 })
+    }
+
+    pub fn steps(x: f64, n: u32, step: fn(f64) -> f64) -> f64 {
+        (0..n).fold(x, |v, _| step(v))
+    }
+
+    /// Outward rounding (`n == 1`) or padding (`n == 3`): infinities
+    /// kept, everything else stepped `n` times.
+    pub fn outward(x: f64, n: u32, step: fn(f64) -> f64) -> f64 {
+        if x.is_infinite() {
+            x
+        } else {
+            steps(x, n, step)
+        }
+    }
+}
+
+/// Every class of double: both zeros, the smallest subnormals (whose
+/// steps cross zero), the subnormal/normal boundary, ordinary values,
+/// the largest finite values (whose steps reach the infinities), both
+/// infinities and NaNs of both signs.
+fn rounding_cases() -> Vec<f64> {
+    let sub = f64::from_bits(1);
+    let mut cases = vec![
+        0.0,
+        sub,
+        2.0 * sub,
+        3.0 * sub,
+        4.0 * sub,
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        crate::next_up(f64::MIN_POSITIVE),
+        0.1,
+        1.0,
+        1.5,
+        std::f64::consts::PI,
+        1e300,
+        crate::next_down(crate::next_down(f64::MAX)),
+        crate::next_down(f64::MAX),
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+    ];
+    cases.extend(cases.clone().into_iter().map(|x| -x));
+    cases
+}
+
+fn same_bits(what: &str, x: f64, got: f64, want: f64) {
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "{what}({x:?} = {:#018x}) = {got:?}, the stepwise oracle gives {want:?}",
+        x.to_bits()
+    );
+}
+
+/// The branch-free rounding is the stepwise one bit for bit: the public
+/// `next_*`/`steps_*` at 0–4 steps, the outward roundings and the
+/// transcendental pads, on every class of double and on 200k random bit
+/// patterns (NaN payloads included).
+#[test]
+fn branch_free_rounding_matches_stepwise_oracle() {
+    use crate::rounding::{
+        pad_hi, pad_lo, round_hi, round_lo, steps_down, steps_up, ULP_PAD_TRANSCENDENTAL,
+    };
+    use stepwise::{next_down, next_up, outward, steps};
+
+    let check = |x: f64| {
+        same_bits("next_down", x, crate::next_down(x), next_down(x));
+        same_bits("next_up", x, crate::next_up(x), next_up(x));
+        for n in 0..=4 {
+            same_bits("steps_down", x, steps_down(x, n), steps(x, n, next_down));
+            same_bits("steps_up", x, steps_up(x, n), steps(x, n, next_up));
+        }
+        same_bits("round_lo", x, round_lo(x), outward(x, 1, next_down));
+        same_bits("round_hi", x, round_hi(x), outward(x, 1, next_up));
+        let pad = ULP_PAD_TRANSCENDENTAL;
+        same_bits("pad_lo", x, pad_lo(x), outward(x, pad, next_down));
+        same_bits("pad_hi", x, pad_hi(x), outward(x, pad, next_up));
+    };
+    for x in rounding_cases() {
+        check(x);
+    }
+    let mut rng = SplitMix64(0x5eed_0022);
+    for _ in 0..100_000 {
+        check(f64::from_bits(rng.next()));
+        check(rng.endpoint());
+    }
+    // The stepwise walks that cross zero land on the zero of the side
+    // they came from; the one-move step must too.
+    let sub = f64::from_bits(1);
+    assert_eq!(crate::next_down(sub).to_bits(), 0.0f64.to_bits());
+    assert_eq!(crate::next_up(-sub).to_bits(), (-0.0f64).to_bits());
+    assert_eq!(steps_up(-3.0 * sub, 3).to_bits(), (-0.0f64).to_bits());
+}
+
+/// `a.mul_point(c)` (and the `Interval * f64` operators built on it) is
+/// the generic product with `Interval::point(c)` bit for bit, with the
+/// point on either side: on `EMPTY`, `ENTIRE`, zero, half-line and
+/// subnormal operands, for `c` of ±0, ±1, ±∞, NaN, a subnormal, ±`MAX`
+/// and both signs, then on 200k random operand pairs whose endpoints mix
+/// zeros, subnormals, underflowing and overflowing magnitudes and ±∞.
+#[test]
+fn point_product_matches_generic_product() {
+    fn check(a: Interval, c: f64) {
+        let p = Interval::point(c);
+        let same = |x: Interval, y: Interval| {
+            x.inf().to_bits() == y.inf().to_bits() && x.sup().to_bits() == y.sup().to_bits()
+        };
+        let got = a.mul_point(c);
+        assert!(same(got, a * p), "{a:?}.mul_point({c:?}) = {got:?}, a·[c] = {:?}", a * p);
+        assert!(same(got, p * a), "{a:?}.mul_point({c:?}) = {got:?}, [c]·a = {:?}", p * a);
+        assert!(same(a * c, got) && same(c * a, got), "{a:?} * {c:?}");
+    }
+    let sub = f64::from_bits(1);
+    let operands = [
+        Interval::EMPTY,
+        Interval::ENTIRE,
+        Interval::ZERO,
+        Interval::new(-0.0, 0.0),
+        Interval::new(-0.0, 2.5),
+        Interval::new(0.0, sub),
+        Interval::new(-sub, sub),
+        Interval::new(1e-200, 1e-160),
+        Interval::new(-3.0, -1.0),
+        Interval::new(-1.0, 3.0),
+        Interval::new(0.1, 0.7),
+        Interval::new(1e300, f64::MAX),
+        Interval::new(f64::NEG_INFINITY, -2.0),
+        Interval::new(-2.0, f64::INFINITY),
+        Interval::new(0.0, f64::INFINITY),
+    ];
+    let factors = [
+        0.0,
+        1.0,
+        f64::INFINITY,
+        sub,
+        1e-200,
+        0.35355339059327373,
+        3.0,
+        16.0,
+        f64::MAX,
+        f64::NAN,
+    ];
+    for a in operands {
+        for c in factors {
+            check(a, c);
+            check(a, -c);
+        }
+    }
+    let mut rng = SplitMix64(0x5eed_0023);
+    for _ in 0..200_000 {
+        let a = rng.interval();
+        let c = match rng.next() % 4 {
+            0 => rng.endpoint(),
+            1 => f64::from_bits(rng.next()),
+            _ => (rng.unit() - 0.5) * 4.0,
+        };
+        check(a, c);
+    }
+}
+
+/// An underflowed corner at either end widens both zero bounds: the
+/// exact-zero test of the point product covers both corners, not only
+/// the bound that matches the sign of `c`.
+#[test]
+fn point_product_widens_an_underflowed_corner() {
+    let sub = f64::from_bits(1);
+    let a = Interval::new(0.0, sub);
+    let want = Interval::new(-sub, sub);
+    assert_eq!(a * Interval::point(sub), want);
+    assert_eq!(a.mul_point(sub), want);
+    assert_eq!(a.mul_point(-sub), want);
+    // A zero corner from a zero factor alone stays an exact zero.
+    let r = Interval::new(0.0, 2.0).mul_point(0.5);
+    assert_eq!(r, Interval::new(0.0, crate::next_up(1.0)));
 }
