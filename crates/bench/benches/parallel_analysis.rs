@@ -5,8 +5,8 @@
 //! at a single worker, the lane-replay ablation (1/2/4/8 replay lanes
 //! per compiled-trace walk, plus a Black–Scholes book at width 4), the DCT lane-sweep layer (forward replay and
 //! reverse sweep of one 4-block lane block, timed apart), the Fig. 7
-//! sweep layer (`taskwait` dispatch alone, and the DCT tasked and
-//! perforated kernels), and the scorpio-obs overhead check (the same
+//! sweep layer (`taskwait` dispatch alone, the DCT tasked and
+//! perforated kernels, and N-body tasked at ratio 0), and the scorpio-obs overhead check (the same
 //! analysis batch with tracing disabled vs enabled — disabled must be
 //! within noise of the pre-instrumentation baseline).
 
@@ -16,8 +16,8 @@ use std::hint::black_box;
 use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Tape};
 use scorpio_core::{Analysis, AnalysisArena, ParallelAnalysis, ReplayOrRecord};
 use scorpio_interval::Interval;
-use scorpio_kernels::blackscholes;
 use scorpio_kernels::dct::{self, BLOCK, QUANT};
+use scorpio_kernels::{blackscholes, nbody};
 use scorpio_kernels::fisheye::{
     analysis_inverse_mapping, analysis_inverse_mapping_grid, analysis_inverse_mapping_grid_lanes,
     analysis_inverse_mapping_in, analysis_inverse_mapping_replay_in, Lens,
@@ -257,6 +257,16 @@ fn bench_taskwait(c: &mut Criterion) {
     });
     group.bench_function("dct_perforated_256", |b| {
         b.iter(|| dct::perforated(black_box(&img), 0.5))
+    });
+    // The overhead-bound sweep case: N-body on the 8³ evaluation lattice
+    // (13,824 tasks per force evaluation, five evaluations) at ratio 0,
+    // where nearly every task runs its cheap approximate body.
+    let lattice = nbody::Params {
+        edge: 8,
+        ..nbody::Params::evaluation()
+    };
+    group.bench_function("nbody_tasked_r0", |b| {
+        b.iter(|| nbody::tasked(black_box(&lattice), &one, 0.0))
     });
     group.finish();
 }

@@ -99,7 +99,9 @@ impl TaskPlan {
     ///
     /// The bodies are `todo!()` stubs: deciding *how* to approximate
     /// remains the developer's insight (§3.2), but the structure and the
-    /// ranking come from the analysis.
+    /// ranking come from the analysis. A `TaskGroup` is typed by its
+    /// bodies, and every spawn here has closures of its own type, so
+    /// the skeleton boxes them into one `Body` type at the call site.
     pub fn to_rust_skeleton(&self, kernel_name: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -120,9 +122,10 @@ impl TaskPlan {
             out,
             "pub fn {kernel_name}_tasked(executor: &Executor, ratio: f64) -> ExecutionStats {{"
         );
+        let _ = writeln!(out, "    type Body = Box<dyn FnOnce(&TaskCtx) + Send>;");
         let _ = writeln!(
             out,
-            "    let mut group = TaskGroup::new(\"{kernel_name}\");"
+            "    let mut group: TaskGroup<Body, Body> = TaskGroup::new(\"{kernel_name}\");"
         );
         for t in &self.tasks {
             let _ = writeln!(out, "    // {}: {} (S = {:.4})", t.name, t.op, t.significance);
@@ -130,12 +133,12 @@ impl TaskPlan {
             let _ = writeln!(out, "        {:.4},", t.task_significance);
             let _ = writeln!(
                 out,
-                "        |ctx| todo!(\"accurate body producing {}\"),",
+                "        Box::new(|ctx: &TaskCtx| todo!(\"accurate body producing {}\")),",
                 t.name
             );
             let _ = writeln!(
                 out,
-                "        Some(|ctx: &TaskCtx| todo!(\"approximate body for {}\")),",
+                "        Some(Box::new(|ctx: &TaskCtx| todo!(\"approximate body for {}\"))),",
                 t.name
             );
             let _ = writeln!(out, "    );");
@@ -148,6 +151,7 @@ impl TaskPlan {
 
 #[cfg(test)]
 mod tests {
+    use super::{TaskPlan, TaskSuggestion};
     use crate::Analysis;
 
     fn maclaurin_partition() -> crate::Partition {
@@ -185,6 +189,46 @@ mod tests {
         // term0's significance is ULP noise from the outward-rounded
         // adjoint sweep, i.e. numerically zero.
         assert!(plan.tasks.last().unwrap().task_significance < 1e-12);
+    }
+
+    /// The emitted text, whole: every spawn boxes its two bodies into
+    /// the one `Body` type the group is declared with, so bodies of
+    /// different closure types type-check together in one group.
+    #[test]
+    fn skeleton_boxes_bodies_into_one_group_type() {
+        let task = |name: &str, node_id, significance, task_significance| TaskSuggestion {
+            name: name.into(),
+            node_id,
+            op: "mul".into(),
+            significance,
+            task_significance,
+        };
+        let plan = TaskPlan {
+            level: 2,
+            from_variance_cut: true,
+            tasks: vec![task("hi", 7, 0.75, 1.0), task("task_u9", 9, 0.25, 0.3333)],
+        };
+        let want = r#"/// Task-restructured `k` generated from the significance analysis.
+/// Cut level: 2 (variance cut).
+pub fn k_tasked(executor: &Executor, ratio: f64) -> ExecutionStats {
+    type Body = Box<dyn FnOnce(&TaskCtx) + Send>;
+    let mut group: TaskGroup<Body, Body> = TaskGroup::new("k");
+    // hi: mul (S = 0.7500)
+    group.spawn(
+        1.0000,
+        Box::new(|ctx: &TaskCtx| todo!("accurate body producing hi")),
+        Some(Box::new(|ctx: &TaskCtx| todo!("approximate body for hi"))),
+    );
+    // task_u9: mul (S = 0.2500)
+    group.spawn(
+        0.3333,
+        Box::new(|ctx: &TaskCtx| todo!("accurate body producing task_u9")),
+        Some(Box::new(|ctx: &TaskCtx| todo!("approximate body for task_u9"))),
+    );
+    group.taskwait(executor, ratio)
+}
+"#;
+        assert_eq!(plan.to_rust_skeleton("k"), want);
     }
 
     #[test]

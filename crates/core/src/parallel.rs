@@ -160,6 +160,12 @@ impl ParallelAnalysis {
     /// shape-divergent blocks run item by item. Results are
     /// bit-identical for every width.
     ///
+    /// `map` borrows each item's rows. Each worker keeps one set of
+    /// rows per lane and refills it block after block: a replay of the
+    /// same trace overwrites only the numbers, and the names are
+    /// rebuilt only when the trace changes. The results of all blocks
+    /// go into one output vector.
+    ///
     /// `inputs_of` must return the per-item input boxes **in
     /// registration order**, and the closure's trace shape must not
     /// otherwise depend on the item (a [`Ctx::branch`] in `f`
@@ -172,6 +178,10 @@ impl ParallelAnalysis {
     ///
     /// As [`ParallelAnalysis::run_batch`]: the first failing block is,
     /// by construction, the one holding the lowest-indexed failing item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `LANES == 0`.
     pub fn run_batch_replay_vars_map_lanes<const LANES: usize, T, R, I, F, M>(
         &self,
         items: &[T],
@@ -188,7 +198,8 @@ impl ParallelAnalysis {
     {
         let _span = scorpio_obs::span("parallel_batch");
         scorpio_obs::count("parallel.items", items.len() as u64);
-        let blocks: Vec<&[T]> = items.chunks(LANES.max(1)).collect();
+        assert!(LANES > 0, "a lane block holds at least one item");
+        let blocks: Vec<&[T]> = items.chunks(LANES).collect();
         let results = self.executor.map_with_state(
             &blocks,
             || {
@@ -204,13 +215,13 @@ impl ParallelAnalysis {
                 // delta can ride back with the results (worker state
                 // itself is dropped inside the pool).
                 let before = driver.stats();
-                let mut vars = Vec::with_capacity(block.len());
-                driver.run_block(None, arena, lanes, block, &inputs_of, &f, &mut vars)?;
-                let out = block
-                    .iter()
-                    .zip(&vars)
-                    .map(|(item, v)| map(item, v))
-                    .collect::<Result<Vec<R>, _>>()?;
+                let mut out: [Option<R>; LANES] = std::array::from_fn(|_| None);
+                let mut slots = out.iter_mut();
+                driver.run_block_rows(arena, lanes, block, &inputs_of, &f, |item, vars| {
+                    *slots.next().expect("a block holds at most LANES items") =
+                        Some(map(item, vars)?);
+                    Ok(())
+                })?;
                 Ok((out, driver.stats().since(before)))
             },
         );
@@ -219,7 +230,7 @@ impl ParallelAnalysis {
         for result in results {
             let (rs, delta) = result?;
             stats.merge(delta);
-            out.extend(rs);
+            out.extend(rs.into_iter().flatten());
         }
         Ok((out, stats))
     }
@@ -421,6 +432,78 @@ mod tests {
             assert_eq!(a.registered().len(), b.registered().len());
             for (va, vb) in a.registered().iter().zip(b.registered()) {
                 assert_eq!(va.significance_raw.to_bits(), vb.significance_raw.to_bits());
+            }
+        }
+    }
+
+    /// Two traces with different names and input arity, three rows
+    /// each: `x → t → y` and `p, q → z`.
+    fn two_traces(ctx: &Ctx<'_>, &(second, r): &(bool, f64)) -> Result<(), AnalysisError> {
+        if second {
+            let p = ctx.input_centered("p", 0.7, r);
+            let q = ctx.input_centered("q", -0.2, r / 2.0);
+            let z = p * q.exp() - q;
+            ctx.output(&z, "z");
+        } else {
+            let x = ctx.input_centered("x", 0.3, r);
+            let t = x.sin();
+            ctx.intermediate(&t, "t");
+            let y = t * x + x.sqr();
+            ctx.output(&y, "y");
+        }
+        Ok(())
+    }
+
+    fn two_traces_inputs(&(second, r): &(bool, f64)) -> Vec<Interval> {
+        if second {
+            vec![Interval::centered(0.7, r), Interval::centered(-0.2, r / 2.0)]
+        } else {
+            vec![Interval::centered(0.3, r)]
+        }
+    }
+
+    /// The per-worker rows are refilled in place block after block:
+    /// one engine runs a batch that switches trace at a block boundary
+    /// and ends in a partial block, then a batch of the second trace
+    /// alone, then one of the first. Every row carries its own trace's
+    /// names and is bit-identical to a fresh `Analysis::run` of its
+    /// item: no name carries over from one trace to the next.
+    #[test]
+    fn refilled_rows_match_fresh_runs_across_trace_changes() {
+        let items = |second: bool, n: usize| -> Vec<(bool, f64)> {
+            (0..n).map(|i| (second, 0.01 + 0.013 * i as f64)).collect()
+        };
+        let mixed: Vec<(bool, f64)> = items(false, 12).into_iter().chain(items(true, 11)).collect();
+        for threads in [1, 2] {
+            let engine = ParallelAnalysis::new(threads);
+            for batch in [mixed.clone(), items(true, 9), items(false, 10)] {
+                let (rows, stats) =
+                    replay_vars::<4, _>(&engine, &batch, two_traces_inputs, two_traces);
+                // One worker warms up on the first block and
+                // lane-replays the others; how two workers share the
+                // blocks depends on scheduling.
+                assert!(threads > 1 || stats.lane_blocks > 0, "{stats:?}");
+                assert_eq!(rows.len(), batch.len());
+                for (vars, item) in rows.iter().zip(&batch) {
+                    let fresh = Analysis::new().run(|ctx| two_traces(ctx, item)).unwrap();
+                    let names: Vec<&str> = vars.registered().iter().map(|v| &*v.name).collect();
+                    let want: &[&str] = if item.0 { &["p", "q", "z"] } else { &["x", "t", "y"] };
+                    assert_eq!(names, want, "{threads} workers, item {item:?}");
+                    assert_eq!(vars.tape_len(), fresh.tape_len());
+                    assert_eq!(
+                        vars.output_significance_raw().to_bits(),
+                        fresh.output_significance_raw().to_bits()
+                    );
+                    for (a, b) in vars.registered().iter().zip(fresh.registered()) {
+                        assert_eq!((&a.name, a.kind, a.node), (&b.name, b.kind, b.node));
+                        for (x, y) in [(a.enclosure, b.enclosure), (a.derivative, b.derivative)] {
+                            assert_eq!(x.inf().to_bits(), y.inf().to_bits(), "{}", a.name);
+                            assert_eq!(x.sup().to_bits(), y.sup().to_bits(), "{}", a.name);
+                        }
+                        assert_eq!(a.significance_raw.to_bits(), b.significance_raw.to_bits());
+                        assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+                    }
+                }
             }
         }
     }

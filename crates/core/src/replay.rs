@@ -41,7 +41,10 @@ use scorpio_adjoint::{CompiledTape, LaneReplayBuffers};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
-use crate::report::{build_recorded, build_replayed, OutputDetail, Report, VarSignificances};
+use crate::report::{
+    build_recorded, build_replayed, refill_replayed, OutputDetail, ReplayRegs, Report,
+    VarSignificances,
+};
 use crate::session::{Analysis, AnalysisArena, Ctx, Registrations};
 
 /// Counters for the replay/record decision of a [`ReplayOrRecord`]
@@ -106,10 +109,11 @@ impl ReplayStats {
     }
 }
 
-/// A compiled trace plus the registration snapshot it was recorded with.
+/// A compiled trace plus the registration snapshot it was recorded with
+/// (and the output seeds and registered node ids every replay reads).
 struct CompiledAnalysis {
     tape: CompiledTape<Interval>,
-    regs: Registrations,
+    regs: ReplayRegs,
     /// The recording resolved a branch: the trace is value-dependent
     /// and must never be replayed.
     branched: bool,
@@ -368,6 +372,54 @@ impl ReplayOrRecord {
         Ok(())
     }
 
+    /// Unkeyed [`ReplayOrRecord::run_block`] for the registered rows,
+    /// lending each item's rows to `each` in item order instead of
+    /// returning them. A lane-replayed block refills the rows `lanes`
+    /// keeps per lane: their numbers always, their names only when the
+    /// trace differs from the one the rows were last filled from. Items
+    /// that run one by one get fresh rows. Either way the rows are
+    /// bit-identical to [`ReplayOrRecord::run_block`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayOrRecord::run_block`], and the first error of `each`.
+    pub(crate) fn run_block_rows<const LANES: usize, T, I, F, E>(
+        &mut self,
+        arena: &mut AnalysisArena,
+        lanes: &mut LaneScratch<LANES>,
+        block: &[T],
+        inputs_of: &I,
+        f: &F,
+        mut each: E,
+    ) -> Result<(), AnalysisError>
+    where
+        I: Fn(&T) -> Vec<Interval>,
+        F: Fn(&Ctx<'_>, &T) -> Result<(), AnalysisError>,
+        E: FnMut(&T, &VarSignificances) -> Result<(), AnalysisError>,
+    {
+        if self.stage_lane_block(None, lanes, block, inputs_of) {
+            let _span = scorpio_obs::span_detail("replay_lanes");
+            let c = self.replay_forward(lanes);
+            let named = lanes.rows_of.as_ref().is_some_and(|r| Arc::ptr_eq(&r.inner, c));
+            refill_replayed(&c.tape, &c.regs, &mut lanes.buf, &mut lanes.rows, named)?;
+            if !named {
+                lanes.rows_of = Some(CompiledTrace {
+                    inner: Arc::clone(c),
+                });
+            }
+            for (item, rows) in block.iter().zip(&lanes.rows) {
+                each(item, rows)?;
+            }
+            return Ok(());
+        }
+        for item in block {
+            let inputs = inputs_of(item);
+            let rows: VarSignificances = self.run(None, arena, &inputs, |ctx| f(ctx, item))?;
+            each(item, &rows)?;
+        }
+        Ok(())
+    }
+
     /// Unkeyed [`ReplayOrRecord::run`] returning a full [`Report`].
     ///
     /// # Errors
@@ -431,11 +483,21 @@ impl ReplayOrRecord {
         &self,
         lanes: &mut LaneScratch<LANES>,
     ) -> Result<[D; LANES], AnalysisError> {
+        let c = self.replay_forward(lanes);
+        build_replayed(&c.tape, &c.regs, self.analysis.delta(), &mut lanes.buf)
+    }
+
+    /// The forward sweep of the block staged in `lanes` through the held
+    /// compiled trace, which it returns.
+    fn replay_forward<const LANES: usize>(
+        &self,
+        lanes: &mut LaneScratch<LANES>,
+    ) -> &Arc<CompiledAnalysis> {
         let c = self.compiled.as_ref().expect("staged against a compiled trace");
         c.tape
             .replay_lanes(&lanes.staging, &mut lanes.buf)
             .expect("staging validated input arity");
-        build_replayed(&c.tape, &c.regs, self.analysis.delta(), &mut lanes.buf)
+        c
     }
 
     /// Decides whether `block` can be served by one lane replay and, if
@@ -558,9 +620,9 @@ impl ReplayOrRecord {
         {
             self.compiled = Some(Arc::new(CompiledAnalysis {
                 tape: CompiledTape::compile(&arena.tape),
-                regs: Registrations {
+                regs: ReplayRegs::new(Registrations {
                     entries: regs.entries.clone(),
-                },
+                }),
                 branched,
                 key,
             }));
@@ -571,17 +633,25 @@ impl ReplayOrRecord {
     }
 }
 
-/// Scratch for one lane width: the lane-blocked replay buffers plus the
-/// slot-major staging area the per-item inputs are transposed into.
-/// [`AnalysisArena`] holds the width-1 instance that single-item runs
-/// replay through; [`ReplayOrRecord::run_block`] takes a caller-owned
-/// one per worker, since its width is a const generic chosen per call
-/// site.
+/// Scratch for one lane width: the lane-blocked replay buffers, the
+/// slot-major staging area the per-item inputs are transposed into, and
+/// one set of registered rows per lane that
+/// [`ParallelAnalysis::run_batch_replay_vars_map_lanes`](crate::ParallelAnalysis::run_batch_replay_vars_map_lanes)
+/// refills block after block. [`AnalysisArena`] holds the width-1
+/// instance that single-item runs replay through;
+/// [`ReplayOrRecord::run_block`] takes a caller-owned one per worker,
+/// since its width is a const generic chosen per call site.
 #[derive(Debug)]
 pub struct LaneScratch<const LANES: usize> {
     buf: LaneReplayBuffers<Interval, LANES>,
     /// `staging[s][l]` = input slot `s` of block item `l`.
     staging: Vec<[Interval; LANES]>,
+    /// The last refilled rows of each lane.
+    rows: [VarSignificances; LANES],
+    /// The trace whose names `rows` carry (`None` before the first
+    /// refill). Holding it keeps the trace alive, so a pointer match
+    /// always means the same registrations.
+    rows_of: Option<CompiledTrace>,
 }
 
 impl<const LANES: usize> LaneScratch<LANES> {
@@ -590,6 +660,8 @@ impl<const LANES: usize> LaneScratch<LANES> {
         LaneScratch {
             buf: LaneReplayBuffers::new(),
             staging: Vec::new(),
+            rows: std::array::from_fn(|_| VarSignificances::empty()),
+            rows_of: None,
         }
     }
 }

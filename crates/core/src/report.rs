@@ -205,6 +205,16 @@ pub struct VarSignificances {
 }
 
 impl VarSignificances {
+    /// No rows yet: the state a lane scratch's rows start in before the
+    /// first refill names them.
+    pub(crate) fn empty() -> VarSignificances {
+        VarSignificances {
+            vars: Vec::new(),
+            output_significance_raw: 0.0,
+            tape_len: 0,
+        }
+    }
+
     /// All registered variables in registration order.
     pub fn registered(&self) -> &[RegisteredVar] {
         &self.vars
@@ -303,28 +313,86 @@ impl sealed::Sealed for VarSignificances {
     }
 }
 
-/// Output node ids of `regs` (every one seeded with adjoint 1, per §2.3
-/// for vector functions), or the [`AnalysisError::NoOutputs`] error.
-fn output_seeds(regs: &Registrations) -> Result<Vec<(NodeId, Interval)>, AnalysisError> {
-    let seeds: Vec<(NodeId, Interval)> = regs
-        .entries
+/// Output node ids of `regs`, every one seeded with adjoint 1 (§2.3,
+/// vector functions). Empty when nothing was registered as an output.
+fn output_seeds(regs: &Registrations) -> Vec<(NodeId, Interval)> {
+    regs.entries
         .iter()
         .filter(|e| e.kind == VarKind::Output)
         .map(|e| (e.node, Interval::ONE))
-        .collect();
+        .collect()
+}
+
+/// [`AnalysisError::NoOutputs`] when `seeds` is empty: Eq. 11 needs an
+/// output to differentiate.
+fn require_outputs(seeds: &[(NodeId, Interval)]) -> Result<(), AnalysisError> {
     if seeds.is_empty() {
-        return Err(AnalysisError::NoOutputs);
+        Err(AnalysisError::NoOutputs)
+    } else {
+        Ok(())
     }
-    Ok(seeds)
+}
+
+/// The summed raw significance of the outputs, `Σ_i w([y_i])`: the
+/// normalization denominator of Eq. 11.
+fn output_total_raw(seeds: &[(NodeId, Interval)], significance_raw: impl Fn(NodeId) -> f64) -> f64 {
+    seeds.iter().map(|&(o, _)| significance_raw(o)).sum()
+}
+
+/// A raw significance normalized by `total_raw` (left raw when the
+/// total is zero or not finite).
+fn normalize(raw: f64, total_raw: f64) -> f64 {
+    if total_raw > 0.0 && total_raw.is_finite() {
+        raw / total_raw
+    } else {
+        raw
+    }
+}
+
+/// Writes the registered rows of `regs` into `rows`. When `named` is
+/// `true`, `rows` already holds `regs`'s rows from an earlier fill (same
+/// names, kinds and nodes) and only the numbers are overwritten;
+/// otherwise the rows are rebuilt first. The numbers are the Eq. 11
+/// arithmetic of one finished forward and reverse sweep, looked up per
+/// node by `value_of` / `adjoint_of`.
+fn fill_rows(
+    rows: &mut Vec<RegisteredVar>,
+    regs: &Registrations,
+    named: bool,
+    value_of: impl Fn(NodeId) -> Interval,
+    adjoint_of: impl Fn(NodeId) -> Interval,
+    total_raw: f64,
+) {
+    if !named {
+        rows.clear();
+        rows.extend(regs.entries.iter().map(|entry| RegisteredVar {
+            name: entry.name.clone(),
+            kind: entry.kind,
+            node: entry.node,
+            enclosure: Interval::EMPTY,
+            derivative: Interval::EMPTY,
+            significance_raw: f64::NAN,
+            significance: f64::NAN,
+        }));
+    }
+    debug_assert_eq!(rows.len(), regs.entries.len());
+    for row in rows.iter_mut() {
+        let (value, adjoint) = (value_of(row.node), adjoint_of(row.node));
+        let raw = significance_raw_from(value, adjoint);
+        row.enclosure = value;
+        row.derivative = adjoint;
+        row.significance_raw = raw;
+        row.significance = normalize(raw, total_raw);
+    }
 }
 
 /// The single row/graph assembler behind every builder: evaluates
 /// Eq. 11 (round-to-nearest product, normalized by the summed output
-/// significances) for the registered rows and, when `D` asks for it,
-/// for every node of the graph. `value_of` / `adjoint_of` look up one
-/// finished forward and reverse sweep per node and `node_of` the
-/// node's operator and predecessors, so recorded and replayed results
-/// run the same arithmetic and agree bit for bit.
+/// significances) for the registered rows ([`fill_rows`]) and, when `D`
+/// asks for it, for every node of the graph. `value_of` / `adjoint_of`
+/// look up one finished forward and reverse sweep per node and
+/// `node_of` the node's operator and predecessors, so recorded and
+/// replayed results run the same arithmetic and agree bit for bit.
 fn assemble<D: OutputDetail>(
     regs: &Registrations,
     seeds: &[(NodeId, Interval)],
@@ -335,30 +403,9 @@ fn assemble<D: OutputDetail>(
     node_of: impl Fn(usize) -> (Op, Vec<usize>),
 ) -> D {
     let significance_raw = |id: NodeId| significance_raw_from(value_of(id), adjoint_of(id));
-    let total_raw: f64 = seeds.iter().map(|&(o, _)| significance_raw(o)).sum();
-    let normalize = |raw: f64| {
-        if total_raw > 0.0 && total_raw.is_finite() {
-            raw / total_raw
-        } else {
-            raw
-        }
-    };
-    let rows = regs
-        .entries
-        .iter()
-        .map(|entry| {
-            let raw = significance_raw(entry.node);
-            RegisteredVar {
-                name: entry.name.clone(),
-                kind: entry.kind,
-                node: entry.node,
-                enclosure: value_of(entry.node),
-                derivative: adjoint_of(entry.node),
-                significance_raw: raw,
-                significance: normalize(raw),
-            }
-        })
-        .collect();
+    let total_raw = output_total_raw(seeds, significance_raw);
+    let mut rows = Vec::with_capacity(regs.entries.len());
+    fill_rows(&mut rows, regs, false, &value_of, &adjoint_of, total_raw);
     D::assemble(rows, total_raw, len, delta, || {
         let mut nodes: Vec<SigNode> = (0..len)
             .map(|i| {
@@ -370,7 +417,7 @@ fn assemble<D: OutputDetail>(
                     preds,
                     value: value_of(id),
                     derivative: adjoint_of(id),
-                    significance: normalize(significance_raw(id)),
+                    significance: normalize(significance_raw(id), total_raw),
                     level: None,
                     name: None,
                     is_output: false,
@@ -405,7 +452,8 @@ pub(crate) fn build_recorded<D: OutputDetail>(
     delta: f64,
     scratch: &mut Vec<Interval>,
 ) -> Result<D, AnalysisError> {
-    let seeds = output_seeds(regs)?;
+    let seeds = output_seeds(regs);
+    require_outputs(&seeds)?;
     let adjoints = {
         let _span = scorpio_obs::span("reverse");
         tape.adjoints_in(&seeds, std::mem::take(scratch))
@@ -428,38 +476,69 @@ pub(crate) fn build_recorded<D: OutputDetail>(
     Ok(result)
 }
 
+/// The registrations of a compiled trace with what every replay of it
+/// reads, computed once when the trace is compiled: the output seeds
+/// and the registered node ids.
+pub(crate) struct ReplayRegs {
+    regs: Registrations,
+    seeds: Vec<(NodeId, Interval)>,
+    registered: Vec<NodeId>,
+}
+
+impl ReplayRegs {
+    pub(crate) fn new(regs: Registrations) -> ReplayRegs {
+        let seeds = output_seeds(&regs);
+        let registered = regs.entries.iter().map(|e| e.node).collect();
+        ReplayRegs {
+            regs,
+            seeds,
+            registered,
+        }
+    }
+}
+
+/// The reverse sweep over a replayed lane block: each output seeded
+/// with 1 in every lane. `every_node` asks for every node's adjoint, as
+/// a full report reads; otherwise only the registered nodes' are asked
+/// for, which skips the accumulation into every unregistered constant.
+/// The sweep mirrors [`Tape::adjoints_in`], so each lane's adjoints are
+/// bit-identical to a recording's.
+fn reverse_replayed<const LANES: usize>(
+    compiled: &CompiledTape<Interval>,
+    rr: &ReplayRegs,
+    every_node: bool,
+    buf: &mut LaneReplayBuffers<Interval, LANES>,
+) -> Result<(), AnalysisError> {
+    require_outputs(&rr.seeds)?;
+    let _span = scorpio_obs::span_detail("reverse");
+    let demand = if every_node {
+        AdjointDemand::All
+    } else {
+        AdjointDemand::Listed(&rr.registered)
+    };
+    compiled.adjoints_into_lanes(&rr.seeds, demand, buf);
+    Ok(())
+}
+
 /// Builds one result per lane of a block whose buffers
 /// [`CompiledTape::replay_lanes`] has filled: one reverse sweep over
-/// the lane buffers (each output seeded with 1 in every lane), then the
-/// shared assembly per lane, in lane (= item) order. Values and partials
-/// are recomputed with the recording formulas and the sweep mirrors
-/// [`Tape::adjoints_in`], so each lane is bit-identical to
-/// [`build_recorded`] over a fresh recording of its item. A rows-only
-/// `D` asks the sweep for the registered nodes' adjoints alone, which
-/// skips the accumulation into every unregistered constant.
+/// the lane buffers, then the shared assembly per lane, in lane (=
+/// item) order. Values and partials are recomputed with the recording
+/// formulas, so each lane is bit-identical to [`build_recorded`] over a
+/// fresh recording of its item.
 pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
     compiled: &CompiledTape<Interval>,
-    regs: &Registrations,
+    rr: &ReplayRegs,
     delta: f64,
     buf: &mut LaneReplayBuffers<Interval, LANES>,
 ) -> Result<[D; LANES], AnalysisError> {
-    let seeds = output_seeds(regs)?;
-    {
-        let _span = scorpio_obs::span_detail("reverse");
-        let registered: Vec<NodeId> = regs.entries.iter().map(|e| e.node).collect();
-        let demand = if D::READS_EVERY_NODE {
-            AdjointDemand::All
-        } else {
-            AdjointDemand::Listed(&registered)
-        };
-        compiled.adjoints_into_lanes(&seeds, demand, buf);
-    }
+    reverse_replayed(compiled, rr, D::READS_EVERY_NODE, buf)?;
     let _span = scorpio_obs::span_detail("significance");
     let node_of = |i: usize| (compiled.op(i), compiled.preds_of(i).map(|p| p.index()).collect());
     Ok(std::array::from_fn(|l| {
         assemble(
-            regs,
-            &seeds,
+            &rr.regs,
+            &rr.seeds,
             delta,
             compiled.len(),
             |id| buf.value(id, l),
@@ -467,4 +546,32 @@ pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
             node_of,
         )
     }))
+}
+
+/// [`build_replayed`] for the registered rows, written into `rows` in
+/// place (one per lane) instead of into fresh ones. With `named`, the
+/// rows already carry this trace's names from an earlier refill and
+/// only the numbers are overwritten ([`fill_rows`]); the numbers are
+/// the same arithmetic, so the rows are bit-identical to
+/// `build_replayed::<VarSignificances, LANES>`'s.
+pub(crate) fn refill_replayed<const LANES: usize>(
+    compiled: &CompiledTape<Interval>,
+    rr: &ReplayRegs,
+    buf: &mut LaneReplayBuffers<Interval, LANES>,
+    rows: &mut [VarSignificances; LANES],
+    named: bool,
+) -> Result<(), AnalysisError> {
+    reverse_replayed(compiled, rr, false, buf)?;
+    let _span = scorpio_obs::span_detail("significance");
+    for (l, vars) in rows.iter_mut().enumerate() {
+        let value_of = |id: NodeId| buf.value(id, l);
+        let adjoint_of = |id: NodeId| buf.adjoint(id, l);
+        let total_raw = output_total_raw(&rr.seeds, |id| {
+            significance_raw_from(value_of(id), adjoint_of(id))
+        });
+        fill_rows(&mut vars.vars, &rr.regs, named, value_of, adjoint_of, total_raw);
+        vars.output_significance_raw = total_raw;
+        vars.tape_len = compiled.len();
+    }
+    Ok(())
 }

@@ -2,8 +2,10 @@
 //!
 //! The binary kernels are written once, generic over a [`Round`] policy, so
 //! that the rounding ablation (`nearest` module) shares the exact same case
-//! analysis as the production outward-rounded operators. That case
-//! analysis includes the exact-zero rule of the
+//! analysis as the production outward-rounded operators (products and
+//! quotients pick their corners differently, see
+//! [`Round::FOUR_CORNERS`]). That case analysis includes the exact-zero
+//! rule of the
 //! [`rounding`](crate::rounding) module: each kernel tells the policy when
 //! a bound of `0.0` is the exact result, and [`Outward`] then leaves it
 //! unwidened.
@@ -18,6 +20,15 @@ use crate::rounding::{round_hi_unless_exact, round_lo_unless_exact};
 /// This trait is sealed within the crate: the only implementations are
 /// [`Outward`] (production) and [`Nearest`] (ablation baseline).
 pub(crate) trait Round: Copy {
+    /// Whether products and quotients take the `min`/`max` of all four
+    /// corners instead of the two corners the operands' sign case names.
+    /// Both give the same bound values; they can differ only in the sign
+    /// of a zero bound. Outward rounding erases that sign (an exact zero
+    /// becomes `+0.0`, an inexact one a subnormal), so [`Outward`] takes
+    /// two corners. [`Nearest`] keeps its bounds verbatim, and the sign of
+    /// a zero bound reaches the significance width `w([u]·∇[u])`, so it
+    /// keeps all four.
+    const FOUR_CORNERS: bool;
     /// Adjusts a computed lower bound in the safe direction;
     /// `exact_zero` is asked only when `x == 0.0` and says whether that
     /// zero is exact.
@@ -33,6 +44,7 @@ pub(crate) trait Round: Copy {
 pub(crate) struct Outward;
 
 impl Round for Outward {
+    const FOUR_CORNERS: bool = false;
     #[inline]
     fn lo(x: f64, exact_zero: impl FnOnce() -> bool) -> f64 {
         round_lo_unless_exact(x, exact_zero)
@@ -48,6 +60,7 @@ impl Round for Outward {
 pub(crate) struct Nearest;
 
 impl Round for Nearest {
+    const FOUR_CORNERS: bool = true;
     #[inline]
     fn lo(x: f64, _exact_zero: impl FnOnce() -> bool) -> f64 {
         x
@@ -100,39 +113,84 @@ pub(crate) fn sub_impl<R: Round>(a: Interval, b: Interval) -> Interval {
     )
 }
 
-/// Multiplies with the standard 4-product rule, treating `0 * ±∞` (which is
-/// NaN in IEEE arithmetic) as `0` per interval-arithmetic convention.
+/// `x · y` with the interval convention `0 · ±∞ = 0` (NaN in IEEE
+/// arithmetic).
+#[inline]
+fn prod(x: f64, y: f64) -> f64 {
+    let p = x * y;
+    if p.is_nan() {
+        0.0
+    } else {
+        p
+    }
+}
+
+/// `x / y` with the convention `±∞ / ±∞ = 0` (NaN in IEEE arithmetic).
+#[inline]
+fn quot(x: f64, y: f64) -> f64 {
+    let q = x / y;
+    if q.is_nan() {
+        0.0
+    } else {
+        q
+    }
+}
+
+/// Multiplies, treating `0 * ±∞` as `0` per interval-arithmetic
+/// convention ([`prod`]).
+///
+/// Each bound is the corner product that the operands' sign case names
+/// (each operand nonnegative, nonpositive or straddling zero); only two
+/// straddling operands take a `min` and a `max` of two corners. On a
+/// range of one sign the product is monotone in each factor (the
+/// convention included), and round-to-nearest is monotone, so the
+/// picked corner equals the `min`/`max` of all four up to the sign of a
+/// zero ([`Round::FOUR_CORNERS`]).
 ///
 /// A zero bound stays unwidened only when every corner product that
 /// rounded to zero has a zero factor; one underflowed corner (a nonzero
 /// real rounded to zero, e.g. `1e-200 · 1e-200`) widens both zero bounds.
+/// That test looks at all four corners, and runs only for a zero bound.
 #[inline]
 pub(crate) fn mul_impl<R: Round>(a: Interval, b: Interval) -> Interval {
     if a.is_empty() || b.is_empty() {
         return Interval::EMPTY;
     }
-    #[inline]
-    fn prod(x: f64, y: f64) -> f64 {
-        let p = x * y;
-        if p.is_nan() {
-            // One factor was 0 and the other ±∞: by convention 0 · ∞ = 0.
-            0.0
-        } else {
-            p
-        }
-    }
     let (a0, a1, b0, b1) = (a.inf(), a.sup(), b.inf(), b.sup());
-    let p1 = prod(a0, b0);
-    let p2 = prod(a0, b1);
-    let p3 = prod(a1, b0);
-    let p4 = prod(a1, b1);
-    let lo = p1.min(p2).min(p3).min(p4);
-    let hi = p1.max(p2).max(p3).max(p4);
+    let (lo, hi) = if R::FOUR_CORNERS {
+        let (p1, p2, p3, p4) = (prod(a0, b0), prod(a0, b1), prod(a1, b0), prod(a1, b1));
+        (p1.min(p2).min(p3).min(p4), p1.max(p2).max(p3).max(p4))
+    } else if a0 >= 0.0 {
+        if b0 >= 0.0 {
+            (prod(a0, b0), prod(a1, b1))
+        } else if b1 <= 0.0 {
+            (prod(a1, b0), prod(a0, b1))
+        } else {
+            (prod(a1, b0), prod(a1, b1))
+        }
+    } else if a1 <= 0.0 {
+        if b0 >= 0.0 {
+            (prod(a0, b1), prod(a1, b0))
+        } else if b1 <= 0.0 {
+            (prod(a1, b1), prod(a0, b0))
+        } else {
+            (prod(a0, b1), prod(a0, b0))
+        }
+    } else if b0 >= 0.0 {
+        (prod(a0, b1), prod(a1, b1))
+    } else if b1 <= 0.0 {
+        (prod(a1, b0), prod(a0, b0))
+    } else {
+        (
+            prod(a0, b1).min(prod(a1, b0)),
+            prod(a0, b0).max(prod(a1, b1)),
+        )
+    };
     let exact_zero = || {
-        product_zero_exact(a0, b0, p1)
-            && product_zero_exact(a0, b1, p2)
-            && product_zero_exact(a1, b0, p3)
-            && product_zero_exact(a1, b1, p4)
+        product_zero_exact(a0, b0, prod(a0, b0))
+            && product_zero_exact(a0, b1, prod(a0, b1))
+            && product_zero_exact(a1, b0, prod(a1, b0))
+            && product_zero_exact(a1, b1, prod(a1, b1))
     };
     Interval::make(R::lo(lo, exact_zero), R::hi(hi, exact_zero))
 }
@@ -159,11 +217,14 @@ fn mul_point_impl(a: Interval, c: f64) -> Interval {
     )
 }
 
-/// Divides; if the divisor straddles zero the result is the whole line
-/// (the tightest single-interval enclosure of the two-piece true result).
+/// Divides, treating `±∞ / ±∞` as `0` ([`quot`]); if the divisor
+/// straddles zero the result is the whole line (the tightest
+/// single-interval enclosure of the two-piece true result).
 ///
-/// A zero bound stays unwidened only when every corner quotient that
-/// rounded to zero has a zero dividend.
+/// A divisor of one sign takes the two corner quotients that the
+/// dividend's sign case names (see [`mul_impl`]). A zero bound stays
+/// unwidened only when every corner quotient that rounded to zero has a
+/// zero dividend; that test looks at all four corners.
 #[inline]
 pub(crate) fn div_impl<R: Round>(a: Interval, b: Interval) -> Interval {
     if a.is_empty() || b.is_empty() {
@@ -201,27 +262,32 @@ pub(crate) fn div_impl<R: Round>(a: Interval, b: Interval) -> Interval {
         let exact_zero = || quotient_zero_exact(a0, q1) && quotient_zero_exact(a1, q2);
         return Interval::make(R::lo(lo, exact_zero), R::hi(hi, exact_zero));
     }
-    #[inline]
-    fn quot(x: f64, y: f64) -> f64 {
-        let q = x / y;
-        if q.is_nan() {
-            0.0
-        } else {
-            q
-        }
-    }
+    // A divisor of one sign: each bound is the corner quotient that the
+    // dividend's sign case names, as in `mul_impl`.
     let (b0, b1) = (b.inf(), b.sup());
-    let q1 = quot(a0, b0);
-    let q2 = quot(a0, b1);
-    let q3 = quot(a1, b0);
-    let q4 = quot(a1, b1);
-    let lo = q1.min(q2).min(q3).min(q4);
-    let hi = q1.max(q2).max(q3).max(q4);
+    let (lo, hi) = if R::FOUR_CORNERS {
+        let (q1, q2, q3, q4) = (quot(a0, b0), quot(a0, b1), quot(a1, b0), quot(a1, b1));
+        (q1.min(q2).min(q3).min(q4), q1.max(q2).max(q3).max(q4))
+    } else if b0 > 0.0 {
+        if a0 >= 0.0 {
+            (quot(a0, b1), quot(a1, b0))
+        } else if a1 <= 0.0 {
+            (quot(a0, b0), quot(a1, b1))
+        } else {
+            (quot(a0, b0), quot(a1, b0))
+        }
+    } else if a0 >= 0.0 {
+        (quot(a1, b1), quot(a0, b0))
+    } else if a1 <= 0.0 {
+        (quot(a1, b0), quot(a0, b1))
+    } else {
+        (quot(a1, b1), quot(a0, b1))
+    };
     let exact_zero = || {
-        quotient_zero_exact(a0, q1)
-            && quotient_zero_exact(a0, q2)
-            && quotient_zero_exact(a1, q3)
-            && quotient_zero_exact(a1, q4)
+        quotient_zero_exact(a0, quot(a0, b0))
+            && quotient_zero_exact(a0, quot(a0, b1))
+            && quotient_zero_exact(a1, quot(a1, b0))
+            && quotient_zero_exact(a1, quot(a1, b1))
     };
     Interval::make(R::lo(lo, exact_zero), R::hi(hi, exact_zero))
 }

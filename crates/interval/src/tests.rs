@@ -557,3 +557,144 @@ fn point_product_widens_an_underflowed_corner() {
     let r = Interval::new(0.0, 2.0).mul_point(0.5);
     assert_eq!(r, Interval::new(0.0, crate::next_up(1.0)));
 }
+
+/// The products and quotients as they were written before the sign-case
+/// kernels: every bound the `min`/`max` of all four corners (`0 · ∞` and
+/// `∞ / ∞` taken as `0`), then rounded by the caller. The oracle the
+/// outward `*` and `/` must equal bit for bit, and the form the
+/// round-to-nearest ablation must keep, zero signs included.
+mod four_corner {
+    use crate::Interval;
+
+    /// `(lo, hi, exact_zero)`, or `None` for a result that is not a
+    /// corner `min`/`max` (empty operand, zero-containing divisor).
+    pub type Corners = Option<(f64, f64, bool)>;
+
+    fn prod(x: f64, y: f64) -> f64 {
+        let p = x * y;
+        if p.is_nan() {
+            0.0
+        } else {
+            p
+        }
+    }
+
+    fn quot(x: f64, y: f64) -> f64 {
+        let q = x / y;
+        if q.is_nan() {
+            0.0
+        } else {
+            q
+        }
+    }
+
+    pub fn mul(a: Interval, b: Interval) -> Corners {
+        if a.is_empty() || b.is_empty() {
+            return None;
+        }
+        let (a0, a1, b0, b1) = (a.inf(), a.sup(), b.inf(), b.sup());
+        let p = [prod(a0, b0), prod(a0, b1), prod(a1, b0), prod(a1, b1)];
+        let exact = [(a0, b0), (a0, b1), (a1, b0), (a1, b1)]
+            .iter()
+            .zip(p)
+            .all(|(&(x, y), p)| p != 0.0 || x == 0.0 || y == 0.0);
+        Some((p[0].min(p[1]).min(p[2]).min(p[3]), p[0].max(p[1]).max(p[2]).max(p[3]), exact))
+    }
+
+    pub fn div(a: Interval, b: Interval) -> Corners {
+        if a.is_empty() || b.is_empty() || (b.inf() <= 0.0 && b.sup() >= 0.0) {
+            return None;
+        }
+        let (a0, a1, b0, b1) = (a.inf(), a.sup(), b.inf(), b.sup());
+        let q = [quot(a0, b0), quot(a0, b1), quot(a1, b0), quot(a1, b1)];
+        let exact = [a0, a0, a1, a1].iter().zip(q).all(|(&x, q)| q != 0.0 || x == 0.0);
+        Some((q[0].min(q[1]).min(q[2]).min(q[3]), q[0].max(q[1]).max(q[2]).max(q[3]), exact))
+    }
+
+    /// The outward rounding of the corner bounds: one step out, except
+    /// an exact zero, which becomes `+0.0`.
+    pub fn outward((lo, hi, exact): (f64, f64, bool)) -> (f64, f64) {
+        let round = |x: f64, step: fn(f64) -> f64| {
+            if x == 0.0 && exact {
+                0.0
+            } else if x.is_finite() {
+                step(x)
+            } else {
+                x
+            }
+        };
+        (round(lo, crate::next_down), round(hi, crate::next_up))
+    }
+}
+
+/// Every class of double as an interval endpoint: both zeros, the
+/// smallest and largest subnormals, `MIN_POSITIVE`, underflowing,
+/// ordinary and overflowing magnitudes, `MAX` and the infinities, of
+/// both signs. The operands are every ordered pair of them — points
+/// (the point zero among them), half-lines, `ENTIRE` — and `EMPTY`.
+fn corner_case_operands() -> Vec<Interval> {
+    let mut ends = vec![
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        1e-200,
+        0.5,
+        1.0,
+        3.0,
+        1e200,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+    ends.extend(ends.clone().into_iter().map(|x| -x));
+    let mut operands = vec![Interval::EMPTY];
+    for &lo in &ends {
+        for &hi in &ends {
+            if lo <= hi {
+                operands.push(Interval::new(lo, hi));
+            }
+        }
+    }
+    operands
+}
+
+/// Outward `*` and `/` take two corners per bound, picked by sign case;
+/// the four-corner forms of [`four_corner`] give the same bits on every
+/// class of double and on 200k random operand pairs. `nearest::mul` and
+/// `nearest::div` still return the unrounded four-corner bounds, zero
+/// signs included.
+#[test]
+fn sign_case_products_match_four_corner_oracle() {
+    let bits = |r: Interval| (r.inf().to_bits(), r.sup().to_bits());
+    let check = |a: Interval, b: Interval| {
+        let cases = [
+            ("mul", a * b, crate::nearest::mul(a, b), four_corner::mul(a, b)),
+            ("div", a / b, crate::nearest::div(a, b), four_corner::div(a, b)),
+        ];
+        for (op, got, nearest, want) in cases {
+            let Some(corners) = want else { continue };
+            let (lo, hi) = four_corner::outward(corners);
+            assert_eq!(
+                bits(got),
+                bits(Interval::make(lo, hi)),
+                "{op}({a:?}, {b:?}) = {got:?}, four corners give [{lo:?}, {hi:?}]"
+            );
+            let (lo, hi, _) = corners;
+            assert_eq!(
+                bits(nearest),
+                bits(Interval::make(lo, hi)),
+                "nearest::{op}({a:?}, {b:?}) = {nearest:?}, four corners give [{lo:?}, {hi:?}]"
+            );
+        }
+    };
+    let operands = corner_case_operands();
+    for &a in &operands {
+        for &b in &operands {
+            check(a, b);
+        }
+    }
+    let mut rng = SplitMix64(0x5eed_0024);
+    for _ in 0..200_000 {
+        check(rng.interval(), rng.interval());
+    }
+}

@@ -393,45 +393,51 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
         // One output slot per (atom, region): no races, summed after.
         let mut partial = vec![[0.0f64; 3]; n * n_regions];
         let run_stats = {
-            let mut group = TaskGroup::new("nbody-forces");
-            for (slot, chunk) in partial.chunks_mut(n_regions).enumerate() {
-                let atom = slot;
-                let apos = pos[atom];
-                let home = homes[atom];
-                for (r, out) in chunk.iter_mut().enumerate() {
-                    let mems = &members[r];
-                    let summary = &coms[r];
-                    // `pair_significance`, from the one distance the
-                    // refinement test also reads.
-                    let dist = distance(apos, centers[r]);
+            // Every task body captures its (atom, region) indices and
+            // this one reference.
+            let tasks = &ForceTasks {
+                pos,
+                members: &members,
+                coms: &coms,
+                centers: &centers,
+                near: 2.0 * cell,
+                n_regions,
+                partial: SendSlots(partial.as_mut_ptr(), partial.len()),
+            };
+            let mut group = TaskGroup::with_capacity("nbody-forces", n * n_regions);
+            for (atom, (&apos, &home)) in pos.iter().zip(&homes).enumerate() {
+                for (r, &center) in centers.iter().enumerate() {
+                    // `pair_significance`, from the distance the
+                    // refinement test of the approximate body reads.
                     let sig = if r == home {
                         1.0
                     } else {
-                        distance_significance(dist, cell)
+                        distance_significance(distance(apos, center), cell)
                     };
-                    // Near regions get the octant-refined approximation.
-                    let refined = dist < 2.0 * cell;
-                    let out_acc: *mut [f64; 3] = out;
-                    let out_acc = SendSlot(out_acc);
-                    let out_apx = SendSlot(out_acc.0);
                     group.spawn(
                         sig,
                         move |ctx: &scorpio_runtime::TaskCtx| {
+                            let mems = &tasks.members[r];
                             ctx.count_accurate_ops(mems.len() as u64);
+                            let apos = tasks.pos[atom];
                             let mut f = [0.0; 3];
                             for &j in mems {
                                 if j != atom {
-                                    let fij = lj_force(apos, pos[j]);
+                                    let fij = lj_force(apos, tasks.pos[j]);
                                     for d in 0..3 {
                                         f[d] += fij[d];
                                     }
                                 }
                             }
-                            out_acc.write(f);
+                            tasks.write(atom, r, f);
                         },
                         Some(move |ctx: &scorpio_runtime::TaskCtx| {
+                            let apos = tasks.pos[atom];
+                            let summary = &tasks.coms[r];
                             let mut f = [0.0; 3];
-                            if refined {
+                            // Near regions get the octant-refined
+                            // approximation.
+                            if distance(apos, tasks.centers[r]) < tasks.near {
                                 ctx.count_approx_ops(8);
                                 for (c, count) in &summary.octants {
                                     if *count > 0 {
@@ -451,7 +457,7 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
                                     }
                                 }
                             }
-                            out_apx.write(f);
+                            tasks.write(atom, r, f);
                         }),
                     );
                 }
@@ -498,19 +504,47 @@ struct RegionSummary {
     octants: [([f64; 3], usize); 8],
 }
 
-/// Slot wrapper for the exactly-one-body-runs write pattern.
-struct SendSlot(*mut [f64; 3]);
+/// What the force tasks of one evaluation read, shared by reference:
+/// positions, region members and summaries, region centres, the
+/// refinement distance and the `(atom, region)` output slots.
+struct ForceTasks<'a> {
+    pos: &'a [[f64; 3]],
+    members: &'a [Vec<usize>],
+    coms: &'a [RegionSummary],
+    centers: &'a [[f64; 3]],
+    /// Regions whose centre is nearer than this get the octant-refined
+    /// approximation.
+    near: f64,
+    n_regions: usize,
+    partial: SendSlots,
+}
 
-impl SendSlot {
-    fn write(&self, v: [f64; 3]) {
-        // SAFETY: disjoint slots per task; one body per task runs; the
-        // buffer outlives the group.
-        unsafe { *self.0 = v };
+impl ForceTasks<'_> {
+    /// Writes the force on `atom` from `region`.
+    fn write(&self, atom: usize, region: usize, v: [f64; 3]) {
+        let SendSlots(slots, len) = self.partial;
+        let slot = atom * self.n_regions + region;
+        assert!(region < self.n_regions && slot < len, "slot ({atom}, {region}) out of range");
+        // SAFETY: `slot` is in bounds of the `len`-slot buffer (checked
+        // above); it belongs to the one (atom, region) task, of which
+        // one body runs; the buffer outlives the group and is not read
+        // until its `taskwait` returns.
+        unsafe { *slots.add(slot) = v };
     }
 }
 
-// SAFETY: see `SendSlot::write`.
-unsafe impl Send for SendSlot {}
+/// The `(atom, region)` output slots (pointer and length), written
+/// through [`ForceTasks::write`] only.
+#[derive(Clone, Copy)]
+struct SendSlots(*mut [f64; 3], usize);
+
+// SAFETY: the pointer is only written through `ForceTasks::write`,
+// where tasks on different workers write disjoint in-bounds slots; the
+// length is a plain value.
+unsafe impl Send for SendSlots {}
+// SAFETY: as above: a shared `SendSlots` is only read for its pointer
+// and length.
+unsafe impl Sync for SendSlots {}
 
 /// Loop-perforated simulation (§4.2): the per-atom force loop over all
 /// other atoms skips a fraction of its iterations.

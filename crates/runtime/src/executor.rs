@@ -6,20 +6,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scorpio_obs::TaskClass;
 
-use crate::task::{Body, ExecMode, TaskCtx};
+use crate::task::{ExecMode, TaskCtx};
 
 /// A prepared job: the runtime's decision for one spawned task, carried
 /// to whichever worker claims it so the executor can attribute the
 /// task-event it emits (task id, significance, chosen mode).
-pub(crate) struct Job<'scope> {
+pub(crate) struct Job<A, B> {
     /// The mode the `taskwait` ranking chose.
     pub mode: ExecMode,
     /// Spawn order within the group — the event log's task id.
     pub task_id: u64,
     /// The task's (clamped) significance.
     pub significance: f64,
-    /// The task's bodies; the one `mode` names runs.
-    pub body: Box<dyn Body + 'scope>,
+    /// The accurate body.
+    pub accurate: A,
+    /// The approximate body, if the task has one.
+    pub approx: Option<B>,
 }
 
 /// A fixed-width thread pool executing the task jobs of a `taskwait`.
@@ -129,14 +131,24 @@ impl Executor {
     /// Runs the prepared jobs to completion and returns the
     /// `(accurate, approximate)` work units their bodies counted.
     ///
-    /// Workers claim jobs through a shared atomic cursor; the caller is
-    /// worker 0 and `min(threads, jobs) − 1` more are spawned. Blocks
-    /// until every job has finished. `label` is the task group's label,
-    /// attributed to the per-task events the workers emit while tracing
-    /// is enabled. A panicking body panics the caller once every worker
-    /// has stopped.
-    pub(crate) fn run(&self, label: &str, jobs: Vec<Job<'_>>) -> (u64, u64) {
-        let slots = JobSlots(jobs.into_iter().map(|j| UnsafeCell::new(Some(j))).collect());
+    /// One worker runs the jobs on the calling thread in the order
+    /// `jobs` yields them, as it yields them. More workers claim jobs
+    /// through a shared atomic cursor; the caller is worker 0 and
+    /// `min(threads, jobs) − 1` more are spawned. Blocks until every job
+    /// has finished. `label` is the task group's label, attributed to
+    /// the per-task events the workers emit while tracing is enabled. A
+    /// panicking body panics the caller once every worker has stopped.
+    pub(crate) fn run<A, B>(&self, label: &str, jobs: impl Iterator<Item = Job<A, B>>) -> (u64, u64)
+    where
+        A: FnOnce(&TaskCtx) + Send,
+        B: FnOnce(&TaskCtx) + Send,
+    {
+        if self.threads == 1 {
+            let worker = Worker::new(label);
+            jobs.for_each(|job| worker.run(job));
+            return worker.ops();
+        }
+        let slots = JobSlots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
         let cursor = AtomicUsize::new(0);
         let workers = self.threads.min(slots.0.len());
         let work = || claim_loop(label, &slots, &cursor);
@@ -157,32 +169,34 @@ impl Executor {
 
 /// The jobs of one `taskwait`, each taken by the one worker that
 /// claimed its index.
-struct JobSlots<'scope>(Vec<UnsafeCell<Option<Job<'scope>>>>);
+struct JobSlots<A, B>(Vec<UnsafeCell<Option<Job<A, B>>>>);
 
 // SAFETY: a slot is only accessed through `JobSlots::take`, by the
 // worker that claimed its index from the shared cursor, and the cursor
 // hands every index out once — no slot is ever reached by two threads.
 // Jobs are `Send`, so moving one out on another thread is sound.
-unsafe impl Sync for JobSlots<'_> {}
+unsafe impl<A: Send, B: Send> Sync for JobSlots<A, B> {}
 
-impl<'scope> JobSlots<'scope> {
+impl<A, B> JobSlots<A, B> {
     /// Takes the job at `i`.
     ///
     /// # Safety
     ///
     /// `i` must have been claimed from the cursor by the calling worker.
-    unsafe fn take(&self, i: usize) -> Option<Job<'scope>> {
+    unsafe fn take(&self, i: usize) -> Option<Job<A, B>> {
         // SAFETY: the caller holds the only claim on slot `i`.
         unsafe { (*self.0[i].get()).take() }
     }
 }
 
-/// One worker: claims jobs until the cursor runs past the end, running
-/// each with the worker's context for its mode, and returns the
-/// `(accurate, approximate)` work units its bodies counted.
-fn claim_loop(label: &str, slots: &JobSlots<'_>, cursor: &AtomicUsize) -> (u64, u64) {
-    let accurate = TaskCtx::new(ExecMode::Accurate);
-    let approximate = TaskCtx::new(ExecMode::Approximate);
+/// One worker: claims jobs until the cursor runs past the end and
+/// returns the `(accurate, approximate)` work units its bodies counted.
+fn claim_loop<A, B>(label: &str, slots: &JobSlots<A, B>, cursor: &AtomicUsize) -> (u64, u64)
+where
+    A: FnOnce(&TaskCtx) + Send,
+    B: FnOnce(&TaskCtx) + Send,
+{
+    let worker = Worker::new(label);
     loop {
         let i = cursor.fetch_add(1, Ordering::Relaxed);
         if i >= slots.0.len() {
@@ -190,39 +204,72 @@ fn claim_loop(label: &str, slots: &JobSlots<'_>, cursor: &AtomicUsize) -> (u64, 
         }
         // SAFETY: `i` came from this worker's own `fetch_add`.
         if let Some(job) = unsafe { slots.take(i) } {
-            let ctx = match job.mode {
-                ExecMode::Accurate => &accurate,
-                ExecMode::Approximate => &approximate,
-            };
-            run_job(label, job, ctx);
+            worker.run(job);
         }
     }
-    let (acc_a, apx_a) = accurate.ops();
-    let (acc_b, apx_b) = approximate.ops();
-    (acc_a.wrapping_add(acc_b), apx_a.wrapping_add(apx_b))
+    worker.ops()
 }
 
-/// Executes one claimed job, timing it and emitting a per-task event
-/// when tracing is enabled. When disabled the only overhead against
-/// the uninstrumented runtime is the one relaxed atomic load of
-/// [`scorpio_obs::enabled`] — no clock reads.
-fn run_job(label: &str, job: Job<'_>, ctx: &TaskCtx) {
-    if scorpio_obs::enabled() {
-        let started = std::time::Instant::now();
-        job.body.run(ctx);
-        let class = match job.mode {
-            ExecMode::Accurate => TaskClass::Accurate,
-            ExecMode::Approximate => TaskClass::Approx,
-        };
-        scorpio_obs::task_event(
+/// One worker's context for each mode, summed after the join.
+struct Worker<'a> {
+    label: &'a str,
+    accurate: TaskCtx,
+    approximate: TaskCtx,
+}
+
+impl<'a> Worker<'a> {
+    fn new(label: &'a str) -> Worker<'a> {
+        Worker {
             label,
-            job.task_id,
-            job.significance,
-            class,
-            started.elapsed().as_nanos() as u64,
-        );
-    } else {
-        job.body.run(ctx);
+            accurate: TaskCtx::new(ExecMode::Accurate),
+            approximate: TaskCtx::new(ExecMode::Approximate),
+        }
+    }
+
+    /// Executes one job with the context of its mode, timing it and
+    /// emitting a per-task event when tracing is enabled. When disabled
+    /// the only overhead against the uninstrumented runtime is the one
+    /// relaxed atomic load of [`scorpio_obs::enabled`] — no clock reads.
+    fn run<A, B>(&self, job: Job<A, B>)
+    where
+        A: FnOnce(&TaskCtx),
+        B: FnOnce(&TaskCtx),
+    {
+        let Job {
+            mode,
+            task_id,
+            significance,
+            accurate,
+            approx,
+        } = job;
+        let body = || match mode {
+            ExecMode::Accurate => accurate(&self.accurate),
+            ExecMode::Approximate => {
+                if let Some(approx) = approx {
+                    approx(&self.approximate);
+                }
+            }
+        };
+        if scorpio_obs::enabled() {
+            let started = std::time::Instant::now();
+            body();
+            let class = match mode {
+                ExecMode::Accurate => TaskClass::Accurate,
+                ExecMode::Approximate => TaskClass::Approx,
+            };
+            let nanos = started.elapsed().as_nanos() as u64;
+            scorpio_obs::task_event(self.label, task_id, significance, class, nanos);
+        } else {
+            body();
+        }
+    }
+
+    /// The `(accurate, approximate)` work units counted by both
+    /// contexts.
+    fn ops(&self) -> (u64, u64) {
+        let (acc_a, apx_a) = self.accurate.ops();
+        let (acc_b, apx_b) = self.approximate.ops();
+        (acc_a.wrapping_add(acc_b), apx_a.wrapping_add(apx_b))
     }
 }
 
@@ -231,12 +278,13 @@ mod tests {
     use super::*;
 
     /// An accurate job with only an accurate body.
-    fn accurate_job<'s>(task_id: u64, body: impl FnOnce(&TaskCtx) + Send + 's) -> Job<'s> {
+    fn accurate_job<A: FnOnce(&TaskCtx) + Send>(task_id: u64, body: A) -> Job<A, fn(&TaskCtx)> {
         Job {
             mode: ExecMode::Accurate,
             task_id,
             significance: 1.0,
-            body: crate::task::bodies(body, None::<fn(&TaskCtx)>),
+            accurate: body,
+            approx: None,
         }
     }
 
@@ -245,7 +293,7 @@ mod tests {
         let counter = AtomicUsize::new(0);
         for threads in [1, 4] {
             counter.store(0, Ordering::Relaxed);
-            let jobs: Vec<Job<'_>> = (0..100)
+            let jobs: Vec<_> = (0..100)
                 .map(|i| {
                     let counter = &counter;
                     accurate_job(i, move |ctx: &TaskCtx| {
@@ -254,7 +302,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let ops = Executor::new(threads).run("test", jobs);
+            let ops = Executor::new(threads).run("test", jobs.into_iter());
             assert_eq!(counter.load(Ordering::Relaxed), 100);
             assert_eq!(ops, (200, 0));
         }
@@ -264,7 +312,7 @@ mod tests {
     fn one_worker_runs_jobs_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let ran_on = std::sync::Mutex::new(Vec::new());
-        let jobs: Vec<Job<'_>> = (0..8)
+        let jobs: Vec<_> = (0..8)
             .map(|i| {
                 let ran_on = &ran_on;
                 accurate_job(i, move |_: &TaskCtx| {
@@ -272,7 +320,7 @@ mod tests {
                 })
             })
             .collect();
-        Executor::new(1).run("test", jobs);
+        Executor::new(1).run("test", jobs.into_iter());
         let ran_on = ran_on.into_inner().unwrap();
         assert_eq!(ran_on.len(), 8);
         assert!(ran_on.iter().all(|&id| id == caller));
@@ -283,7 +331,7 @@ mod tests {
         let executor = Executor::new(2);
         let mut out = vec![0u64; 8];
         {
-            let jobs: Vec<Job<'_>> = out
+            let jobs: Vec<_> = out
                 .iter_mut()
                 .enumerate()
                 .map(|(i, slot)| {
@@ -292,7 +340,7 @@ mod tests {
                     })
                 })
                 .collect();
-            executor.run("test", jobs);
+            executor.run("test", jobs.into_iter());
         }
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }

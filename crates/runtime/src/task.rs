@@ -63,60 +63,6 @@ impl TaskCtx {
     }
 }
 
-/// A task's bodies, behind one allocation: the accurate closure and the
-/// optional approximate one. Running it consumes both and calls the one
-/// `ctx.mode()` names.
-pub(crate) trait Body: Send {
-    fn run(self: Box<Self>, ctx: &TaskCtx);
-}
-
-struct Bodies<A, B> {
-    accurate: A,
-    approx: Option<B>,
-}
-
-impl<A, B> Body for Bodies<A, B>
-where
-    A: FnOnce(&TaskCtx) + Send,
-    B: FnOnce(&TaskCtx) + Send,
-{
-    fn run(self: Box<Self>, ctx: &TaskCtx) {
-        let Bodies { accurate, approx } = *self;
-        match ctx.mode() {
-            ExecMode::Accurate => accurate(ctx),
-            ExecMode::Approximate => {
-                if let Some(approx) = approx {
-                    approx(ctx);
-                }
-            }
-        }
-    }
-}
-
-/// Boxes a task's accurate and optional approximate body together.
-pub(crate) fn bodies<'scope, A, B>(accurate: A, approx: Option<B>) -> Box<dyn Body + 'scope>
-where
-    A: FnOnce(&TaskCtx) + Send + 'scope,
-    B: FnOnce(&TaskCtx) + Send + 'scope,
-{
-    Box::new(Bodies { accurate, approx })
-}
-
-pub(crate) struct Task<'scope> {
-    pub significance: f64,
-    pub has_approx: bool,
-    pub body: Box<dyn Body + 'scope>,
-}
-
-impl fmt::Debug for Task<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Task")
-            .field("significance", &self.significance)
-            .field("has_approx", &self.has_approx)
-            .finish()
-    }
-}
-
 /// Statistics of one `taskwait` execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
@@ -151,26 +97,72 @@ impl ExecutionStats {
 
 /// A labelled group of tasks — the unit over which `taskwait ratio(r)`
 /// synchronises and enforces quality (§3.2, `label()` clause).
-pub struct TaskGroup<'scope> {
+///
+/// The group is typed by its task bodies: `A` is the accurate body and
+/// `B` the approximate one, and each task stores them inline, with no
+/// allocation of its own. Tasks spawned from one call site (a loop)
+/// share one closure type each. Bodies of different closure types share
+/// a group when boxed at the call site, since
+/// `Box<dyn FnOnce(&TaskCtx) + Send>` is itself a body:
+///
+/// ```
+/// use scorpio_runtime::{Executor, TaskCtx, TaskGroup};
+///
+/// type Body = Box<dyn FnOnce(&TaskCtx) + Send>;
+/// let mut group: TaskGroup<Body, Body> = TaskGroup::new("mixed");
+/// group.spawn(0.9, Box::new(|ctx: &TaskCtx| ctx.count_accurate_ops(2)), None);
+/// group.spawn(
+///     0.1,
+///     Box::new(|ctx: &TaskCtx| ctx.count_accurate_ops(5)),
+///     Some(Box::new(|ctx: &TaskCtx| ctx.count_approx_ops(1))),
+/// );
+/// let stats = group.taskwait(&Executor::new(1), 0.5);
+/// assert_eq!((stats.accurate_ops, stats.approx_ops), (2, 1));
+/// ```
+///
+/// `B` defaults to a function pointer: the approximate body type of a
+/// group that only calls [`TaskGroup::spawn_accurate`].
+pub struct TaskGroup<A, B = fn(&TaskCtx)> {
     label: String,
-    tasks: Vec<Task<'scope>>,
+    /// Each task's clamped significance, in spawn order.
+    significance: Vec<f64>,
+    /// Each task's accurate and optional approximate body, in spawn
+    /// order.
+    bodies: Vec<(A, Option<B>)>,
 }
 
-impl fmt::Debug for TaskGroup<'_> {
+impl<A, B> fmt::Debug for TaskGroup<A, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaskGroup")
             .field("label", &self.label)
-            .field("tasks", &self.tasks.len())
+            .field("tasks", &self.bodies.len())
             .finish()
     }
 }
 
-impl<'scope> TaskGroup<'scope> {
+impl<A> TaskGroup<A> {
+    /// Spawns a task that is always executed accurately (no approximate
+    /// body, significance 1).
+    pub fn spawn_accurate(&mut self, accurate: A)
+    where
+        A: FnOnce(&TaskCtx) + Send,
+    {
+        self.spawn(1.0, accurate, None);
+    }
+}
+
+impl<A, B> TaskGroup<A, B> {
     /// Creates an empty group with the given label.
-    pub fn new(label: impl Into<String>) -> TaskGroup<'scope> {
+    pub fn new(label: impl Into<String>) -> TaskGroup<A, B> {
+        TaskGroup::with_capacity(label, 0)
+    }
+
+    /// Creates an empty group with room for `tasks` spawns.
+    pub fn with_capacity(label: impl Into<String>, tasks: usize) -> TaskGroup<A, B> {
         TaskGroup {
             label: label.into(),
-            tasks: Vec::new(),
+            significance: Vec::with_capacity(tasks),
+            bodies: Vec::with_capacity(tasks),
         }
     }
 
@@ -181,12 +173,12 @@ impl<'scope> TaskGroup<'scope> {
 
     /// Number of spawned tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.bodies.len()
     }
 
     /// `true` if no task has been spawned yet.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.bodies.is_empty()
     }
 
     /// Spawns a task with the given `significance`, accurate body and
@@ -200,26 +192,14 @@ impl<'scope> TaskGroup<'scope> {
     /// # Panics
     ///
     /// Panics if `significance` is NaN.
-    pub fn spawn<A, B>(&mut self, significance: f64, accurate: A, approx: Option<B>)
+    pub fn spawn(&mut self, significance: f64, accurate: A, approx: Option<B>)
     where
-        A: FnOnce(&TaskCtx) + Send + 'scope,
-        B: FnOnce(&TaskCtx) + Send + 'scope,
+        A: FnOnce(&TaskCtx) + Send,
+        B: FnOnce(&TaskCtx) + Send,
     {
         assert!(!significance.is_nan(), "task significance must not be NaN");
-        self.tasks.push(Task {
-            significance: significance.clamp(0.0, 1.0),
-            has_approx: approx.is_some(),
-            body: bodies(accurate, approx),
-        });
-    }
-
-    /// Spawns a task that is always executed accurately (no approximate
-    /// body, significance 1).
-    pub fn spawn_accurate<A>(&mut self, accurate: A)
-    where
-        A: FnOnce(&TaskCtx) + Send + 'scope,
-    {
-        self.spawn(1.0, accurate, None::<fn(&TaskCtx)>);
+        self.significance.push(significance.clamp(0.0, 1.0));
+        self.bodies.push((accurate, approx));
     }
 
     /// Executes the group on `executor` with the quality knob `ratio`
@@ -235,7 +215,11 @@ impl<'scope> TaskGroup<'scope> {
     /// # Panics
     ///
     /// Panics if `ratio` is not in `[0, 1]` or is NaN.
-    pub fn taskwait(self, executor: &Executor, ratio: f64) -> ExecutionStats {
+    pub fn taskwait(self, executor: &Executor, ratio: f64) -> ExecutionStats
+    where
+        A: FnOnce(&TaskCtx) + Send,
+        B: FnOnce(&TaskCtx) + Send,
+    {
         assert!(
             (0.0..=1.0).contains(&ratio),
             "taskwait ratio must be within [0, 1], got {ratio}"
@@ -243,46 +227,50 @@ impl<'scope> TaskGroup<'scope> {
         let _span = scorpio_obs::span("taskwait");
         let tracing = scorpio_obs::enabled();
         let started = tracing.then(std::time::Instant::now);
-        let n = self.tasks.len();
+        let n = self.bodies.len();
         if n == 0 {
             return ExecutionStats::default();
         }
 
-        let accurate = select_accurate(&self.tasks, ratio);
+        let accurate = select_accurate(&self.significance, ratio);
         let mut stats = ExecutionStats::default();
-        let mut jobs: Vec<Job<'scope>> = Vec::with_capacity(n);
-        for (seq, (task, is_accurate)) in self.tasks.into_iter().zip(accurate).enumerate() {
-            let mode = if is_accurate {
-                stats.accurate += 1;
-                ExecMode::Accurate
-            } else if task.has_approx {
-                stats.approximate += 1;
-                ExecMode::Approximate
-            } else {
-                stats.dropped += 1;
-                // Dropped tasks never reach a worker, so the drop
-                // decision is recorded here (zero duration).
-                scorpio_obs::task_event(
-                    &self.label,
-                    seq as u64,
-                    task.significance,
-                    scorpio_obs::TaskClass::Dropped,
-                    0,
-                );
-                continue;
-            };
-            jobs.push(Job {
-                mode,
-                task_id: seq as u64,
-                significance: task.significance,
-                body: task.body,
-            });
-        }
+        let (label, significance) = (&self.label, &self.significance);
+        let jobs = self.bodies.into_iter().zip(accurate).enumerate().filter_map(
+            |(seq, ((accurate, approx), is_accurate))| {
+                let mode = if is_accurate {
+                    stats.accurate += 1;
+                    ExecMode::Accurate
+                } else if approx.is_some() {
+                    stats.approximate += 1;
+                    ExecMode::Approximate
+                } else {
+                    stats.dropped += 1;
+                    // Dropped tasks never reach a worker, so the drop
+                    // decision is recorded here (zero duration).
+                    scorpio_obs::task_event(
+                        label,
+                        seq as u64,
+                        significance[seq],
+                        scorpio_obs::TaskClass::Dropped,
+                        0,
+                    );
+                    return None;
+                };
+                Some(Job {
+                    mode,
+                    task_id: seq as u64,
+                    significance: significance[seq],
+                    accurate,
+                    approx,
+                })
+            },
+        );
 
-        {
+        let ops = {
             let _span = scorpio_obs::span("task_execution");
-            (stats.accurate_ops, stats.approx_ops) = executor.run(&self.label, jobs);
-        }
+            executor.run(label, jobs)
+        };
+        (stats.accurate_ops, stats.approx_ops) = ops;
 
         scorpio_obs::count("tasks.accurate", stats.accurate as u64);
         scorpio_obs::count("tasks.approximate", stats.approximate as u64);
@@ -291,7 +279,7 @@ impl<'scope> TaskGroup<'scope> {
         scorpio_obs::count("tasks.approx_ops", stats.approx_ops);
         if let Some(started) = started {
             scorpio_obs::taskwait_event(
-                &self.label,
+                label,
                 ratio,
                 stats.accurate as f64 / n as f64,
                 stats.accurate as u64,
@@ -346,7 +334,11 @@ impl<'scope> TaskGroup<'scope> {
         self,
         executor: &Executor,
         controller: &mut crate::controller::adaptive::AdaptiveController,
-    ) -> ExecutionStats {
+    ) -> ExecutionStats
+    where
+        A: FnOnce(&TaskCtx) + Send,
+        B: FnOnce(&TaskCtx) + Send,
+    {
         let ratio = controller.ratio();
         let stats = self.taskwait(executor, ratio);
         controller.record_execution(&stats);
@@ -360,27 +352,26 @@ impl<'scope> TaskGroup<'scope> {
 /// The top `ceil(ratio · n)` tasks of the total order "significance
 /// descending, spawn order ascending" are accurate, plus every task
 /// with significance ≥ 1. The order is total, so a selection finds the
-/// same set a stable sort's prefix would.
-fn select_accurate(tasks: &[Task<'_>], ratio: f64) -> Vec<bool> {
-    let n = tasks.len();
+/// same set a stable sort's prefix would. It runs over a compact
+/// `(significance, spawn index)` key per task.
+fn select_accurate(significance: &[f64], ratio: f64) -> Vec<bool> {
+    let n = significance.len();
     let min_accurate = (ratio * n as f64).ceil() as usize;
     if min_accurate == n {
         return vec![true; n];
     }
-    let mut accurate: Vec<bool> = tasks.iter().map(|t| t.significance >= 1.0).collect();
+    let mut accurate: Vec<bool> = significance.iter().map(|&s| s >= 1.0).collect();
     if min_accurate > 0 {
         // Significances are clamped and never NaN, so `partial_cmp`
         // always answers; spawn order breaks ties.
-        let by_rank = |&a: &usize, &b: &usize| {
-            tasks[b]
-                .significance
-                .partial_cmp(&tasks[a].significance)
+        let by_rank = |a: &(f64, usize), b: &(f64, usize)| {
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(Ordering::Equal)
-                .then(a.cmp(&b))
+                .then(a.1.cmp(&b.1))
         };
-        let mut order: Vec<usize> = (0..n).collect();
-        order.select_nth_unstable_by(min_accurate - 1, by_rank);
-        for &i in &order[..min_accurate] {
+        let mut keys: Vec<(f64, usize)> = significance.iter().copied().zip(0..).collect();
+        keys.select_nth_unstable_by(min_accurate - 1, by_rank);
+        for &(_, i) in &keys[..min_accurate] {
             accurate[i] = true;
         }
     }

@@ -191,9 +191,59 @@ fn work_units_are_accumulated_per_mode() {
 #[test]
 fn empty_group_is_fine() {
     let executor = Executor::new(2);
-    let group = TaskGroup::new("empty");
+    // Nothing spawned, so nothing fixes the body types: name one.
+    let group: TaskGroup<fn(&crate::TaskCtx)> = TaskGroup::new("empty");
     let stats = group.taskwait(&executor, 0.5);
     assert_eq!(stats.total(), 0);
+}
+
+/// Bodies of different closure types share one group when boxed at the
+/// call site: the ratio picks among them as among inline bodies, each
+/// chosen body runs once, and the work counts add up. At one worker the
+/// chosen bodies run in spawn order.
+#[test]
+fn boxed_bodies_make_a_heterogeneous_group() {
+    type Body<'a> = Box<dyn FnOnce(&crate::TaskCtx) + Send + 'a>;
+    for threads in [1, 3] {
+        let ran = Mutex::new(Vec::new());
+        let ran = &ran;
+        let mut group: TaskGroup<Body<'_>, Body<'_>> = TaskGroup::new("mixed");
+        let scale = 10u64;
+        group.spawn(
+            0.9,
+            Box::new(move |ctx| {
+                ctx.count_accurate_ops(scale);
+                ran.lock().unwrap().push("a0");
+            }),
+            Some(Box::new(|_| ran.lock().unwrap().push("x0"))),
+        );
+        group.spawn(
+            0.2,
+            Box::new(|ctx| {
+                ctx.count_accurate_ops(1);
+                ran.lock().unwrap().push("a1");
+            }),
+            None,
+        );
+        group.spawn(0.5, Box::new(|_| ran.lock().unwrap().push("a2")), None);
+        let label = String::from("owned");
+        group.spawn(
+            0.1,
+            Box::new(|_| ran.lock().unwrap().push("a3")),
+            Some(Box::new(move |ctx| {
+                ctx.count_approx_ops(label.len() as u64);
+                ran.lock().unwrap().push("x3");
+            })),
+        );
+        let stats = group.taskwait(&Executor::new(threads), 0.5);
+        assert_eq!((stats.accurate, stats.approximate, stats.dropped), (2, 1, 1));
+        assert_eq!((stats.accurate_ops, stats.approx_ops), (scale, 5));
+        let mut ran = ran.lock().unwrap().clone();
+        if threads > 1 {
+            ran.sort_unstable();
+        }
+        assert_eq!(ran, ["a0", "a2", "x3"], "{threads} workers");
+    }
 }
 
 #[test]
