@@ -14,14 +14,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use scorpio_adjoint::{AdjointDemand, CompiledTape, LaneReplayBuffers, NodeId, Tape};
-use scorpio_core::{Analysis, AnalysisArena, ParallelAnalysis, ReplayOrRecord};
+use scorpio_core::{Analysis, AnalysisArena, ParallelAnalysis, ReplayOrRecord, DEFAULT_LANES};
 use scorpio_interval::Interval;
 use scorpio_kernels::dct::{self, BLOCK, QUANT};
-use scorpio_kernels::{blackscholes, nbody};
 use scorpio_kernels::fisheye::{
-    analysis_inverse_mapping, analysis_inverse_mapping_grid, analysis_inverse_mapping_grid_lanes,
-    analysis_inverse_mapping_in, analysis_inverse_mapping_replay_in, Lens,
+    analysis_inverse_mapping, analysis_inverse_mapping_grid_lanes, analysis_inverse_mapping_in,
+    InverseMapping, Lens,
 };
+use scorpio_kernels::{blackscholes, nbody, Kernel};
 use scorpio_quality::SyntheticImage;
 use scorpio_runtime::{Executor, TaskCtx, TaskGroup};
 
@@ -35,7 +35,12 @@ fn bench_grid_scaling(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    black_box(analysis_inverse_mapping_grid(&lens, 32, 24, &engine).unwrap())
+                    black_box(
+                        analysis_inverse_mapping_grid_lanes::<DEFAULT_LANES>(
+                            &lens, 32, 24, &engine,
+                        )
+                        .unwrap(),
+                    )
                 })
             },
         );
@@ -89,11 +94,20 @@ fn bench_compiled_replay(c: &mut Criterion) {
     group.bench_function("replay", |b| {
         let mut arena = AnalysisArena::new();
         let mut driver = ReplayOrRecord::new(Analysis::new());
+        let kernel = InverseMapping { lens };
         b.iter(|| {
             let mut acc = 0.0;
             for &u in &pixels {
-                acc += analysis_inverse_mapping_replay_in(&mut driver, &mut arena, &lens, u, 480.0)
+                let pixel = (u, 480.0);
+                let vars = driver
+                    .run_vars_in(&mut arena, &kernel.inputs(&pixel), |ctx| {
+                        kernel.register(ctx, &pixel)
+                    })
                     .unwrap();
+                acc += ["u", "v"]
+                    .iter()
+                    .map(|n| vars.var(n).unwrap().significance_raw)
+                    .sum::<f64>();
             }
             black_box(acc)
         })

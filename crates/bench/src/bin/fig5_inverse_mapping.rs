@@ -13,8 +13,10 @@
 //! run manifest.
 
 use scorpio_bench::{finish_trace, heat_map, out_dir_arg, threads_arg, trace_arg};
-use scorpio_core::ParallelAnalysis;
-use scorpio_kernels::fisheye::{analysis_inverse_mapping, analysis_inverse_mapping_grid, Lens};
+use scorpio_core::{ParallelAnalysis, DEFAULT_LANES};
+use scorpio_kernels::fisheye::{
+    analysis_inverse_mapping, analysis_inverse_mapping_grid_lanes, Lens,
+};
 
 fn main() {
     let threads = threads_arg().unwrap_or(1);
@@ -36,7 +38,8 @@ fn main() {
     let engine = ParallelAnalysis::new(threads);
     let flat = {
         let _span = scorpio_obs::span("grid_analysis");
-        analysis_inverse_mapping_grid(&lens, gw, gh, &engine).expect("analysis")
+        analysis_inverse_mapping_grid_lanes::<DEFAULT_LANES>(&lens, gw, gh, &engine)
+            .expect("analysis")
     };
     let rows: Vec<Vec<f64>> = flat.chunks(gw).map(|r| r.to_vec()).collect();
 

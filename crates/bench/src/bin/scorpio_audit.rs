@@ -24,7 +24,7 @@ use scorpio_core::audit::{
     OpFamily, SplitMix64,
 };
 use scorpio_core::Report;
-use scorpio_kernels::{blackscholes, dct, fisheye, maclaurin, nbody, sobel};
+use scorpio_kernels::{blackscholes, dct, fisheye, maclaurin, nbody, sobel, Kernel};
 
 /// One kernel's aggregated battery result.
 struct KernelResult {
@@ -93,16 +93,19 @@ fn main() {
         let sobel_reports = vec![sobel::analysis().expect("sobel analysis")];
         let dct_reports = vec![dct::analysis_default().expect("dct analysis")];
         let bs_reports = vec![blackscholes::analysis().expect("blackscholes analysis")];
-        let lens = fisheye::Lens::for_image(1280, 960);
+        let fisheye = fisheye::InverseMapping {
+            lens: fisheye::Lens::for_image(1280, 960),
+        };
         let fisheye_reports: Vec<Report> = [(640.0, 480.0), (200.0, 150.0), (1100.0, 900.0)]
             .iter()
-            .map(|&(u, v)| {
-                fisheye::analysis_inverse_mapping_report(&lens, u, v).expect("fisheye analysis")
-            })
+            .map(|pixel| fisheye.report(pixel).expect("fisheye analysis"))
             .collect();
         let nbody_reports: Vec<Report> = [(1.0, 0.05), (1.5, 0.1), (2.5, 0.2)]
             .iter()
-            .map(|&(r0, rad)| nbody::analysis_pair_report(r0, rad).expect("nbody analysis"))
+            .map(|&(r0, rad)| {
+                let pair = nbody::Pair::new(r0, rad).expect("non-negative radius");
+                nbody::PairForce.report(&pair).expect("nbody analysis")
+            })
             .collect();
 
         [

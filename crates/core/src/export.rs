@@ -8,7 +8,7 @@
 use serde::Serialize;
 
 use crate::graph::SigGraph;
-use crate::report::Report;
+use crate::report::{Report, VarSignificances};
 
 /// Serialisable view of one registered variable.
 #[derive(Debug, Clone, Serialize)]
@@ -59,8 +59,8 @@ pub struct ReportRecord {
     pub nodes: Vec<NodeRecord>,
 }
 
-impl Report {
-    /// Builds the serialisable record of this report.
+impl VarSignificances {
+    /// Builds the serialisable record of these rows, with no `nodes`.
     pub fn to_record(&self) -> ReportRecord {
         ReportRecord {
             tape_len: self.tape_len(),
@@ -77,7 +77,18 @@ impl Report {
                     significance: v.significance,
                 })
                 .collect(),
+            nodes: Vec::new(),
+        }
+    }
+}
+
+impl Report {
+    /// Builds the serialisable record of this report: its rows' record
+    /// plus the live graph nodes.
+    pub fn to_record(&self) -> ReportRecord {
+        ReportRecord {
             nodes: graph_records(self.graph()),
+            ..(**self).to_record()
         }
     }
 

@@ -59,53 +59,29 @@ pub struct RegisteredVar {
     pub significance: f64,
 }
 
-/// The result of a significance-analysis run.
+/// The result of a significance-analysis run: the registered rows
+/// (reached through `Deref` to [`VarSignificances`]) plus the
+/// node-level significance graph.
 ///
 /// Produced by [`crate::Analysis::run`]; see the crate docs for an
 /// end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Report {
-    registered: Vec<RegisteredVar>,
+    rows: VarSignificances,
     graph: SigGraph,
-    output_significance_raw: f64,
     delta: f64,
-    tape_len: usize,
     empty_nodes: Vec<usize>,
 }
 
+impl std::ops::Deref for Report {
+    type Target = VarSignificances;
+
+    fn deref(&self) -> &VarSignificances {
+        &self.rows
+    }
+}
+
 impl Report {
-    /// All registered variables in registration order.
-    pub fn registered(&self) -> &[RegisteredVar] {
-        &self.registered
-    }
-
-    /// Registered variables of one kind.
-    pub fn registered_of(&self, kind: VarKind) -> impl Iterator<Item = &RegisteredVar> {
-        self.registered.iter().filter(move |v| v.kind == kind)
-    }
-
-    /// Looks up a registered variable by name.
-    pub fn var(&self, name: &str) -> Option<&RegisteredVar> {
-        self.registered.iter().find(|v| v.name == name)
-    }
-
-    /// Normalized significance of a registered variable, if present.
-    ///
-    /// ```
-    /// use scorpio_core::Analysis;
-    /// let report = Analysis::new().run(|ctx| {
-    ///     let x = ctx.input("x", 0.0, 1.0);
-    ///     let y = x.sqr();
-    ///     ctx.output(&y, "y");
-    ///     Ok(())
-    /// }).unwrap();
-    /// assert_eq!(report.significance_of("y"), Some(1.0));
-    /// assert!(report.significance_of("nope").is_none());
-    /// ```
-    pub fn significance_of(&self, name: &str) -> Option<f64> {
-        self.var(name).map(|v| v.significance)
-    }
-
     /// The significance-annotated DynDFG (input to Algorithm-1 steps
     /// S4/S5).
     pub fn graph(&self) -> &SigGraph {
@@ -116,17 +92,6 @@ impl Report {
     /// partition with the configured δ (S5).
     pub fn partition(&self) -> Partition {
         self.graph.simplified().partition(self.delta)
-    }
-
-    /// Raw (un-normalized) total output significance `Σ_i w([y_i])`, the
-    /// normalization denominator.
-    pub fn output_significance_raw(&self) -> f64 {
-        self.output_significance_raw
-    }
-
-    /// Number of DynDFG nodes the run recorded.
-    pub fn tape_len(&self) -> usize {
-        self.tape_len
     }
 
     /// DynDFG node ids whose forward enclosure is the EMPTY interval.
@@ -146,15 +111,15 @@ impl fmt::Display for Report {
         writeln!(
             f,
             "significance report ({} nodes, {} registered)",
-            self.tape_len,
-            self.registered.len()
+            self.tape_len(),
+            self.registered().len()
         )?;
         writeln!(
             f,
             "{:<20} {:<13} {:>11} {:>26} {:>26}",
             "name", "kind", "S (norm)", "enclosure", "derivative"
         )?;
-        for v in &self.registered {
+        for v in self.registered() {
             writeln!(
                 f,
                 "{:<20} {:<13} {:>11.4} {:>26} {:>26}",
@@ -192,11 +157,11 @@ fn significance_raw_from(value: Interval, adjoint: Interval) -> f64 {
     }
 }
 
-/// The registered-variable rows of a report without the node-level
-/// [`SigGraph`] — the light extraction the batch replay entry points
-/// use when only named significances are consumed. Every field is
-/// computed by the same floating-point operations as the corresponding
-/// [`Report`] row, so the rows are bit-identical to a full report's.
+/// The registered-variable rows of a run: all of a [`Report`] but its
+/// node-level [`SigGraph`], and the light extraction the batch replay
+/// entry points use when only named significances are consumed. The
+/// rows of a replay are computed by the same floating-point operations
+/// as a recording's, so they are bit-identical to a full report's.
 #[derive(Debug, Clone)]
 pub struct VarSignificances {
     vars: Vec<RegisteredVar>,
@@ -220,17 +185,35 @@ impl VarSignificances {
         &self.vars
     }
 
+    /// Registered variables of one kind.
+    pub fn registered_of(&self, kind: VarKind) -> impl Iterator<Item = &RegisteredVar> {
+        self.vars.iter().filter(move |v| v.kind == kind)
+    }
+
     /// Looks up a registered variable by name.
     pub fn var(&self, name: &str) -> Option<&RegisteredVar> {
         self.vars.iter().find(|v| v.name == name)
     }
 
     /// Normalized significance of a registered variable, if present.
+    ///
+    /// ```
+    /// use scorpio_core::Analysis;
+    /// let report = Analysis::new().run(|ctx| {
+    ///     let x = ctx.input("x", 0.0, 1.0);
+    ///     let y = x.sqr();
+    ///     ctx.output(&y, "y");
+    ///     Ok(())
+    /// }).unwrap();
+    /// assert_eq!(report.significance_of("y"), Some(1.0));
+    /// assert!(report.significance_of("nope").is_none());
+    /// ```
     pub fn significance_of(&self, name: &str) -> Option<f64> {
         self.var(name).map(|v| v.significance)
     }
 
-    /// Raw total output significance (the normalization denominator).
+    /// Raw (un-normalized) total output significance `Σ_i w([y_i])`,
+    /// the normalization denominator.
     pub fn output_significance_raw(&self) -> f64 {
         self.output_significance_raw
     }
@@ -277,7 +260,7 @@ impl sealed::Sealed for Report {
     const READS_EVERY_NODE: bool = true;
 
     fn assemble(
-        registered: Vec<RegisteredVar>,
+        vars: Vec<RegisteredVar>,
         output_significance_raw: f64,
         tape_len: usize,
         delta: f64,
@@ -285,11 +268,13 @@ impl sealed::Sealed for Report {
     ) -> Report {
         let (graph, empty_nodes) = graph();
         Report {
-            registered,
+            rows: VarSignificances {
+                vars,
+                output_significance_raw,
+                tape_len,
+            },
             graph,
-            output_significance_raw,
             delta,
-            tape_len,
             empty_nodes,
         }
     }

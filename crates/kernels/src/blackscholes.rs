@@ -22,13 +22,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scorpio_core::{
-    Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, Report, VarSignificances,
-    DEFAULT_LANES,
+    Analysis, AnalysisArena, AnalysisError, Ctx, Ia1s, ParallelAnalysis, Report, VarSignificances,
 };
 use scorpio_fastmath::{fast_cndf, fast_exp, fast_ln, fast_sqrt};
 use scorpio_interval::real::cndf;
 use scorpio_interval::Interval;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::Kernel;
 
 /// One option contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,36 +194,42 @@ pub fn analysis() -> Result<Report, AnalysisError> {
         let rate = ctx.input("rate", 0.01, 0.1);
         let vol = ctx.input("volatility", 0.15, 0.65);
         let time = ctx.input("time", 0.25, 2.0);
-
-        // Block A: d1.
-        let sqrt_t = time.sqrt();
-        let d1 = ((spot / strike).ln() + (rate + vol.sqr() * 0.5) * time) / (vol * sqrt_t);
-        ctx.intermediate(&d1, "A");
-
-        // Block B: d2.
-        let d2 = d1 - vol * sqrt_t;
-        ctx.intermediate(&d2, "B");
-
-        // Block C: CNDF evaluations.
-        let nd1 = d1.cndf();
-        ctx.intermediate(&nd1, "C1");
-        let nd2 = d2.cndf();
-        ctx.intermediate(&nd2, "C2");
-
-        // Block D: the discount factor.
-        let discount = (-(rate * time)).exp();
-        ctx.intermediate(&discount, "D");
-
-        let price = spot * nd1 - strike * discount * nd2;
-        ctx.output(&price, "price");
+        register_blocks(ctx, [spot, strike, rate, vol, time]);
         Ok(())
     })
 }
 
-/// The per-block significances `(A, B, C, D)` from an [`analysis`]
-/// report, with C the summed CNDF blocks.
-pub fn block_significances(report: &Report) -> (f64, f64, f64, f64) {
-    let s = |n: &str| report.significance_of(n).unwrap_or(0.0);
+/// Records the block-structured call price over the market parameters
+/// `[spot, strike, rate, volatility, time]`, registering the blocks as
+/// intermediates and the price as the output.
+fn register_blocks<'t>(ctx: &Ctx<'t>, [spot, strike, rate, vol, time]: [Ia1s<'t>; 5]) {
+    // Block A: d1.
+    let sqrt_t = time.sqrt();
+    let d1 = ((spot / strike).ln() + (rate + vol.sqr() * 0.5) * time) / (vol * sqrt_t);
+    ctx.intermediate(&d1, "A");
+
+    // Block B: d2.
+    let d2 = d1 - vol * sqrt_t;
+    ctx.intermediate(&d2, "B");
+
+    // Block C: CNDF evaluations.
+    let nd1 = d1.cndf();
+    ctx.intermediate(&nd1, "C1");
+    let nd2 = d2.cndf();
+    ctx.intermediate(&nd2, "C2");
+
+    // Block D: the discount factor.
+    let discount = (-(rate * time)).exp();
+    ctx.intermediate(&discount, "D");
+
+    let price = spot * nd1 - strike * discount * nd2;
+    ctx.output(&price, "price");
+}
+
+/// The per-block significances `(A, B, C, D)` from the rows of an
+/// [`analysis`] or [`Pricing`] run, with C the summed CNDF blocks.
+pub fn block_significances(vars: &VarSignificances) -> (f64, f64, f64, f64) {
+    let s = |n: &str| vars.significance_of(n).unwrap_or(0.0);
     (s("A"), s("B"), s("C1") + s("C2"), s("D"))
 }
 
@@ -232,10 +239,40 @@ pub fn block_significances(report: &Report) -> (f64, f64, f64, f64) {
 /// exercising the adjoint sweep per operating point.
 const OPTION_BOX_FRACTION: f64 = 0.02;
 
-/// Per-option significance analysis recording into a reusable arena:
-/// the same block structure as [`analysis`], but with every market
-/// parameter boxed tightly around `o`'s concrete values, returning the
-/// block significances `(A, B, C, D)` at that operating point.
+/// The per-option analysis descriptor: the block structure of
+/// [`analysis`] with every market parameter boxed ±2 % around one
+/// option's values. All five parameters are input boxes, so the trace
+/// shape is option-independent.
+#[derive(Debug, Clone, Copy)]
+pub struct Pricing;
+
+/// Registration names of the five market parameters, in input order.
+const PARAMS: [&str; 5] = ["spot", "strike", "rate", "volatility", "time"];
+
+impl Kernel for Pricing {
+    type Item = Option_;
+
+    fn shape_key(&self) -> u64 {
+        0
+    }
+
+    fn inputs(&self, o: &Option_) -> Vec<Interval> {
+        [o.spot, o.strike, o.rate, o.volatility, o.time]
+            .into_iter()
+            .map(|v| Interval::centered(v, v.abs() * OPTION_BOX_FRACTION))
+            .collect()
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, o: &Option_) -> Result<(), AnalysisError> {
+        let boxes = self.inputs(o);
+        let params = std::array::from_fn(|i| ctx.input(PARAMS[i], boxes[i].inf(), boxes[i].sup()));
+        register_blocks(ctx, params);
+        Ok(())
+    }
+}
+
+/// The block significances `(A, B, C, D)` of one option, recorded into a
+/// reusable arena.
 ///
 /// # Errors
 ///
@@ -244,31 +281,14 @@ pub fn analysis_option_in(
     arena: &mut AnalysisArena,
     o: &Option_,
 ) -> Result<(f64, f64, f64, f64), AnalysisError> {
-    let report = Analysis::new().run_in(arena, |ctx| register_option(ctx, o))?;
+    let report = Analysis::new().run_in(arena, |ctx| Pricing.register(ctx, o))?;
     Ok(block_significances(&report))
 }
 
-/// Per-option batch analysis (§4.1.5 at scale): one tight-box analysis
-/// per option, fanned over `engine`'s workers in record-once /
-/// replay-many mode — each worker records and compiles the (branch-free,
-/// option-independent) pricing trace once, then replays it with every
-/// option's input boxes. Returns `(A, B, C, D)` block significances in
-/// option order, bit-identical to a serial per-option re-recording loop.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-indexed failing option.
-pub fn analysis_options(
-    options: &[Option_],
-    engine: &ParallelAnalysis,
-) -> Result<Vec<(f64, f64, f64, f64)>, AnalysisError> {
-    analysis_options_lanes::<DEFAULT_LANES>(options, engine)
-}
-
-/// [`analysis_options`] with an explicit replay lane width (that
-/// function fixes `LANES` = [`DEFAULT_LANES`]): full blocks of `LANES`
-/// options are served by **one** walk of the compiled pricing trace.
-/// Values are bit-identical for every width.
+/// The block significances `(A, B, C, D)` of every option, in option
+/// order: [`Pricing`] lane-replayed `LANES` options per walk of the
+/// compiled trace over `engine`'s workers, bit-identical to
+/// [`analysis_option_in`] for every width.
 ///
 /// # Errors
 ///
@@ -278,70 +298,27 @@ pub fn analysis_options_lanes<const LANES: usize>(
     engine: &ParallelAnalysis,
 ) -> Result<Vec<(f64, f64, f64, f64)>, AnalysisError> {
     let _span = scorpio_obs::span("kernel.blackscholes.analysis_options");
-    engine
-        .run_batch_replay_vars_map_lanes::<LANES, _, _, _, _, _>(
-            options,
-            option_inputs,
-            register_option,
-            |_, vars| Ok(block_significances_vars(vars)),
-        )
-        .map(|(sigs, _stats)| sigs)
+    Pricing.batch::<LANES, _>(options, engine, block_significances)
 }
 
-/// Per-option input boxes of [`register_option`], in registration order
-/// (mirroring its `input_centered` calls exactly, as the replay driver
-/// binds them positionally).
+/// The input boxes of [`register_option`] ([`Pricing`]'s).
 pub fn option_inputs(o: &Option_) -> Vec<Interval> {
-    let boxed = |v: f64| Interval::centered(v, v.abs() * OPTION_BOX_FRACTION);
-    vec![
-        boxed(o.spot),
-        boxed(o.strike),
-        boxed(o.rate),
-        boxed(o.volatility),
-        boxed(o.time),
-    ]
+    Pricing.inputs(o)
 }
 
-/// [`block_significances`] over replay-mode rows.
-fn block_significances_vars(vars: &VarSignificances) -> (f64, f64, f64, f64) {
-    let s = |n: &str| vars.significance_of(n).unwrap_or(0.0);
-    (s("A"), s("B"), s("C1") + s("C2"), s("D"))
-}
-
-/// Registers the block-structured pricing computation with every input
-/// boxed ±2 % (`OPTION_BOX_FRACTION`) around `o`'s values.
+/// Records the per-option pricing ([`Pricing`]'s registration).
 ///
-/// Public so external drivers (e.g. the serve layer) can pair it with
-/// [`option_inputs`] under a replay driver; all five option parameters
-/// flow through replayable inputs, so the trace shape is
-/// option-independent.
+/// # Errors
+///
+/// Propagates framework errors (the call-price path is branch-free).
 pub fn register_option(ctx: &Ctx<'_>, o: &Option_) -> Result<(), AnalysisError> {
-    let boxed = |v: f64| v.abs() * OPTION_BOX_FRACTION;
-    let spot = ctx.input_centered("spot", o.spot, boxed(o.spot));
-    let strike = ctx.input_centered("strike", o.strike, boxed(o.strike));
-    let rate = ctx.input_centered("rate", o.rate, boxed(o.rate));
-    let vol = ctx.input_centered("volatility", o.volatility, boxed(o.volatility));
-    let time = ctx.input_centered("time", o.time, boxed(o.time));
-
-    let sqrt_t = time.sqrt();
-    let d1 = ((spot / strike).ln() + (rate + vol.sqr() * 0.5) * time) / (vol * sqrt_t);
-    ctx.intermediate(&d1, "A");
-    let d2 = d1 - vol * sqrt_t;
-    ctx.intermediate(&d2, "B");
-    let nd1 = d1.cndf();
-    ctx.intermediate(&nd1, "C1");
-    let nd2 = d2.cndf();
-    ctx.intermediate(&nd2, "C2");
-    let discount = (-(rate * time)).exp();
-    ctx.intermediate(&discount, "D");
-    let price = spot * nd1 - strike * discount * nd2;
-    ctx.output(&price, "price");
-    Ok(())
+    Pricing.register(ctx, o)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio_core::DEFAULT_LANES;
     use scorpio_quality::{mean_relative_error, relative_error_l2};
 
     #[test]
@@ -422,7 +399,7 @@ mod tests {
     fn replayed_batch_matches_rerecorded_options_bitwise() {
         let opts = generate_options(24, 13);
         let engine = ParallelAnalysis::new(1);
-        let replayed = analysis_options(&opts, &engine).unwrap();
+        let replayed = analysis_options_lanes::<DEFAULT_LANES>(&opts, &engine).unwrap();
         let mut arena = AnalysisArena::new();
         for (o, r) in opts.iter().zip(&replayed) {
             let fresh = analysis_option_in(&mut arena, o).unwrap();

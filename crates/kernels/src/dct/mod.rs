@@ -22,12 +22,15 @@ pub mod codec;
 use std::sync::OnceLock;
 
 use scorpio_core::{
-    Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, Report, DEFAULT_LANES,
+    Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, Report, VarSignificances,
 };
 use scorpio_interval::Interval;
 use scorpio_quality::GrayImage;
 use scorpio_runtime::perforation::Perforator;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::kernel::checked_radius;
+use crate::{Kernel, NegativeRadius};
 
 /// Block edge length of the transform.
 pub const BLOCK: usize = 8;
@@ -294,13 +297,14 @@ pub fn perforated(img: &GrayImage, keep_fraction: f64) -> (GrayImage, ExecutionS
     )
 }
 
-/// Significance analysis of the full per-block pipeline (§4.1.2),
-/// profile-driven as in the paper: the 64 pixel inputs are centred on a
-/// concrete image block (`block[y][x] ± radius`, the paper registers
-/// ranges around profiled values from its benchmark image set), every
-/// frequency coefficient is registered as an intermediate, and all 64
-/// reconstructed (clipped) pixels are outputs. [`coefficient_map`]
-/// reshapes the report into the Fig. 4 8×8 significance map.
+/// The significance-analysis descriptor of the full per-block pipeline
+/// (§4.1.2), profile-driven as in the paper: the 64 pixel inputs are
+/// boxed around a concrete image block (`block[y][x] ± radius`, clamped
+/// to `[0, 255]`; the paper registers ranges around profiled values from
+/// its benchmark image set), every frequency coefficient is registered
+/// as an intermediate, and all 64 reconstructed (clipped) pixels are
+/// outputs. [`coefficient_map`] reshapes a run's rows into the Fig. 4
+/// 8×8 significance map.
 ///
 /// Because Eq. 11 weighs a variable's *enclosure* against its effect on
 /// the output, coefficient significance tracks the block's spectral
@@ -310,24 +314,97 @@ pub fn perforated(img: &GrayImage, keep_fraction: f64) -> (GrayImage, ExecutionS
 /// Quantisation is modelled by its smooth surrogate `c/Q·Q` (the `round`
 /// step function has zero derivative almost everywhere, which would
 /// erase the analysis' signal); pixel clipping is expressed with min/max
-/// so no ambiguous control flow arises.
-///
-/// # Errors
-///
-/// Propagates framework errors (none expected).
-///
-/// # Panics
-///
-/// Panics if `radius` is negative.
-pub fn analysis(block: &[[f64; BLOCK]; BLOCK], radius: f64) -> Result<Report, AnalysisError> {
-    let _span = scorpio_obs::span("kernel.dct.analysis");
-    assert!(radius >= 0.0, "analysis: negative pixel radius");
-    Analysis::new().run(|ctx| register_block(ctx, block, radius))
+/// so no ambiguous control flow arises. All 64 pixels are input boxes,
+/// so the trace shape is block-independent.
+#[derive(Debug, Clone, Copy)]
+pub struct Pipeline {
+    radius: f64,
 }
 
-/// [`analysis`] recording into a reusable arena — the per-block body
-/// the multi-block batch is built from. Produces exactly the same
-/// report as the fresh-tape variant.
+impl Pipeline {
+    /// The pipeline with per-pixel box radius `radius`.
+    ///
+    /// # Errors
+    ///
+    /// [`NegativeRadius`] if `radius` is negative (or NaN).
+    pub fn new(radius: f64) -> Result<Pipeline, NegativeRadius> {
+        checked_radius(radius).map(|radius| Pipeline { radius })
+    }
+}
+
+/// [`Pipeline::new`] for the library entry points that document a
+/// panic on a negative radius.
+fn pipeline(radius: f64) -> Pipeline {
+    Pipeline::new(radius).unwrap_or_else(|e| panic!("dct analysis: {e}"))
+}
+
+impl Kernel for Pipeline {
+    type Item = [[f64; BLOCK]; BLOCK];
+
+    fn shape_key(&self) -> u64 {
+        0
+    }
+
+    fn inputs(&self, block: &[[f64; BLOCK]; BLOCK]) -> Vec<Interval> {
+        let mut inputs = Vec::with_capacity(BLOCK * BLOCK);
+        for row in block {
+            for &p0 in row {
+                let lo = (p0 - self.radius).max(0.0);
+                let hi = (p0 + self.radius).min(255.0);
+                inputs.push(Interval::new(lo, hi.max(lo)));
+            }
+        }
+        inputs
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, block: &[[f64; BLOCK]; BLOCK]) -> Result<(), AnalysisError> {
+        let pixels: Vec<_> = self
+            .inputs(block)
+            .iter()
+            .enumerate()
+            .map(|(i, b)| ctx.input(format!("p{}_{}", i / BLOCK, i % BLOCK), b.inf(), b.sup()))
+            .collect();
+
+        // Forward DCT, registering every coefficient.
+        let b = basis_table();
+        let mut coeffs = Vec::with_capacity(BLOCK * BLOCK);
+        for v in 0..BLOCK {
+            for u in 0..BLOCK {
+                let mut acc = ctx.constant(0.0);
+                for y in 0..BLOCK {
+                    for x in 0..BLOCK {
+                        acc = acc + pixels[y * BLOCK + x] * (b[v][y] * b[u][x]);
+                    }
+                }
+                // Quant/dequant surrogate: scale down and back up.
+                let c = (acc / QUANT[v][u]) * QUANT[v][u];
+                ctx.intermediate(&c, format!("c{v}_{u}"));
+                coeffs.push(c);
+            }
+        }
+
+        // Inverse DCT + clip; all pixels registered as outputs (§2.3
+        // vector-function treatment).
+        let lo = ctx.constant(0.0);
+        let hi = ctx.constant(255.0);
+        for y in 0..BLOCK {
+            for x in 0..BLOCK {
+                let mut acc = ctx.constant(0.0);
+                for v in 0..BLOCK {
+                    for u in 0..BLOCK {
+                        acc = acc + coeffs[v * BLOCK + u] * (b[v][y] * b[u][x]);
+                    }
+                }
+                let px = acc.min(hi).max(lo);
+                ctx.output(&px, format!("out{y}_{x}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The full [`Pipeline`] report of one block, recorded into a reusable
+/// arena.
 ///
 /// # Errors
 ///
@@ -341,37 +418,14 @@ pub fn analysis_in(
     block: &[[f64; BLOCK]; BLOCK],
     radius: f64,
 ) -> Result<Report, AnalysisError> {
-    assert!(radius >= 0.0, "analysis: negative pixel radius");
-    Analysis::new().run_in(arena, |ctx| register_block(ctx, block, radius))
+    let kernel = pipeline(radius);
+    Analysis::new().run_in(arena, |ctx| kernel.register(ctx, block))
 }
 
-/// Multi-block batch analysis: one full-pipeline analysis per image
-/// block, fanned over `engine`'s workers in record-once / replay-many
-/// mode — a DCT block records ~100k tape nodes whose structure is
-/// block-independent, so each worker compiles the trace from its first
-/// block and replays it with every further block's pixel boxes. Returns
-/// the Fig. 4 coefficient maps in block order, bit-identical to a
-/// serial per-block re-recording loop.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-indexed failing block.
-///
-/// # Panics
-///
-/// Panics if `radius` is negative.
-pub fn analysis_blocks(
-    blocks: &[[[f64; BLOCK]; BLOCK]],
-    radius: f64,
-    engine: &ParallelAnalysis,
-) -> Result<Vec<[[f64; BLOCK]; BLOCK]>, AnalysisError> {
-    analysis_blocks_lanes::<DEFAULT_LANES>(blocks, radius, engine)
-}
-
-/// [`analysis_blocks`] with an explicit replay lane width (that
-/// function fixes `LANES` = [`DEFAULT_LANES`]): full blocks of `LANES`
-/// image blocks are served by **one** walk of the ~100k-op compiled
-/// trace. Values are bit-identical for every width.
+/// The Fig. 4 coefficient maps of every block, in block order:
+/// [`Pipeline`] lane-replayed `LANES` blocks per walk of the ~25k-op
+/// compiled trace over `engine`'s workers, bit-identical to a serial
+/// per-block re-recording loop for every width.
 ///
 /// # Errors
 ///
@@ -386,87 +440,33 @@ pub fn analysis_blocks_lanes<const LANES: usize>(
     engine: &ParallelAnalysis,
 ) -> Result<Vec<[[f64; BLOCK]; BLOCK]>, AnalysisError> {
     let _span = scorpio_obs::span("kernel.dct.analysis_blocks");
-    assert!(radius >= 0.0, "analysis: negative pixel radius");
-    engine
-        .run_batch_replay_vars_map_lanes::<LANES, _, _, _, _, _>(
-            blocks,
-            |block| block_inputs(block, radius),
-            |ctx, block| register_block(ctx, block, radius),
-            |_, vars| Ok(coefficient_map_with(|name| vars.significance_of(name))),
-        )
-        .map(|(maps, _stats)| maps)
+    pipeline(radius).batch::<LANES, _>(blocks, engine, coefficient_map)
 }
 
-/// Per-block input boxes of [`register_block`], in registration order
-/// (row-major pixels, mirroring its `input` calls exactly — the replay
-/// driver binds them positionally).
-pub fn block_inputs(block: &[[f64; BLOCK]; BLOCK], radius: f64) -> Vec<Interval> {
-    let mut inputs = Vec::with_capacity(BLOCK * BLOCK);
-    for row in block {
-        for &p0 in row {
-            let lo = (p0 - radius).max(0.0);
-            let hi = (p0 + radius).min(255.0);
-            inputs.push(Interval::new(lo, hi.max(lo)));
-        }
-    }
-    inputs
-}
-
-/// Registers the full per-block pipeline (see [`analysis`] for the
-/// modelling rationale).
+/// The input boxes of [`register_block`] ([`Pipeline`]'s).
 ///
-/// Public so external drivers (e.g. the serve layer) can pair it with
-/// [`block_inputs`] under a replay driver; all 64 pixels flow through
-/// replayable inputs, so the trace shape is block-independent.
+/// # Panics
+///
+/// Panics if `radius` is negative.
+pub fn block_inputs(block: &[[f64; BLOCK]; BLOCK], radius: f64) -> Vec<Interval> {
+    pipeline(radius).inputs(block)
+}
+
+/// Records the full per-block pipeline ([`Pipeline`]'s registration).
+///
+/// # Errors
+///
+/// Propagates framework errors (none expected).
+///
+/// # Panics
+///
+/// Panics if `radius` is negative.
 pub fn register_block(
     ctx: &Ctx<'_>,
     block: &[[f64; BLOCK]; BLOCK],
     radius: f64,
 ) -> Result<(), AnalysisError> {
-    let mut pixels = Vec::with_capacity(BLOCK * BLOCK);
-    for (y, row) in block.iter().enumerate() {
-        for (x, &p0) in row.iter().enumerate() {
-            let lo = (p0 - radius).max(0.0);
-            let hi = (p0 + radius).min(255.0);
-            pixels.push(ctx.input(format!("p{y}_{x}"), lo, hi.max(lo)));
-        }
-    }
-
-    // Forward DCT, registering every coefficient.
-    let b = basis_table();
-    let mut coeffs = Vec::with_capacity(BLOCK * BLOCK);
-    for v in 0..BLOCK {
-        for u in 0..BLOCK {
-            let mut acc = ctx.constant(0.0);
-            for y in 0..BLOCK {
-                for x in 0..BLOCK {
-                    acc = acc + pixels[y * BLOCK + x] * (b[v][y] * b[u][x]);
-                }
-            }
-            // Quant/dequant surrogate: scale down and back up.
-            let c = (acc / QUANT[v][u]) * QUANT[v][u];
-            ctx.intermediate(&c, format!("c{v}_{u}"));
-            coeffs.push(c);
-        }
-    }
-
-    // Inverse DCT + clip; all pixels registered as outputs (§2.3
-    // vector-function treatment).
-    let lo = ctx.constant(0.0);
-    let hi = ctx.constant(255.0);
-    for y in 0..BLOCK {
-        for x in 0..BLOCK {
-            let mut acc = ctx.constant(0.0);
-            for v in 0..BLOCK {
-                for u in 0..BLOCK {
-                    acc = acc + coeffs[v * BLOCK + u] * (b[v][y] * b[u][x]);
-                }
-            }
-            let px = acc.min(hi).max(lo);
-            ctx.output(&px, format!("out{y}_{x}"));
-        }
-    }
-    Ok(())
+    pipeline(radius).register(ctx, block)
 }
 
 /// A natural-image-like test block (smooth diagonal shading with a soft
@@ -484,29 +484,26 @@ pub fn natural_test_block() -> [[f64; BLOCK]; BLOCK] {
     block
 }
 
-/// Runs [`analysis`] on [`natural_test_block`] with the pixel-noise
-/// radius the figure harness uses.
+/// The [`Pipeline`] report of [`natural_test_block`] at the
+/// pixel-noise radius the figure harness uses.
 ///
 /// # Errors
 ///
 /// Propagates framework errors (none expected).
 pub fn analysis_default() -> Result<Report, AnalysisError> {
-    analysis(&natural_test_block(), 8.0)
+    let _span = scorpio_obs::span("kernel.dct.analysis");
+    pipeline(8.0).report(&natural_test_block())
 }
 
-/// Reshapes an [`analysis`] report into the 8×8 coefficient-significance
-/// map of Fig. 4 (`map[v][u]`).
-pub fn coefficient_map(report: &Report) -> [[f64; BLOCK]; BLOCK] {
-    coefficient_map_with(|name| report.significance_of(name))
-}
-
-/// [`coefficient_map`] over any named-significance lookup — shared by
-/// the full-report and replay-mode (rows-only) paths.
-fn coefficient_map_with(significance_of: impl Fn(&str) -> Option<f64>) -> [[f64; BLOCK]; BLOCK] {
+/// The 8×8 coefficient-significance map of Fig. 4 (`map[v][u]`) from
+/// the rows of a [`Pipeline`] run.
+pub fn coefficient_map(vars: &VarSignificances) -> [[f64; BLOCK]; BLOCK] {
     let mut map = [[0.0; BLOCK]; BLOCK];
     for (v, row) in map.iter_mut().enumerate() {
         for (u, s) in row.iter_mut().enumerate() {
-            *s = significance_of(&format!("c{v}_{u}")).unwrap_or(f64::NAN);
+            *s = vars
+                .significance_of(&format!("c{v}_{u}"))
+                .unwrap_or(f64::NAN);
         }
     }
     map

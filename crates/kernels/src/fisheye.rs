@@ -21,14 +21,17 @@
 //! with 2×2 bilinear interpolation — the transitive-significance argument
 //! of §4.1.3.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use scorpio_core::{
-    Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, ReplayOrRecord, Report,
-    VarSignificances, DEFAULT_LANES,
+    Analysis, AnalysisArena, AnalysisError, Ctx, ParallelAnalysis, Report, VarSignificances,
 };
 use scorpio_interval::Interval;
 use scorpio_quality::GrayImage;
 use scorpio_runtime::perforation::Perforator;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::Kernel;
 
 /// Lens/geometry parameters of the correction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -374,28 +377,12 @@ pub fn perforated(img: &GrayImage, lens: &Lens, keep_fraction: f64) -> (GrayImag
 /// Propagates framework errors (the series form is branch-free and
 /// total).
 pub fn analysis_inverse_mapping(lens: &Lens, u: f64, v: f64) -> Result<f64, AnalysisError> {
-    let report = analysis_inverse_mapping_report(lens, u, v)?;
+    let report = InverseMapping { lens: *lens }.report(&(u, v))?;
     Ok(summed_input_significance(&report))
 }
 
-/// The full [`Report`] behind [`analysis_inverse_mapping`] — the entry
-/// point the soundness-audit battery (and any other node-level
-/// consumer) uses.
-///
-/// # Errors
-///
-/// Propagates framework errors, as [`analysis_inverse_mapping`].
-pub fn analysis_inverse_mapping_report(
-    lens: &Lens,
-    u: f64,
-    v: f64,
-) -> Result<Report, AnalysisError> {
-    Analysis::new().run(|ctx| register_inverse_mapping(ctx, lens, u, v))
-}
-
-/// [`analysis_inverse_mapping`] recording into a reusable arena — the
-/// per-item body the parallel per-pixel map is built from. Produces
-/// exactly the same value as the fresh-tape variant.
+/// [`analysis_inverse_mapping`] recording into a reusable arena.
+/// Produces exactly the same value as the fresh-tape variant.
 ///
 /// # Errors
 ///
@@ -406,55 +393,17 @@ pub fn analysis_inverse_mapping_in(
     u: f64,
     v: f64,
 ) -> Result<f64, AnalysisError> {
-    let report = Analysis::new().run_in(arena, |ctx| register_inverse_mapping(ctx, lens, u, v))?;
+    let kernel = InverseMapping { lens: *lens };
+    let report = Analysis::new().run_in(arena, |ctx| kernel.register(ctx, &(u, v)))?;
     Ok(summed_input_significance(&report))
 }
 
-/// [`analysis_inverse_mapping`] through a record-once / replay-many
-/// driver: the first pixel records and compiles the (branch-free,
-/// pixel-independent) trace, every further pixel replays it with that
-/// pixel's coordinate boxes. Values are bit-identical to the recording
-/// variants.
-///
-/// # Errors
-///
-/// Propagates framework errors, as [`analysis_inverse_mapping`].
-pub fn analysis_inverse_mapping_replay_in(
-    driver: &mut ReplayOrRecord,
-    arena: &mut AnalysisArena,
-    lens: &Lens,
-    u: f64,
-    v: f64,
-) -> Result<f64, AnalysisError> {
-    let vars = driver.run_vars_in(arena, &inverse_mapping_inputs(lens, u, v), |ctx| {
-        register_inverse_mapping(ctx, lens, u, v)
-    })?;
-    Ok(summed_input_significance_vars(&vars))
-}
-
 /// The Fig. 5 per-pixel significance map: one InverseMapping analysis
-/// per cell of a `grid_w × grid_h` grid of pixel centres, fanned over
-/// `engine`'s workers in record-once / replay-many mode (each worker
-/// records the trace once, then replays it per pixel). Returns raw
-/// summed significances in row-major order; the values are
-/// bit-identical to a serial per-pixel re-recording loop.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-indexed failing pixel.
-pub fn analysis_inverse_mapping_grid(
-    lens: &Lens,
-    grid_w: usize,
-    grid_h: usize,
-    engine: &ParallelAnalysis,
-) -> Result<Vec<f64>, AnalysisError> {
-    analysis_inverse_mapping_grid_lanes::<DEFAULT_LANES>(lens, grid_w, grid_h, engine)
-}
-
-/// [`analysis_inverse_mapping_grid`] with an explicit replay lane width
-/// (that function fixes `LANES` = [`DEFAULT_LANES`]): full blocks of
-/// `LANES` pixels are served by **one** walk of the compiled trace.
-/// Values are bit-identical for every width.
+/// per cell of a `grid_w × grid_h` grid of pixel centres, lane-replayed
+/// `LANES` pixels per walk of the compiled trace over `engine`'s
+/// workers. Returns raw summed significances in row-major order,
+/// bit-identical to a serial per-pixel re-recording loop for every
+/// width.
 ///
 /// # Errors
 ///
@@ -475,80 +424,91 @@ pub fn analysis_inverse_mapping_grid_lanes<const LANES: usize>(
             })
         })
         .collect();
-    engine
-        .run_batch_replay_vars_map_lanes::<LANES, _, _, _, _, _>(
-            &pixels,
-            |&(u, v)| inverse_mapping_inputs(lens, u, v),
-            |ctx, &(u, v)| register_inverse_mapping(ctx, lens, u, v),
-            |_, vars| Ok(summed_input_significance_vars(vars)),
-        )
-        .map(|(sigs, _stats)| sigs)
+    InverseMapping { lens: *lens }.batch::<LANES, _>(&pixels, engine, summed_input_significance)
 }
 
-/// Registers the InverseMapping computation at pixel `(u, v)` (see
-/// [`analysis_inverse_mapping`] for the modelling rationale).
+/// The InverseMapping analysis descriptor over pixels `(u, v)` of one
+/// lens (see [`analysis_inverse_mapping`] for the modelling rationale).
+/// The lens focal length and centre are trace constants — only the two
+/// centred pixel coordinates are input boxes — so the shape key hashes
+/// the lens.
+#[derive(Debug, Clone, Copy)]
+pub struct InverseMapping {
+    /// The lens whose correction is analysed.
+    pub lens: Lens,
+}
+
+impl Kernel for InverseMapping {
+    type Item = (f64, f64);
+
+    fn shape_key(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        (self.lens.width, self.lens.height, self.lens.focal.to_bits()).hash(&mut h);
+        h.finish()
+    }
+
+    /// The pixel coordinates measured from the image centre, `± 0.5`:
+    /// Eq. 11 weighs a variable's magnitude, so an arbitrary top-left
+    /// origin would skew the map towards large absolute coordinates
+    /// instead of the radial pattern.
+    fn inputs(&self, &(u, v): &(f64, f64)) -> Vec<Interval> {
+        let (cx, cy) = self.lens.center();
+        vec![
+            Interval::centered(u - cx, 0.5),
+            Interval::centered(v - cy, 0.5),
+        ]
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, pixel: &(f64, f64)) -> Result<(), AnalysisError> {
+        let boxes = self.inputs(pixel);
+        let focal = self.lens.focal;
+        let dx = ctx.input("u", boxes[0].inf(), boxes[0].sup());
+        let dy = ctx.input("v", boxes[1].inf(), boxes[1].sup());
+        let q2 = (dx.sqr() + dy.sqr()) * (1.0 / (focal * focal));
+        let q4 = q2.sqr();
+        let q6 = q4 * q2;
+        let q8 = q4.sqr();
+        let s = 1.0 + q2 * (1.0 / 3.0)
+            + q4 * (2.0 / 15.0)
+            + q6 * (17.0 / 315.0)
+            + q8 * (62.0 / 2835.0);
+        // Outputs are the *centred* distorted coordinates: the +centre
+        // translation is an exact constant whose inclusion would skew
+        // Eq. 11's magnitude product towards large absolute coordinates
+        // (bottom-right of the image) and mask the radial symmetry.
+        let xd = dx * s;
+        let yd = dy * s;
+        ctx.output(&xd, "xd");
+        ctx.output(&yd, "yd");
+        Ok(())
+    }
+}
+
+/// The input boxes of [`register_inverse_mapping`] ([`InverseMapping`]'s).
+pub fn inverse_mapping_inputs(lens: &Lens, u: f64, v: f64) -> Vec<Interval> {
+    InverseMapping { lens: *lens }.inputs(&(u, v))
+}
+
+/// Records the InverseMapping computation at pixel `(u, v)`
+/// ([`InverseMapping`]'s registration).
 ///
-/// Public so external drivers (e.g. the serve layer) can pair it with
-/// [`inverse_mapping_inputs`] under a replay driver. The lens focal
-/// length and centre are baked into the trace as *constants* — only
-/// the two centred pixel coordinates are replayable inputs — so any
-/// shared trace must be keyed on the lens/image shape as well.
+/// # Errors
+///
+/// Propagates framework errors (the series form is branch-free).
 pub fn register_inverse_mapping(
     ctx: &Ctx<'_>,
     lens: &Lens,
     u: f64,
     v: f64,
 ) -> Result<(), AnalysisError> {
-    let (cx, cy) = lens.center();
-    let focal = lens.focal;
-    // Inputs are the pixel coordinates measured from the image
-    // centre (`u − cx ± 0.5`): Eq. 11 weighs a variable's magnitude,
-    // so an arbitrary top-left origin would skew the map towards
-    // large absolute coordinates instead of the radial pattern.
-    let dx = ctx.input_centered("u", u - cx, 0.5);
-    let dy = ctx.input_centered("v", v - cy, 0.5);
-    let q2 = (dx.sqr() + dy.sqr()) * (1.0 / (focal * focal));
-    let q4 = q2.sqr();
-    let q6 = q4 * q2;
-    let q8 = q4.sqr();
-    let s = 1.0 + q2 * (1.0 / 3.0)
-        + q4 * (2.0 / 15.0)
-        + q6 * (17.0 / 315.0)
-        + q8 * (62.0 / 2835.0);
-    // Outputs are the *centred* distorted coordinates: the +centre
-    // translation is an exact constant whose inclusion would skew
-    // Eq. 11's magnitude product towards large absolute coordinates
-    // (bottom-right of the image) and mask the radial symmetry.
-    let xd = dx * s;
-    let yd = dy * s;
-    ctx.output(&xd, "xd");
-    ctx.output(&yd, "yd");
-    Ok(())
+    InverseMapping { lens: *lens }.register(ctx, &(u, v))
 }
 
 /// Raw summed significance of the two coordinate inputs.
-fn summed_input_significance(report: &Report) -> f64 {
-    let sx = report.var("u").map(|r| r.significance_raw).unwrap_or(0.0);
-    let sy = report.var("v").map(|r| r.significance_raw).unwrap_or(0.0);
-    sx + sy
-}
-
-/// [`summed_input_significance`] over replay-mode rows.
-fn summed_input_significance_vars(vars: &VarSignificances) -> f64 {
+fn summed_input_significance(vars: &VarSignificances) -> f64 {
     let sx = vars.var("u").map(|r| r.significance_raw).unwrap_or(0.0);
     let sy = vars.var("v").map(|r| r.significance_raw).unwrap_or(0.0);
     sx + sy
-}
-
-/// Per-pixel input boxes of [`register_inverse_mapping`], in
-/// registration order — the replay driver binds these positionally, so
-/// they must mirror the `input_centered` calls exactly.
-pub fn inverse_mapping_inputs(lens: &Lens, u: f64, v: f64) -> Vec<Interval> {
-    let (cx, cy) = lens.center();
-    vec![
-        Interval::centered(u - cx, 0.5),
-        Interval::centered(v - cy, 0.5),
-    ]
 }
 
 /// Significance analysis of BicubicInterp (Fig. 6): 16 window pixels in
@@ -614,6 +574,7 @@ pub fn analysis_bicubic() -> Result<(Report, [[f64; 4]; 4]), AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio_core::DEFAULT_LANES;
     use scorpio_quality::{psnr_images, value_noise};
 
     fn lens() -> Lens {
@@ -746,7 +707,9 @@ mod tests {
         let lens = lens();
         let (grid_w, grid_h) = (6, 4);
         let engine = ParallelAnalysis::new(1);
-        let sigs = analysis_inverse_mapping_grid(&lens, grid_w, grid_h, &engine).unwrap();
+        let sigs =
+            analysis_inverse_mapping_grid_lanes::<DEFAULT_LANES>(&lens, grid_w, grid_h, &engine)
+                .unwrap();
         assert_eq!(sigs.len(), grid_w * grid_h);
         let cell_w = lens.width as f64 / grid_w as f64;
         let cell_h = lens.height as f64 / grid_h as f64;

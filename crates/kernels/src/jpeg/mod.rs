@@ -14,7 +14,7 @@
 //! body runs the exact [`dct::forward_block`] and whose **approximate**
 //! body runs the shift/add [`bindct`] lifting transform. Per-block
 //! significance comes from the framework's own analysis
-//! ([`dct::analysis_blocks`] — all blocks share one tape shape, so the
+//! ([`dct::Pipeline`] — all blocks share one tape shape, so the
 //! trace is recorded once and replayed per block), and the
 //! `taskwait(ratio)` / `taskwait_adaptive` knobs choose which blocks
 //! get the exact transform. Busy blocks score high and are protected
@@ -23,7 +23,7 @@
 
 use std::sync::Mutex;
 
-use scorpio_core::{AnalysisError, ParallelAnalysis};
+use scorpio_core::{AnalysisError, ParallelAnalysis, DEFAULT_LANES};
 use scorpio_quality::GrayImage;
 use scorpio_runtime::controller::adaptive::AdaptiveController;
 use scorpio_runtime::{ExecutionStats, Executor, TaskCtx, TaskGroup};
@@ -170,9 +170,9 @@ pub fn tile_blocks(img: &GrayImage) -> Vec<[[f64; BLOCK]; BLOCK]> {
 /// Per-block significance scores from the framework's own analysis,
 /// normalised into `[0, `[`SIGNIFICANCE_CEILING`]`]`.
 ///
-/// Each block runs the full [`dct::register_block`] pipeline analysis —
-/// all blocks share one tape shape, so `engine` records the ~100k-node
-/// trace once and replays it per block. A block's score is first-order
+/// Each block runs the full [`dct::Pipeline`] analysis — all blocks
+/// share one tape shape, so `engine` records the ~25k-node trace once
+/// and replays it per block. A block's score is first-order
 /// error propagation through its map: each **AC** coefficient's
 /// significance (DC is near-exact under BinDCT and would flatten the
 /// ranking) weighted by the post-quantisation damage BinDCT would
@@ -201,7 +201,7 @@ pub fn analyze(
 ) -> Result<Vec<f64>, AnalysisError> {
     let _span = scorpio_obs::span("kernel.jpeg.analyze");
     let blocks = tile_blocks(img);
-    let maps = dct::analysis_blocks(&blocks, radius, engine)?;
+    let maps = dct::analysis_blocks_lanes::<DEFAULT_LANES>(&blocks, radius, engine)?;
     // Image-wide mean significance per coefficient, the normaliser that
     // strips the map's frequency profile.
     let mut mean = [[0.0f64; BLOCK]; BLOCK];

@@ -12,7 +12,8 @@
 //! instrumented closure reproducing the per-kernel findings of §4.1
 //! (Sobel's A/B/C block ranking, the Fig. 4 DCT coefficient map, the
 //! Fig. 5/6 Fisheye maps, N-Body's distance correlation, BlackScholes'
-//! block ordering) via [`scorpio_core`].
+//! block ordering) via [`scorpio_core`], through one [`Kernel`]
+//! descriptor per analysed computation.
 //!
 //! | module | paper section | task structure | approximate version |
 //! |---|---|---|---|
@@ -31,6 +32,9 @@ pub mod blackscholes;
 pub mod dct;
 pub mod fisheye;
 pub mod jpeg;
+mod kernel;
 pub mod maclaurin;
 pub mod nbody;
 pub mod sobel;
+
+pub use kernel::{Kernel, NegativeRadius};

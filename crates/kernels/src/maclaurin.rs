@@ -2,10 +2,12 @@
 //!
 //! `f(x) = Σ_{i=0}^{N−1} xⁱ ≈ 1/(1−x)` for `x ∈ (−1, 1)`.
 
-use scorpio_core::{Analysis, AnalysisError, Ctx, Report};
+use scorpio_core::{AnalysisError, Ctx, Report};
 use scorpio_fastmath::fast_pow;
 use scorpio_interval::Interval;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::Kernel;
 
 /// Sequential accurate implementation (Listing 5).
 ///
@@ -39,32 +41,42 @@ pub fn task_significance(i: usize, n: usize) -> f64 {
 /// this branch-free kernel).
 pub fn analysis(x0: f64, n: usize) -> Result<Report, AnalysisError> {
     let _span = scorpio_obs::span("kernel.maclaurin.analysis");
-    Analysis::new().run(|ctx| register_series(ctx, x0, n))
+    Series { n }.report(&x0)
 }
 
-/// Registers the `n`-term series around `x₀` (Listing 6's body).
-///
-/// Public so external drivers (e.g. the serve layer) can pair it with
-/// [`series_inputs`] under a replay driver. The trace shape depends on
-/// `n` (one `term{i}` intermediate per term), so shared traces must be
-/// keyed on the series length; only `x₀` flows through a replayable
-/// input.
-pub fn register_series(ctx: &Ctx<'_>, x0: f64, n: usize) -> Result<(), AnalysisError> {
-    let x = ctx.input_centered("x", x0, 0.5);
-    let mut result = ctx.constant(0.0);
-    for i in 0..n {
-        let term = x.powi(i as i32);
-        ctx.intermediate(&term, format!("term{i}"));
-        result = result + term;
+/// The analysis descriptor of the `n`-term series around an expansion
+/// point `x₀` (Listing 6's body). The trace shape depends on `n` (one
+/// `term{i}` intermediate per term), so `n` is the shape key; only `x₀`
+/// is an input box.
+#[derive(Debug, Clone, Copy)]
+pub struct Series {
+    /// Number of terms.
+    pub n: usize,
+}
+
+impl Kernel for Series {
+    type Item = f64;
+
+    fn shape_key(&self) -> u64 {
+        self.n as u64
     }
-    ctx.output(&result, "result");
-    Ok(())
-}
 
-/// Input boxes of [`register_series`], in registration order (the
-/// single `x₀ ± 0.5` interval, bound positionally by replay drivers).
-pub fn series_inputs(x0: f64) -> Vec<Interval> {
-    vec![Interval::centered(x0, 0.5)]
+    fn inputs(&self, &x0: &f64) -> Vec<Interval> {
+        vec![Interval::centered(x0, 0.5)]
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, x0: &f64) -> Result<(), AnalysisError> {
+        let b = self.inputs(x0)[0];
+        let x = ctx.input("x", b.inf(), b.sup());
+        let mut result = ctx.constant(0.0);
+        for i in 0..self.n {
+            let term = x.powi(i as i32);
+            ctx.intermediate(&term, format!("term{i}"));
+            result = result + term;
+        }
+        ctx.output(&result, "result");
+        Ok(())
+    }
 }
 
 /// Task-based version (Listing 7): one task per term `i ≥ 1`, approximate

@@ -17,10 +17,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scorpio_core::{Analysis, AnalysisError, Ctx, Report};
+use scorpio_core::{AnalysisError, Ctx};
 use scorpio_interval::Interval;
 use scorpio_runtime::perforation::Perforator;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::kernel::checked_radius;
+use crate::{Kernel, NegativeRadius};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -590,67 +593,114 @@ pub fn perforated(params: &Params, keep_fraction: f64) -> (State, ExecutionStats
 /// # Errors
 ///
 /// Propagates framework errors (the kernel is branch-free).
+///
+/// # Panics
+///
+/// Panics if `radius` is negative.
 pub fn analysis_pair(r0: f64, radius: f64) -> Result<f64, AnalysisError> {
-    let report = analysis_pair_report(r0, radius)?;
+    let report = PairForce.report(&pair(r0, radius))?;
     Ok(["bx", "by", "bz"]
         .iter()
         .map(|n| report.var(n).map(|v| v.significance_raw).unwrap_or(0.0))
         .sum())
 }
 
-/// The full [`Report`] behind [`analysis_pair`] — the entry point the
-/// soundness-audit battery (and any other node-level consumer) uses.
+/// One analysed atom pair: B at distance `r0` along x from A, with
+/// ±`radius` uncertainty per coordinate.
+#[derive(Debug, Clone, Copy)]
+pub struct Pair {
+    r0: f64,
+    radius: f64,
+}
+
+impl Pair {
+    /// The pair at separation `r0` with per-coordinate radius `radius`.
+    ///
+    /// # Errors
+    ///
+    /// [`NegativeRadius`] if `radius` is negative (or NaN).
+    pub fn new(r0: f64, radius: f64) -> Result<Pair, NegativeRadius> {
+        checked_radius(radius).map(|radius| Pair { r0, radius })
+    }
+}
+
+/// [`Pair::new`] for the library entry points that document a panic on
+/// a negative radius.
+fn pair(r0: f64, radius: f64) -> Pair {
+    Pair::new(r0, radius).unwrap_or_else(|e| panic!("nbody analysis: {e}"))
+}
+
+/// The Lennard-Jones pair-force analysis descriptor: atom A at the
+/// origin (point inputs), atom B boxed around its [`Pair`] position.
+/// All six coordinates are input boxes, so the trace shape is
+/// pair-independent.
+#[derive(Debug, Clone, Copy)]
+pub struct PairForce;
+
+/// Registration names of the six coordinates, in input order.
+const COORDS: [&str; 6] = ["ax", "ay", "az", "bx", "by", "bz"];
+
+impl Kernel for PairForce {
+    type Item = Pair;
+
+    fn shape_key(&self) -> u64 {
+        0
+    }
+
+    fn inputs(&self, p: &Pair) -> Vec<Interval> {
+        vec![
+            Interval::new(0.0, 0.0),
+            Interval::new(0.0, 0.0),
+            Interval::new(0.0, 0.0),
+            Interval::centered(p.r0, p.radius),
+            Interval::centered(0.0, p.radius),
+            Interval::centered(0.0, p.radius),
+        ]
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, p: &Pair) -> Result<(), AnalysisError> {
+        let boxes = self.inputs(p);
+        let [ax, ay, az, bx, by, bz] =
+            std::array::from_fn(|i| ctx.input(COORDS[i], boxes[i].inf(), boxes[i].sup()));
+
+        let dx = ax - bx;
+        let dy = ay - by;
+        let dz = az - bz;
+        let r2 = dx.sqr() + dy.sqr() + dz.sqr();
+        let inv2 = r2.recip();
+        let inv6 = inv2 * inv2 * inv2;
+        let scale = inv2 * inv6 * (inv6 * 2.0 - 1.0) * 24.0;
+        let fx = scale * dx;
+        let fy = scale * dy;
+        let fz = scale * dz;
+        ctx.output(&fx, "fx");
+        ctx.output(&fy, "fy");
+        ctx.output(&fz, "fz");
+        Ok(())
+    }
+}
+
+/// Records the pair force at `(r0, radius)` ([`PairForce`]'s
+/// registration).
 ///
 /// # Errors
 ///
-/// Propagates framework errors, as [`analysis_pair`].
-pub fn analysis_pair_report(r0: f64, radius: f64) -> Result<Report, AnalysisError> {
-    Analysis::new().run(move |ctx| register_pair(ctx, r0, radius))
-}
-
-/// Registers the Lennard-Jones pair-force computation: atom A at the
-/// origin (point inputs), atom B at distance `r0` along x with
-/// ±`radius` uncertainty per coordinate.
+/// Propagates framework errors (the kernel is branch-free).
 ///
-/// Public so external drivers (e.g. the serve layer) can pair it with
-/// [`pair_inputs`] under a replay driver; all six coordinates flow
-/// through replayable inputs, so the trace shape is pair-independent.
+/// # Panics
+///
+/// Panics if `radius` is negative.
 pub fn register_pair(ctx: &Ctx<'_>, r0: f64, radius: f64) -> Result<(), AnalysisError> {
-    let ax = ctx.input("ax", 0.0, 0.0);
-    let ay = ctx.input("ay", 0.0, 0.0);
-    let az = ctx.input("az", 0.0, 0.0);
-    let bx = ctx.input_centered("bx", r0, radius);
-    let by = ctx.input_centered("by", 0.0, radius);
-    let bz = ctx.input_centered("bz", 0.0, radius);
-
-    let dx = ax - bx;
-    let dy = ay - by;
-    let dz = az - bz;
-    let r2 = dx.sqr() + dy.sqr() + dz.sqr();
-    let inv2 = r2.recip();
-    let inv6 = inv2 * inv2 * inv2;
-    let scale = inv2 * inv6 * (inv6 * 2.0 - 1.0) * 24.0;
-    let fx = scale * dx;
-    let fy = scale * dy;
-    let fz = scale * dz;
-    ctx.output(&fx, "fx");
-    ctx.output(&fy, "fy");
-    ctx.output(&fz, "fz");
-    Ok(())
+    PairForce.register(ctx, &pair(r0, radius))
 }
 
-/// Input boxes of [`register_pair`], in registration order (A's three
-/// point intervals then B's three boxed coordinates, bound positionally
-/// by replay drivers).
+/// The input boxes of [`register_pair`] ([`PairForce`]'s).
+///
+/// # Panics
+///
+/// Panics if `radius` is negative.
 pub fn pair_inputs(r0: f64, radius: f64) -> Vec<Interval> {
-    vec![
-        Interval::new(0.0, 0.0),
-        Interval::new(0.0, 0.0),
-        Interval::new(0.0, 0.0),
-        Interval::centered(r0, radius),
-        Interval::centered(0.0, radius),
-        Interval::centered(0.0, radius),
-    ]
+    PairForce.inputs(&pair(r0, radius))
 }
 
 #[cfg(test)]

@@ -17,10 +17,15 @@
 //! second task group combines the partial sums (`t = √(tx² + ty²)`,
 //! clipped to `[0, 255]`) and always runs accurately.
 
-use scorpio_core::{Analysis, AnalysisError, ParallelAnalysis, Report, DEFAULT_LANES};
+use scorpio_core::{
+    Analysis, AnalysisError, Ctx, ParallelAnalysis, Report, VarSignificances, DEFAULT_LANES,
+};
+use scorpio_interval::Interval;
 use scorpio_quality::GrayImage;
 use scorpio_runtime::perforation::Perforator;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
+
+use crate::Kernel;
 
 /// The three computation blocks of the decomposed convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -263,23 +268,11 @@ pub fn analysis() -> Result<Report, AnalysisError> {
 /// computations which aggregate convolution results and produce output
 /// pixels show little significance variance across all pixels".
 ///
-/// Returns the raw significances of `tx` and `ty` for a combine evaluated
-/// at `k` different sub-ranges of the full gradient range; the caller
-/// (and the test below) checks their variance is small.
-///
-/// # Errors
-///
-/// Propagates framework errors (branch-free via min/max clipping).
-pub fn analysis_combine(k: usize) -> Result<Vec<(f64, f64)>, AnalysisError> {
-    analysis_combine_threaded(k, 1)
-}
-
-/// [`analysis_combine`] with the `k` operating points fanned over
-/// `threads` workers of a [`ParallelAnalysis`] engine in record-once /
-/// replay-many mode: each worker records and compiles the combine trace
-/// at its first operating point, then replays it with every further
-/// point's gradient sub-range. Results are in operating-point order and
-/// bit-identical to a serial re-recording loop.
+/// Returns the raw significances of `tx` and `ty` at the `k`
+/// [`Combine::windows`], in window order, lane-replayed over `threads`
+/// workers of a [`ParallelAnalysis`] engine; the values are
+/// bit-identical to a serial re-recording loop. The caller (and the
+/// test below) checks their variance is small.
 ///
 /// # Errors
 ///
@@ -292,40 +285,64 @@ pub fn analysis_combine_threaded(
     k: usize,
     threads: usize,
 ) -> Result<Vec<(f64, f64)>, AnalysisError> {
-    assert!(k > 0, "need at least one operating range");
-    // Slide a half-width window across the full ±1020 gradient range.
-    let span = 2040.0;
-    let width = span / 2.0;
-    let lows: Vec<f64> = (0..k)
-        .map(|i| -1020.0 + (i as f64 / k.max(2) as f64) * (span - width))
-        .collect();
-    let engine = ParallelAnalysis::new(threads);
-    engine
-        .run_batch_replay_vars_map_lanes::<DEFAULT_LANES, _, _, _, _, _>(
-            &lows,
-            |&lo| {
-                // Both inputs range over the window, in registration order.
-                let window = scorpio_interval::Interval::new(lo, lo + width);
-                vec![window, window]
-            },
-            |ctx, &lo| {
-                let tx = ctx.input("tx", lo, lo + width);
-                let ty = ctx.input("ty", lo, lo + width);
-                let t = tx.hypot(ty);
-                let hi = ctx.constant(255.0);
-                let zero = ctx.constant(0.0);
-                let pixel = t.min(hi).max(zero);
-                ctx.output(&pixel, "pixel");
-                Ok(())
-            },
-            |_, vars| {
-                Ok((
-                    vars.var("tx").unwrap().significance_raw,
-                    vars.var("ty").unwrap().significance_raw,
-                ))
-            },
-        )
-        .map(|(points, _stats)| points)
+    let raw = |vars: &VarSignificances, name: &str| vars.var(name).unwrap().significance_raw;
+    Combine.batch::<DEFAULT_LANES, _>(
+        &Combine::windows(k),
+        &ParallelAnalysis::new(threads),
+        |vars| (raw(vars, "tx"), raw(vars, "ty")),
+    )
+}
+
+/// The analysis descriptor of the combine stage `t = hypot(tx, ty)`,
+/// clipped to `[0, 255]`, with both partial sums boxed over one
+/// [`Combine::WIDTH`]-wide window of the gradient range; an item is the
+/// window's low end. Both inputs are boxes, so the trace shape is
+/// window-independent.
+#[derive(Debug, Clone, Copy)]
+pub struct Combine;
+
+impl Combine {
+    /// Width of every operating window: half the full ±1020 gradient
+    /// range.
+    pub const WIDTH: f64 = 1020.0;
+
+    /// Low ends of `k` windows sliding across the full ±1020 gradient
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn windows(k: usize) -> Vec<f64> {
+        assert!(k > 0, "need at least one operating range");
+        (0..k)
+            .map(|i| -1020.0 + (i as f64 / k.max(2) as f64) * Combine::WIDTH)
+            .collect()
+    }
+}
+
+impl Kernel for Combine {
+    type Item = f64;
+
+    fn shape_key(&self) -> u64 {
+        0
+    }
+
+    fn inputs(&self, &lo: &f64) -> Vec<Interval> {
+        let window = Interval::new(lo, lo + Combine::WIDTH);
+        vec![window, window]
+    }
+
+    fn register(&self, ctx: &Ctx<'_>, lo: &f64) -> Result<(), AnalysisError> {
+        let boxes = self.inputs(lo);
+        let tx = ctx.input("tx", boxes[0].inf(), boxes[0].sup());
+        let ty = ctx.input("ty", boxes[1].inf(), boxes[1].sup());
+        let t = tx.hypot(ty);
+        let hi = ctx.constant(255.0);
+        let zero = ctx.constant(0.0);
+        let pixel = t.min(hi).max(zero);
+        ctx.output(&pixel, "pixel");
+        Ok(())
+    }
 }
 
 /// Per-part significance: the summed significances of the part's
@@ -429,7 +446,7 @@ mod tests {
         // §4.1.1: the aggregation stage shows little significance
         // variance across operating points → it is kept always-accurate
         // rather than partitioned further.
-        let points = analysis_combine(5).unwrap();
+        let points = analysis_combine_threaded(5, 1).unwrap();
         let sx: Vec<f64> = points.iter().map(|p| p.0).collect();
         let mean = sx.iter().sum::<f64>() / sx.len() as f64;
         let var = sx.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / sx.len() as f64;

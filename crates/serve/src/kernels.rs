@@ -2,39 +2,22 @@
 //!
 //! Each serve request names one of the five paper kernels plus its
 //! structural parameters and a batch of items. This module turns the
-//! parsed JSON into a typed [`KernelRequest`], derives the **shape
-//! key** the compiled-tape cache is keyed on, and executes the batch
-//! through a [`ReplayOrRecord`] driver over the public
-//! `register_*`/`*_inputs` pairs the kernel crate exports.
-//!
-//! # Shape keys
-//!
-//! A compiled trace replays correctly only for requests whose trace
-//! *structure* matches; everything that is baked into the trace as a
-//! constant (rather than flowing through a positional input) must be
-//! part of the key:
-//!
-//! * `fisheye` — the lens focal length and image centre are trace
-//!   constants, so the key hashes `(width, height)`; the per-pixel
-//!   coordinates are replayable inputs.
-//! * `maclaurin` — the series length `n` decides the trace length, so
-//!   it *is* the key; `x₀` is a replayable input.
-//! * `blackscholes`, `dct`, `nbody` — every varying value flows
-//!   through positional inputs, so each has a single constant key.
-//!
-//! An incorrect key cannot corrupt results — the driver's own keyed
-//! guards degrade a mismatch to a fresh recording — but a missing key
-//! component would silently disable caching, so each kernel's key is
-//! spelled out here next to its registration closure.
+//! parsed JSON into a typed [`KernelRequest`] — one [`Batch`] of a
+//! kernel descriptor and its items — and executes it through a
+//! [`ReplayOrRecord`] driver under the descriptor's
+//! [shape key](Kernel#shape-keys), the key the compiled-tape cache is
+//! keyed on.
 
 use scorpio_core::{
-    Analysis, AnalysisArena, AnalysisError, Ctx, LaneScratch, OutputDetail, Report,
-    ReplayOrRecord, VarSignificances, DEFAULT_LANES,
+    AnalysisArena, AnalysisError, Ctx, LaneScratch, OutputDetail, ReplayOrRecord, Report,
+    VarSignificances, DEFAULT_LANES,
 };
-use scorpio_kernels::blackscholes::{self, Option_};
-use scorpio_kernels::dct::{self, BLOCK};
-use scorpio_kernels::fisheye::{self, Lens};
-use scorpio_kernels::{maclaurin, nbody};
+use scorpio_kernels::blackscholes::{Option_, Pricing};
+use scorpio_kernels::dct::{Pipeline, BLOCK};
+use scorpio_kernels::fisheye::{InverseMapping, Lens};
+use scorpio_kernels::maclaurin::Series;
+use scorpio_kernels::nbody::{Pair, PairForce};
+use scorpio_kernels::Kernel;
 use scorpio_obs::json::Value;
 
 /// Names of the served kernels, in catalogue order (the order stats
@@ -51,53 +34,60 @@ pub fn kernel_index(name: &str) -> Option<usize> {
     KERNEL_NAMES.iter().position(|&k| k == name)
 }
 
+/// One kernel descriptor and the items to analyse with it.
+#[derive(Debug, Clone)]
+pub struct Batch<K: Kernel> {
+    /// The descriptor, holding the request's structural parameters.
+    pub kernel: K,
+    /// The items, in request order.
+    pub items: Vec<K::Item>,
+}
+
+impl<K: Kernel> Batch<K> {
+    /// Runs the batch at detail `D` under the descriptor's shape key,
+    /// chunking items at [`DEFAULT_LANES`] granularity so full blocks
+    /// take one walk of the compiled op stream.
+    fn run<D: OutputDetail>(
+        &self,
+        driver: &mut ReplayOrRecord,
+        arena: &mut AnalysisArena,
+        lanes: &mut LaneScratch<DEFAULT_LANES>,
+    ) -> Result<Vec<D>, AnalysisError> {
+        let key = Some(self.kernel.shape_key());
+        let inputs_of = |item: &K::Item| self.kernel.inputs(item);
+        let register = |ctx: &Ctx<'_>, item: &K::Item| self.kernel.register(ctx, item);
+        let mut out = Vec::with_capacity(self.items.len());
+        for block in self.items.chunks(DEFAULT_LANES) {
+            driver.run_block(key, arena, lanes, block, &inputs_of, &register, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// One fresh recording per item.
+    fn direct_reports(&self) -> Result<Vec<Report>, AnalysisError> {
+        self.items
+            .iter()
+            .map(|item| self.kernel.report(item))
+            .collect()
+    }
+}
+
 /// One parsed analyze request: the kernel, its structural parameters
 /// and the item batch.
 #[derive(Debug, Clone)]
 pub enum KernelRequest {
-    /// Fisheye InverseMapping pixels on a `width × height` image.
-    Fisheye {
-        /// Image width the lens is fitted to.
-        width: usize,
-        /// Image height the lens is fitted to.
-        height: usize,
-        /// `(u, v)` pixel coordinates to analyse.
-        items: Vec<(f64, f64)>,
-    },
-    /// Black–Scholes option pricing.
-    Blackscholes {
-        /// Options to analyse (the `call` flag defaults to `true`; the
-        /// analysis traces the call-branch block structure either way).
-        items: Vec<Option_>,
-    },
-    /// 8×8 DCT blocks.
-    Dct {
-        /// Per-pixel input-box radius.
-        radius: f64,
-        /// Row-major 64-pixel blocks.
-        items: Vec<[[f64; BLOCK]; BLOCK]>,
-    },
-    /// Maclaurin series of §3.
-    Maclaurin {
-        /// Series length (trace-structural: part of the shape key).
-        n: usize,
-        /// Expansion points `x₀`.
-        items: Vec<f64>,
-    },
-    /// Lennard-Jones pair force.
-    Nbody {
-        /// `(r0, radius)` separations to analyse.
-        items: Vec<(f64, f64)>,
-    },
-}
-
-/// splitmix64 finalizer — the same mixer the audit fuzzer's
-/// [`SplitMix64`](scorpio_core::audit::SplitMix64) stream uses, applied
-/// here to spread low-entropy structural parameters over the key space.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    /// Fisheye InverseMapping `(u, v)` pixels; the lens is fitted to
+    /// the request's `width × height` image.
+    Fisheye(Batch<InverseMapping>),
+    /// Black–Scholes options (the `call` flag defaults to `true`; the
+    /// analysis traces the call-branch block structure either way).
+    Blackscholes(Batch<Pricing>),
+    /// Row-major 8×8 DCT blocks under the request's pixel radius.
+    Dct(Batch<Pipeline>),
+    /// Maclaurin expansion points `x₀` of an `n`-term series (§3).
+    Maclaurin(Batch<Series>),
+    /// Lennard-Jones pair force at `(r0, radius)` separations.
+    Nbody(Batch<PairForce>),
 }
 
 /// Reads a required finite number field.
@@ -123,7 +113,9 @@ fn num_field_or(v: &Value, key: &str, default: f64) -> Result<f64, String> {
 fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
     let x = num_field(v, key)?;
     if x < 0.0 || x.fract() != 0.0 || x > u32::MAX as f64 {
-        return Err(format!("field \"{key}\" must be a small non-negative integer"));
+        return Err(format!(
+            "field \"{key}\" must be a small non-negative integer"
+        ));
     }
     Ok(x as usize)
 }
@@ -161,18 +153,19 @@ impl KernelRequest {
                 if width == 0 || height == 0 {
                     return Err("fisheye image must be non-empty".to_string());
                 }
-                let items = items
-                    .iter()
-                    .map(|it| Ok((num_field(it, "u")?, num_field(it, "v")?)))
-                    .collect::<Result<_, String>>()?;
-                Ok(KernelRequest::Fisheye {
-                    width,
-                    height,
-                    items,
-                })
+                Ok(KernelRequest::Fisheye(Batch {
+                    kernel: InverseMapping {
+                        lens: Lens::for_image(width, height),
+                    },
+                    items: items
+                        .iter()
+                        .map(|it| Ok((num_field(it, "u")?, num_field(it, "v")?)))
+                        .collect::<Result<_, String>>()?,
+                }))
             }
-            "blackscholes" => {
-                let items = items
+            "blackscholes" => Ok(KernelRequest::Blackscholes(Batch {
+                kernel: Pricing,
+                items: items
                     .iter()
                     .map(|it| {
                         Ok(Option_ {
@@ -184,11 +177,11 @@ impl KernelRequest {
                             call: true,
                         })
                     })
-                    .collect::<Result<_, String>>()?;
-                Ok(KernelRequest::Blackscholes { items })
-            }
+                    .collect::<Result<_, String>>()?,
+            })),
             "dct" => {
                 let radius = num_field_or(v, "radius", 1.0)?;
+                let kernel = Pipeline::new(radius).map_err(|e| e.to_string())?;
                 let items = items
                     .iter()
                     .map(|it| {
@@ -196,7 +189,10 @@ impl KernelRequest {
                             .as_arr()
                             .filter(|a| a.len() == BLOCK * BLOCK)
                             .ok_or_else(|| {
-                                format!("each dct item must be an array of {} pixels", BLOCK * BLOCK)
+                                format!(
+                                    "each dct item must be an array of {} pixels",
+                                    BLOCK * BLOCK
+                                )
                             })?;
                         let mut block = [[0.0; BLOCK]; BLOCK];
                         for (i, p) in pixels.iter().enumerate() {
@@ -208,30 +204,35 @@ impl KernelRequest {
                         Ok(block)
                     })
                     .collect::<Result<_, String>>()?;
-                Ok(KernelRequest::Dct { radius, items })
+                Ok(KernelRequest::Dct(Batch { kernel, items }))
             }
             "maclaurin" => {
                 let n = usize_field(v, "n")?;
                 if n == 0 || n > 4096 {
                     return Err("maclaurin \"n\" must be in 1..=4096".to_string());
                 }
-                let items = items
+                Ok(KernelRequest::Maclaurin(Batch {
+                    kernel: Series { n },
+                    items: items
+                        .iter()
+                        .map(|it| {
+                            it.as_f64().filter(|x| x.is_finite()).ok_or_else(|| {
+                                "each maclaurin item must be a number x0".to_string()
+                            })
+                        })
+                        .collect::<Result<_, String>>()?,
+                }))
+            }
+            "nbody" => Ok(KernelRequest::Nbody(Batch {
+                kernel: PairForce,
+                items: items
                     .iter()
                     .map(|it| {
-                        it.as_f64()
-                            .filter(|x| x.is_finite())
-                            .ok_or_else(|| "each maclaurin item must be a number x0".to_string())
+                        Pair::new(num_field(it, "r0")?, num_field(it, "radius")?)
+                            .map_err(|e| e.to_string())
                     })
-                    .collect::<Result<_, String>>()?;
-                Ok(KernelRequest::Maclaurin { n, items })
-            }
-            "nbody" => {
-                let items = items
-                    .iter()
-                    .map(|it| Ok((num_field(it, "r0")?, num_field(it, "radius")?)))
-                    .collect::<Result<_, String>>()?;
-                Ok(KernelRequest::Nbody { items })
-            }
+                    .collect::<Result<_, String>>()?,
+            })),
             other => Err(format!("unknown kernel \"{other}\"")),
         }
     }
@@ -239,22 +240,22 @@ impl KernelRequest {
     /// The kernel's catalogue name.
     pub fn name(&self) -> &'static str {
         match self {
-            KernelRequest::Fisheye { .. } => "fisheye",
-            KernelRequest::Blackscholes { .. } => "blackscholes",
-            KernelRequest::Dct { .. } => "dct",
-            KernelRequest::Maclaurin { .. } => "maclaurin",
-            KernelRequest::Nbody { .. } => "nbody",
+            KernelRequest::Fisheye(_) => "fisheye",
+            KernelRequest::Blackscholes(_) => "blackscholes",
+            KernelRequest::Dct(_) => "dct",
+            KernelRequest::Maclaurin(_) => "maclaurin",
+            KernelRequest::Nbody(_) => "nbody",
         }
     }
 
     /// Number of items in the batch.
     pub fn len(&self) -> usize {
         match self {
-            KernelRequest::Fisheye { items, .. } => items.len(),
-            KernelRequest::Blackscholes { items } => items.len(),
-            KernelRequest::Dct { items, .. } => items.len(),
-            KernelRequest::Maclaurin { items, .. } => items.len(),
-            KernelRequest::Nbody { items } => items.len(),
+            KernelRequest::Fisheye(b) => b.items.len(),
+            KernelRequest::Blackscholes(b) => b.items.len(),
+            KernelRequest::Dct(b) => b.items.len(),
+            KernelRequest::Maclaurin(b) => b.items.len(),
+            KernelRequest::Nbody(b) => b.items.len(),
         }
     }
 
@@ -264,17 +265,14 @@ impl KernelRequest {
         self.len() == 0
     }
 
-    /// The cache shape key (see the [module docs](self) for what each
-    /// kernel must include and why).
+    /// The cache shape key: the descriptor's [`Kernel::shape_key`].
     pub fn shape_key(&self) -> u64 {
         match self {
-            KernelRequest::Fisheye { width, height, .. } => {
-                mix(mix(*width as u64) ^ (*height as u64))
-            }
-            KernelRequest::Blackscholes { .. } => 0,
-            KernelRequest::Dct { .. } => 0,
-            KernelRequest::Maclaurin { n, .. } => *n as u64,
-            KernelRequest::Nbody { .. } => 0,
+            KernelRequest::Fisheye(b) => b.kernel.shape_key(),
+            KernelRequest::Blackscholes(b) => b.kernel.shape_key(),
+            KernelRequest::Dct(b) => b.kernel.shape_key(),
+            KernelRequest::Maclaurin(b) => b.kernel.shape_key(),
+            KernelRequest::Nbody(b) => b.kernel.shape_key(),
         }
     }
 
@@ -308,110 +306,37 @@ impl KernelRequest {
         self.run(driver, arena, lanes)
     }
 
-    /// Runs the batch at detail `D` under the request's shape key,
-    /// chunking items at [`DEFAULT_LANES`] granularity so full blocks
-    /// take one walk of the compiled op stream.
+    /// [`Batch::run`] of the request's batch.
     fn run<D: OutputDetail>(
         &self,
         driver: &mut ReplayOrRecord,
         arena: &mut AnalysisArena,
         lanes: &mut LaneScratch<DEFAULT_LANES>,
     ) -> Result<Vec<D>, AnalysisError> {
-        let key = Some(self.shape_key());
-        let mut out = Vec::with_capacity(self.len());
-        // A macro rather than a helper fn: the closures differ in type
-        // per kernel, and a helper's bounds would have to name
-        // `Interval`, from a crate this one does not depend on.
-        macro_rules! run_blocks {
-            ($items:expr, $inputs_of:expr, $register:expr) => {
-                for block in $items.chunks(DEFAULT_LANES) {
-                    driver.run_block(key, arena, lanes, block, &$inputs_of, &$register, &mut out)?;
-                }
-            };
-        }
         match self {
-            KernelRequest::Fisheye {
-                width,
-                height,
-                items,
-            } => {
-                let lens = Lens::for_image(*width, *height);
-                run_blocks!(
-                    items,
-                    |&(u, v)| fisheye::inverse_mapping_inputs(&lens, u, v),
-                    |ctx, &(u, v)| fisheye::register_inverse_mapping(ctx, &lens, u, v)
-                );
-            }
-            KernelRequest::Blackscholes { items } => {
-                run_blocks!(items, blackscholes::option_inputs, |ctx, o| {
-                    blackscholes::register_option(ctx, o)
-                });
-            }
-            KernelRequest::Dct { radius, items } => {
-                run_blocks!(
-                    items,
-                    |b| dct::block_inputs(b, *radius),
-                    |ctx, b| dct::register_block(ctx, b, *radius)
-                );
-            }
-            KernelRequest::Maclaurin { n, items } => {
-                run_blocks!(
-                    items,
-                    |&x0| maclaurin::series_inputs(x0),
-                    |ctx, &x0| maclaurin::register_series(ctx, x0, *n)
-                );
-            }
-            KernelRequest::Nbody { items } => {
-                run_blocks!(
-                    items,
-                    |&(r0, radius)| nbody::pair_inputs(r0, radius),
-                    |ctx, &(r0, radius)| nbody::register_pair(ctx, r0, radius)
-                );
-            }
+            KernelRequest::Fisheye(b) => b.run(driver, arena, lanes),
+            KernelRequest::Blackscholes(b) => b.run(driver, arena, lanes),
+            KernelRequest::Dct(b) => b.run(driver, arena, lanes),
+            KernelRequest::Maclaurin(b) => b.run(driver, arena, lanes),
+            KernelRequest::Nbody(b) => b.run(driver, arena, lanes),
         }
-        Ok(out)
     }
 
     /// Runs the batch as direct, replay-free library calls — one fresh
-    /// [`Analysis`] recording per item, exactly what a caller linking
-    /// the library would compute. The round-trip test compares served
-    /// reports against these bit for bit.
+    /// [`Kernel::report`] recording per item, exactly what a caller
+    /// linking the library would compute. The round-trip test compares
+    /// served reports against these bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates the first failing item's [`AnalysisError`].
     pub fn direct_reports(&self) -> Result<Vec<Report>, AnalysisError> {
-        let run = |f: &dyn Fn(&Ctx<'_>) -> Result<(), AnalysisError>| Analysis::new().run(f);
         match self {
-            KernelRequest::Fisheye {
-                width,
-                height,
-                items,
-            } => {
-                let lens = Lens::for_image(*width, *height);
-                items
-                    .iter()
-                    .map(|&(u, v)| {
-                        run(&|ctx| fisheye::register_inverse_mapping(ctx, &lens, u, v))
-                    })
-                    .collect()
-            }
-            KernelRequest::Blackscholes { items } => items
-                .iter()
-                .map(|o| run(&|ctx| blackscholes::register_option(ctx, o)))
-                .collect(),
-            KernelRequest::Dct { radius, items } => items
-                .iter()
-                .map(|b| run(&|ctx| dct::register_block(ctx, b, *radius)))
-                .collect(),
-            KernelRequest::Maclaurin { n, items } => items
-                .iter()
-                .map(|&x0| run(&|ctx| maclaurin::register_series(ctx, x0, *n)))
-                .collect(),
-            KernelRequest::Nbody { items } => items
-                .iter()
-                .map(|&(r0, radius)| run(&|ctx| nbody::register_pair(ctx, r0, radius)))
-                .collect(),
+            KernelRequest::Fisheye(b) => b.direct_reports(),
+            KernelRequest::Blackscholes(b) => b.direct_reports(),
+            KernelRequest::Dct(b) => b.direct_reports(),
+            KernelRequest::Maclaurin(b) => b.direct_reports(),
+            KernelRequest::Nbody(b) => b.direct_reports(),
         }
     }
 }
@@ -419,6 +344,7 @@ impl KernelRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio_core::Analysis;
     use scorpio_obs::json::parse;
 
     #[test]
@@ -431,6 +357,8 @@ mod tests {
             (r#"{"kernel":"maclaurin","n":4,"items":["x"]}"#, "number"),
             (r#"{"kernel":"fisheye","width":0,"height":8,"items":[{"u":1,"v":1}]}"#, "non-empty"),
             (r#"{"kernel":"dct","items":[[1,2,3]]}"#, "64"),
+            (r#"{"kernel":"nbody","items":[{"r0":1.2,"radius":-0.03}]}"#, "\"radius\""),
+            (r#"{"kernel":"dct","radius":-3,"items":[[1,2,3]]}"#, "\"radius\""),
         ];
         for (line, needle) in cases {
             let v = parse(line).unwrap();
@@ -440,25 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn shape_keys_separate_structural_variants() {
-        let req = |line: &str| KernelRequest::from_value(&parse(line).unwrap()).unwrap();
-        let a = req(r#"{"kernel":"maclaurin","n":4,"items":[0.5]}"#);
-        let b = req(r#"{"kernel":"maclaurin","n":5,"items":[0.5]}"#);
-        assert_ne!(a.shape_key(), b.shape_key());
-        let c = req(r#"{"kernel":"fisheye","width":64,"height":64,"items":[{"u":1,"v":2}]}"#);
-        let d = req(r#"{"kernel":"fisheye","width":64,"height":32,"items":[{"u":1,"v":2}]}"#);
-        assert_ne!(c.shape_key(), d.shape_key());
-        // Item values must NOT affect the key: same shape ⇒ same trace.
-        let e = req(r#"{"kernel":"fisheye","width":64,"height":64,"items":[{"u":9,"v":9}]}"#);
-        assert_eq!(c.shape_key(), e.shape_key());
-    }
-
-    #[test]
     fn replayed_batch_is_bit_identical_to_direct_calls() {
-        let req = KernelRequest::Maclaurin {
-            n: 8,
+        let req = KernelRequest::Maclaurin(Batch {
+            kernel: Series { n: 8 },
             items: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-        };
+        });
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         let full = req
@@ -493,11 +407,12 @@ mod tests {
         // 9 items: the first block of 4 is warm-up (record + width-1
         // replays), the second full block replays as one lane sweep, the
         // ninth item is remainder.
-        let req = KernelRequest::Nbody {
+        let req = KernelRequest::Nbody(Batch {
+            kernel: PairForce,
             items: (0..9)
-                .map(|i| (1.0 + 0.12 * i as f64, 0.01 + 0.005 * i as f64))
+                .map(|i| Pair::new(1.0 + 0.12 * i as f64, 0.01 + 0.005 * i as f64).unwrap())
                 .collect(),
-        };
+        });
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         let mut lanes = LaneScratch::new();

@@ -45,7 +45,7 @@
 //! `{"id":N,"ok":false,"error":"..."}` on the same connection without
 //! closing it.
 
-use scorpio_core::{ReportRecord, VarRecord, VarSignificances};
+use scorpio_core::{ReportRecord, VarSignificances};
 use scorpio_obs::json::{self, Value};
 use scorpio_obs::{KernelWindowStats, TaskEventRecord};
 use serde::Serialize;
@@ -540,27 +540,11 @@ pub fn error_line(id: u64, message: impl Into<String>) -> String {
     })
 }
 
-/// Converts variables-only results into [`ReportRecord`]s (empty
-/// `nodes`), mirroring [`Report::to_record`](scorpio_core::Report::to_record)
-/// field for field so the shared rows stay byte-identical.
+/// Converts variables-only results into a [`ReportRecord`] (empty
+/// `nodes`): the rows' half of [`Report::to_record`](scorpio_core::Report::to_record),
+/// so the shared rows stay byte-identical.
 pub fn vars_to_record(vars: &VarSignificances) -> ReportRecord {
-    ReportRecord {
-        tape_len: vars.tape_len(),
-        output_significance_raw: vars.output_significance_raw(),
-        vars: vars
-            .registered()
-            .iter()
-            .map(|v| VarRecord {
-                name: v.name.clone(),
-                kind: v.kind.as_str(),
-                enclosure: [v.enclosure.inf(), v.enclosure.sup()],
-                derivative: [v.derivative.inf(), v.derivative.sup()],
-                significance_raw: v.significance_raw,
-                significance: v.significance,
-            })
-            .collect(),
-        nodes: Vec::new(),
-    }
+    vars.to_record()
 }
 
 #[cfg(test)]

@@ -1188,10 +1188,10 @@ mod tests {
                 parse_start_ns: 0,
                 parse_dur_ns: 0,
                 request: AnalyzeRequest {
-                    kernel: crate::kernels::KernelRequest::Maclaurin {
-                        n: 4,
+                    kernel: crate::kernels::KernelRequest::Maclaurin(crate::kernels::Batch {
+                        kernel: scorpio_kernels::maclaurin::Series { n: 4 },
                         items: vec![0.25],
-                    },
+                    }),
                     ratio: 0.5,
                     detail: Detail::Vars,
                 },

@@ -7,8 +7,8 @@
 //! equality.
 
 use scorpio::analysis::mc;
-use scorpio::analysis::ParallelAnalysis;
-use scorpio::kernels::{blackscholes, dct, fisheye, nbody, sobel};
+use scorpio::analysis::{ParallelAnalysis, DEFAULT_LANES};
+use scorpio::kernels::{blackscholes, dct, fisheye, nbody, sobel, Kernel};
 use scorpio::quality::SyntheticImage;
 use scorpio::runtime::{ExecutionStats, Executor};
 
@@ -16,7 +16,7 @@ const THREAD_COUNTS: [usize; 2] = [2, 8];
 
 #[test]
 fn sobel_combine_is_bit_identical_across_thread_counts() {
-    let serial = sobel::analysis_combine(12).unwrap();
+    let serial = sobel::analysis_combine_threaded(12, 1).unwrap();
     for threads in THREAD_COUNTS {
         let parallel = sobel::analysis_combine_threaded(12, threads).unwrap();
         assert_eq!(serial.len(), parallel.len());
@@ -30,10 +30,16 @@ fn sobel_combine_is_bit_identical_across_thread_counts() {
 #[test]
 fn blackscholes_batch_is_bit_identical_across_thread_counts() {
     let options = blackscholes::generate_options(48, 7);
-    let serial = blackscholes::analysis_options(&options, &ParallelAnalysis::new(1)).unwrap();
+    let batch = |threads| {
+        blackscholes::analysis_options_lanes::<DEFAULT_LANES>(
+            &options,
+            &ParallelAnalysis::new(threads),
+        )
+        .unwrap()
+    };
+    let serial = batch(1);
     for threads in THREAD_COUNTS {
-        let parallel =
-            blackscholes::analysis_options(&options, &ParallelAnalysis::new(threads)).unwrap();
+        let parallel = batch(threads);
         assert_eq!(serial.len(), parallel.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             let s = [s.0, s.1, s.2, s.3];
@@ -93,7 +99,9 @@ fn fisheye_grid_matches_serial_per_pixel_loop() {
     }
     for threads in [1, 2, 8] {
         let engine = ParallelAnalysis::new(threads);
-        let got = fisheye::analysis_inverse_mapping_grid(&lens, gw, gh, &engine).unwrap();
+        let got =
+            fisheye::analysis_inverse_mapping_grid_lanes::<DEFAULT_LANES>(&lens, gw, gh, &engine)
+                .unwrap();
         assert_eq!(got.len(), expected.len());
         for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
             assert_eq!(e.to_bits(), g.to_bits(), "pixel {i} diverged at {threads} threads");
@@ -116,8 +124,12 @@ fn dct_blocks_match_serial_analysis() {
             b
         })
         .collect();
-    let serial = dct::analysis_blocks(&blocks, 8.0, &ParallelAnalysis::new(1)).unwrap();
-    let parallel = dct::analysis_blocks(&blocks, 8.0, &ParallelAnalysis::new(2)).unwrap();
+    let batch = |threads| {
+        dct::analysis_blocks_lanes::<DEFAULT_LANES>(&blocks, 8.0, &ParallelAnalysis::new(threads))
+            .unwrap()
+    };
+    let serial = batch(1);
+    let parallel = batch(2);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         for (v, (srow, prow)) in s.iter().zip(p).enumerate() {
             for (u, (a, b)) in srow.iter().zip(prow).enumerate() {
@@ -130,7 +142,8 @@ fn dct_blocks_match_serial_analysis() {
         }
     }
     // And the batch agrees with the standalone single-block analysis.
-    let standalone = dct::coefficient_map(&dct::analysis(&blocks[0], 8.0).unwrap());
+    let pipeline = dct::Pipeline::new(8.0).unwrap();
+    let standalone = dct::coefficient_map(&pipeline.report(&blocks[0]).unwrap());
     for (srow, prow) in standalone.iter().zip(&serial[0]) {
         for (a, b) in srow.iter().zip(prow) {
             assert_eq!(a.to_bits(), b.to_bits());

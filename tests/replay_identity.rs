@@ -13,10 +13,11 @@
 use proptest::prelude::*;
 use scorpio::analysis::{
     Analysis, AnalysisArena, AnalysisError, Ctx, LaneScratch, ParallelAnalysis, ReplayOrRecord,
-    Report, VarSignificances,
+    Report, VarSignificances, DEFAULT_LANES,
 };
 use scorpio::interval::Interval;
-use scorpio::kernels::{blackscholes, dct, fisheye, maclaurin, sobel};
+use scorpio::kernels::sobel::Combine;
+use scorpio::kernels::{blackscholes, dct, fisheye, maclaurin, sobel, Kernel};
 
 /// Asserts two reports carry identical registered rows, bit for bit
 /// (enclosures, interval adjoints, raw and normalized significances).
@@ -50,27 +51,11 @@ fn maclaurin_closure(n: usize) -> impl Fn(&Ctx<'_>) -> Result<(), AnalysisError>
     }
 }
 
-/// Full gradient range the Sobel combine windows slide across.
-const SOBEL_SPAN: f64 = 2040.0;
-
-/// Start of operating window `i` of `k`, as `sobel::analysis_combine`
-/// places them.
-fn sobel_window_start(i: usize, k: usize) -> f64 {
-    -1020.0 + (i as f64 / k.max(2) as f64) * (SOBEL_SPAN / 2.0)
-}
-
-/// The Sobel combine registration over the window starting at `lo`
-/// (the closure `sobel::analysis_combine` replays).
-fn sobel_combine(ctx: &Ctx<'_>, lo: f64) -> Result<(), AnalysisError> {
-    let width = SOBEL_SPAN / 2.0;
-    let tx = ctx.input("tx", lo, lo + width);
-    let ty = ctx.input("ty", lo, lo + width);
-    let t = tx.hypot(ty);
-    let hi = ctx.constant(255.0);
-    let zero = ctx.constant(0.0);
-    let pixel = t.min(hi).max(zero);
-    ctx.output(&pixel, "pixel");
-    Ok(())
+/// Raw summed significance of the two InverseMapping coordinate
+/// inputs — what `fisheye::analysis_inverse_mapping` returns.
+fn summed_uv(vars: &VarSignificances) -> f64 {
+    let raw = |n: &str| vars.var(n).map(|r| r.significance_raw).unwrap_or(0.0);
+    raw("u") + raw("v")
 }
 
 proptest! {
@@ -114,12 +99,17 @@ proptest! {
             ((u0 + 3.0 * du) % 128.0, (v0 + 1.5 * du) % 96.0),
         ];
         let lens = fisheye::Lens::for_image(128, 96);
+        let kernel = fisheye::InverseMapping { lens };
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
         for &(u, v) in &pixels {
-            let replayed =
-                fisheye::analysis_inverse_mapping_replay_in(&mut driver, &mut arena, &lens, u, v)
-                    .unwrap();
+            let replayed = summed_uv(
+                &driver
+                    .run_vars_in(&mut arena, &kernel.inputs(&(u, v)), |ctx| {
+                        kernel.register(ctx, &(u, v))
+                    })
+                    .unwrap(),
+            );
             let recorded = fisheye::analysis_inverse_mapping(&lens, u, v).unwrap();
             prop_assert_eq!(replayed.to_bits(), recorded.to_bits(), "pixel ({}, {})", u, v);
         }
@@ -131,10 +121,9 @@ proptest! {
     /// bitwise with fresh recordings of the same operating points.
     #[test]
     fn sobel_replay_bit_identity(k in 2usize..14) {
-        let points = sobel::analysis_combine(k).unwrap();
-        for (i, &(sx, sy)) in points.iter().enumerate() {
-            let lo = sobel_window_start(i, k);
-            let report = Analysis::new().run(|ctx| sobel_combine(ctx, lo)).unwrap();
+        let points = sobel::analysis_combine_threaded(k, 1).unwrap();
+        for (i, (&(sx, sy), lo)) in points.iter().zip(Combine::windows(k)).enumerate() {
+            let report = Combine.report(&lo).unwrap();
             prop_assert_eq!(
                 sx.to_bits(),
                 report.var("tx").unwrap().significance_raw.to_bits(),
@@ -158,7 +147,8 @@ proptest! {
     fn blackscholes_replay_bit_identity(seed in 0u64..1000, n in 2usize..12) {
         let options = blackscholes::generate_options(n, seed);
         let engine = ParallelAnalysis::new(1);
-        let replayed = blackscholes::analysis_options(&options, &engine).unwrap();
+        let replayed =
+            blackscholes::analysis_options_lanes::<DEFAULT_LANES>(&options, &engine).unwrap();
         let mut arena = AnalysisArena::new();
         for (o, r) in options.iter().zip(&replayed) {
             let fresh = blackscholes::analysis_option_in(&mut arena, o).unwrap();
@@ -193,7 +183,7 @@ proptest! {
             })
             .collect();
         let engine = ParallelAnalysis::new(1);
-        let replayed = dct::analysis_blocks(&blocks, radius, &engine).unwrap();
+        let replayed = dct::analysis_blocks_lanes::<DEFAULT_LANES>(&blocks, radius, &engine).unwrap();
         let mut arena = AnalysisArena::new();
         for (block, map) in blocks.iter().zip(&replayed) {
             let report = dct::analysis_in(&mut arena, block, radius).unwrap();
@@ -302,16 +292,14 @@ proptest! {
     /// fresh per-point recordings.
     #[test]
     fn sobel_lane_vs_scalar_replay(k in 2usize..14) {
-        let points = sobel::analysis_combine(k).unwrap();
+        let points = sobel::analysis_combine_threaded(k, 1).unwrap();
         let mut driver = ReplayOrRecord::new(Analysis::new());
         let mut arena = AnalysisArena::new();
-        for (i, &(sx, sy)) in points.iter().enumerate() {
-            let lo = sobel_window_start(i, k);
-            let window = Interval::new(lo, lo + SOBEL_SPAN / 2.0);
+        for (&(sx, sy), lo) in points.iter().zip(Combine::windows(k)) {
             let single = driver
-                .run_vars_in(&mut arena, &[window, window], |ctx| sobel_combine(ctx, lo))
+                .run_vars_in(&mut arena, &Combine.inputs(&lo), |ctx| Combine.register(ctx, &lo))
                 .unwrap();
-            let fresh = Analysis::new().run(|ctx| sobel_combine(ctx, lo)).unwrap();
+            let fresh = Combine.report(&lo).unwrap();
             for name in ["tx", "ty"] {
                 let want = fresh.var(name).unwrap().significance_raw.to_bits();
                 prop_assert_eq!(single.var(name).unwrap().significance_raw.to_bits(), want);

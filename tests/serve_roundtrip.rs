@@ -8,9 +8,13 @@
 //! trace some *other* request recorded) must serialize byte-for-byte
 //! like one computed by a fresh in-process [`Analysis`] run.
 
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use scorpio::analysis::Analysis;
+use scorpio::kernels::maclaurin::Series;
+use scorpio::kernels::Kernel;
 use scorpio::obs::json::{self, Value};
 use scorpio::serve::kernels::{KernelRequest, MAX_ITEMS};
 use scorpio::serve::server::MAX_LINE_BYTES;
@@ -241,6 +245,38 @@ fn malformed_and_unknown_requests_get_error_replies_without_killing_the_server()
     server.join().unwrap().expect("server run");
 }
 
+/// A negative radius is refused while parsing, naming the field, so no
+/// worker ever sees it: a burst of such lines, one more than there are
+/// workers, leaves the pool whole and the next valid request is
+/// answered.
+#[test]
+fn negative_radius_requests_are_refused_without_losing_a_worker() {
+    let workers = 2;
+    let (addr, server) = spawn_server(workers);
+    let mut client = Client::connect(&addr).expect("connect");
+    for _ in 0..=workers {
+        let reply = client
+            .request(r#"{"kernel":"nbody","items":[{"r0":1.2,"radius":-0.03}]}"#)
+            .expect("error reply");
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(false)));
+        let error = reply.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(error.contains("\"radius\""), "{error}");
+    }
+    // Asked from a thread: a daemon without workers would never answer.
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let reply = client.request(r#"{"kernel":"nbody","items":[{"r0":1.2,"radius":0.03}]}"#);
+        tx.send(reply.map(|reply| (reply, client))).ok();
+    });
+    let (reply, mut client) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the valid request is answered")
+        .expect("reply");
+    assert_ok(&reply);
+    client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server run");
+}
+
 #[test]
 fn over_long_line_gets_an_error_reply_and_the_connection_keeps_serving() {
     let (addr, server) = spawn_server(1);
@@ -305,9 +341,7 @@ fn direct_reports_match_a_handwritten_analysis_run() {
     let request = KernelRequest::from_value(&json::parse(line).unwrap()).unwrap();
     let from_helper = &request.direct_reports().unwrap()[0];
     let by_hand = Analysis::new()
-        .run(|ctx: &scorpio::analysis::Ctx<'_>| {
-            scorpio::kernels::maclaurin::register_series(ctx, 0.2, 6)
-        })
+        .run(|ctx: &scorpio::analysis::Ctx<'_>| Series { n: 6 }.register(ctx, &0.2))
         .unwrap();
     assert_eq!(
         json::to_string(&from_helper.to_record()),
