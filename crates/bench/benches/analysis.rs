@@ -98,7 +98,7 @@ fn bench_full_analysis(c: &mut Criterion) {
     group.bench_function("mc_estimate_256", |b| {
         b.iter(|| {
             black_box(
-                mc::estimate(256, 1, |ctx| {
+                mc::estimate(256, 1, 1, |ctx| {
                     let x = ctx.input("x", 0.0, 1.0);
                     let y = (x.sin() + x.sqr()).exp();
                     ctx.output(&y, "y");

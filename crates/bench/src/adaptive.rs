@@ -106,7 +106,7 @@ pub struct AdaptiveKernel {
 pub struct AdaptiveReport {
     /// Format tag, always [`ADAPTIVE_SCHEMA`].
     pub schema: String,
-    /// Producing harness (e.g. `"bench_adaptive"`).
+    /// Producing harness (e.g. `"fig7_sweep"`).
     pub name: String,
     /// `git describe` of the producing tree.
     pub git: String,
@@ -199,11 +199,11 @@ pub(crate) fn fixture(ok: bool, degraded: bool, steps: u64) -> AdaptiveReport {
     }
 }
 
-/// The per-kernel quality objective the harnesses default to when no
-/// `--target` override is given. Values are chosen to sit strictly
-/// inside each kernel's measured quality range so the controller has a
-/// real crossing to find (on both the `--small` and full workloads).
-/// Returns `None` for unknown kernel names.
+/// The per-kernel quality objective the adaptive run pursues. Values
+/// are chosen to sit strictly inside each kernel's measured quality
+/// range so the controller has a real crossing to find (on both the
+/// `--small` and full workloads). Returns `None` for unknown kernel
+/// names.
 pub fn default_objective(kernel: &str) -> Option<Objective> {
     Some(match kernel {
         "sobel" => Objective::Quality(QualityTarget::AtLeast(25.0)),
@@ -215,26 +215,15 @@ pub fn default_objective(kernel: &str) -> Option<Objective> {
     })
 }
 
-/// The objective a harness pursues for `kernel`: the per-kernel
-/// default, with an optional `--target` override replacing the
-/// threshold while keeping the metric direction.
+/// The objective the adaptive run pursues for `kernel`: its
+/// [`default_objective`].
 ///
 /// # Panics
 ///
 /// Panics when `kernel` has no default objective (unknown name).
-pub fn resolve_objective(kernel: &str, target_override: Option<f64>) -> Objective {
-    let base = default_objective(kernel)
-        .unwrap_or_else(|| panic!("no default quality target for kernel {kernel:?}"));
-    match (base, target_override) {
-        (objective, None) => objective,
-        (Objective::Quality(QualityTarget::AtLeast(_)), Some(q)) => {
-            Objective::Quality(QualityTarget::AtLeast(q))
-        }
-        (Objective::Quality(QualityTarget::AtMost(_)), Some(q)) => {
-            Objective::Quality(QualityTarget::AtMost(q))
-        }
-        (Objective::EnergyBudget(_), Some(q)) => Objective::EnergyBudget(q),
-    }
+pub fn resolve_objective(kernel: &str) -> Objective {
+    default_objective(kernel)
+        .unwrap_or_else(|| panic!("no default quality target for kernel {kernel:?}"))
 }
 
 /// Splits an objective into the `(target_kind, target)` report fields.

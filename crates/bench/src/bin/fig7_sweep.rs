@@ -12,7 +12,7 @@
 //! ```sh
 //! cargo run --release -p scorpio-bench --bin fig7_sweep \
 //!     [--small] [--threads N] [--reps N] [--out-dir DIR] [--trace trace.json] \
-//!     [--adaptive [--target Q]]
+//!     [--adaptive]
 //! ```
 //!
 //! `--threads N` sizes the task-execution worker pool (default: one
@@ -30,14 +30,14 @@
 //! curve searches for the cheapest ratio meeting the kernel's default
 //! quality target (see `scorpio_bench::adaptive::default_objective`),
 //! and the verdicts land in `BENCH_adaptive.json` next to the QoR
-//! report. `--target Q` overrides every kernel's default threshold
-//! with `Q` (keeping each kernel's metric direction) — mostly useful
-//! with the single-kernel `bench_adaptive` harness, since one number
-//! rarely fits PSNR and relative-error kernels at once.
+//! report — the input to the adaptive-controller gate. With `--trace`
+//! the controller's full decision sequence (one `ratio_decision` event
+//! per observation, with before/after ratios and the quality signal)
+//! lands in the events log and the run manifest.
 
 use scorpio_bench::{
     adaptive::{resolve_objective, run_adaptive, MAX_STEPS},
-    arg_value, finish_trace, flag_present, out_dir_arg, reps_arg, threads_arg, to_csv, trace_arg,
+    finish_trace, flag_present, out_dir_arg, reps_arg, threads_arg, to_csv, trace_arg,
     AdaptiveKernel, AdaptiveReport, QorKernel, QorPoint, QorReport, SweepRow, ADAPTIVE_SCHEMA,
     QOR_SCHEMA,
 };
@@ -164,11 +164,10 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// static curve, reusing the sweep's significance closure.
 fn adapt_kernel(
     curve: &QorKernel,
-    target_override: Option<f64>,
     model: &EnergyModel,
     sig: &dyn Fn(f64) -> ((f64, ExecutionStats), u64),
 ) -> AdaptiveKernel {
-    let objective = resolve_objective(&curve.name, target_override);
+    let objective = resolve_objective(&curve.name);
     let verdict = run_adaptive(curve, objective, MAX_STEPS, model, |r| sig(r).0);
     println!(
         "[adaptive] {:<14} {} {} → ratio {:.3}, quality {:.4}, {:.4} J, {} steps, converged: {}, \
@@ -249,14 +248,6 @@ fn main() {
     let out_dir = out_dir_arg();
     let reps = reps_arg(3);
     let adaptive = flag_present("--adaptive");
-    let target_override: Option<f64> = arg_value("--target").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("invalid --target value {v:?}"))
-    });
-    assert!(
-        adaptive || target_override.is_none(),
-        "--target only makes sense together with --adaptive"
-    );
     let trace_path = trace_arg();
     let session = trace_path
         .as_ref()
@@ -296,7 +287,7 @@ fn main() {
             }),
         );
         if adaptive {
-            adaptive_kernels.push(adapt_kernel(&kernel, target_override, &model, &sig));
+            adaptive_kernels.push(adapt_kernel(&kernel, &model, &sig));
         }
         push((result, kernel));
     }
@@ -327,7 +318,7 @@ fn main() {
             }),
         );
         if adaptive {
-            adaptive_kernels.push(adapt_kernel(&kernel, target_override, &model, &sig));
+            adaptive_kernels.push(adapt_kernel(&kernel, &model, &sig));
         }
         push((result, kernel));
     }
@@ -361,7 +352,7 @@ fn main() {
             }),
         );
         if adaptive {
-            adaptive_kernels.push(adapt_kernel(&kernel, target_override, &model, &sig));
+            adaptive_kernels.push(adapt_kernel(&kernel, &model, &sig));
         }
         push((result, kernel));
     }
@@ -400,7 +391,7 @@ fn main() {
             }),
         );
         if adaptive {
-            adaptive_kernels.push(adapt_kernel(&kernel, target_override, &model, &sig));
+            adaptive_kernels.push(adapt_kernel(&kernel, &model, &sig));
         }
         push((result, kernel));
     }
@@ -419,7 +410,7 @@ fn main() {
         };
         let (result, kernel) = sweep("blackscholes", "rel_error", reps, &model, sig, None);
         if adaptive {
-            adaptive_kernels.push(adapt_kernel(&kernel, target_override, &model, &sig));
+            adaptive_kernels.push(adapt_kernel(&kernel, &model, &sig));
         }
         push((result, kernel));
     }
@@ -517,15 +508,12 @@ fn main() {
     );
 
     if let Some(session) = session {
-        let mut config = vec![
+        let config = [
             ("small".to_owned(), small.to_string()),
             ("threads".to_owned(), executor.threads().to_string()),
             ("reps".to_owned(), reps.to_string()),
             ("adaptive".to_owned(), adaptive.to_string()),
         ];
-        if let Some(q) = target_override {
-            config.push(("target".to_owned(), q.to_string()));
-        }
         finish_trace(
             session,
             &out_dir,

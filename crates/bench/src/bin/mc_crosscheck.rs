@@ -58,7 +58,7 @@ fn main() {
         let _span = scorpio_obs::span("mc_estimation");
         sample_counts
             .iter()
-            .map(|&s| mc::estimate_threaded(s, 20_24, threads, closure).expect("mc"))
+            .map(|&s| mc::estimate(s, 20_24, threads, closure).expect("mc"))
             .collect()
     };
 

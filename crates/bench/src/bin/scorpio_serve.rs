@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! scorpio_serve [--addr 127.0.0.1:7070] [--workers N] [--cache-capacity N]
-//!               [--out-dir DIR] [--no-manifest] [--no-obs] [--obs-detail]
+//!               [--out-dir DIR] [--no-manifest] [--no-obs]
 //!               [--metrics-addr 127.0.0.1:9090]
 //! ```
 //!
@@ -29,10 +29,9 @@
 //! tail-retained slow/error span trees. Watch a running server with
 //! `scorpio_top --addr <addr>` / `scorpio_trace --addr <addr>`.
 //! `--no-obs` disables span/event tracing (the `bench_obs` ablation
-//! baseline); windows and metrics stay on either way. `--obs-detail`
-//! additionally records per-item interior spans (`replay`, `reverse`,
-//! `significance`, lane sweeps) in exemplar trees, at extra per-request
-//! cost.
+//! baseline); windows and metrics stay on either way. Exemplar trees
+//! keep stage-level spans only: per-item interior spans (`replay`,
+//! `reverse`, `significance`, lane sweeps) stay off the service path.
 
 use scorpio_bench::{arg_value, flag_present, out_dir_arg};
 use scorpio_serve::kernels::KERNEL_NAMES;
@@ -50,7 +49,6 @@ fn main() -> std::io::Result<()> {
         manifest: (!flag_present("--no-manifest")).then(|| "serve".to_string()),
         out_dir: out_dir_arg(),
         obs: !flag_present("--no-obs"),
-        obs_detail: flag_present("--obs-detail"),
         metrics_addr: arg_value("--metrics-addr"),
     };
     assert!(config.workers > 0, "--workers must be at least 1");

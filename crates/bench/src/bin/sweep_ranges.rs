@@ -14,7 +14,7 @@ fn main() {
 
     // ── Maclaurin: ranking is stable across widths ─────────────────────
     println!("=== maclaurin: term ranking vs input width ===\n");
-    let sweep = sweep_input_scale(&Analysis::new(), &scales, |ctx| {
+    let sweep = sweep_input_scale(&Analysis::new(), &scales, 1, |ctx| {
         let x = ctx.input_centered("x", 0.25, 0.25);
         let mut acc = ctx.constant(0.0);
         for i in 0..6 {
@@ -46,7 +46,7 @@ fn main() {
 
     // ── BlackScholes: the block ranking's input dependence ────────────
     println!("=== blackscholes: block ranking vs parameter-range width ===\n");
-    let sweep = sweep_input_scale(&Analysis::new(), &scales, |ctx| {
+    let sweep = sweep_input_scale(&Analysis::new(), &scales, 1, |ctx| {
         let spot = ctx.input("spot", 80.0, 120.0);
         let strike = ctx.input("strike", 90.0, 110.0);
         let rate = ctx.input("rate", 0.03, 0.08);

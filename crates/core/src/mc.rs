@@ -16,15 +16,16 @@
 //! # Record once, replay many
 //!
 //! Samples of a branch-free model all share one trace shape, so the
-//! estimators record and [compile](CompiledTape) the *first* sample's
-//! trace, then **replay** it for the remaining samples — drawing each
+//! estimator records and [compiles](CompiledTape) the *first* sample's
+//! trace, then **replays** it for the remaining samples — drawing each
 //! sample's input values by replaying the recorded input ranges through
 //! the sample's own RNG — instead of re-recording the DynDFG every
 //! time. Replay is guarded twice: a trace that resolved any
 //! [`McCtx::branch`] is never replayed (its shape is value-dependent),
-//! and the second sample is both re-recorded *and* replayed, with the
-//! estimator falling back to full re-recording unless the two agree
-//! bit-for-bit. [`McReport::replayed_samples`] reports which path ran.
+//! and the second sample is both recorded *and* replayed, with the
+//! estimator falling back to recording every remaining sample unless
+//! the two agree bit-for-bit. [`McReport::replayed_samples`] reports
+//! which path ran.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -165,23 +166,32 @@ impl McReport {
 }
 
 /// Runs `samples` point-AD evaluations of `f` and estimates significances
-/// from the empirical spread of `u · ∇_u y`.
+/// from the empirical spread of `u · ∇_u y`, fanning the samples over
+/// `threads` workers, each reusing its own replay buffers (or tape arena)
+/// across the samples it claims.
+///
+/// The estimate is **bit-identical** at every thread count for the same
+/// `seed`: per-sample RNG seeds are pre-drawn from the master generator
+/// in sample order, every sample's trace and reverse sweep compute the
+/// same floating-point operations wherever they run, and the per-sample
+/// results are merged in sample order.
 ///
 /// # Errors
 ///
-/// Propagates closure errors and [`AnalysisError::NoOutputs`] if a sample
-/// registers no output.
+/// Propagates the error of the lowest-indexed failing sample,
+/// independent of scheduling, and [`AnalysisError::NoOutputs`] if a
+/// sample registers no output.
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0`.
+/// Panics if `samples == 0` or `threads == 0`.
 ///
 /// # Examples
 ///
 /// ```
 /// use scorpio_core::mc::estimate;
 ///
-/// let report = estimate(256, 42, |ctx| {
+/// let report = estimate(256, 42, 1, |ctx| {
 ///     let x = ctx.input("x", 0.0, 1.0);
 ///     let t1 = x.powi(1);
 ///     ctx.intermediate(&t1, "t1");
@@ -198,70 +208,7 @@ impl McReport {
 /// let s3 = report.significance_of("t3").unwrap();
 /// assert!(s1 > 0.0 && s3 > 0.0 && s1 >= s3 * 0.9);
 /// ```
-pub fn estimate<F>(samples: usize, seed: u64, f: F) -> Result<McReport, AnalysisError>
-where
-    F: Fn(&McCtx<'_>) -> Result<(), AnalysisError>,
-{
-    assert!(samples > 0, "estimate: need at least one sample");
-    let sample_seeds = draw_sample_seeds(samples, seed);
-    let tape = Tape::<f64>::new();
-    let mut scratch = Vec::new();
-    let mut per_sample = Vec::with_capacity(samples);
-
-    let (first, trace) = record_sample(&tape, &mut scratch, sample_seeds[0], &f)?;
-    per_sample.push(first);
-
-    let mut replayed = 0usize;
-    let mut rest = &sample_seeds[1..];
-    if !rest.is_empty() {
-        if let Some(compiled) = verified_compile(&tape, &trace, &mut scratch, rest[0], &f)? {
-            // Sample 1 was recorded inside verified_compile and matched
-            // its replay bitwise; push the recorded copy and replay on.
-            per_sample.push(compiled.verify_entries);
-            rest = &rest[1..];
-            // Full lane blocks share one walk of the op stream; the
-            // trailing remainder replays as width-1 blocks (bit-identical
-            // either way).
-            let mut wide = SampleLanes::<MC_LANES>::default();
-            let mut chunks = rest.chunks_exact(MC_LANES);
-            for block in chunks.by_ref() {
-                per_sample.extend(wide.replay(&compiled.tape, &trace, block));
-            }
-            let mut single = SampleLanes::<1>::default();
-            for s in chunks.remainder().chunks(1) {
-                per_sample.extend(single.replay(&compiled.tape, &trace, s));
-            }
-            replayed = rest.len();
-            rest = &[];
-        }
-    }
-    for &s in rest {
-        per_sample.push(run_sample(&tape, &mut scratch, s, &f)?);
-    }
-    let mut report = merge_samples(per_sample)?;
-    report.replayed_samples = replayed;
-    Ok(report)
-}
-
-/// [`estimate`] with the samples fanned over `threads` workers, each
-/// worker reusing one tape arena and adjoint scratch buffer across all
-/// the samples it claims.
-///
-/// The estimate is **bit-identical** to the serial [`estimate`] with
-/// the same `seed`: per-sample RNG seeds are pre-drawn from the master
-/// generator in the serial order, every sample's trace and reverse
-/// sweep compute the same floating-point operations wherever they run,
-/// and the per-sample results are merged serially in sample order.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-indexed failing sample (the one
-/// the serial loop would hit first), independent of scheduling.
-///
-/// # Panics
-///
-/// Panics if `samples == 0` or `threads == 0`.
-pub fn estimate_threaded<F>(
+pub fn estimate<F>(
     samples: usize,
     seed: u64,
     threads: usize,
@@ -271,69 +218,60 @@ where
     F: Fn(&McCtx<'_>) -> Result<(), AnalysisError> + Sync,
 {
     assert!(samples > 0, "estimate: need at least one sample");
-    if threads == 1 {
-        return estimate(samples, seed, f);
-    }
     let sample_seeds = draw_sample_seeds(samples, seed);
     let executor = scorpio_runtime::Executor::new(threads);
 
-    // Serial probe: record sample 0, compile, verify against sample 1.
-    // The replay decision is made from exactly the same data as in the
-    // serial estimator, so both take the same path and stay
-    // bit-identical.
-    if samples > 1 {
-        let tape = Tape::<f64>::new();
-        let mut scratch = Vec::new();
-        let (first, trace) = record_sample(&tape, &mut scratch, sample_seeds[0], &f)?;
-        if let Some(compiled) = verified_compile(&tape, &trace, &mut scratch, sample_seeds[1], &f)?
-        {
-            let mut per_sample = Vec::with_capacity(samples);
-            per_sample.push(first);
-            per_sample.push(compiled.verify_entries);
-            // Replay is infallible and identical wherever it runs: fan
-            // the remaining samples over the workers in lane blocks —
-            // each full block is one walk of the op stream, the
-            // trailing partial block replays as width-1 blocks.
-            let blocks: Vec<&[u64]> = sample_seeds[2..].chunks(MC_LANES).collect();
-            let replayed = executor.map_with_state(
-                &blocks,
-                <(SampleLanes<MC_LANES>, SampleLanes<1>)>::default,
-                |(wide, single), _, &block| {
-                    if block.len() == MC_LANES {
-                        wide.replay(&compiled.tape, &trace, block)
-                    } else {
-                        block
-                            .chunks(1)
-                            .flat_map(|s| single.replay(&compiled.tape, &trace, s))
-                            .collect()
-                    }
-                },
-            );
-            let replayed: Vec<Vec<SampleEntry>> =
-                replayed.into_iter().flatten().collect();
-            let replayed_count = replayed.len();
-            per_sample.extend(replayed);
-            let mut report = merge_samples(per_sample)?;
-            report.replayed_samples = replayed_count;
-            return Ok(report);
-        }
+    // Probe on the caller: record sample 0 and (if any) sample 1, keeping
+    // sample 0's compiled trace only if replaying it reproduces sample 1.
+    let tape = Tape::<f64>::new();
+    let mut scratch = Vec::new();
+    let (first, trace) = record_sample(&tape, &mut scratch, sample_seeds[0], &f)?;
+    let mut per_sample = vec![first];
+    let mut compiled = None;
+    if let Some(&verify_seed) = sample_seeds.get(1) {
+        let (second, verified) = verified_compile(&tape, &trace, &mut scratch, verify_seed, &f)?;
+        per_sample.push(second);
+        compiled = verified;
     }
-
-    // Branchy or shape-divergent model: record every sample in the pool
-    // (samples 0/1 re-record identically to the probe above).
-    let per_sample = executor.map_with_state(
-        &sample_seeds,
-        || (Tape::<f64>::new(), Vec::new()),
-        |(tape, scratch), _, &s| run_sample(tape, scratch, s, &f),
+    let rest = &sample_seeds[per_sample.len()..];
+    let Some(compiled) = compiled else {
+        // Branchy or shape-divergent model: record the remaining samples.
+        let recorded = executor.map_with_state(
+            rest,
+            || (Tape::<f64>::new(), Vec::new()),
+            |(tape, scratch), _, &s| run_sample(tape, scratch, s, &f),
+        );
+        for entries in recorded {
+            per_sample.push(entries?);
+        }
+        return merge_samples(per_sample);
+    };
+    // Replay is infallible and identical wherever it runs: each full
+    // lane block is one walk of the op stream, the trailing partial
+    // block replays as width-1 blocks.
+    let blocks: Vec<&[u64]> = rest.chunks(MC_LANES).collect();
+    let replayed = executor.map_with_state(
+        &blocks,
+        <(SampleLanes<MC_LANES>, SampleLanes<1>)>::default,
+        |(wide, single), _, &block| {
+            if block.len() == MC_LANES {
+                wide.replay(&compiled, &trace, block)
+            } else {
+                block
+                    .chunks(1)
+                    .flat_map(|s| single.replay(&compiled, &trace, s))
+                    .collect()
+            }
+        },
     );
-    let per_sample: Vec<Vec<SampleEntry>> =
-        per_sample.into_iter().collect::<Result<_, _>>()?;
-    merge_samples(per_sample)
+    per_sample.extend(replayed.into_iter().flatten());
+    let mut report = merge_samples(per_sample)?;
+    report.replayed_samples = rest.len();
+    Ok(report)
 }
 
-/// Pre-draws one RNG seed per sample from the master generator —
-/// exactly the sequence the serial loop consumes, so serial and
-/// threaded runs sample identical input points.
+/// Pre-draws one RNG seed per sample from the master generator, in
+/// sample order, so every thread count samples identical input points.
 fn draw_sample_seeds(samples: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..samples).map(|_| rng.gen()).collect()
@@ -417,43 +355,29 @@ where
     Ok((result, trace))
 }
 
-/// A compiled trace that survived the verification sample, plus that
-/// sample's (recorded) entries for reuse.
-struct VerifiedCompile {
-    tape: CompiledTape<f64>,
-    verify_entries: Vec<SampleEntry>,
-}
-
-/// Compiles the just-recorded trace on `tape` and verifies it on the
-/// next sample: the sample is recorded from scratch *and* replayed, and
-/// the compile is kept only if both agree bit-for-bit. Returns `None`
-/// (without recording anything) for branchy traces, or on divergence —
-/// the caller then re-records every remaining sample.
+/// Records the verification sample on `tape` and returns its entries,
+/// with the compile of the trace just recorded there when replaying that
+/// compile reproduces the sample bit-for-bit. The compile is `None` for
+/// branchy traces, or on divergence — the caller then records every
+/// remaining sample.
 fn verified_compile<F>(
     tape: &Tape<f64>,
     trace: &RecordedTrace,
     scratch: &mut Vec<f64>,
     verify_seed: u64,
     f: &F,
-) -> Result<Option<VerifiedCompile>, AnalysisError>
+) -> Result<(Vec<SampleEntry>, Option<CompiledTape<f64>>), AnalysisError>
 where
     F: Fn(&McCtx<'_>) -> Result<(), AnalysisError>,
 {
-    if trace.branched {
-        return Ok(None);
-    }
-    let compiled = CompiledTape::compile(tape);
-    // Recording clears the tape, but `compiled` is an owned snapshot.
+    // Recording clears the tape, but the compile is an owned snapshot.
+    let compiled = (!trace.branched).then(|| CompiledTape::compile(tape));
     let (recorded, _) = record_sample(tape, scratch, verify_seed, f)?;
-    let replayed = SampleLanes::<1>::default().replay(&compiled, trace, &[verify_seed]);
-    if entries_bit_equal(&recorded, &replayed[0]) {
-        Ok(Some(VerifiedCompile {
-            tape: compiled,
-            verify_entries: recorded,
-        }))
-    } else {
-        Ok(None)
-    }
+    let compiled = compiled.filter(|compiled| {
+        let replayed = SampleLanes::<1>::default().replay(compiled, trace, &[verify_seed]);
+        entries_bit_equal(&recorded, &replayed[0])
+    });
+    Ok((recorded, compiled))
 }
 
 /// Lane replay state for blocks of `LANES` Monte-Carlo samples: the
@@ -528,8 +452,7 @@ fn entries_bit_equal(a: &[SampleEntry], b: &[SampleEntry]) -> bool {
         })
 }
 
-/// Folds per-sample entry lists, in sample order, into the report —
-/// the same accumulation the serial loop performs inline.
+/// Folds per-sample entry lists, in sample order, into the report.
 fn merge_samples(per_sample: Vec<Vec<SampleEntry>>) -> Result<McReport, AnalysisError> {
     struct Acc {
         kind: VarKind,
@@ -597,12 +520,13 @@ fn merge_samples(per_sample: Vec<Vec<SampleEntry>>) -> Result<McReport, Analysis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn mc_significance_is_below_interval_significance() {
         // Interval analysis of y = x² over [0, 1]: S(x) = w([0,1]·[0,2]) = 2.
         // MC: products x·2x = 2x² ∈ [0, 2] empirically — always ≤ interval.
-        let mc = estimate(512, 7, |ctx| {
+        let mc = estimate(512, 7, 1, |ctx| {
             let x = ctx.input("x", 0.0, 1.0);
             let y = x.sqr();
             ctx.output(&y, "y");
@@ -627,7 +551,7 @@ mod tests {
 
     #[test]
     fn mc_handles_control_flow_without_splitting() {
-        let mc = estimate(256, 3, |ctx| {
+        let mc = estimate(256, 3, 1, |ctx| {
             let x = ctx.input("x", -1.0, 1.0);
             let neg = ctx.branch(x.value() < 0.0, "x < 0")?;
             let y = if neg { -x } else { x };
@@ -643,7 +567,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            estimate(64, 99, |ctx| {
+            estimate(64, 99, 1, |ctx| {
                 let x = ctx.input("x", 0.0, 2.0);
                 let y = x.exp();
                 ctx.output(&y, "y");
@@ -660,7 +584,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_panics() {
-        let _ = estimate(0, 0, |_| Ok(()));
+        let _ = estimate(0, 0, 1, |_| Ok(()));
     }
 
     #[test]
@@ -684,7 +608,7 @@ mod tests {
             .collect();
         let reference = merge_samples(per_sample).unwrap();
 
-        let replayed = estimate(64, 5, model).unwrap();
+        let replayed = estimate(64, 5, 1, model).unwrap();
         assert_eq!(replayed.replayed_samples, 62, "samples 2.. must replay");
         assert_eq!(replayed.vars.len(), reference.vars.len());
         for (a, b) in replayed.vars.iter().zip(&reference.vars) {
@@ -697,26 +621,51 @@ mod tests {
 
     #[test]
     fn branchy_model_never_replays() {
-        let mc = estimate(32, 11, |ctx| {
+        let model = |ctx: &McCtx<'_>| {
             let x = ctx.input("x", -1.0, 1.0);
             let neg = ctx.branch(x.value() < 0.0, "x < 0")?;
             let y = if neg { -x } else { x };
             ctx.output(&y, "y");
             Ok(())
-        })
-        .unwrap();
-        assert_eq!(mc.replayed_samples, 0);
-        let threaded = estimate_threaded(32, 11, 2, |ctx| {
+        };
+        let one = estimate(32, 11, 1, model).unwrap();
+        assert_eq!(one.replayed_samples, 0);
+        for threads in [2, 4] {
+            let many = estimate(32, 11, threads, model).unwrap();
+            assert_eq!(many.replayed_samples, 0);
+            for (a, b) in one.vars.iter().zip(&many.vars) {
+                assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn every_sample_is_recorded_once() {
+        // A branchy model and one whose shape changes from sample 0 to
+        // sample 1 both fall back to recording: the probe's two
+        // recordings must not be repeated.
+        let calls = AtomicUsize::new(0);
+        let branchy = |ctx: &McCtx<'_>| {
+            calls.fetch_add(1, Ordering::Relaxed);
             let x = ctx.input("x", -1.0, 1.0);
-            let neg = ctx.branch(x.value() < 0.0, "x < 0")?;
-            let y = if neg { -x } else { x };
+            let y = if ctx.branch(x.value() < 0.0, "x < 0")? { -x } else { x };
             ctx.output(&y, "y");
             Ok(())
-        })
-        .unwrap();
-        assert_eq!(threaded.replayed_samples, 0);
-        for (a, b) in mc.vars.iter().zip(&threaded.vars) {
-            assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+        };
+        let divergent = |ctx: &McCtx<'_>| {
+            let first = calls.fetch_add(1, Ordering::Relaxed) == 0;
+            let x = ctx.input("x", 0.5, 1.0);
+            let y = if first { x.sqr() } else { x.exp() };
+            ctx.output(&y, "y");
+            Ok(())
+        };
+        for threads in [1, 2] {
+            calls.store(0, Ordering::Relaxed);
+            let mc = estimate(16, 3, threads, branchy).unwrap();
+            assert_eq!((mc.replayed_samples, calls.load(Ordering::Relaxed)), (0, 16));
+            calls.store(0, Ordering::Relaxed);
+            let mc = estimate(16, 3, threads, divergent).unwrap();
+            assert_eq!((mc.replayed_samples, calls.load(Ordering::Relaxed)), (0, 16));
         }
     }
 
@@ -731,9 +680,9 @@ mod tests {
             ctx.output(&y, "y");
             Ok(())
         };
-        let serial = estimate(128, 2024, model).unwrap();
+        let serial = estimate(128, 2024, 1, model).unwrap();
         for threads in [2, 4, 8] {
-            let par = estimate_threaded(128, 2024, threads, model).unwrap();
+            let par = estimate(128, 2024, threads, model).unwrap();
             assert_eq!(par.samples, serial.samples);
             assert_eq!(par.vars.len(), serial.vars.len());
             for (a, b) in serial.vars.iter().zip(&par.vars) {

@@ -90,15 +90,19 @@ impl RangeSweep {
 }
 
 /// Re-runs `f` once per `scale`, multiplying every declared input width
-/// by the scale (around the declared midpoint).
+/// by the scale (around the declared midpoint), with the sweep points
+/// fanned over `threads` workers, one reusable tape arena per worker.
+/// Reports are identical at every thread count (each point records and
+/// differentiates the same trace wherever it runs) and come back in
+/// scale order.
 ///
 /// # Errors
 ///
-/// Propagates the first [`AnalysisError`] from any run.
+/// Propagates the error of the lowest-indexed failing scale.
 ///
 /// # Panics
 ///
-/// Panics if any scale is negative.
+/// Panics if any scale is negative or `threads == 0`.
 ///
 /// # Examples
 ///
@@ -106,7 +110,7 @@ impl RangeSweep {
 /// use scorpio_core::sweep::sweep_input_scale;
 /// use scorpio_core::Analysis;
 ///
-/// let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], |ctx| {
+/// let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], 1, |ctx| {
 ///     let x = ctx.input("x", 0.0, 1.0);
 ///     let a = x.sqr();
 ///     ctx.intermediate(&a, "a");
@@ -125,56 +129,21 @@ impl RangeSweep {
 pub fn sweep_input_scale<F>(
     analysis: &Analysis,
     scales: &[f64],
-    f: F,
-) -> Result<RangeSweep, AnalysisError>
-where
-    F: Fn(&crate::Ctx<'_>) -> Result<(), AnalysisError>,
-{
-    // Learn the declared ranges from a probe run.
-    let declared = analysis.probe_inputs(&f)?;
-    let mut arena = crate::AnalysisArena::new();
-    // Sweep points share one trace shape (only the input boxes differ),
-    // so the first point records + compiles and the rest replay; the
-    // driver falls back to re-recording per point for branchy closures.
-    let mut driver = crate::ReplayOrRecord::new(analysis.clone());
-    let mut points = Vec::with_capacity(scales.len());
-    for &scale in scales {
-        assert!(scale >= 0.0, "sweep_input_scale: negative scale {scale}");
-        let overrides = scaled_overrides(&declared, scale);
-        let report = driver.run_in(&mut arena, &overrides, &f)?;
-        points.push(SweepPoint { scale, report });
-    }
-    Ok(RangeSweep { points })
-}
-
-/// [`sweep_input_scale`] with the sweep points fanned over `threads`
-/// workers, one reusable tape arena per worker. Reports are identical
-/// to the serial sweep's (each point records and differentiates the
-/// same trace wherever it runs) and come back in scale order.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-indexed failing scale.
-///
-/// # Panics
-///
-/// Panics if any scale is negative or `threads == 0`.
-pub fn sweep_input_scale_threaded<F>(
-    analysis: &Analysis,
-    scales: &[f64],
     threads: usize,
     f: F,
 ) -> Result<RangeSweep, AnalysisError>
 where
     F: Fn(&crate::Ctx<'_>) -> Result<(), AnalysisError> + Sync,
 {
-    if threads == 1 {
-        return sweep_input_scale(analysis, scales, f);
-    }
+    // Learn the declared ranges from a probe run.
     let declared = analysis.probe_inputs(&f)?;
     for &scale in scales {
         assert!(scale >= 0.0, "sweep_input_scale: negative scale {scale}");
     }
+    // Sweep points share one trace shape (only the input boxes differ),
+    // so each worker's first point records + compiles and the rest
+    // replay; the driver falls back to re-recording per point for
+    // branchy closures.
     let executor = scorpio_runtime::Executor::new(threads);
     let points = executor.map_with_state(
         scales,
@@ -210,7 +179,7 @@ mod tests {
 
     #[test]
     fn wider_inputs_raise_raw_significance() {
-        let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], |ctx| {
+        let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], 1, |ctx| {
             let x = ctx.input("x", 1.0, 2.0);
             let t = x.exp();
             ctx.intermediate(&t, "t");
@@ -233,7 +202,7 @@ mod tests {
         // significance grows like the box radius r (S = 20r), the
         // square's like r² (S = r²), so the ranking flips at r = 20 —
         // exactly the input dependence the paper warns about.
-        let sweep = sweep_input_scale(&Analysis::new(), &[0.2, 1.0], |ctx| {
+        let sweep = sweep_input_scale(&Analysis::new(), &[0.2, 1.0], 1, |ctx| {
             let x = ctx.input("x", -30.0, 30.0);
             let a = x * 10.0;
             ctx.intermediate(&a, "a");
@@ -253,7 +222,7 @@ mod tests {
 
     #[test]
     fn zero_scale_gives_point_inputs() {
-        let sweep = sweep_input_scale(&Analysis::new(), &[0.0], |ctx| {
+        let sweep = sweep_input_scale(&Analysis::new(), &[0.0], 1, |ctx| {
             let x = ctx.input("x", 0.0, 2.0);
             let y = x.sqr();
             ctx.output(&y, "y");
@@ -278,10 +247,9 @@ mod tests {
             Ok(())
         };
         let scales: Vec<f64> = (1..=12).map(|i| i as f64 / 12.0).collect();
-        let serial = sweep_input_scale(&Analysis::new(), &scales, model).unwrap();
-        for threads in [2, 8] {
-            let par =
-                sweep_input_scale_threaded(&Analysis::new(), &scales, threads, model).unwrap();
+        let serial = sweep_input_scale(&Analysis::new(), &scales, 1, model).unwrap();
+        for threads in [2, 4, 8] {
+            let par = sweep_input_scale(&Analysis::new(), &scales, threads, model).unwrap();
             for (ps, pp) in serial.points.iter().zip(&par.points) {
                 assert_eq!(ps.scale, pp.scale);
                 for name in ["x", "a", "b", "y"] {
@@ -306,7 +274,7 @@ mod tests {
         };
         let analysis = Analysis::new();
         let scales: Vec<f64> = (0..10).map(|i| 0.1 + 0.1 * i as f64).collect();
-        let sweep = sweep_input_scale(&analysis, &scales, model).unwrap();
+        let sweep = sweep_input_scale(&analysis, &scales, 1, model).unwrap();
         // Reference: re-record every point through the pre-replay API.
         let declared = analysis.probe_inputs(&model).unwrap();
         let mut arena = crate::AnalysisArena::new();
@@ -329,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_names_are_stable() {
-        let sweep = sweep_input_scale(&Analysis::new(), &[0.5, 1.0], |ctx| {
+        let sweep = sweep_input_scale(&Analysis::new(), &[0.5, 1.0], 1, |ctx| {
             let x = ctx.input("x", 0.0, 1.0);
             let y = x.exp();
             ctx.output(&y, "y");

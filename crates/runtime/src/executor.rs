@@ -24,14 +24,15 @@ pub(crate) struct Job<A, B> {
     pub approx: Option<B>,
 }
 
-/// A fixed-width thread pool executing the task jobs of a `taskwait`.
+/// A fixed-width thread pool executing the task jobs of a `taskwait`
+/// and the item batches of [`Executor::map_with_state`].
 ///
-/// The calling thread is worker 0: it runs the same claim loop as the
-/// other `threads − 1` workers, which are spawned per `taskwait` with
-/// `std::thread::scope`, so a one-worker executor spawns no thread at
-/// all. Scoped workers let task bodies borrow stack data (output
-/// buffers, images) without `'static` bounds — the natural translation
-/// of the paper's OpenMP tasks writing to caller-owned arrays.
+/// Both run one claim loop. The calling thread is worker 0 and the other
+/// workers are spawned per call with `std::thread::scope`, so a
+/// one-worker executor spawns no thread at all. Scoped workers let task
+/// bodies borrow stack data (output buffers, images) without `'static`
+/// bounds — the natural translation of the paper's OpenMP tasks writing
+/// to caller-owned arrays.
 pub struct Executor {
     threads: usize,
 }
@@ -74,13 +75,14 @@ impl Executor {
     /// parallel analysis engine uses to give every worker its own
     /// reusable tape arena.
     ///
-    /// Items are claimed through a shared atomic cursor (the same
-    /// self-scheduling the task pool uses), `work` receives the worker
-    /// state, the item index and the item, and results come back in
-    /// item order regardless of which worker produced them. With one
-    /// thread the pool is bypassed entirely: items run inline on the
-    /// caller's thread, so `threads == 1` has zero synchronisation
-    /// overhead and serves as the serial baseline.
+    /// Items are claimed through a shared atomic cursor by the caller
+    /// (worker 0) and `min(threads, items) − 1` spawned workers — the
+    /// claim loop `taskwait` uses. `work` receives the worker state, the
+    /// item index and the item, and results come back in item order
+    /// regardless of which worker produced them. With one thread the
+    /// pool is bypassed entirely: items run inline on the caller's
+    /// thread, so `threads == 1` has zero synchronisation overhead and
+    /// serves as the serial baseline.
     pub fn map_with_state<T, S, R, I, W>(&self, items: &[T], init: I, work: W) -> Vec<R>
     where
         T: Sync,
@@ -97,29 +99,16 @@ impl Executor {
                 .collect();
         }
 
-        let slots: Vec<parking_lot::Mutex<Option<R>>> =
-            items.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let n = items.len();
-        let workers = self.threads.min(n);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let r = work(&mut state, i, &items[i]);
-                        *slots[i].lock() = Some(r);
-                    }
-                });
+        let results = Slots::empty(items.len());
+        self.claim_loop(items.len(), |claims| {
+            let mut state = init();
+            for i in claims {
+                // SAFETY: `i` is this worker's own claim.
+                unsafe { results.put(i, work(&mut state, i, &items[i])) }
             }
         });
-
-        slots
+        results
+            .0
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -148,66 +137,98 @@ impl Executor {
             jobs.for_each(|job| worker.run(job));
             return worker.ops();
         }
-        let slots = JobSlots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
-        let cursor = AtomicUsize::new(0);
-        let workers = self.threads.min(slots.0.len());
-        let work = || claim_loop(label, &slots, &cursor);
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-            let mut ops = work();
-            for helper in helpers {
-                let (accurate, approx) = helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                ops.0 = ops.0.wrapping_add(accurate);
-                ops.1 = ops.1.wrapping_add(approx);
+        let slots = Slots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
+        let ops = self.claim_loop(slots.0.len(), |claims| {
+            let worker = Worker::new(label);
+            for i in claims {
+                // SAFETY: `i` is this worker's own claim.
+                if let Some(job) = unsafe { slots.take(i) } {
+                    worker.run(job);
+                }
             }
-            ops
+            worker.ops()
+        });
+        ops.into_iter().fold((0, 0), |(a, b), (c, d)| {
+            (a.wrapping_add(c), b.wrapping_add(d))
+        })
+    }
+
+    /// The one multi-worker claim loop: the caller is worker 0 and
+    /// `min(threads, n) − 1` scoped helpers join it, each running `work`
+    /// over the indices it claims from one shared cursor over `0..n`.
+    /// Returns every worker's output, the caller's first. A panicking
+    /// worker panics the caller once every worker has stopped.
+    fn claim_loop<O, W>(&self, n: usize, work: W) -> Vec<O>
+    where
+        O: Send,
+        W: Fn(Claims<'_>) -> O + Sync,
+    {
+        let cursor = AtomicUsize::new(0);
+        let worker = || work(Claims { cursor: &cursor, n });
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.threads.min(n)).map(|_| scope.spawn(worker)).collect();
+            let mut outputs = vec![worker()];
+            outputs.extend(helpers.into_iter().map(|helper| {
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            outputs
         })
     }
 }
 
-/// The jobs of one `taskwait`, each taken by the one worker that
-/// claimed its index.
-struct JobSlots<A, B>(Vec<UnsafeCell<Option<Job<A, B>>>>);
+/// The indices one worker claims: each index of `0..n` is handed out
+/// once, to whichever worker's `fetch_add` reaches it first.
+struct Claims<'a> {
+    cursor: &'a AtomicUsize,
+    n: usize,
+}
 
-// SAFETY: a slot is only accessed through `JobSlots::take`, by the
-// worker that claimed its index from the shared cursor, and the cursor
-// hands every index out once — no slot is ever reached by two threads.
-// Jobs are `Send`, so moving one out on another thread is sound.
-unsafe impl<A: Send, B: Send> Sync for JobSlots<A, B> {}
+impl Iterator for Claims<'_> {
+    type Item = usize;
 
-impl<A, B> JobSlots<A, B> {
-    /// Takes the job at `i`.
+    fn next(&mut self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
+    }
+}
+
+/// One slot per claimed index — a `taskwait`'s jobs, or the results of
+/// a map — each reached only by the worker that claimed its index.
+struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
+
+// SAFETY: a slot is only accessed through `Slots::take`/`Slots::put`,
+// by the worker that claimed its index from the shared cursor, and the
+// cursor hands every index out once — no slot is ever reached by two
+// threads. Values are `Send`, so moving one across threads is sound.
+unsafe impl<T: Send> Sync for Slots<T> {}
+
+impl<T> Slots<T> {
+    /// `n` empty slots.
+    fn empty(n: usize) -> Slots<T> {
+        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
+    }
+
+    /// Takes the value at `i`.
     ///
     /// # Safety
     ///
     /// `i` must have been claimed from the cursor by the calling worker.
-    unsafe fn take(&self, i: usize) -> Option<Job<A, B>> {
+    unsafe fn take(&self, i: usize) -> Option<T> {
         // SAFETY: the caller holds the only claim on slot `i`.
         unsafe { (*self.0[i].get()).take() }
     }
-}
 
-/// One worker: claims jobs until the cursor runs past the end and
-/// returns the `(accurate, approximate)` work units its bodies counted.
-fn claim_loop<A, B>(label: &str, slots: &JobSlots<A, B>, cursor: &AtomicUsize) -> (u64, u64)
-where
-    A: FnOnce(&TaskCtx) + Send,
-    B: FnOnce(&TaskCtx) + Send,
-{
-    let worker = Worker::new(label);
-    loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= slots.0.len() {
-            break;
-        }
-        // SAFETY: `i` came from this worker's own `fetch_add`.
-        if let Some(job) = unsafe { slots.take(i) } {
-            worker.run(job);
-        }
+    /// Stores `value` at `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` must have been claimed from the cursor by the calling worker.
+    unsafe fn put(&self, i: usize, value: T) {
+        // SAFETY: the caller holds the only claim on slot `i`.
+        unsafe { *self.0[i].get() = Some(value) }
     }
-    worker.ops()
 }
 
 /// One worker's context for each mode, summed after the join.
@@ -364,6 +385,37 @@ mod tests {
             },
         );
         assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_with_state_keeps_order_and_per_worker_state() {
+        let executor = Executor::new(3);
+        let inits = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..200).collect();
+        // Each worker's state is (worker id, items it has run so far).
+        let out = executor.map_with_state(
+            &items,
+            || (inits.fetch_add(1, Ordering::Relaxed), 0usize),
+            |(id, count), i, &item| {
+                *count += 1;
+                (item, i, *id, *count)
+            },
+        );
+        let workers = inits.load(Ordering::Relaxed);
+        assert!((1..=3).contains(&workers), "{workers} states built");
+        for (k, &(item, i, _, _)) in out.iter().enumerate() {
+            assert_eq!((item, i), (k, k));
+        }
+        // Every worker's counter runs 1, 2, … over the items it claimed,
+        // in the order it claimed them.
+        for id in 0..workers {
+            let counts: Vec<usize> = out
+                .iter()
+                .filter(|r| r.2 == id)
+                .map(|r| r.3)
+                .collect();
+            assert_eq!(counts, (1..=counts.len()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -94,15 +94,6 @@ pub struct ServerConfig {
     /// `metrics`/`window` verbs work either way (their cost is not
     /// gated); `bench_obs` measures the difference.
     pub obs: bool,
-    /// Keep *detail* spans (per-item `replay`/`reverse`/`significance`,
-    /// per-lane-block `forward_lanes`, …) while serving. Off by
-    /// default: a warm batch request emits ~16 interior spans whose
-    /// recording cost lands on the service path, so the daemon keeps
-    /// only stage-level spans (`serve.request` → `parse`/
-    /// `cache_lookup`/`analyze`/`classify`/`serialize`) plus the
-    /// lock-free task-event telemetry. Operators who want the deep
-    /// tree in exemplars opt back in (`--obs-detail`).
-    pub obs_detail: bool,
     /// When set, a read-only HTTP sidecar listener binds here
     /// (`127.0.0.1:0` picks an ephemeral port) and answers every
     /// request with the Prometheus text exposition — scrapeable
@@ -120,7 +111,6 @@ impl Default for ServerConfig {
             manifest: None,
             out_dir: PathBuf::from("out"),
             obs: true,
-            obs_detail: false,
             metrics_addr: None,
         }
     }
@@ -481,11 +471,13 @@ impl Server {
             // `events_dropped` counter surfaced by `stats`.
             scorpio_obs::events::set_ring_capacity(SERVE_EVENT_RING_CAPACITY);
             scorpio_obs::events::set_spill_capacity(SERVE_EVENT_SPILL_CAPACITY);
-            if self.config.obs_detail {
-                scorpio_obs::enable_detail();
-            } else {
-                scorpio_obs::disable_detail();
-            }
+            // A warm batch request would emit ~16 interior detail spans
+            // (per-item `replay`/`reverse`/`significance`, lane sweeps)
+            // whose recording cost lands on the service path, so the
+            // daemon keeps only stage-level spans (`serve.request` →
+            // `parse`/`cache_lookup`/`analyze`/`classify`/`serialize`)
+            // plus the lock-free task-event telemetry.
+            scorpio_obs::disable_detail();
             scorpio_obs::enable();
         }
         let addr = self.local_addr()?;
@@ -1057,23 +1049,9 @@ fn classify_tasks(
     for &i in order.iter().take(accurate_n) {
         classes[i] = "accurate";
     }
-    let per_task_ns = server_ns / (k as u64).max(1);
     let label = format!("serve.{kernel}");
-    // Per-item task events scale with the batch (one per item), so like
-    // interior spans they are detail-level telemetry: the daemon's
-    // default keeps the per-request `taskwait` summary event and the
-    // aggregate counters, and `--obs-detail` restores the per-item
-    // timeline in exemplars and JSONL exports.
-    if scorpio_obs::detail_enabled() {
-        for (i, (&sig, &class)) in significances.iter().zip(&classes).enumerate() {
-            let task_class = if class == "accurate" {
-                scorpio_obs::TaskClass::Accurate
-            } else {
-                scorpio_obs::TaskClass::Approx
-            };
-            scorpio_obs::task_event(&label, i as u64, sig, task_class, per_task_ns);
-        }
-    }
+    // Per-item task events would scale with the batch, so the daemon
+    // emits only the per-request `taskwait` summary event.
     let achieved = if k == 0 {
         0.0
     } else {

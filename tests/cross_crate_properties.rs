@@ -125,7 +125,7 @@ fn monte_carlo_agrees_with_interval_ranking() {
     // The MC estimator (future-work extension) must reproduce the
     // interval analysis' term ranking on the Maclaurin example.
     let ia = maclaurin::analysis(0.49, 5).unwrap();
-    let mc = scorpio::analysis::mc::estimate(512, 42, |ctx| {
+    let mc = scorpio::analysis::mc::estimate(512, 42, 1, |ctx| {
         let x = ctx.input("x", 0.49 - 0.5, 0.49 + 0.5);
         let mut result = ctx.constant(0.0);
         for i in 0..5 {

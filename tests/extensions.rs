@@ -82,7 +82,7 @@ fn range_sweep_on_maclaurin_is_stable() {
     // The Maclaurin ranking (Fig. 3) is robust across input widths — a
     // single analysis run generalises, which is why the paper's single
     // profile sufficed for this benchmark.
-    let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], |ctx| {
+    let sweep = sweep_input_scale(&Analysis::new(), &[0.25, 0.5, 1.0], 1, |ctx| {
         let x = ctx.input_centered("x", 0.49, 0.5);
         let mut acc = ctx.constant(0.0);
         for i in 0..5 {

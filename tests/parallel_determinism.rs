@@ -12,7 +12,7 @@ use scorpio::kernels::{blackscholes, dct, fisheye, nbody, sobel, Kernel};
 use scorpio::quality::SyntheticImage;
 use scorpio::runtime::{ExecutionStats, Executor};
 
-const THREAD_COUNTS: [usize; 2] = [2, 8];
+const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
 #[test]
 fn sobel_combine_is_bit_identical_across_thread_counts() {
@@ -68,9 +68,9 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
         ctx.output(&acc, "y");
         Ok(())
     };
-    let serial = mc::estimate(256, 99, model).unwrap();
+    let serial = mc::estimate(256, 99, 1, model).unwrap();
     for threads in THREAD_COUNTS {
-        let parallel = mc::estimate_threaded(256, 99, threads, model).unwrap();
+        let parallel = mc::estimate(256, 99, threads, model).unwrap();
         assert_eq!(serial.vars.len(), parallel.vars.len());
         for (s, p) in serial.vars.iter().zip(&parallel.vars) {
             assert_eq!(s.name, p.name);
