@@ -322,38 +322,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
         scorpio_obs::disable();
         scorpio_obs::reset();
     });
-    // Task-event emission in isolation: with tracing disabled each call
-    // is one relaxed atomic load and an early return, so the disabled
-    // case must be within noise of doing nothing at all. The enabled
-    // case measures the lock-free per-thread ring push (the ring wraps
-    // and counts drops once full; wrapping is steady-state and is what
-    // a traced run pays per task).
-    group.bench_function("task_event_disabled", |b| {
+    // Event emission in isolation, through the emitter the daemon
+    // calls once per request: with tracing disabled each call is one
+    // relaxed atomic load and an early return, so the disabled case
+    // must be within noise of doing nothing at all. The enabled case
+    // records 64 summaries into the event log and drains it each
+    // iteration, so it measures recording, not the full-log drop path.
+    let taskwait_events = || {
+        for i in 0..64u64 {
+            scorpio_obs::taskwait_event(black_box("bench"), 0.5, 0.5, black_box(i), 1, 0, 100);
+        }
+    };
+    group.bench_function("taskwait_event_disabled", |b| {
         scorpio_obs::disable();
-        b.iter(|| {
-            for i in 0..64u64 {
-                scorpio_obs::task_event(
-                    black_box("bench"),
-                    black_box(i),
-                    0.5,
-                    scorpio_obs::TaskClass::Accurate,
-                    100,
-                );
-            }
-        })
+        b.iter(taskwait_events)
     });
-    group.bench_function("task_event_enabled", |b| {
+    group.bench_function("taskwait_event_enabled", |b| {
         scorpio_obs::enable();
         b.iter(|| {
-            for i in 0..64u64 {
-                scorpio_obs::task_event(
-                    black_box("bench"),
-                    black_box(i),
-                    0.5,
-                    scorpio_obs::TaskClass::Accurate,
-                    100,
-                );
-            }
+            scorpio_obs::take_task_events();
+            taskwait_events()
         });
         scorpio_obs::disable();
         scorpio_obs::reset();

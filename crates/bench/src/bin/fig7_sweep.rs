@@ -426,10 +426,9 @@ fn main() {
     std::fs::write(&csv_path, to_csv(&csv_rows)).expect("write fig7_results.csv");
     println!("\nwrote {} ({} rows)", csv_path.display(), csv_rows.len());
 
-    // A non-empty drop counter means the event ring (or its spill)
-    // overflowed: the achieved-ratio/task-tally columns then come from
-    // a truncated timeline, so the report is marked and `scorpio_diff`
-    // will warn whenever it consumes it.
+    // A non-empty drop counter means the event log overflowed and the
+    // exported timeline is truncated, so the report is marked and
+    // `scorpio_diff` will warn whenever it consumes it.
     let degraded = scorpio_obs::events_dropped() > 0;
     if degraded {
         eprintln!(

@@ -9,7 +9,7 @@
 //! on the candidate alone, and repeated timing samples with Welch's
 //! t-test (bootstrap CI fallback). A baseline metric the candidate
 //! lacks is a regression. Inputs marked `degraded` (the producing run
-//! overflowed its event ring) are compared normally but flagged with a
+//! overflowed its event log) are compared normally but flagged with a
 //! WARNING line.
 //!
 //! ```sh

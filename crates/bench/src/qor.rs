@@ -70,12 +70,10 @@ pub struct QorReport {
     /// Whether the reduced `--small` workloads were used (reports from
     /// different workload sizes are not comparable).
     pub small: bool,
-    /// `true` when the producing run dropped task events (ring/spill
-    /// overflow, see `scorpio_obs::events_dropped`): the achieved-ratio
-    /// and task-tally columns then come from a truncated timeline and
-    /// may be biased. Consumers — `scorpio_diff`, and anything seeding
-    /// a controller from these curves — must treat such curves as
-    /// advisory, not ground truth.
+    /// `true` when the producing run dropped events (the bounded event
+    /// log was full, see `scorpio_obs::events_dropped`): the exported
+    /// event timeline is then truncated, and `scorpio_diff` warns
+    /// whenever it consumes the report.
     pub degraded: bool,
     /// Per-kernel curves.
     pub kernels: Vec<QorKernel>,

@@ -16,11 +16,11 @@
 //!   [`Histogram`]s, created on first use through [`count`] /
 //!   [`observe`] (or ahead of time through [`registry`]), aggregated
 //!   atomically across threads.
-//! * **A structured task-event log** — bounded, lock-free per-thread
-//!   rings of [`TaskEvent`]s (one per task the significance runtime
-//!   executes or drops, plus `taskwait`/ratio markers), merged into a
-//!   monotonic timeline and exportable as JSONL via [`events_jsonl`];
-//!   see the [`events`] module.
+//! * **A structured event log** — one bounded, process-wide log of
+//!   [`TaskEvent`]s (one summary per `taskwait` the significance
+//!   runtime runs, plus ratio/phase markers and adaptive-controller
+//!   decisions) in emission order, exportable as JSONL via
+//!   [`events_jsonl`]; see the [`events`] module.
 //! * **Run manifests** — [`RunSession`] snapshots the spans and metrics
 //!   of one instrumented run into a machine-readable [`RunManifest`]
 //!   (`RUN_<name>.json`: config, timings tree, counters, git describe,
@@ -65,8 +65,8 @@ pub mod window;
 
 pub use events::{
     events_dropped, events_jsonl, phase_event, ratio_decision_event, ratio_event, records_jsonl,
-    take_task_events, task_event, task_events_snapshot, taskwait_event, DecisionClass, EventKind,
-    TaskClass, TaskEvent, TaskEventRecord,
+    take_task_events, task_events_snapshot, taskwait_event, DecisionClass, EventKind, TaskEvent,
+    TaskEventRecord,
 };
 pub use manifest::{
     git_describe, ConfigEntry, CounterSnapshot, HistogramSnapshot, PhaseNode, RunManifest,
@@ -109,7 +109,7 @@ pub fn enabled() -> bool {
 /// harnesses (`--trace` exports, run manifests) see the full tree; a
 /// latency-sensitive host like the serve daemon turns it off with
 /// [`disable_detail`] and keeps only stage-level spans plus the
-/// lock-free task-event telemetry.
+/// per-request `taskwait` summaries.
 #[inline(always)]
 pub fn detail_enabled() -> bool {
     enabled() && DETAIL.load(Ordering::Relaxed)
@@ -138,7 +138,7 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Clears the trace sink, drains the task-event rings, and zeroes
+/// Clears the trace sink and the event log, and zeroes
 /// every registered counter and histogram (handles stay valid). The
 /// epoch is kept so timestamps stay monotonic within the process.
 pub fn reset() {
@@ -201,14 +201,14 @@ pub fn span_detail(name: &'static str) -> SpanGuard {
 }
 
 /// Opens a per-request trace context on the calling thread: until the
-/// returned guard drops, every span and task event recorded on this
-/// thread is stamped with `trace_id` (visible as
-/// [`TraceEvent::trace_id`] / [`TaskEvent::trace_id`] and in Chrome
-/// traces and JSONL exports). With `capture` on, completed spans and
-/// task events are *also* cloned into per-thread buffers the guard can
-/// drain ([`TraceContext::take_spans`] /
-/// [`TraceContext::take_task_events`]) so a request handler can
-/// assemble its own span tree without scanning the global sink.
+/// returned guard drops, every span and event recorded on this thread
+/// is stamped with `trace_id` (visible as [`TraceEvent::trace_id`] /
+/// [`TaskEvent::trace_id`] and in Chrome traces and JSONL exports).
+/// With `capture` on, completed spans and events are *also* cloned into
+/// per-thread buffers the guard can drain ([`TraceContext::take_spans`]
+/// / [`TraceContext::take_task_events`]) so a request handler can
+/// assemble its own span tree and events without scanning the global
+/// sink or the event log.
 ///
 /// Contexts nest: dropping the guard restores the previous trace id
 /// and capture buffers. Stamping and capture only happen for spans /

@@ -75,7 +75,7 @@ pub fn current_trace_id() -> u64 {
 pub struct TraceContext {
     prev_id: u64,
     prev_capture: Option<Vec<TraceEvent>>,
-    prev_event_capture: Option<Vec<crate::events::Raw>>,
+    prev_event_capture: Option<Vec<crate::TaskEvent>>,
     capturing: bool,
 }
 

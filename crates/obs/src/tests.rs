@@ -248,7 +248,7 @@ fn reset_clears_events_and_zeroes_metrics() {
         let _s = span("to_clear");
         count("reset_counter", 3);
         observe("reset_hist", 1.0);
-        task_event("to_clear", 0, 0.5, TaskClass::Accurate, 10);
+        phase_event("to_clear", 10);
     }
     disable();
     assert!(!events_snapshot().is_empty());
@@ -267,7 +267,6 @@ fn disabled_task_event_records_nothing() {
     let _guard = lock();
     reset();
     disable();
-    task_event("ghost", 1, 0.5, TaskClass::Accurate, 100);
     taskwait_event("ghost", 0.5, 0.6, 3, 1, 1, 500);
     ratio_event("ghost", 0.5);
     phase_event("ghost", 1);
@@ -281,35 +280,22 @@ fn task_events_merge_into_one_sequenced_timeline() {
     reset();
     enable();
     ratio_event("sweep", 0.5);
-    task_event("g", 0, 0.9, TaskClass::Accurate, 120);
-    task_event("g", 1, 0.4, TaskClass::Approx, 80);
-    task_event("g", 2, 0.1, TaskClass::Dropped, 0);
+    phase_event("g", 120);
     taskwait_event("g", 0.5, 2.0 / 3.0, 1, 1, 1, 400);
     disable();
     let events = take_task_events();
-    assert_eq!(events.len(), 5);
-    // Timeline is sorted by the global sequence; same-thread emission
-    // order is preserved.
+    assert_eq!(events.len(), 3);
+    // The log is in emission order, numbered by `seq`.
     for w in events.windows(2) {
         assert!(w[0].seq < w[1].seq);
     }
     assert!(matches!(events[0].kind, EventKind::Ratio { requested } if requested == 0.5));
-    match events[1].kind {
-        EventKind::Task {
-            task_id,
-            significance,
-            class,
-            duration_ns,
-        } => {
-            assert_eq!(task_id, 0);
-            assert_eq!(significance, 0.9);
-            assert_eq!(class, TaskClass::Accurate);
-            assert_eq!(duration_ns, 120);
-        }
-        ref k => panic!("expected task event, got {k:?}"),
-    }
+    assert!(matches!(
+        events[1].kind,
+        EventKind::Phase { duration_ns: 120 }
+    ));
     assert_eq!(events[1].label, "g");
-    match events[4].kind {
+    match events[2].kind {
         EventKind::Taskwait {
             requested_ratio,
             achieved_ratio,
@@ -330,95 +316,43 @@ fn task_events_merge_into_one_sequenced_timeline() {
     reset();
 }
 
-#[test]
-fn task_events_survive_worker_thread_exit() {
-    let _guard = lock();
-    reset();
-    enable();
-    std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            scope.spawn(move || {
-                for i in 0..16u64 {
-                    task_event("worker", t * 100 + i, 0.5, TaskClass::Accurate, 1);
-                }
-            });
-        }
-    });
-    disable();
-    // All 64 events collected although every emitting thread is gone.
-    let events = take_task_events();
-    assert_eq!(events.len(), 64);
-    // Per-thread order is intact after the merge.
-    for t in 0..4u64 {
-        let ids: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Task { task_id, .. } if task_id / 100 == t => Some(task_id % 100),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids, (0..16).collect::<Vec<_>>(), "thread {t} reordered");
-    }
-    reset();
+/// The durations of the `phase` events labelled `label`, in log order.
+fn phase_durations(events: &[TaskEvent], label: &str) -> Vec<u64> {
+    events
+        .iter()
+        .filter(|e| e.label == label)
+        .filter_map(|e| match e.kind {
+            EventKind::Phase { duration_ns } => Some(duration_ns),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
 fn full_ring_counts_drops_instead_of_losing_silently() {
     let _guard = lock();
     reset();
-    events::set_ring_capacity(8);
     enable();
-    // A fresh thread gets a fresh (small) ring.
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for i in 0..20u64 {
-                task_event("overflow", i, 0.5, TaskClass::Accurate, 1);
-            }
-        });
-    });
+    let emitted = events::LOG_CAP as u64 + 12;
+    for i in 0..emitted {
+        phase_event("overflow", i);
+    }
     disable();
-    events::set_ring_capacity(events::DEFAULT_RING_CAPACITY);
+    // The first `LOG_CAP` events survive in order; the rest are counted.
     let events = take_task_events();
-    let kept: Vec<u64> = events
-        .iter()
-        .filter(|e| e.label == "overflow")
-        .filter_map(|e| match e.kind {
-            EventKind::Task { task_id, .. } => Some(task_id),
-            _ => None,
-        })
-        .collect();
-    // The first `capacity` events survive in order; the rest are counted.
-    assert_eq!(kept, (0..8).collect::<Vec<_>>());
+    assert_eq!(
+        phase_durations(&events, "overflow"),
+        (0..events::LOG_CAP as u64).collect::<Vec<_>>()
+    );
+    assert_eq!(events_dropped(), 12);
+    // A drained log has room again; the drop count stays until reset.
+    enable();
+    phase_event("after_drain", 1);
+    disable();
+    assert_eq!(take_task_events().len(), 1);
     assert_eq!(events_dropped(), 12);
     reset();
     assert_eq!(events_dropped(), 0);
-}
-
-#[test]
-fn bounded_spill_counts_overflow_from_exited_threads() {
-    let _guard = lock();
-    reset();
-    events::set_spill_capacity(10);
-    enable();
-    // Two sequential short-lived threads, 8 events each: the first
-    // flushes 8 into the spill, the second has room for only 2.
-    // Plain spawn+join (not thread::scope): join waits for the TLS
-    // destructor that performs the flush, scope does not.
-    for t in 0..2u64 {
-        std::thread::spawn(move || {
-            for i in 0..8u64 {
-                task_event("spill", t * 10 + i, 0.5, TaskClass::Accurate, 1);
-            }
-        })
-        .join()
-        .expect("emitter thread");
-    }
-    disable();
-    events::set_spill_capacity(events::DEFAULT_SPILL_CAPACITY);
-    let events = take_task_events();
-    assert_eq!(events.len(), 10);
-    assert_eq!(events_dropped(), 6);
-    reset();
 }
 
 #[test]
@@ -448,7 +382,7 @@ fn ratio_decision_events_round_trip_through_ring_and_jsonl() {
         }
         ref k => panic!("expected ratio_decision event, got {k:?}"),
     }
-    // NaN signals survive the bit-level ring encoding.
+    // NaN signals are kept as they were emitted.
     match events[1].kind {
         EventKind::RatioDecision {
             signal, decision, ..
@@ -476,21 +410,22 @@ fn jsonl_export_is_one_parsable_object_per_line() {
     reset();
     enable();
     ratio_event("kernel \"x\"", 0.2);
-    task_event("kernel \"x\"", 7, 0.25, TaskClass::Approx, 42);
+    taskwait_event("kernel \"x\"", 0.2, 0.25, 1, 2, 1, 42);
     disable();
     let events = take_task_events();
     let jsonl = events_jsonl(&events);
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), 2);
     let v = parse(lines[1]).expect("jsonl line parses");
-    assert_eq!(v.get("event").and_then(Value::as_str), Some("task"));
+    assert_eq!(v.get("event").and_then(Value::as_str), Some("taskwait"));
     assert_eq!(v.get("label").and_then(Value::as_str), Some("kernel \"x\""));
-    assert_eq!(v.get("task_id").and_then(Value::as_f64), Some(7.0));
-    assert_eq!(v.get("class").and_then(Value::as_str), Some("approx"));
-    assert_eq!(v.get("significance").and_then(Value::as_f64), Some(0.25));
+    assert_eq!(v.get("requested_ratio").and_then(Value::as_f64), Some(0.2));
+    assert_eq!(v.get("achieved_ratio").and_then(Value::as_f64), Some(0.25));
+    assert_eq!(v.get("approximate").and_then(Value::as_f64), Some(2.0));
     assert_eq!(v.get("duration_ns").and_then(Value::as_f64), Some(42.0));
     // Non-applicable fields serialise as null, keeping one flat schema.
-    assert_eq!(v.get("achieved_ratio"), Some(&Value::Null));
+    assert_eq!(v.get("decision"), Some(&Value::Null));
+    assert_eq!(v.get("task_id"), None, "no per-task columns");
     reset();
 }
 
@@ -505,7 +440,7 @@ fn back_to_back_sessions_report_deltas_not_totals() {
         let _s = span("work_a");
         count("delta_items", 100);
         observe("delta_hist", 4.0);
-        task_event("a", 0, 1.0, TaskClass::Accurate, 5);
+        phase_event("a", 5);
     }
     let manifest_a = a.manifest(1, &[]);
     disable();
@@ -516,7 +451,7 @@ fn back_to_back_sessions_report_deltas_not_totals() {
         let _s = span("work_b");
         count("delta_items", 30);
         observe("delta_hist", 8.0);
-        task_event("b", 1, 1.0, TaskClass::Accurate, 5);
+        phase_event("b", 5);
     }
     let manifest_b = b.manifest(1, &[]);
     disable();
@@ -542,7 +477,7 @@ fn back_to_back_sessions_report_deltas_not_totals() {
     assert_eq!(hist(&manifest_b, "delta_hist").count, 1);
     assert_eq!(hist(&manifest_b, "delta_hist").sum, 8.0);
 
-    // Span and event scoping: B only sees its own phase and task event.
+    // Span and event scoping: B only sees its own phase and event.
     assert!(manifest_b.phase_names().contains(&"work_b".to_owned()));
     assert!(!manifest_b.phase_names().contains(&"work_a".to_owned()));
     assert_eq!(manifest_b.task_events.len(), 1);
@@ -554,61 +489,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Multi-thread stress: with T threads each emitting K events, the
-    /// merged timeline never loses or reorders events within a thread,
-    /// and when rings overflow the losses are exactly counted.
+    /// log never loses or reorders events within a thread, and once it
+    /// is full the losses are exactly counted.
     #[test]
     fn ring_never_loses_or_reorders_within_a_thread(
         threads in 1usize..6,
-        per_thread in 1usize..400,
-        capacity in 1usize..512,
+        per_thread in 1usize..1000,
     ) {
         let _guard = lock();
         reset();
-        events::set_ring_capacity(capacity);
         enable();
         std::thread::scope(|scope| {
             for t in 0..threads {
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        task_event(
-                            "prop",
-                            (t * 1_000_000 + i) as u64,
-                            0.5,
-                            TaskClass::Approx,
-                            1,
-                        );
+                        phase_event("prop", (t * 1_000_000 + i) as u64);
                     }
                 });
             }
         });
         disable();
-        events::set_ring_capacity(events::DEFAULT_RING_CAPACITY);
         let events = take_task_events();
         let dropped = events_dropped();
+        let emitted = (threads * per_thread) as u64;
         prop_assert_eq!(
             events.len() as u64 + dropped,
-            (threads * per_thread) as u64,
+            emitted,
             "recorded + dropped must equal emitted"
         );
-        // Per-thread: the recorded ids are a strictly increasing prefix
-        // of that thread's emission order (bounded rings drop from the
-        // tail, never from the middle).
-        for t in 0..threads {
-            let ids: Vec<u64> = events
+        prop_assert_eq!(events.len(), (emitted as usize).min(events::LOG_CAP));
+        prop_assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        // Per-thread: the recorded ids are a prefix of that thread's
+        // emission order (a full log drops from the tail, never from
+        // the middle).
+        let durations = phase_durations(&events, "prop");
+        for t in 0..threads as u64 {
+            let ids: Vec<u64> = durations
                 .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::Task { task_id, .. }
-                        if task_id / 1_000_000 == t as u64 =>
-                    {
-                        Some(task_id % 1_000_000)
-                    }
-                    _ => None,
-                })
+                .filter(|&&d| d / 1_000_000 == t)
+                .map(|&d| d % 1_000_000)
                 .collect();
             let expected: Vec<u64> = (0..ids.len() as u64).collect();
             prop_assert_eq!(&ids, &expected, "thread {} lost or reordered", t);
             prop_assert!(ids.len() <= per_thread);
-            prop_assert!(ids.len() <= capacity.max(1));
         }
         reset();
     }
@@ -794,7 +717,7 @@ fn trace_context_stamps_and_captures_spans_and_events() {
         {
             let _outer = span("req");
             let _inner = span_detail("step");
-            task_event("traced", 7, 0.5, TaskClass::Accurate, 10);
+            phase_event("traced", 10);
         }
         // Nested context: inner id wins, then the outer is restored.
         {

@@ -44,7 +44,7 @@
 //!
 //! Every decision is appended to an in-memory log **and** emitted as a
 //! `ratio_decision` task event (see `scorpio-obs`), so controller
-//! behaviour lands on the same timeline as the tasks it governed and is
+//! behaviour lands on the same timeline as the `taskwait`s it governed and is
 //! exported in run manifests. The whole law is deterministic: no
 //! clocks, no randomness — a fixed observation sequence always yields
 //! the same decision sequence.

@@ -4,20 +4,13 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use scorpio_obs::TaskClass;
-
 use crate::task::{ExecMode, TaskCtx};
 
 /// A prepared job: the runtime's decision for one spawned task, carried
-/// to whichever worker claims it so the executor can attribute the
-/// task-event it emits (task id, significance, chosen mode).
+/// to whichever worker claims it.
 pub(crate) struct Job<A, B> {
     /// The mode the `taskwait` ranking chose.
     pub mode: ExecMode,
-    /// Spawn order within the group — the event log's task id.
-    pub task_id: u64,
-    /// The task's (clamped) significance.
-    pub significance: f64,
     /// The accurate body.
     pub accurate: A,
     /// The approximate body, if the task has one.
@@ -124,22 +117,21 @@ impl Executor {
     /// `jobs` yields them, as it yields them. More workers claim jobs
     /// through a shared atomic cursor; the caller is worker 0 and
     /// `min(threads, jobs) − 1` more are spawned. Blocks until every job
-    /// has finished. `label` is the task group's label, attributed to
-    /// the per-task events the workers emit while tracing is enabled. A
-    /// panicking body panics the caller once every worker has stopped.
-    pub(crate) fn run<A, B>(&self, label: &str, jobs: impl Iterator<Item = Job<A, B>>) -> (u64, u64)
+    /// has finished. A panicking body panics the caller once every
+    /// worker has stopped.
+    pub(crate) fn run<A, B>(&self, jobs: impl Iterator<Item = Job<A, B>>) -> (u64, u64)
     where
         A: FnOnce(&TaskCtx) + Send,
         B: FnOnce(&TaskCtx) + Send,
     {
         if self.threads == 1 {
-            let worker = Worker::new(label);
+            let worker = Worker::new();
             jobs.for_each(|job| worker.run(job));
             return worker.ops();
         }
         let slots = Slots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
         let ops = self.claim_loop(slots.0.len(), |claims| {
-            let worker = Worker::new(label);
+            let worker = Worker::new();
             for i in claims {
                 // SAFETY: `i` is this worker's own claim.
                 if let Some(job) = unsafe { slots.take(i) } {
@@ -232,56 +224,32 @@ impl<T> Slots<T> {
 }
 
 /// One worker's context for each mode, summed after the join.
-struct Worker<'a> {
-    label: &'a str,
+struct Worker {
     accurate: TaskCtx,
     approximate: TaskCtx,
 }
 
-impl<'a> Worker<'a> {
-    fn new(label: &'a str) -> Worker<'a> {
+impl Worker {
+    fn new() -> Worker {
         Worker {
-            label,
             accurate: TaskCtx::new(ExecMode::Accurate),
             approximate: TaskCtx::new(ExecMode::Approximate),
         }
     }
 
-    /// Executes one job with the context of its mode, timing it and
-    /// emitting a per-task event when tracing is enabled. When disabled
-    /// the only overhead against the uninstrumented runtime is the one
-    /// relaxed atomic load of [`scorpio_obs::enabled`] — no clock reads.
+    /// Executes one job with the context of its mode.
     fn run<A, B>(&self, job: Job<A, B>)
     where
         A: FnOnce(&TaskCtx),
         B: FnOnce(&TaskCtx),
     {
-        let Job {
-            mode,
-            task_id,
-            significance,
-            accurate,
-            approx,
-        } = job;
-        let body = || match mode {
-            ExecMode::Accurate => accurate(&self.accurate),
+        match job.mode {
+            ExecMode::Accurate => (job.accurate)(&self.accurate),
             ExecMode::Approximate => {
-                if let Some(approx) = approx {
+                if let Some(approx) = job.approx {
                     approx(&self.approximate);
                 }
             }
-        };
-        if scorpio_obs::enabled() {
-            let started = std::time::Instant::now();
-            body();
-            let class = match mode {
-                ExecMode::Accurate => TaskClass::Accurate,
-                ExecMode::Approximate => TaskClass::Approx,
-            };
-            let nanos = started.elapsed().as_nanos() as u64;
-            scorpio_obs::task_event(self.label, task_id, significance, class, nanos);
-        } else {
-            body();
         }
     }
 
@@ -299,11 +267,9 @@ mod tests {
     use super::*;
 
     /// An accurate job with only an accurate body.
-    fn accurate_job<A: FnOnce(&TaskCtx) + Send>(task_id: u64, body: A) -> Job<A, fn(&TaskCtx)> {
+    fn accurate_job<A: FnOnce(&TaskCtx) + Send>(body: A) -> Job<A, fn(&TaskCtx)> {
         Job {
             mode: ExecMode::Accurate,
-            task_id,
-            significance: 1.0,
             accurate: body,
             approx: None,
         }
@@ -315,15 +281,15 @@ mod tests {
         for threads in [1, 4] {
             counter.store(0, Ordering::Relaxed);
             let jobs: Vec<_> = (0..100)
-                .map(|i| {
+                .map(|_| {
                     let counter = &counter;
-                    accurate_job(i, move |ctx: &TaskCtx| {
+                    accurate_job(move |ctx: &TaskCtx| {
                         ctx.count_accurate_ops(2);
                         counter.fetch_add(1, Ordering::Relaxed);
                     })
                 })
                 .collect();
-            let ops = Executor::new(threads).run("test", jobs.into_iter());
+            let ops = Executor::new(threads).run(jobs.into_iter());
             assert_eq!(counter.load(Ordering::Relaxed), 100);
             assert_eq!(ops, (200, 0));
         }
@@ -334,14 +300,14 @@ mod tests {
         let caller = std::thread::current().id();
         let ran_on = std::sync::Mutex::new(Vec::new());
         let jobs: Vec<_> = (0..8)
-            .map(|i| {
+            .map(|_| {
                 let ran_on = &ran_on;
-                accurate_job(i, move |_: &TaskCtx| {
+                accurate_job(move |_: &TaskCtx| {
                     ran_on.lock().unwrap().push(std::thread::current().id());
                 })
             })
             .collect();
-        Executor::new(1).run("test", jobs.into_iter());
+        Executor::new(1).run(jobs.into_iter());
         let ran_on = ran_on.into_inner().unwrap();
         assert_eq!(ran_on.len(), 8);
         assert!(ran_on.iter().all(|&id| id == caller));
@@ -356,12 +322,12 @@ mod tests {
                 .iter_mut()
                 .enumerate()
                 .map(|(i, slot)| {
-                    accurate_job(i as u64, move |_: &TaskCtx| {
+                    accurate_job(move |_: &TaskCtx| {
                         *slot = i as u64 * 10;
                     })
                 })
                 .collect();
-            executor.run("test", jobs.into_iter());
+            executor.run(jobs.into_iter());
         }
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }

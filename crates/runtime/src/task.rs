@@ -234,9 +234,8 @@ impl<A, B> TaskGroup<A, B> {
 
         let accurate = select_accurate(&self.significance, ratio);
         let mut stats = ExecutionStats::default();
-        let (label, significance) = (&self.label, &self.significance);
-        let jobs = self.bodies.into_iter().zip(accurate).enumerate().filter_map(
-            |(seq, ((accurate, approx), is_accurate))| {
+        let jobs = self.bodies.into_iter().zip(accurate).filter_map(
+            |((accurate, approx), is_accurate)| {
                 let mode = if is_accurate {
                     stats.accurate += 1;
                     ExecMode::Accurate
@@ -245,21 +244,10 @@ impl<A, B> TaskGroup<A, B> {
                     ExecMode::Approximate
                 } else {
                     stats.dropped += 1;
-                    // Dropped tasks never reach a worker, so the drop
-                    // decision is recorded here (zero duration).
-                    scorpio_obs::task_event(
-                        label,
-                        seq as u64,
-                        significance[seq],
-                        scorpio_obs::TaskClass::Dropped,
-                        0,
-                    );
                     return None;
                 };
                 Some(Job {
                     mode,
-                    task_id: seq as u64,
-                    significance: significance[seq],
                     accurate,
                     approx,
                 })
@@ -268,7 +256,7 @@ impl<A, B> TaskGroup<A, B> {
 
         let ops = {
             let _span = scorpio_obs::span("task_execution");
-            executor.run(label, jobs)
+            executor.run(jobs)
         };
         (stats.accurate_ops, stats.approx_ops) = ops;
 
@@ -279,7 +267,7 @@ impl<A, B> TaskGroup<A, B> {
         scorpio_obs::count("tasks.approx_ops", stats.approx_ops);
         if let Some(started) = started {
             scorpio_obs::taskwait_event(
-                label,
+                &self.label,
                 ratio,
                 stats.accurate as f64 / n as f64,
                 stats.accurate as u64,

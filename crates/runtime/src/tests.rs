@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use crate::{EnergyModel, ExecMode, Executor, TaskGroup};
 
 #[test]
-fn taskwait_emits_one_event_per_task_plus_summary() {
+fn taskwait_emits_one_summary_event_matching_its_stats() {
     let executor = Executor::new(2);
     let mut group = TaskGroup::new("evt-group");
     for i in 0..6 {
@@ -26,42 +26,25 @@ fn taskwait_emits_one_event_per_task_plus_summary() {
         .into_iter()
         .filter(|e| e.label == "evt-group")
         .collect();
-    let mut task_ids = Vec::new();
-    let mut classes = std::collections::HashMap::new();
-    let mut summaries = 0;
-    for e in &events {
-        match e.kind {
-            scorpio_obs::EventKind::Task { task_id, class, .. } => {
-                task_ids.push(task_id);
-                *classes.entry(class).or_insert(0usize) += 1;
-            }
-            scorpio_obs::EventKind::Taskwait {
-                requested_ratio,
-                achieved_ratio,
-                accurate,
-                approximate,
-                dropped,
-                ..
-            } => {
-                summaries += 1;
-                assert_eq!(requested_ratio, 0.5);
-                assert!((achieved_ratio - stats.accurate as f64 / 6.0).abs() < 1e-12);
-                assert_eq!(accurate, stats.accurate as u64);
-                assert_eq!(approximate, stats.approximate as u64);
-                assert_eq!(dropped, stats.dropped as u64);
-            }
-            _ => {}
+    assert_eq!(events.len(), 1, "one event per taskwait: {events:?}");
+    match events[0].kind {
+        scorpio_obs::EventKind::Taskwait {
+            requested_ratio,
+            achieved_ratio,
+            accurate,
+            approximate,
+            dropped,
+            ..
+        } => {
+            assert_eq!(requested_ratio, 0.5);
+            assert!((achieved_ratio - stats.accurate as f64 / 6.0).abs() < 1e-12);
+            assert_eq!(accurate, stats.accurate as u64);
+            assert_eq!(approximate, stats.approximate as u64);
+            assert_eq!(dropped, stats.dropped as u64);
         }
+        ref k => panic!("expected a taskwait event, got {k:?}"),
     }
-    // One event per spawned task, each task id exactly once, and the
-    // class tallies match the returned statistics.
-    task_ids.sort_unstable();
-    assert_eq!(task_ids, vec![0, 1, 2, 3, 4, 5]);
-    assert_eq!(summaries, 1);
-    let count = |c: scorpio_obs::TaskClass| classes.get(&c).copied().unwrap_or(0);
-    assert_eq!(count(scorpio_obs::TaskClass::Accurate), stats.accurate);
-    assert_eq!(count(scorpio_obs::TaskClass::Approx), stats.approximate);
-    assert_eq!(count(scorpio_obs::TaskClass::Dropped), stats.dropped);
+    assert_eq!(stats.accurate + stats.approximate + stats.dropped, 6);
     assert!(stats.dropped > 0, "odd low-significance tasks have no approx body");
 }
 

@@ -36,8 +36,7 @@ pub struct Exemplar {
     /// The request's captured spans (parse → cache lookup → analyze →
     /// classify → serialize), in completion order.
     pub spans: Vec<TraceEvent>,
-    /// The request's captured task events (task / taskwait /
-    /// ratio_decision rows).
+    /// The request's captured events (its `taskwait` summary row).
     pub events: Vec<TaskEvent>,
 }
 

@@ -65,12 +65,6 @@ const EXEMPLAR_SLOW_CAP: usize = 16;
 /// Error-request exemplars retained by the tail ring.
 const EXEMPLAR_ERROR_CAP: usize = 32;
 
-/// Per-thread event-ring capacity (records) while serving; see the
-/// sizing note in [`Server::run`].
-const SERVE_EVENT_RING_CAPACITY: usize = 256;
-/// Exited-thread spill bound (records) while serving.
-const SERVE_EVENT_SPILL_CAPACITY: usize = 1 << 16;
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -305,7 +299,7 @@ impl Shared {
         );
         r.counter(
             "scorpio_events_dropped_total",
-            "Task events dropped by the bounded per-thread rings.",
+            "Events dropped because the bounded event log was full.",
             &[],
             scorpio_obs::events_dropped() as f64,
         );
@@ -458,25 +452,12 @@ impl Server {
             .as_ref()
             .map(|name| RunSession::start(name.clone()));
         if self.config.obs {
-            // A serving daemon reads its telemetry through the
-            // per-request capture buffers, sliding windows and metrics
-            // registry — the global event timeline is only consulted by
-            // the shutdown manifest. Size the per-thread rings and the
-            // exited-thread spill list for that: the executor's scoped
-            // workers live for one taskwait, so the default 8192-record
-            // ring would be allocated (and spilled) per request, and
-            // the default 2^20-record spill bound would let a
-            // long-lived server pin ~100 MB of drained-by-nobody
-            // events. Overflow degrades gracefully into the
-            // `events_dropped` counter surfaced by `stats`.
-            scorpio_obs::events::set_ring_capacity(SERVE_EVENT_RING_CAPACITY);
-            scorpio_obs::events::set_spill_capacity(SERVE_EVENT_SPILL_CAPACITY);
             // A warm batch request would emit ~16 interior detail spans
             // (per-item `replay`/`reverse`/`significance`, lane sweeps)
             // whose recording cost lands on the service path, so the
             // daemon keeps only stage-level spans (`serve.request` →
             // `parse`/`cache_lookup`/`analyze`/`classify`/`serialize`)
-            // plus the lock-free task-event telemetry.
+            // plus the per-request `taskwait` summary event.
             scorpio_obs::disable_detail();
             scorpio_obs::enable();
         }
@@ -1027,7 +1008,7 @@ fn vars_sigs(vars: &[scorpio_core::VarSignificances]) -> Vec<f64> {
 }
 
 /// Ranks the batch by significance, classifies the top `ratio` fraction
-/// accurate, and emits the task/taskwait events for the run manifest.
+/// accurate, and emits the request's `taskwait` summary event.
 /// Returns the rows plus the achieved ratio (`accurate / total`).
 fn classify_tasks(
     kernel: &str,
@@ -1038,20 +1019,20 @@ fn classify_tasks(
     let k = significances.len();
     let accurate_n = ((ratio * k as f64).ceil() as usize).min(k);
     let mut order: Vec<usize> = (0..k).collect();
-    // Descending by significance, index-stable for ties (and NaN sorts
-    // last, matching "least significant").
+    // Descending by significance, index-stable for ties; NaN ranks
+    // least significant, in index order. (`partial_cmp` alone is no
+    // total order once a NaN is present, and the sort may panic.)
     order.sort_by(|&a, &b| {
-        significances[b]
-            .partial_cmp(&significances[a])
-            .unwrap_or_else(|| b.cmp(&a).reverse())
+        let (sa, sb) = (significances[a], significances[b]);
+        sa.is_nan()
+            .cmp(&sb.is_nan())
+            .then_with(|| sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal))
     });
     let mut classes = vec!["approximate"; k];
     for &i in order.iter().take(accurate_n) {
         classes[i] = "accurate";
     }
     let label = format!("serve.{kernel}");
-    // Per-item task events would scale with the batch, so the daemon
-    // emits only the per-request `taskwait` summary event.
     let achieved = if k == 0 {
         0.0
     } else {
@@ -1110,6 +1091,21 @@ mod tests {
             assert!(handle.join().is_err());
         });
         assert!(m.is_poisoned(), "mutex must be poisoned for this test");
+    }
+
+    #[test]
+    fn nan_significances_rank_last_in_index_order() {
+        let sigs = [f64::NAN, 0.5, f64::NAN, 0.9, 0.1];
+        let accurate = |ratio| -> Vec<u64> {
+            let (rows, _) = classify_tasks("maclaurin", ratio, &sigs, 0);
+            rows.iter()
+                .filter(|r| r.class == "accurate")
+                .map(|r| r.task_id)
+                .collect()
+        };
+        assert_eq!(accurate(0.6), [1, 3, 4]);
+        assert_eq!(accurate(0.8), [0, 1, 3, 4]);
+        assert_eq!(accurate(1.0), [0, 1, 2, 3, 4]);
     }
 
     #[test]

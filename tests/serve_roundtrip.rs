@@ -277,6 +277,49 @@ fn negative_radius_requests_are_refused_without_losing_a_worker() {
     server.join().unwrap().expect("server run");
 }
 
+/// Maclaurin items near 1e300 overflow to NaN significances. They rank
+/// least significant, in index order, so the line is answered and the
+/// one worker lives on to answer the next request.
+#[test]
+fn nan_significances_are_classified_without_losing_a_worker() {
+    let (addr, server) = spawn_server(1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let items = ["1e300,0.3,0.7"; 8].join(",");
+    let line = format!(r#"{{"id":1,"kernel":"maclaurin","n":8,"ratio":0.5,"items":[{items}]}}"#);
+    // Asked from a thread: a daemon without workers would never answer.
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let replies = client.request(&line).and_then(|nan| {
+            let next = client.request(r#"{"id":2,"kernel":"maclaurin","n":8,"items":[0.3]}"#)?;
+            Ok((nan, next, client))
+        });
+        tx.send(replies).ok();
+    });
+    let (nan, next, mut client) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("both requests are answered")
+        .expect("replies");
+    assert_ok(&nan);
+    let classes: Vec<&str> = nan
+        .get("tasks")
+        .and_then(Value::as_arr)
+        .expect("task rows")
+        .iter()
+        .map(|t| t.get("class").and_then(Value::as_str).expect("class"))
+        .collect();
+    assert_eq!(classes.len(), 24);
+    assert_eq!(classes.iter().filter(|&&c| c == "accurate").count(), 12);
+    for i in (0..24).step_by(3) {
+        assert_eq!(
+            classes[i], "approximate",
+            "NaN item {i} ranks least significant"
+        );
+    }
+    assert_ok(&next);
+    client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server run");
+}
+
 #[test]
 fn over_long_line_gets_an_error_reply_and_the_connection_keeps_serving() {
     let (addr, server) = spawn_server(1);
