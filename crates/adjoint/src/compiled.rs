@@ -20,11 +20,11 @@
 //! a block of fresh input values in a single tight forward loop — zero
 //! `RefCell` borrows, zero node pushes, zero allocation in the steady
 //! state — recomputing node values and the local partials of the
-//! nonlinear ops with exactly the formulas the [`crate::Var`] overloads
-//! use (the linear ops' partials are `±1` or an operand value, which the
-//! reverse sweep reads directly), so a replayed sweep is bit-identical to
-//! a fresh recording of the same trace; a single item is a block of
-//! width 1. [`CompiledTape::adjoints_into_lanes`] runs the reverse sweep
+//! nonlinear ops through [`Op::eval`], the one table the [`crate::Var`]
+//! overloads record through too (the linear ops' partials are `±1` or
+//! an operand value, which the reverse sweep reads directly), so a
+//! replayed sweep is bit-identical to a fresh recording of the same
+//! trace; a single item is a block of width 1. [`CompiledTape::adjoints_into_lanes`] runs the reverse sweep
 //! over the replayed buffers, mirroring [`Tape::adjoints_in`], for the
 //! adjoints an [`AdjointDemand`](crate::AdjointDemand) asks for (see the
 //! [`lanes`](crate::lanes) module).
@@ -116,113 +116,6 @@ impl Code {
             Code::MulPointRhs(_) | Code::MulPointLhs(_) => Op::Mul,
         }
     }
-}
-
-/// Evaluates one *compute* node: the value of `op` applied to the
-/// operand values `a`/`b`, plus the local partial derivatives with
-/// respect to each operand — exactly the formulas the [`crate::Var`]
-/// overloads record (keep this and `var.rs` in lockstep; the
-/// replay-identity suites enforce bit-equality). The lane interpreter
-/// [`CompiledTape::replay_lanes`] applies it to every lane, so each
-/// lane executes the same scalar operations in the same order as a
-/// fresh recording of its item — which is what makes replay
-/// bit-identical per lane at every width. For `Add`/`Sub`/`Neg`/`Mul`
-/// replay keeps only the value: the lane reverse sweep rebuilds these
-/// arms' partials (`±1`, the other operand) itself, so the two must
-/// agree.
-///
-/// `Op::Input` / `Op::Const` never reach this function — they bind
-/// per-item inputs / compile-time constants and are handled by the
-/// replay loop directly.
-#[inline(always)]
-pub(crate) fn eval_op<V: Scalar>(op: Op, a: V, b: V) -> (V, V, V) {
-    match op {
-        Op::Input | Op::Const => {
-            unreachable!("eval_op: Input/Const are bound by the replay loop")
-        }
-        Op::Add => (a + b, V::one(), V::one()),
-        Op::Sub => (a - b, V::one(), -V::one()),
-        Op::Mul => (a * b, b, a),
-        Op::Div => {
-            let inv = b.recip();
-            (a * inv, inv, -a * inv.sqr())
-        }
-        Op::Neg => (-a, -V::one(), V::zero()),
-        Op::Sin => (a.sin(), a.cos(), V::zero()),
-        Op::Cos => (a.cos(), -a.sin(), V::zero()),
-        Op::Tan => {
-            let t = a.tan();
-            (t, V::one() + t.sqr(), V::zero())
-        }
-        Op::Exp => {
-            let e = a.exp();
-            (e, e, V::zero())
-        }
-        Op::Ln => (a.ln(), a.recip(), V::zero()),
-        Op::Sqrt => {
-            let r = a.sqrt();
-            (r, times(2.0, r).recip(), V::zero())
-        }
-        Op::Sqr => (a.sqr(), times(2.0, a), V::zero()),
-        Op::Recip => (a.recip(), -a.sqr().recip(), V::zero()),
-        Op::Powi(m) => {
-            let partial = if m == 0 {
-                V::zero()
-            } else {
-                times(m as f64, a.powi(m - 1))
-            };
-            (a.powi(m), partial, V::zero())
-        }
-        Op::Powf(p) => {
-            let partial = if p == 0.0 {
-                V::zero()
-            } else {
-                times(p, a.powf(p - 1.0))
-            };
-            (a.powf(p), partial, V::zero())
-        }
-        Op::Abs => (a.abs(), a.abs_deriv(), V::zero()),
-        Op::Atan => (a.atan(), (V::one() + a.sqr()).recip(), V::zero()),
-        Op::Tanh => {
-            let t = a.tanh();
-            (t, V::one() - t.sqr(), V::zero())
-        }
-        Op::Sinh => (a.sinh(), a.cosh(), V::zero()),
-        Op::Cosh => (a.cosh(), a.sinh(), V::zero()),
-        Op::Erf => {
-            let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
-            (a.erf(), times(two_over_sqrt_pi, (-a.sqr()).exp()), V::zero())
-        }
-        Op::Cndf => {
-            let inv_sqrt_2pi = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
-            (
-                a.cndf(),
-                times(inv_sqrt_2pi, (-a.sqr() / V::from_f64(2.0)).exp()),
-                V::zero(),
-            )
-        }
-        Op::Hypot => {
-            let v = a.hypot(b);
-            let (pa, pb) = a.hypot_partials(b, v);
-            (v, pa, pb)
-        }
-        Op::Min => {
-            let (pa, pb) = a.min_partials(b);
-            (a.min_val(b), pa, pb)
-        }
-        Op::Max => {
-            let (pa, pb) = a.max_partials(b);
-            (a.max_val(b), pa, pb)
-        }
-    }
-}
-
-/// `V::from_f64(c) * x`, the product the [`crate::Var`] overloads record
-/// for a literal factor or a constant operand, through
-/// [`Scalar::mul_point`].
-#[inline(always)]
-pub(crate) fn times<V: Scalar>(c: f64, x: V) -> V {
-    x.mul_point(V::from_f64(c), c)
 }
 
 impl<V: Scalar> CompiledTape<V> {

@@ -61,8 +61,8 @@
 //! # Bit-identity
 //!
 //! Lane `l` of a lane replay performs exactly the scalar operations, in
-//! exactly the order, that a fresh recording of item `l` performs — the
-//! shared `eval_op` evaluator mirrors the [`crate::Var`] overloads — so
+//! exactly the order, that a fresh recording of item `l` performs — one
+//! table, [`Op::eval`], computes every value and partial for both — so
 //! each lane is bit-identical to re-recording at every width. The
 //! reverse sweep preserves this by keeping [`Tape::adjoints_in`]'s
 //! zero-adjoint skip *per lane*: the skip is not a harmless shortcut
@@ -95,8 +95,8 @@
 //! }
 //! ```
 
-use crate::compiled::{eval_op, times, Code, CompiledTape, ShapeMismatch};
-use crate::node::{NodeId, Op};
+use crate::compiled::{Code, CompiledTape, ShapeMismatch};
+use crate::node::{times, NodeId, Op};
 use crate::value::Scalar;
 
 /// Reusable lane-blocked value/partial/adjoint buffers for
@@ -178,7 +178,7 @@ pub enum AdjointDemand<'a> {
 /// `true` for the ops whose local partials the forward loop stores: all
 /// but `Input`/`Const` (no operands) and the linear `Add`/`Sub`/`Neg`/
 /// `Mul`, whose partials the reverse sweep rebuilds as `±1` literals or
-/// operand values — the same values `eval_op` returns for them.
+/// operand values — the same values [`Op::eval`] returns for them.
 #[inline(always)]
 fn stores_partials(op: Op) -> bool {
     !matches!(
@@ -189,7 +189,7 @@ fn stores_partials(op: Op) -> bool {
 
 /// Evaluates one compute op over a whole lane block. `op` is passed by
 /// the caller's per-variant dispatch so that after inlining the
-/// `eval_op` match folds to a single arm, leaving a straight-line
+/// [`Op::eval`] match folds to a single arm, leaving a straight-line
 /// fixed-width loop the compiler autovectorizes; a caller that drops the
 /// partials lets the compiler drop their computation too.
 #[inline(always)]
@@ -202,7 +202,7 @@ fn eval_op_lanes<V: Scalar, const LANES: usize>(
     let mut pa = [V::zero(); LANES];
     let mut pb = [V::zero(); LANES];
     for l in 0..LANES {
-        let (x, da, db) = eval_op(op, a[l], b[l]);
+        let (x, da, db) = op.eval(a[l], b[l]);
         v[l] = x;
         pa[l] = da;
         pb[l] = db;
@@ -310,7 +310,7 @@ impl<V: Scalar> CompiledTape<V> {
                         [V::zero(); LANES]
                     };
                     // The arithmetic workhorses get literal-op calls so
-                    // each inlined `eval_op` match folds to one arm and
+                    // each inlined `Op::eval` match folds to one arm and
                     // the lane loop vectorizes; rarer ops share the
                     // generic arm (same code, one extra branch). The
                     // linear ops keep only the value.

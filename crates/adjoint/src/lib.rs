@@ -10,6 +10,9 @@
 //! the paper) appends a node to the tape, building the **DynDFG** — a DAG
 //! whose edges are annotated with the local partial derivatives
 //! `∂φ_j/∂u_i` evaluated during the forward sweep (Fig. 1a of the paper).
+//! Each elementary function's value and local partials are written once,
+//! in [`Op::eval`]; recording ([`Var::apply`]) and compiled-tape replay
+//! both evaluate through that one table.
 //!
 //! Derivatives are then obtained by propagation over the recorded graph:
 //!

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::value::Scalar;
+
 /// Index of a node within a [`Tape`](crate::Tape).
 ///
 /// Node ids are dense and allocated in execution order, so `a.id() < b.id()`
@@ -173,36 +175,126 @@ impl Op {
 
     /// Short mnemonic used by graph dumps.
     pub fn mnemonic(self) -> &'static str {
+        Op::class_mnemonic(self.class_index())
+    }
+
+    /// The elemental function of this op at operands `a` (and `b` for
+    /// binary ops): its value and its local partials `(∂φ/∂a, ∂φ/∂b)`
+    /// (§2.1, Eq. 7–9). This is the one table of per-op formulas:
+    /// recording ([`crate::Var::apply`]), lane replay
+    /// ([`crate::CompiledTape::replay_lanes`]) and the soundness audit
+    /// all evaluate through it, so each op's value and partials are
+    /// written once and every mode computes the same bits. A unary op
+    /// ignores `b` and returns a zero second partial.
+    ///
+    /// Products with a literal factor go through [`Scalar::mul_point`]
+    /// (bit for bit the generic product, by its contract). `a / b` is
+    /// `a · recip(b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Op::Input` / `Op::Const`: leaves have no operands.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use scorpio_adjoint::Op;
+    ///
+    /// let (v, da, db) = Op::Mul.eval(3.0, 4.0);
+    /// assert_eq!((v, da, db), (12.0, 4.0, 3.0));
+    /// let (v, da, _) = Op::Sqr.eval(3.0f64, 0.0);
+    /// assert_eq!((v, da), (9.0, 6.0));
+    /// ```
+    #[inline(always)]
+    pub fn eval<V: Scalar>(self, a: V, b: V) -> (V, V, V) {
         match self {
-            Op::Input => "in",
-            Op::Const => "const",
-            Op::Add => "+",
-            Op::Sub => "-",
-            Op::Mul => "*",
-            Op::Div => "/",
-            Op::Neg => "neg",
-            Op::Sin => "sin",
-            Op::Cos => "cos",
-            Op::Tan => "tan",
-            Op::Exp => "exp",
-            Op::Ln => "ln",
-            Op::Sqrt => "sqrt",
-            Op::Sqr => "sqr",
-            Op::Recip => "recip",
-            Op::Powi(_) => "powi",
-            Op::Powf(_) => "powf",
-            Op::Abs => "abs",
-            Op::Atan => "atan",
-            Op::Tanh => "tanh",
-            Op::Sinh => "sinh",
-            Op::Cosh => "cosh",
-            Op::Erf => "erf",
-            Op::Cndf => "cndf",
-            Op::Hypot => "hypot",
-            Op::Min => "min",
-            Op::Max => "max",
+            Op::Input | Op::Const => {
+                unreachable!("Op::eval: Input/Const are leaves, not elemental functions")
+            }
+            Op::Add => (a + b, V::one(), V::one()),
+            Op::Sub => (a - b, V::one(), -V::one()),
+            Op::Mul => (a * b, b, a),
+            Op::Div => {
+                let inv = b.recip();
+                (a * inv, inv, -a * inv.sqr())
+            }
+            Op::Neg => (-a, -V::one(), V::zero()),
+            Op::Sin => (a.sin(), a.cos(), V::zero()),
+            Op::Cos => (a.cos(), -a.sin(), V::zero()),
+            Op::Tan => {
+                let t = a.tan();
+                (t, V::one() + t.sqr(), V::zero())
+            }
+            Op::Exp => {
+                let e = a.exp();
+                (e, e, V::zero())
+            }
+            Op::Ln => (a.ln(), a.recip(), V::zero()),
+            Op::Sqrt => {
+                let r = a.sqrt();
+                (r, times(2.0, r).recip(), V::zero())
+            }
+            Op::Sqr => (a.sqr(), times(2.0, a), V::zero()),
+            Op::Recip => (a.recip(), -a.sqr().recip(), V::zero()),
+            Op::Powi(m) => {
+                let partial = if m == 0 {
+                    V::zero()
+                } else {
+                    times(m as f64, a.powi(m - 1))
+                };
+                (a.powi(m), partial, V::zero())
+            }
+            Op::Powf(p) => {
+                let partial = if p == 0.0 {
+                    V::zero()
+                } else {
+                    times(p, a.powf(p - 1.0))
+                };
+                (a.powf(p), partial, V::zero())
+            }
+            Op::Abs => (a.abs(), a.abs_deriv(), V::zero()),
+            Op::Atan => (a.atan(), (V::one() + a.sqr()).recip(), V::zero()),
+            Op::Tanh => {
+                let t = a.tanh();
+                (t, V::one() - t.sqr(), V::zero())
+            }
+            Op::Sinh => (a.sinh(), a.cosh(), V::zero()),
+            Op::Cosh => (a.cosh(), a.sinh(), V::zero()),
+            Op::Erf => {
+                let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
+                (a.erf(), times(two_over_sqrt_pi, (-a.sqr()).exp()), V::zero())
+            }
+            Op::Cndf => {
+                let inv_sqrt_2pi = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
+                (
+                    a.cndf(),
+                    times(inv_sqrt_2pi, (-a.sqr() / V::from_f64(2.0)).exp()),
+                    V::zero(),
+                )
+            }
+            Op::Hypot => {
+                let v = a.hypot(b);
+                let (pa, pb) = a.hypot_partials(b, v);
+                (v, pa, pb)
+            }
+            Op::Min => {
+                let (pa, pb) = a.min_partials(b);
+                (a.min_val(b), pa, pb)
+            }
+            Op::Max => {
+                let (pa, pb) = a.max_partials(b);
+                (a.max_val(b), pa, pb)
+            }
         }
     }
+}
+
+/// `V::from_f64(c) * x` through [`Scalar::mul_point`]: the product by a
+/// literal factor in [`Op::eval`], and by a point constant in lane
+/// replay.
+#[inline(always)]
+pub(crate) fn times<V: Scalar>(c: f64, x: V) -> V {
+    x.mul_point(V::from_f64(c), c)
 }
 
 impl fmt::Display for Op {

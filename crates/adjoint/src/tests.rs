@@ -4,12 +4,14 @@
 //! 2. adjoint vs tangent mode via the dot-product identity;
 //! 3. interval AD encloses point AD — the property that makes Eq. 10 of
 //!    the paper an enclosure of the true derivative range;
-//! 4. the worked example of Listings 1–3.
+//! 4. the worked example of Listings 1–3;
+//! 5. the per-op table [`Op::eval`] against `Dual`'s own derivative
+//!    formulas.
 
 use proptest::prelude::*;
 use scorpio_interval::Interval;
 
-use crate::{Dual, NodeId, Tape, Var};
+use crate::{Dual, NodeId, Op, Tape, Var};
 
 /// A differentiable test function exercised in every representation.
 /// Chosen to hit most operator kinds while staying well-conditioned on
@@ -124,8 +126,79 @@ fn intermediate_adjoints_available() {
     assert!((adj[u.id()] - 2.0 * 0.5f64.exp()).abs() < 1e-14);
 }
 
+/// Every non-leaf op class of [`Op::eval`], the parameterised ones at
+/// several exponents.
+const TABLE_OPS: [Op; 31] = [
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::Div,
+    Op::Neg,
+    Op::Sin,
+    Op::Cos,
+    Op::Tan,
+    Op::Exp,
+    Op::Ln,
+    Op::Sqrt,
+    Op::Sqr,
+    Op::Recip,
+    Op::Powi(-3),
+    Op::Powi(0),
+    Op::Powi(1),
+    Op::Powi(4),
+    Op::Powf(-1.5),
+    Op::Powf(0.0),
+    Op::Powf(0.5),
+    Op::Powf(2.5),
+    Op::Abs,
+    Op::Atan,
+    Op::Tanh,
+    Op::Sinh,
+    Op::Cosh,
+    Op::Erf,
+    Op::Cndf,
+    Op::Hypot,
+    Op::Min,
+    Op::Max,
+];
+
+/// `x` and `y` agree to a relative `1e-12` (the table and `Dual` write
+/// the same derivative with different formulas).
+fn rel_close(x: f64, y: f64) -> bool {
+    (x - y).abs() <= 1e-12 * x.abs().max(y.abs())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The per-op oracle. Recording, replay and the audit's `f64`
+    /// reverse sweep all take their partials from [`Op::eval`], so they
+    /// share any wrong entry; `Dual`'s tangents come from its own
+    /// formulas. At in-domain points (positive operands for
+    /// `ln`/`sqrt`/`powf`, magnitudes in `[0.3, 1.4)` so no `abs` kink,
+    /// no `min`/`max` tie), each `f64` partial must match the tangent of
+    /// `Op::eval::<Dual>` seeded with a unit tangent on that operand.
+    #[test]
+    fn op_table_partials_match_dual_tangents(
+        ma in 0.3f64..1.4, mb in 0.3f64..1.4, neg_a in any::<bool>(), neg_b in any::<bool>()
+    ) {
+        for op in TABLE_OPS {
+            let positive_only = matches!(op, Op::Ln | Op::Sqrt | Op::Powf(_));
+            let a = if neg_a && !positive_only { -ma } else { ma };
+            let b = if neg_b { -mb } else { mb };
+            if matches!(op, Op::Min | Op::Max) && (a - b).abs() < 1e-3 {
+                continue;
+            }
+            let (v, pa, pb) = op.eval(a, b);
+            let da = op.eval(Dual::with_tangent(a, 1.0), Dual::constant(b)).0;
+            let db = op.eval(Dual::constant(a), Dual::with_tangent(b, 1.0)).0;
+            prop_assert!(rel_close(v, da.re), "{op} at ({a}, {b}): value {v} vs dual {}", da.re);
+            prop_assert!(rel_close(pa, da.eps), "{op} at ({a}, {b}): ∂a {pa} vs dual {}", da.eps);
+            if op.arity() == 2 {
+                prop_assert!(rel_close(pb, db.eps), "{op} at ({a}, {b}): ∂b {pb} vs dual {}", db.eps);
+            }
+        }
+    }
 
     #[test]
     fn adjoint_matches_finite_difference(x0 in -1.5f64..1.5, y0 in -1.5f64..1.5) {

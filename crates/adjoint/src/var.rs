@@ -71,24 +71,39 @@ impl<'t, V: Scalar> Var<'t, V> {
         self.tape
     }
 
-    #[inline]
-    fn same_tape(&self, other: &Var<'_, V>) {
-        assert!(
-            std::ptr::eq(self.tape, other.tape),
-            "Var operands belong to different tapes"
-        );
-    }
-
-    #[inline]
-    fn unary(self, op: Op, partial: V, value: V) -> Var<'t, V> {
-        let id = self.tape.record1(op, self.id, partial, value);
-        Var::new(self.tape, id, value)
-    }
-
-    #[inline]
-    fn binary(self, other: Var<'t, V>, op: Op, pa: V, pb: V, value: V) -> Var<'t, V> {
-        self.same_tape(&other);
-        let id = self.tape.record2(op, self.id, other.id, pa, pb, value);
+    /// Applies the elemental function `op` to `self` (and `rhs` for a
+    /// binary op) and records the node with the value and local
+    /// partials of [`Op::eval`] — the one table every `Var` operation
+    /// records through. A unary op ignores `rhs` (pass `self`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Op::Input` / `Op::Const`, and if a binary op's
+    /// operands belong to different tapes.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use scorpio_adjoint::{Op, Tape};
+    ///
+    /// let tape = Tape::<f64>::new();
+    /// let x = tape.var(0.5);
+    /// let y = tape.var(2.0);
+    /// assert_eq!(x.apply(Op::Sin, x).value(), x.sin().value());
+    /// assert_eq!(x.apply(Op::Hypot, y).value(), x.hypot(y).value());
+    /// ```
+    #[inline(always)]
+    pub fn apply(self, op: Op, rhs: Var<'t, V>) -> Var<'t, V> {
+        let (value, pa, pb) = op.eval(self.value, rhs.value);
+        let id = if op.arity() == 2 {
+            assert!(
+                std::ptr::eq(self.tape, rhs.tape),
+                "Var operands belong to different tapes"
+            );
+            self.tape.record2(op, self.id, rhs.id, pa, pb, value)
+        } else {
+            self.tape.record1(op, self.id, pa, value)
+        };
         Var::new(self.tape, id, value)
     }
 
@@ -100,166 +115,139 @@ impl<'t, V: Scalar> Var<'t, V> {
 
     /// Sine, with local partial `cos u`.
     pub fn sin(self) -> Var<'t, V> {
-        self.unary(Op::Sin, self.value.cos(), self.value.sin())
+        self.apply(Op::Sin, self)
     }
 
     /// Cosine, with local partial `−sin u`.
     pub fn cos(self) -> Var<'t, V> {
-        self.unary(Op::Cos, -self.value.sin(), self.value.cos())
+        self.apply(Op::Cos, self)
     }
 
     /// Tangent, with local partial `1 + tan² u`.
     pub fn tan(self) -> Var<'t, V> {
-        let t = self.value.tan();
-        self.unary(Op::Tan, V::one() + t.sqr(), t)
+        self.apply(Op::Tan, self)
     }
 
     /// Exponential, with local partial `eᵘ`.
     pub fn exp(self) -> Var<'t, V> {
-        let e = self.value.exp();
-        self.unary(Op::Exp, e, e)
+        self.apply(Op::Exp, self)
     }
 
     /// Natural logarithm, with local partial `1/u`.
     pub fn ln(self) -> Var<'t, V> {
-        self.unary(Op::Ln, self.value.recip(), self.value.ln())
+        self.apply(Op::Ln, self)
     }
 
     /// Square root, with local partial `1/(2√u)`.
     pub fn sqrt(self) -> Var<'t, V> {
-        let r = self.value.sqrt();
-        let partial = (V::from_f64(2.0) * r).recip();
-        self.unary(Op::Sqrt, partial, r)
+        self.apply(Op::Sqrt, self)
     }
 
     /// Square, with local partial `2u` (tighter than `self * self` for
     /// interval scalars).
     pub fn sqr(self) -> Var<'t, V> {
-        self.unary(Op::Sqr, V::from_f64(2.0) * self.value, self.value.sqr())
+        self.apply(Op::Sqr, self)
     }
 
     /// Reciprocal, with local partial `−1/u²`.
     pub fn recip(self) -> Var<'t, V> {
-        self.unary(Op::Recip, -self.value.sqr().recip(), self.value.recip())
+        self.apply(Op::Recip, self)
     }
 
     /// Integer power, with local partial `n·uⁿ⁻¹` (zero for `n = 0`).
     pub fn powi(self, n: i32) -> Var<'t, V> {
-        let partial = if n == 0 {
-            V::zero()
-        } else {
-            V::from_f64(n as f64) * self.value.powi(n - 1)
-        };
-        self.unary(Op::Powi(n), partial, self.value.powi(n))
+        self.apply(Op::Powi(n), self)
     }
 
     /// Real power, with local partial `p·uᵖ⁻¹`.
     pub fn powf(self, p: f64) -> Var<'t, V> {
-        let partial = if p == 0.0 {
-            V::zero()
-        } else {
-            V::from_f64(p) * self.value.powf(p - 1.0)
-        };
-        self.unary(Op::Powf(p), partial, self.value.powf(p))
+        self.apply(Op::Powf(p), self)
     }
 
     /// Absolute value, with subgradient partial (see
     /// [`Scalar::abs_deriv`]).
     pub fn abs(self) -> Var<'t, V> {
-        self.unary(Op::Abs, self.value.abs_deriv(), self.value.abs())
+        self.apply(Op::Abs, self)
     }
 
     /// Arc-tangent, with local partial `1/(1 + u²)`.
     pub fn atan(self) -> Var<'t, V> {
-        let partial = (V::one() + self.value.sqr()).recip();
-        self.unary(Op::Atan, partial, self.value.atan())
+        self.apply(Op::Atan, self)
     }
 
     /// Hyperbolic tangent, with local partial `1 − tanh² u`.
     pub fn tanh(self) -> Var<'t, V> {
-        let t = self.value.tanh();
-        self.unary(Op::Tanh, V::one() - t.sqr(), t)
+        self.apply(Op::Tanh, self)
     }
 
     /// Hyperbolic sine, with local partial `cosh u`.
     pub fn sinh(self) -> Var<'t, V> {
-        self.unary(Op::Sinh, self.value.cosh(), self.value.sinh())
+        self.apply(Op::Sinh, self)
     }
 
     /// Hyperbolic cosine, with local partial `sinh u`.
     pub fn cosh(self) -> Var<'t, V> {
-        self.unary(Op::Cosh, self.value.sinh(), self.value.cosh())
+        self.apply(Op::Cosh, self)
     }
 
     /// Error function, with local partial `(2/√π)·e^(−u²)`.
     pub fn erf(self) -> Var<'t, V> {
-        let two_over_sqrt_pi = V::from_f64(2.0 / std::f64::consts::PI.sqrt());
-        let partial = two_over_sqrt_pi * (-self.value.sqr()).exp();
-        self.unary(Op::Erf, partial, self.value.erf())
+        self.apply(Op::Erf, self)
     }
 
     /// Standard-normal CDF, with local partial `φ(u) = e^(−u²/2)/√(2π)`.
     pub fn cndf(self) -> Var<'t, V> {
-        let inv_sqrt_2pi = V::from_f64(1.0 / (2.0 * std::f64::consts::PI).sqrt());
-        let partial = inv_sqrt_2pi * (-self.value.sqr() / V::from_f64(2.0)).exp();
-        self.unary(Op::Cndf, partial, self.value.cndf())
+        self.apply(Op::Cndf, self)
     }
 
     /// Euclidean norm `√(self² + other²)`.
     pub fn hypot(self, other: Var<'t, V>) -> Var<'t, V> {
-        let v = self.value.hypot(other.value);
-        let (pa, pb) = self.value.hypot_partials(other.value, v);
-        self.binary(other, Op::Hypot, pa, pb, v)
+        self.apply(Op::Hypot, other)
     }
 
     /// Elementwise minimum with subgradient partials.
     pub fn min(self, other: Var<'t, V>) -> Var<'t, V> {
-        let (pa, pb) = self.value.min_partials(other.value);
-        self.binary(other, Op::Min, pa, pb, self.value.min_val(other.value))
+        self.apply(Op::Min, other)
     }
 
     /// Elementwise maximum with subgradient partials.
     pub fn max(self, other: Var<'t, V>) -> Var<'t, V> {
-        let (pa, pb) = self.value.max_partials(other.value);
-        self.binary(other, Op::Max, pa, pb, self.value.max_val(other.value))
+        self.apply(Op::Max, other)
     }
 }
 
 impl<'t, V: Scalar> Add for Var<'t, V> {
     type Output = Var<'t, V>;
     fn add(self, rhs: Var<'t, V>) -> Var<'t, V> {
-        self.binary(rhs, Op::Add, V::one(), V::one(), self.value + rhs.value)
+        self.apply(Op::Add, rhs)
     }
 }
 
 impl<'t, V: Scalar> Sub for Var<'t, V> {
     type Output = Var<'t, V>;
     fn sub(self, rhs: Var<'t, V>) -> Var<'t, V> {
-        self.binary(rhs, Op::Sub, V::one(), -V::one(), self.value - rhs.value)
+        self.apply(Op::Sub, rhs)
     }
 }
 
 impl<'t, V: Scalar> Mul for Var<'t, V> {
     type Output = Var<'t, V>;
     fn mul(self, rhs: Var<'t, V>) -> Var<'t, V> {
-        self.binary(rhs, Op::Mul, rhs.value, self.value, self.value * rhs.value)
+        self.apply(Op::Mul, rhs)
     }
 }
 
 impl<'t, V: Scalar> Div for Var<'t, V> {
     type Output = Var<'t, V>;
     fn div(self, rhs: Var<'t, V>) -> Var<'t, V> {
-        let inv = rhs.value.recip();
-        let value = self.value * inv;
-        // ∂(a/b)/∂a = 1/b ; ∂(a/b)/∂b = −a/b²
-        self.binary(rhs, Op::Div, inv, -self.value * inv.sqr(), value)
+        self.apply(Op::Div, rhs)
     }
 }
 
 impl<'t, V: Scalar> Neg for Var<'t, V> {
     type Output = Var<'t, V>;
     fn neg(self) -> Var<'t, V> {
-        self.unary(Op::Neg, -V::one(), -self.value)
+        self.apply(Op::Neg, self)
     }
 }
 

@@ -11,11 +11,15 @@
 //!    adjoint interval `∇_{[u]}[y]` (Eq. 10).
 //!
 //! This module checks both *differentially*: it re-evaluates the
-//! recorded computation with independent arithmetic (plain `f64` for
-//! the forward sweep, an `f64` reverse sweep mirroring the recording
-//! formulas, and forward-mode [`Dual`] numbers as a second derivative
-//! oracle with its own formulas) at randomly sampled concrete points,
-//! and compares against the enclosures the analysis produced. Any
+//! recorded computation at randomly sampled concrete points — plain
+//! `f64` forward and reverse sweeps through one table, [`Op::eval`],
+//! the same per-op formulas recording and replay use, plus
+//! forward-mode [`Dual`] numbers — and compares against the enclosures
+//! the analysis produced. `Dual` is the independent derivative oracle:
+//! its tangents come from its own [`Scalar`](scorpio_adjoint::Scalar)
+//! formulas, not from the table, so a wrong partial in [`Op::eval`] can
+//! surface as a `Tangent` violation (the per-op oracle test of
+//! `scorpio-adjoint` checks the table against `Dual` directly). Any
 //! point that escapes its enclosure is a soundness violation — a bug
 //! in the interval kernels, the recorded partials, or the sweep.
 //!
@@ -36,7 +40,7 @@
 
 use std::fmt;
 
-use scorpio_adjoint::{Dual, Op, Scalar};
+use scorpio_adjoint::{Dual, Op};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
@@ -243,105 +247,6 @@ impl AuditOutcome {
     }
 }
 
-/// Re-evaluates `op` on concrete operands with the *same* formulas the
-/// recording [`scorpio_adjoint::Var`] methods use (e.g. `a / b` is
-/// `a · recip(b)`), so a containment failure implicates the interval
-/// kernels rather than an evaluation-order discrepancy.
-fn eval_node<V: Scalar>(op: Op, a: V, b: V) -> V {
-    match op {
-        Op::Input | Op::Const => unreachable!("leaves are sampled, not evaluated"),
-        Op::Add => a + b,
-        Op::Sub => a - b,
-        Op::Mul => a * b,
-        Op::Div => a * b.recip(),
-        Op::Neg => -a,
-        Op::Sin => a.sin(),
-        Op::Cos => a.cos(),
-        Op::Tan => a.tan(),
-        Op::Exp => a.exp(),
-        Op::Ln => a.ln(),
-        Op::Sqrt => a.sqrt(),
-        Op::Sqr => a.sqr(),
-        Op::Recip => a.recip(),
-        Op::Powi(n) => a.powi(n),
-        Op::Powf(p) => a.powf(p),
-        Op::Abs => a.abs(),
-        Op::Atan => a.atan(),
-        Op::Tanh => a.tanh(),
-        Op::Sinh => a.sinh(),
-        Op::Cosh => a.cosh(),
-        Op::Erf => a.erf(),
-        Op::Cndf => a.cndf(),
-        Op::Hypot => a.hypot(b),
-        Op::Min => a.min_val(b),
-        Op::Max => a.max_val(b),
-    }
-}
-
-/// Local partials `(∂φ/∂a, ∂φ/∂b)` of `op` at concrete operands,
-/// mirroring the recording formulas of `scorpio_adjoint::var` exactly
-/// (same subgradient conventions for `abs`/`min`/`max`/`hypot`).
-fn node_partials<V: Scalar>(op: Op, a: V, b: V) -> (V, V) {
-    let z = V::zero();
-    match op {
-        Op::Input | Op::Const => (z, z),
-        Op::Add => (V::one(), V::one()),
-        Op::Sub => (V::one(), -V::one()),
-        Op::Mul => (b, a),
-        Op::Div => {
-            let inv = b.recip();
-            (inv, -a * inv.sqr())
-        }
-        Op::Neg => (-V::one(), z),
-        Op::Sin => (a.cos(), z),
-        Op::Cos => (-a.sin(), z),
-        Op::Tan => {
-            let t = a.tan();
-            (V::one() + t.sqr(), z)
-        }
-        Op::Exp => (a.exp(), z),
-        Op::Ln => (a.recip(), z),
-        Op::Sqrt => ((V::from_f64(2.0) * a.sqrt()).recip(), z),
-        Op::Sqr => (V::from_f64(2.0) * a, z),
-        Op::Recip => (-a.sqr().recip(), z),
-        Op::Powi(n) => {
-            let p = if n == 0 {
-                z
-            } else {
-                V::from_f64(f64::from(n)) * a.powi(n - 1)
-            };
-            (p, z)
-        }
-        Op::Powf(p) => {
-            let d = if p == 0.0 {
-                z
-            } else {
-                V::from_f64(p) * a.powf(p - 1.0)
-            };
-            (d, z)
-        }
-        Op::Abs => (a.abs_deriv(), z),
-        Op::Atan => ((V::one() + a.sqr()).recip(), z),
-        Op::Tanh => {
-            let t = a.tanh();
-            (V::one() - t.sqr(), z)
-        }
-        Op::Sinh => (a.cosh(), z),
-        Op::Cosh => (a.sinh(), z),
-        Op::Erf => {
-            let c = V::from_f64(2.0 / std::f64::consts::PI.sqrt());
-            (c * (-a.sqr()).exp(), z)
-        }
-        Op::Cndf => {
-            let c = V::from_f64(1.0 / (2.0 * std::f64::consts::PI).sqrt());
-            (c * (-a.sqr() / V::from_f64(2.0)).exp(), z)
-        }
-        Op::Hypot => a.hypot_partials(b, a.hypot(b)),
-        Op::Min => a.min_partials(b),
-        Op::Max => a.max_partials(b),
-    }
-}
-
 /// Uniform concrete sample from a leaf enclosure: uniform in `[lo, hi]`
 /// for bounded leaves, the midpoint for unbounded ones, NaN for EMPTY
 /// (propagating the "no value exists" verdict into the concrete sweep).
@@ -424,8 +329,8 @@ pub fn audit_containment(report: &Report, cfg: &AuditConfig) -> AuditOutcome {
                     let a = nd.preds[0];
                     let b = *nd.preds.get(1).unwrap_or(&nd.preds[0]);
                     (
-                        eval_node(op, vals[a], vals[b]),
-                        eval_node(op, duals[a], duals[b]),
+                        op.eval(vals[a], vals[b]).0,
+                        op.eval(duals[a], duals[b]).0,
                         valid[a] && valid[b],
                     )
                 }
@@ -504,7 +409,7 @@ pub fn audit_containment(report: &Report, cfg: &AuditConfig) -> AuditOutcome {
             if abar != 0.0 && nd.op.arity() > 0 {
                 let a = nd.preds[0];
                 let b = *nd.preds.get(1).unwrap_or(&nd.preds[0]);
-                let (pa, pb) = node_partials(nd.op, vals[a], vals[b]);
+                let (_, pa, pb) = nd.op.eval(vals[a], vals[b]);
                 adj[a] += abar * pa;
                 if nd.op.arity() == 2 {
                     adj[b] += abar * pb;
@@ -848,7 +753,7 @@ impl DagSpec {
         for dop in &self.ops {
             let a = vars[dop.a];
             let b = vars[dop.b];
-            vars.push(apply_op(dop.op, a, b));
+            vars.push(a.apply(dop.op, b));
         }
         let y = *vars.last().expect("spec has at least one input");
         ctx.output(&y, "y");
@@ -933,39 +838,6 @@ impl DagSpec {
             }
         }
         DagSpec { inputs, ops }
-    }
-}
-
-/// Applies one recorded operator to active values — the fuzzer's bridge
-/// from [`Op`] back to the overloaded [`scorpio_adjoint::Var`] API.
-fn apply_op<'t>(op: Op, a: Ia1s<'t>, b: Ia1s<'t>) -> Ia1s<'t> {
-    match op {
-        Op::Input | Op::Const => unreachable!("leaves are not applied"),
-        Op::Add => a + b,
-        Op::Sub => a - b,
-        Op::Mul => a * b,
-        Op::Div => a / b,
-        Op::Neg => -a,
-        Op::Sin => a.sin(),
-        Op::Cos => a.cos(),
-        Op::Tan => a.tan(),
-        Op::Exp => a.exp(),
-        Op::Ln => a.ln(),
-        Op::Sqrt => a.sqrt(),
-        Op::Sqr => a.sqr(),
-        Op::Recip => a.recip(),
-        Op::Powi(n) => a.powi(n),
-        Op::Powf(p) => a.powf(p),
-        Op::Abs => a.abs(),
-        Op::Atan => a.atan(),
-        Op::Tanh => a.tanh(),
-        Op::Sinh => a.sinh(),
-        Op::Cosh => a.cosh(),
-        Op::Erf => a.erf(),
-        Op::Cndf => a.cndf(),
-        Op::Hypot => a.hypot(b),
-        Op::Min => a.min(b),
-        Op::Max => a.max(b),
     }
 }
 

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use scorpio_adjoint::Op;
 use scorpio_core::{AnalysisError, Ctx, Ia1s};
 
 use crate::ast::{BinOp, CmpOp, Expr, Program, Stmt};
@@ -181,103 +182,53 @@ fn eval_expr<'t>(
                     })
                 }
             };
-            fn unary<'t>(
-                f: fn(Ia1s<'t>) -> Ia1s<'t>,
-                args: &[Expr],
-                ctx: &Ctx<'t>,
-                env: &HashMap<String, Ia1s<'t>>,
-            ) -> Result<Ia1s<'t>, EvalError> {
-                Ok(f(eval_expr(&args[0], ctx, env)?))
+            if name == "pow" {
+                arity(2)?;
+                let base = eval_expr(&args[0], ctx, env)?;
+                return if let Expr::Number(p) = &args[1] {
+                    Ok(apply_pow(base, *p))
+                } else {
+                    let e = eval_expr(&args[1], ctx, env)?;
+                    Ok((e * base.ln()).exp())
+                };
             }
-            match name.as_str() {
-                "sin" => {
-                    arity(1)?;
-                    unary(|x| x.sin(), args, ctx, env)
-                }
-                "cos" => {
-                    arity(1)?;
-                    unary(|x| x.cos(), args, ctx, env)
-                }
-                "tan" => {
-                    arity(1)?;
-                    unary(|x| x.tan(), args, ctx, env)
-                }
-                "exp" => {
-                    arity(1)?;
-                    unary(|x| x.exp(), args, ctx, env)
-                }
-                "ln" => {
-                    arity(1)?;
-                    unary(|x| x.ln(), args, ctx, env)
-                }
-                "sqrt" => {
-                    arity(1)?;
-                    unary(|x| x.sqrt(), args, ctx, env)
-                }
-                "abs" => {
-                    arity(1)?;
-                    unary(|x| x.abs(), args, ctx, env)
-                }
-                "atan" => {
-                    arity(1)?;
-                    unary(|x| x.atan(), args, ctx, env)
-                }
-                "sinh" => {
-                    arity(1)?;
-                    unary(|x| x.sinh(), args, ctx, env)
-                }
-                "cosh" => {
-                    arity(1)?;
-                    unary(|x| x.cosh(), args, ctx, env)
-                }
-                "tanh" => {
-                    arity(1)?;
-                    unary(|x| x.tanh(), args, ctx, env)
-                }
-                "erf" => {
-                    arity(1)?;
-                    unary(|x| x.erf(), args, ctx, env)
-                }
-                "cndf" => {
-                    arity(1)?;
-                    unary(|x| x.cndf(), args, ctx, env)
-                }
-                "pow" => {
-                    arity(2)?;
-                    let base = eval_expr(&args[0], ctx, env)?;
-                    if let Expr::Number(p) = &args[1] {
-                        Ok(apply_pow(base, *p))
-                    } else {
-                        let e = eval_expr(&args[1], ctx, env)?;
-                        Ok((e * base.ln()).exp())
-                    }
-                }
-                "hypot" => {
-                    arity(2)?;
-                    let a = eval_expr(&args[0], ctx, env)?;
-                    let b = eval_expr(&args[1], ctx, env)?;
-                    Ok(a.hypot(b))
-                }
-                "min" => {
-                    arity(2)?;
-                    let a = eval_expr(&args[0], ctx, env)?;
-                    let b = eval_expr(&args[1], ctx, env)?;
-                    Ok(a.min(b))
-                }
-                "max" => {
-                    arity(2)?;
-                    let a = eval_expr(&args[0], ctx, env)?;
-                    let b = eval_expr(&args[1], ctx, env)?;
-                    Ok(a.max(b))
-                }
-                _ => Err(EvalError::UnknownFunction {
+            let Some(&op) = FUNCTIONS.iter().find(|op| op.mnemonic() == name) else {
+                return Err(EvalError::UnknownFunction {
                     name: name.clone(),
                     offset: *offset,
-                }),
-            }
+                });
+            };
+            arity(op.arity())?;
+            let a = eval_expr(&args[0], ctx, env)?;
+            let b = match args.get(1) {
+                Some(arg) => eval_expr(arg, ctx, env)?,
+                None => a,
+            };
+            Ok(a.apply(op, b))
         }
     }
 }
+
+/// The builtin functions other than `pow`, called by their
+/// [`Op::mnemonic`] and applied through [`scorpio_adjoint::Var::apply`].
+const FUNCTIONS: [Op; 16] = [
+    Op::Sin,
+    Op::Cos,
+    Op::Tan,
+    Op::Exp,
+    Op::Ln,
+    Op::Sqrt,
+    Op::Abs,
+    Op::Atan,
+    Op::Sinh,
+    Op::Cosh,
+    Op::Tanh,
+    Op::Erf,
+    Op::Cndf,
+    Op::Hypot,
+    Op::Min,
+    Op::Max,
+];
 
 /// Lowers a literal exponent: integers to `powi` (any base), others to
 /// `powf` (non-negative base domain).
@@ -360,6 +311,51 @@ mod tests {
             err,
             DslError::Eval(crate::EvalError::UnknownFunction { .. })
         ));
+    }
+
+    #[test]
+    fn builtins_record_one_node_of_their_op() {
+        for op in super::FUNCTIONS {
+            let name = op.mnemonic();
+            let args = if op.arity() == 2 { "x, x" } else { "x" };
+            let src = format!("input x = 0.5 .. 0.75; out y = {name}({args});");
+            let report = analyze(&src).unwrap();
+            // The input, then exactly one node: the builtin's op.
+            let nodes = report.graph().nodes();
+            assert_eq!(nodes.len(), 2, "{name}");
+            assert_eq!(nodes[1].op, op, "{name}");
+
+            let wrong = if op.arity() == 2 { "x" } else { "x, x" };
+            let src = format!("input x = 0.5 .. 0.75; out y = {name}({wrong});");
+            let DslError::Eval(err) = analyze(&src).unwrap_err() else {
+                panic!("{name}: not an evaluation error");
+            };
+            assert_eq!(
+                err,
+                crate::EvalError::WrongArity {
+                    name: name.to_string(),
+                    expected: op.arity(),
+                    found: 3 - op.arity(),
+                    offset: 31,
+                },
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn op_mnemonics_without_a_builtin_stay_unknown() {
+        for name in ["sqr", "recip", "neg", "powi", "powf"] {
+            let src = format!("input x = 0.5 .. 0.75; out y = {name}(x);");
+            let err = analyze(&src).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DslError::Eval(crate::EvalError::UnknownFunction { .. })
+                ),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     #[test]

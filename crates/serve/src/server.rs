@@ -35,9 +35,11 @@
 //! re-records, the miss path perfbench times as
 //! `serve.kernels.run_vars_cold_us`.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -786,9 +788,13 @@ fn sidecar_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 /// One worker: owns the arena, the lane scratch and one replay driver
-/// per kernel; drains the job queue until every sender is gone.
+/// per kernel; drains the job queue until every sender is gone. A job
+/// whose analysis panics gets an error reply, and the worker rebuilds
+/// its state (the panic may have left it half-updated) and keeps
+/// serving.
 fn worker_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Job>>) {
-    let mut arena = AnalysisArena::with_capacity(4096);
+    let fresh_arena = || AnalysisArena::with_capacity(4096);
+    let mut arena = fresh_arena();
     let mut lanes = LaneScratch::<DEFAULT_LANES>::new();
     let mut drivers: HashMap<&'static str, ReplayOrRecord> = HashMap::new();
     loop {
@@ -802,11 +808,42 @@ fn worker_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return,
         };
-        let line = run_analyze(shared, &mut arena, &mut lanes, &mut drivers, &job);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_analyze(shared, &mut arena, &mut lanes, &mut drivers, &job)
+        }));
+        let line = run.unwrap_or_else(|payload| {
+            arena = fresh_arena();
+            lanes = LaneScratch::new();
+            drivers = HashMap::new();
+            panicked_job(shared, &job, payload.as_ref())
+        });
         // A send failure means the connection died mid-request; the
         // work is done either way.
         let _ = job.reply.send(line);
     }
+}
+
+/// Accounts an analyze job that panicked — an error in the totals,
+/// the kernel's count and window, and `serve.worker_panics` — and
+/// builds its error reply.
+fn panicked_job(shared: &Shared, job: &Job, payload: &(dyn Any + Send)) -> String {
+    let kernel = job.request.kernel.name();
+    shared.count_error();
+    shared.count_kernel_error(kernel);
+    shared.record_window(
+        kernel,
+        RequestSample {
+            error: true,
+            ..RequestSample::default()
+        },
+    );
+    scorpio_obs::registry().counter("serve.worker_panics").add(1);
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("unknown panic");
+    error_line(job.id, format!("analysis panicked: {message}"))
 }
 
 /// Per-kernel static names for the latency histogram (the observe
@@ -1156,26 +1193,59 @@ mod tests {
 
         let (reply_tx, reply_rx) = mpsc::channel::<String>();
         job_tx
-            .send(Job {
-                id: 1,
-                trace_id: 0x5eed,
-                parse_start_ns: 0,
-                parse_dur_ns: 0,
-                request: AnalyzeRequest {
-                    kernel: crate::kernels::KernelRequest::Maclaurin(crate::kernels::Batch {
-                        kernel: scorpio_kernels::maclaurin::Series { n: 4 },
-                        items: vec![0.25],
-                    }),
-                    ratio: 0.5,
-                    detail: Detail::Vars,
-                },
-                reply: reply_tx,
-            })
+            .send(maclaurin_job(1, 0.25, reply_tx))
             .expect("queue accepts the job");
         drop(job_tx); // run the worker dry after one job
 
         worker_loop(&shared, &job_rx);
         let line = reply_rx.recv().expect("worker answered despite poison");
         assert!(line.contains("\"ok\":true"), "bad reply: {line}");
+    }
+
+    /// A directly built one-item Maclaurin job (no request parsing).
+    fn maclaurin_job(id: u64, item: f64, reply: mpsc::Sender<String>) -> Job {
+        Job {
+            id,
+            trace_id: 0x5eed + id,
+            parse_start_ns: 0,
+            parse_dur_ns: 0,
+            request: AnalyzeRequest {
+                kernel: crate::kernels::KernelRequest::Maclaurin(crate::kernels::Batch {
+                    kernel: scorpio_kernels::maclaurin::Series { n: 4 },
+                    items: vec![item],
+                }),
+                ratio: 0.5,
+                detail: Detail::Vars,
+            },
+            reply,
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_gets_an_error_reply_and_the_worker_keeps_serving() {
+        let shared = test_shared();
+        let panics = scorpio_obs::registry().counter("serve.worker_panics");
+        let panics_before = panics.get();
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Mutex::new(job_rx);
+        let (reply_tx, reply_rx) = mpsc::channel::<String>();
+        // Parsing refuses a NaN item; built directly, it reaches
+        // `Interval::new`, which panics on it.
+        job_tx.send(maclaurin_job(1, f64::NAN, reply_tx.clone())).unwrap();
+        job_tx.send(maclaurin_job(2, 0.25, reply_tx)).unwrap();
+        drop(job_tx);
+
+        worker_loop(&shared, &job_rx);
+        let bad = reply_rx.recv().expect("the panicked job is answered");
+        assert!(bad.starts_with("{\"id\":1,\"ok\":false"), "bad reply: {bad}");
+        assert!(bad.contains("analysis panicked"), "bad reply: {bad}");
+        let good = reply_rx.recv().expect("the worker survives the panic");
+        assert!(good.starts_with("{\"id\":2,\"ok\":true"), "bad reply: {good}");
+
+        assert_eq!(shared.errors.load(Ordering::Relaxed), 1);
+        let maclaurin = kernel_index("maclaurin").unwrap();
+        assert_eq!(shared.kernel_errors[maclaurin].load(Ordering::Relaxed), 1);
+        assert_eq!(shared.windows[maclaurin].snapshot(shared.now_ns(), 60).errors, 1);
+        assert!(panics.get() > panics_before);
     }
 }
