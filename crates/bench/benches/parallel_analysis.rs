@@ -6,7 +6,9 @@
 //! per compiled-trace walk, plus a Black–Scholes book at width 4), the DCT lane-sweep layer (forward replay and
 //! reverse sweep of one 4-block lane block, timed apart), the Fig. 7
 //! sweep layer (`taskwait` dispatch alone, the DCT tasked and
-//! perforated kernels, and N-body tasked at ratio 0), and the scorpio-obs overhead check (the same
+//! perforated kernels, and N-body tasked at ratio 0), the significance
+//! graph layers (a DCT full report, S4 simplify and S5 partition on it),
+//! and the scorpio-obs overhead check (the same
 //! analysis batch with tracing disabled vs enabled — disabled must be
 //! within noise of the pre-instrumentation baseline).
 
@@ -242,6 +244,32 @@ fn bench_dct_lane_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The significance-graph layers, the in-process twins of perfbench's
+/// `core.session.record_us.dct`, `core.workflow.simplify_ms.dct` and
+/// `core.workflow.partition_ms.dct`: one DCT full report recorded into
+/// a warm arena (recording, reverse sweep and graph assembly), S4
+/// `simplified()` on its graph, and S5 `partition()` on the result.
+fn bench_report_graph(c: &mut Criterion) {
+    scorpio_obs::disable();
+    let block = dct::natural_test_block();
+    let mut arena = AnalysisArena::new();
+    let report = dct::analysis_in(&mut arena, &block, 8.0).unwrap();
+    let simplified = report.graph().simplified();
+    let delta = Analysis::new().delta();
+    let mut group = c.benchmark_group("report_graph");
+    group.sample_size(100);
+    group.bench_function("dct_record", |b| {
+        b.iter(|| black_box(dct::analysis_in(&mut arena, black_box(&block), 8.0).unwrap()))
+    });
+    group.bench_function("dct_simplify", |b| {
+        b.iter(|| black_box(report.graph().simplified()))
+    });
+    group.bench_function("dct_partition", |b| {
+        b.iter(|| black_box(simplified.partition(black_box(delta))))
+    });
+    group.finish();
+}
+
 /// The Fig. 7 sweep layer, untraced: the runtime's per-task cost alone
 /// (a `taskwait` over N-body's group size of no-op tasks on one worker,
 /// half of them approximate) and the DCT kernel bodies it dispatches,
@@ -356,6 +384,7 @@ criterion_group!(
     bench_compiled_replay,
     bench_lane_replay,
     bench_dct_lane_sweep,
+    bench_report_graph,
     bench_taskwait,
     bench_obs_overhead
 );

@@ -18,7 +18,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use scorpio_bench::{finish_trace, out_dir_arg, trace_arg};
+use scorpio_bench::{finish_trace, out_dir_arg, trace_arg, usage_check};
 use scorpio_core::audit::{
     audit_containment, audit_cross_mode, minimal_repro, AuditConfig, AuditOutcome, DagSpec,
     OpFamily, SplitMix64,
@@ -64,7 +64,10 @@ fn audit_kernel(
     }
 }
 
+const SYNOPSIS: &str = "usage: scorpio_audit [--quick] [--out-dir DIR] [--trace PATH]";
+
 fn main() {
+    usage_check(SYNOPSIS, &["--quick", "--out-dir", "--trace"]);
     let quick = std::env::args().any(|a| a == "--quick");
     let trace_path = trace_arg();
     let session = trace_path

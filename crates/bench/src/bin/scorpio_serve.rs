@@ -33,11 +33,28 @@
 //! keep stage-level spans only: per-item interior spans (`replay`,
 //! `reverse`, `significance`, lane sweeps) stay off the service path.
 
-use scorpio_bench::{arg_value, flag_present, out_dir_arg};
+use scorpio_bench::{arg_value, flag_present, out_dir_arg, usage_check};
 use scorpio_serve::kernels::KERNEL_NAMES;
 use scorpio_serve::{Server, ServerConfig};
 
+const SYNOPSIS: &str = "\
+usage: scorpio_serve [--addr 127.0.0.1:7070] [--workers N] [--cache-capacity N]
+                     [--out-dir DIR] [--no-manifest] [--no-obs]
+                     [--metrics-addr 127.0.0.1:9090]";
+
 fn main() -> std::io::Result<()> {
+    usage_check(
+        SYNOPSIS,
+        &[
+            "--addr",
+            "--workers",
+            "--cache-capacity",
+            "--out-dir",
+            "--no-manifest",
+            "--no-obs",
+            "--metrics-addr",
+        ],
+    );
     let config = ServerConfig {
         addr: arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string()),
         workers: arg_value("--workers")

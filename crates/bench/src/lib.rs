@@ -111,6 +111,29 @@ fn parse_threads(v: &str) -> usize {
     n
 }
 
+/// Checks the process arguments before a bin reads any: on `--help` /
+/// `-h` it prints `synopsis` and exits 0; on a `--flag` (or
+/// `--flag=value`) not in `known` it names the flag, prints `synopsis`
+/// to stderr and exits 2. Without it a bin that looks only for its own
+/// flags would run (or start a daemon) whatever else it was given.
+pub fn usage_check(synopsis: &str, known: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{synopsis}");
+        std::process::exit(0);
+    }
+    let unknown: Vec<&str> = args
+        .iter()
+        .filter(|a| a.starts_with("--"))
+        .map(|a| a.split_once('=').map_or(a.as_str(), |(flag, _)| flag))
+        .filter(|flag| !known.contains(flag))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown flag {}\n{synopsis}", unknown.join(", "));
+        std::process::exit(2);
+    }
+}
+
 /// Reads the value of a `--flag value` / `--flag=value` argument pair
 /// from the process arguments, if present.
 ///

@@ -44,6 +44,7 @@ use scorpio_adjoint::{Dual, Op};
 use scorpio_interval::Interval;
 
 use crate::error::AnalysisError;
+use crate::graph::SigGraph;
 use crate::report::{Report, VarKind};
 use crate::replay::ReplayOrRecord;
 use crate::session::{Analysis, AnalysisArena, Ctx, Ia1s};
@@ -265,6 +266,13 @@ fn sample_leaf(rng: &mut SplitMix64, iv: Interval) -> f64 {
     lo + rng.next_f64() * (hi - lo)
 }
 
+/// Node `id`'s operand ids `(a, b)`, with `b = a` for a unary op.
+fn operands(graph: &SigGraph, id: usize) -> (usize, usize) {
+    let preds = graph.preds(id);
+    let a = preds[0] as usize;
+    (a, preds.get(1).map_or(a, |&b| b as usize))
+}
+
 /// Runs the containment oracles over a finished [`Report`].
 ///
 /// For each of `cfg.points` concrete points sampled uniformly from the
@@ -326,8 +334,7 @@ pub fn audit_containment(report: &Report, cfg: &AuditConfig) -> AuditOutcome {
                     (v, Dual::with_tangent(v, eps), true)
                 }
                 op => {
-                    let a = nd.preds[0];
-                    let b = *nd.preds.get(1).unwrap_or(&nd.preds[0]);
+                    let (a, b) = operands(graph, nd.id);
                     (
                         op.eval(vals[a], vals[b]).0,
                         op.eval(duals[a], duals[b]).0,
@@ -407,8 +414,7 @@ pub fn audit_containment(report: &Report, cfg: &AuditConfig) -> AuditOutcome {
                 );
             }
             if abar != 0.0 && nd.op.arity() > 0 {
-                let a = nd.preds[0];
-                let b = *nd.preds.get(1).unwrap_or(&nd.preds[0]);
+                let (a, b) = operands(graph, id);
                 let (_, pa, pb) = nd.op.eval(vals[a], vals[b]);
                 adj[a] += abar * pa;
                 if nd.op.arity() == 2 {

@@ -69,10 +69,10 @@ impl Partition {
         let tasks = nodes
             .into_iter()
             .map(|n| TaskSuggestion {
-                name: n
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("task_u{}", n.id)),
+                name: self
+                    .graph
+                    .name(n.id)
+                    .map_or_else(|| format!("task_u{}", n.id), str::to_owned),
                 node_id: n.id,
                 op: n.op.to_string(),
                 significance: n.significance,

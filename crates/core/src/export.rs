@@ -143,10 +143,10 @@ fn graph_records(graph: &SigGraph) -> Vec<NodeRecord> {
         .map(|n| NodeRecord {
             id: n.id,
             op: n.op.to_string(),
-            preds: n.preds.clone(),
+            preds: graph.preds(n.id).iter().map(|&p| p as usize).collect(),
             significance: n.significance,
-            level: n.level,
-            name: n.name.clone(),
+            level: n.level.map(|l| l as usize),
+            name: graph.name(n.id).map(str::to_owned),
             is_output: n.is_output,
         })
         .collect()

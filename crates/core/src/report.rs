@@ -91,7 +91,7 @@ impl Report {
     /// Convenience for the full Algorithm-1 pipeline: simplify (S4) then
     /// partition with the configured δ (S5).
     pub fn partition(&self) -> Partition {
-        self.graph.simplified().partition(self.delta)
+        self.graph.simplified().into_partition(self.delta)
     }
 
     /// DynDFG node ids whose forward enclosure is the EMPTY interval.
@@ -377,52 +377,46 @@ fn fill_rows(
 /// asks for it, for every node of the graph. `value_of` / `adjoint_of`
 /// look up one finished forward and reverse sweep per node and
 /// `node_of` the node's operator and predecessors, so recorded and
-/// replayed results run the same arithmetic and agree bit for bit.
-fn assemble<D: OutputDetail>(
+/// replayed results run the same arithmetic and agree bit for bit. The
+/// graph is written straight into its compact layout: a few
+/// allocations in all, none per node.
+fn assemble<D: OutputDetail, P: IntoIterator<Item = NodeId>>(
     regs: &Registrations,
     seeds: &[(NodeId, Interval)],
     delta: f64,
     len: usize,
     value_of: impl Fn(NodeId) -> Interval,
     adjoint_of: impl Fn(NodeId) -> Interval,
-    node_of: impl Fn(usize) -> (Op, Vec<usize>),
+    node_of: impl Fn(usize) -> (Op, P),
 ) -> D {
     let significance_raw = |id: NodeId| significance_raw_from(value_of(id), adjoint_of(id));
     let total_raw = output_total_raw(seeds, significance_raw);
     let mut rows = Vec::with_capacity(regs.entries.len());
     fill_rows(&mut rows, regs, false, &value_of, &adjoint_of, total_raw);
     D::assemble(rows, total_raw, len, delta, || {
-        let mut nodes: Vec<SigNode> = (0..len)
-            .map(|i| {
-                let id = NodeId::from_index(i);
-                let (op, preds) = node_of(i);
-                SigNode {
-                    id: i,
-                    op,
-                    preds,
-                    value: value_of(id),
-                    derivative: adjoint_of(id),
-                    significance: normalize(significance_raw(id), total_raw),
-                    level: None,
-                    name: None,
-                    is_output: false,
-                    removed: false,
-                }
-            })
-            .collect();
-        for entry in &regs.entries {
-            let node = &mut nodes[entry.node.index()];
-            node.name = Some(entry.name.clone());
-            node.is_output |= entry.kind == VarKind::Output;
+        // Every operator takes at most two operands.
+        let mut graph = SigGraph::with_capacity(len, 2 * len);
+        for i in 0..len {
+            let id = NodeId::from_index(i);
+            let (op, preds) = node_of(i);
+            let significance = normalize(significance_raw(id), total_raw);
+            graph.push(
+                SigNode::new(i, op, value_of(id), adjoint_of(id), significance),
+                preds.into_iter().map(NodeId::index),
+            );
         }
-        let empty_nodes: Vec<usize> = nodes
+        for entry in &regs.entries {
+            graph.register(entry.node.index(), &entry.name, entry.kind == VarKind::Output);
+        }
+        let empty_nodes: Vec<usize> = graph
+            .nodes()
             .iter()
             .filter(|n| n.value.is_empty())
             .map(|n| n.id)
             .collect();
         scorpio_obs::count("analysis.empty_enclosures", empty_nodes.len() as u64);
         let outputs = seeds.iter().map(|&(o, _)| o.index()).collect();
-        (SigGraph::new(nodes, outputs), empty_nodes)
+        (graph.finish(outputs), empty_nodes)
     })
 }
 
@@ -454,7 +448,7 @@ pub(crate) fn build_recorded<D: OutputDetail>(
             nodes.len(),
             |id| nodes[id.index()].value(),
             |id| adjoints.get(id),
-            |i| (nodes[i].op(), nodes[i].preds().map(|p| p.index()).collect()),
+            |i| (nodes[i].op(), nodes[i].preds()),
         )
     });
     *scratch = adjoints.into_inner();
@@ -519,7 +513,7 @@ pub(crate) fn build_replayed<D: OutputDetail, const LANES: usize>(
 ) -> Result<[D; LANES], AnalysisError> {
     reverse_replayed(compiled, rr, D::READS_EVERY_NODE, buf)?;
     let _span = scorpio_obs::span_detail("significance");
-    let node_of = |i: usize| (compiled.op(i), compiled.preds_of(i).map(|p| p.index()).collect());
+    let node_of = |i: usize| (compiled.op(i), compiled.preds_of(i));
     Ok(std::array::from_fn(|l| {
         assemble(
             &rr.regs,

@@ -88,13 +88,12 @@ fn simplify_produces_fig3b() {
     let simplified = report.graph().simplified();
     // The surviving output node gains all 5 terms as direct preds.
     let out = simplified.outputs()[0];
-    let out_node = &simplified.nodes()[out];
-    let term_preds = out_node
-        .preds
+    let term_preds = simplified
+        .preds(out)
         .iter()
         .filter(|&&p| {
             matches!(
-                simplified.nodes()[p].op,
+                simplified.nodes()[p as usize].op,
                 scorpio_adjoint::Op::Powi(_)
             )
         })

@@ -1,7 +1,7 @@
 //! Algorithm 1, steps S4 and S5: graph simplification and
 //! significance-variance partitioning.
 
-use crate::graph::SigGraph;
+use crate::graph::{to_u32, SigGraph};
 
 /// Per-level significance statistics produced during partitioning.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +64,11 @@ impl Partition {
     }
 }
 
+/// Sole-consumer marks of [`SigGraph::simplified`]: no live consumer
+/// yet, or more than one consumer edge.
+const NO_CONSUMER: u32 = u32::MAX;
+const MANY_CONSUMERS: u32 = u32::MAX - 1;
+
 impl SigGraph {
     /// Algorithm 1, step S4 (`simplify`): collapses **anti-dependence
     /// chains** — accumulation patterns like `res = res + term[i]` whose
@@ -75,72 +80,92 @@ impl SigGraph {
     /// their non-chain operands re-attached to the chain's final node, so
     /// the Maclaurin DynDFG of Fig. 3a becomes exactly Fig. 3b: every
     /// `term_i` feeding the final `result` directly.
+    ///
+    /// One pass marks the interior nodes and one rewires the edges into
+    /// a fresh predecessor buffer; the walk reuses one stack, one set of
+    /// visit marks and one output buffer, so the cost is a few
+    /// allocations for the whole graph, none per node.
     pub fn simplified(&self) -> SigGraph {
         let _span = scorpio_obs::span("simplify");
-        let mut g = self.clone();
-        let succ = g.successors();
+        let n = self.nodes.len();
 
+        // Each node's sole live consumer, counting edges with
+        // multiplicity (`x + x` consumes `x` twice).
+        let mut consumer = vec![NO_CONSUMER; n];
+        for node in self.live_nodes() {
+            for &p in self.preds(node.id) {
+                if !self.nodes[p as usize].removed {
+                    let c = &mut consumer[p as usize];
+                    *c = if *c == NO_CONSUMER {
+                        node.id as u32
+                    } else {
+                        MANY_CONSUMERS
+                    };
+                }
+            }
+        }
         // Chain-interior: additive, exactly one live consumer, consumer
         // additive, and not a registered output (outputs must survive).
-        let interior: Vec<bool> = g
+        let interior: Vec<bool> = self
             .nodes
             .iter()
-            .map(|n| {
-                !n.removed
-                    && n.op.is_additive()
-                    && !n.is_output
-                    && succ[n.id].len() == 1
-                    && g.nodes[succ[n.id][0]].op.is_additive()
+            .zip(&consumer)
+            .map(|(node, &c)| {
+                !node.removed
+                    && node.op.is_additive()
+                    && !node.is_output
+                    && c < MANY_CONSUMERS
+                    && self.nodes[c as usize].op.is_additive()
             })
             .collect();
 
         // Rewire: every kept node expands interior predecessors into
-        // their own predecessors, transitively. The walk is guarded: a
-        // well-formed DynDFG is a DAG, so one expansion can neither
-        // revisit an interior node nor reach the expanding node itself.
-        // A malformed (cyclic) graph trips one of the two asserts and
-        // fails loudly instead of silently wiring a node to itself.
-        let mut visited = vec![false; g.nodes.len()];
-        for id in 0..g.nodes.len() {
-            if g.nodes[id].removed || interior[id] {
-                continue;
-            }
-            let mut new_preds = Vec::new();
-            let mut touched: Vec<usize> = Vec::new();
-            let mut stack: Vec<usize> = g.nodes[id].preds.clone();
-            while let Some(p) = stack.pop() {
-                assert!(
-                    p != id,
-                    "SigGraph::simplified: cycle detected — node {id} is its own \
-                     transitive predecessor"
-                );
-                if interior[p] {
-                    assert!(
-                        !visited[p],
-                        "SigGraph::simplified: cycle detected through node {p} \
-                         while rewiring node {id}"
-                    );
-                    visited[p] = true;
-                    touched.push(p);
-                    stack.extend(g.nodes[p].preds.iter().copied());
-                } else {
-                    new_preds.push(p);
-                }
-            }
-            for t in touched {
-                visited[t] = false;
-            }
-            new_preds.sort_unstable();
-            new_preds.dedup();
-            g.nodes[id].preds = new_preds;
-        }
-        for (id, &is_interior) in interior.iter().enumerate() {
-            if is_interior {
+        // their own predecessors, transitively, reading the original
+        // edges. Removed nodes keep theirs and interior nodes lose
+        // theirs. The walk is guarded: a well-formed DynDFG is a DAG, so
+        // one expansion can neither revisit an interior node nor reach
+        // the expanding node itself. A malformed (cyclic) graph trips
+        // one of the two asserts and fails loudly instead of silently
+        // wiring a node to itself.
+        let mut g = self.without_preds(self.pred_ids.len());
+        // `expanded[p] == id` once node `id`'s walk has expanded `p`.
+        let mut expanded = vec![u32::MAX; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut found: Vec<u32> = Vec::new();
+        for id in 0..n {
+            let preds = self.preds(id);
+            if interior[id] {
                 g.nodes[id].removed = true;
-                g.nodes[id].preds.clear();
+            } else if self.nodes[id].removed {
+                g.pred_ids.extend_from_slice(preds);
+            } else {
+                stack.extend_from_slice(preds);
+                while let Some(p) = stack.pop() {
+                    assert!(
+                        p as usize != id,
+                        "SigGraph::simplified: cycle detected — node {id} is its own \
+                         transitive predecessor"
+                    );
+                    if interior[p as usize] {
+                        assert!(
+                            expanded[p as usize] != id as u32,
+                            "SigGraph::simplified: cycle detected through node {p} \
+                             while rewiring node {id}"
+                        );
+                        expanded[p as usize] = id as u32;
+                        stack.extend_from_slice(self.preds(p as usize));
+                    } else {
+                        found.push(p);
+                    }
+                }
+                found.sort_unstable();
+                found.dedup();
+                g.pred_ids.extend_from_slice(&found);
+                found.clear();
             }
+            g.pred_start.push(to_u32(g.pred_ids.len()));
         }
-        g.recompute_levels();
+        g.compute_levels();
         g
     }
 
@@ -153,20 +178,61 @@ impl SigGraph {
     /// behaviour; calling it on the raw graph is permitted (the ablation
     /// benches do) but aggregation nodes may then mask the variance.
     pub fn partition(&self, delta: f64) -> Partition {
+        self.clone().into_partition(delta)
+    }
+
+    /// [`SigGraph::partition`] of a graph the caller no longer needs:
+    /// the partition's graph is this one, truncated in place.
+    pub(crate) fn into_partition(mut self, delta: f64) -> Partition {
         assert!(delta >= 0.0, "partition: delta must be non-negative");
         let _span = scorpio_obs::span("partition");
-        let mut level_stats = Vec::new();
-        let mut cut_level = None;
+        let (cut_level, level_stats) = self.find_cut(delta);
+        if let Some(cut) = cut_level {
+            self.truncate_above(cut + 1);
+        }
+        Partition {
+            cut_level,
+            graph: self,
+            level_stats,
+        }
+    }
+
+    /// The level walk of [`SigGraph::partition`]. One pass buckets the
+    /// live nodes' finite significances by level (a counting sort, so
+    /// ids stay ascending within a level and every sum runs in id
+    /// order); the walk then reads one bucket per level.
+    fn find_cut(&self, delta: f64) -> (Option<usize>, Vec<LevelStats>) {
         let height = self.height();
+        // `start[l + 1]` first counts level `l`'s finite values, then
+        // becomes the end of its bucket.
+        let mut start = vec![0usize; height + 1];
+        let mut non_finite = vec![0usize; height];
+        for node in self.live_nodes() {
+            if let Some(l) = node.level {
+                if node.significance.is_finite() {
+                    start[l as usize + 1] += 1;
+                } else {
+                    non_finite[l as usize] += 1;
+                }
+            }
+        }
+        for l in 0..height {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut finite = vec![0.0; start[height]];
+        for node in self.live_nodes() {
+            if let Some(l) = node.level.filter(|_| node.significance.is_finite()) {
+                finite[next[l as usize]] = node.significance;
+                next[l as usize] += 1;
+            }
+        }
+
+        let mut level_stats = Vec::new();
         for level in 1..height {
-            let nodes = self.level_nodes(level);
-            let count = nodes.len();
-            let sig: Vec<f64> = nodes
-                .iter()
-                .map(|n| n.significance)
-                .filter(|s| s.is_finite())
-                .collect();
-            let non_finite = count - sig.len();
+            let sig = &finite[start[level]..start[level + 1]];
+            let non_finite = non_finite[level];
+            let count = sig.len() + non_finite;
             // An all-non-finite live level carries no usable statistics:
             // report NaN (a hard diagnostic, surfaced via
             // `LevelStats::is_degenerate`) instead of the pre-fix (0, 0),
@@ -174,7 +240,7 @@ impl SigGraph {
             let (mean, variance) = if count > 0 && non_finite == count {
                 (f64::NAN, f64::NAN)
             } else {
-                mean_variance(&sig)
+                mean_variance(sig)
             };
             scorpio_obs::observe("partition.level_variance", variance);
             if count > 0 && non_finite == count {
@@ -188,30 +254,37 @@ impl SigGraph {
                 variance,
             });
             if variance > delta {
-                cut_level = Some(level);
-                break;
+                return (Some(level), level_stats);
             }
         }
+        (None, level_stats)
+    }
 
-        let mut graph = self.clone();
-        if let Some(cut) = cut_level {
-            for node in &mut graph.nodes {
-                if node.level.is_none_or(|l| l > cut + 1) && !node.removed {
-                    node.removed = true;
+    /// Removes every live node above `max_level` (or unreachable), drops
+    /// the edges into removed nodes by compacting the predecessor buffer
+    /// in place, and recomputes the levels.
+    fn truncate_above(&mut self, max_level: usize) {
+        for node in &mut self.nodes {
+            if node.level.is_none_or(|l| l as usize > max_level) {
+                node.removed = true;
+            }
+        }
+        let mut kept = 0;
+        let mut start = 0;
+        for id in 0..self.nodes.len() {
+            let end = self.pred_start[id + 1] as usize;
+            for k in start..end {
+                let p = self.pred_ids[k];
+                if !self.nodes[p as usize].removed {
+                    self.pred_ids[kept] = p;
+                    kept += 1;
                 }
             }
-            // Drop dangling predecessor references of the survivors.
-            let removed: Vec<bool> = graph.nodes.iter().map(|n| n.removed).collect();
-            for node in &mut graph.nodes {
-                node.preds.retain(|&p| !removed[p]);
-            }
-            graph.recompute_levels();
+            start = end;
+            self.pred_start[id + 1] = to_u32(kept);
         }
-        Partition {
-            cut_level,
-            graph,
-            level_stats,
-        }
+        self.pred_ids.truncate(kept);
+        self.compute_levels();
     }
 }
 
@@ -234,19 +307,11 @@ mod tests {
     use super::*;
     use crate::graph::SigNode;
 
-    fn mk(id: usize, op: Op, preds: Vec<usize>, sig: f64) -> SigNode {
-        SigNode {
-            id,
-            op,
+    fn mk(id: usize, op: Op, preds: Vec<usize>, sig: f64) -> (SigNode, Vec<usize>) {
+        (
+            SigNode::new(id, op, Interval::ZERO, Interval::ZERO, sig),
             preds,
-            value: Interval::ZERO,
-            derivative: Interval::ZERO,
-            significance: sig,
-            level: None,
-            name: None,
-            is_output: false,
-            removed: false,
-        }
+        )
     }
 
     /// Builds the Maclaurin-like accumulation:
@@ -264,8 +329,8 @@ mod tests {
             mk(7, Op::Add, vec![6, 3], 0.51),
             mk(8, Op::Add, vec![7, 4], 1.0),
         ];
-        nodes[8].is_output = true;
-        SigGraph::new(nodes, vec![8])
+        nodes[8].0.is_output = true;
+        SigGraph::from_nodes(nodes, vec![8])
     }
 
     #[test]
@@ -279,8 +344,7 @@ mod tests {
         assert!(s.nodes()[6].removed);
         assert!(s.nodes()[7].removed);
         // ...final add survives with all terms as direct preds (Fig. 3b).
-        let final_preds = &s.nodes()[8].preds;
-        assert_eq!(final_preds.as_slice(), &[0, 1, 2, 3, 4]);
+        assert_eq!(s.preds(8), &[0, 1, 2, 3, 4]);
         // All terms now sit at level 1.
         assert_eq!(s.height(), 2);
         assert_eq!(s.level_nodes(1).len(), 5);
@@ -294,11 +358,11 @@ mod tests {
             mk(1, Op::Mul, vec![0, 0], 0.2),
             mk(2, Op::Mul, vec![1, 0], 0.3),
         ];
-        nodes[2].is_output = true;
-        let g = SigGraph::new(nodes, vec![2]);
+        nodes[2].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![2]);
         let s = g.simplified();
         assert!(!s.nodes()[1].removed);
-        assert_eq!(s.nodes()[2].preds, vec![0, 1]);
+        assert_eq!(s.preds(2), &[0, 1]);
     }
 
     #[test]
@@ -311,13 +375,29 @@ mod tests {
             mk(3, Op::Add, vec![2, 0], 0.3),
             mk(4, Op::Mul, vec![2, 3], 0.4),
         ];
-        nodes[4].is_output = true;
-        let g = SigGraph::new(nodes, vec![4]);
+        nodes[4].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![4]);
         let s = g.simplified();
         // Node 2 feeds both 3 and 4 → kept.
         assert!(!s.nodes()[2].removed);
         // Node 3 feeds only the mul (not additive) → kept too.
         assert!(!s.nodes()[3].removed);
+    }
+
+    #[test]
+    fn simplify_leaves_predecessors_sorted_and_unique() {
+        // 3 = (1 + 0) + 1: the collapsed chain reaches 1 twice and 0
+        // after it.
+        let mut nodes = vec![
+            mk(0, Op::Input, vec![], 0.1),
+            mk(1, Op::Input, vec![], 0.2),
+            mk(2, Op::Add, vec![1, 0], 0.3),
+            mk(3, Op::Add, vec![2, 1], 1.0),
+        ];
+        nodes[3].0.is_output = true;
+        let s = SigGraph::from_nodes(nodes, vec![3]).simplified();
+        assert!(s.nodes()[2].removed);
+        assert_eq!(s.preds(3), &[0, 1]);
     }
 
     #[test]
@@ -352,8 +432,8 @@ mod tests {
             mk(3, Op::Mul, vec![1, 2], 0.9),
             mk(4, Op::Neg, vec![3], 1.0),
         ];
-        nodes[4].is_output = true;
-        let g = SigGraph::new(nodes, vec![4]);
+        nodes[4].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![4]);
         // level1 = {3}: variance 0. level2 = {1, 2}: sig {0.9, 0} → var.
         let p = g.partition(1e-3);
         assert_eq!(p.cut_level, Some(2));
@@ -373,8 +453,8 @@ mod tests {
             mk(0, Op::Add, vec![1], 0.5),
             mk(1, Op::Add, vec![0], 1.0),
         ];
-        nodes[1].is_output = true;
-        let g = SigGraph::new(nodes, vec![1]);
+        nodes[1].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![1]);
         let _ = g.simplified();
     }
 
@@ -390,8 +470,8 @@ mod tests {
             mk(1, Op::Input, vec![], f64::NAN),
             mk(2, Op::Add, vec![0, 1], 1.0),
         ];
-        nodes[2].is_output = true;
-        let g = SigGraph::new(nodes, vec![2]);
+        nodes[2].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![2]);
         let p = g.partition(1e-3);
         assert_eq!(p.cut_level, None, "NaN variance must never fire the cut");
         let stats = &p.level_stats[0];
@@ -413,8 +493,8 @@ mod tests {
             mk(2, Op::Input, vec![], 0.4),
             mk(3, Op::Add, vec![0, 1, 2], 1.0),
         ];
-        nodes[3].is_output = true;
-        let g = SigGraph::new(nodes, vec![3]);
+        nodes[3].0.is_output = true;
+        let g = SigGraph::from_nodes(nodes, vec![3]);
         let p = g.partition(10.0);
         let stats = &p.level_stats[0];
         assert_eq!((stats.count, stats.non_finite), (3, 1));

@@ -103,16 +103,31 @@ pub fn quant_dequant(coeffs: &mut [[f64; BLOCK]; BLOCK]) {
 }
 
 /// Inverse DCT of a block.
+///
+/// Zero coefficients are skipped (most quantised ones are zero), bit for
+/// bit: a skipped term is `±0 · b · b = ±0`, the basis factors being
+/// finite. Each sum starts at `+0`, and under round-to-nearest a sum is
+/// `−0` only when both addends are `−0`, so a sum never becomes `−0`;
+/// adding `±0` to anything but `−0` returns it unchanged. The remaining
+/// terms are added in the dense order.
 pub fn inverse_block(coeffs: &[[f64; BLOCK]; BLOCK]) -> [[f64; BLOCK]; BLOCK] {
     let b = basis_table();
+    let mut terms = [(0, 0, 0.0); BLOCK * BLOCK];
+    let mut len = 0;
+    for (v, crow) in coeffs.iter().enumerate() {
+        for (u, &c) in crow.iter().enumerate() {
+            if c != 0.0 {
+                terms[len] = (v, u, c);
+                len += 1;
+            }
+        }
+    }
     let mut out = [[0.0; BLOCK]; BLOCK];
     for (y, row) in out.iter_mut().enumerate() {
         for (x, p) in row.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for (v, crow) in coeffs.iter().enumerate() {
-                for (u, &c) in crow.iter().enumerate() {
-                    acc += c * b[v][y] * b[u][x];
-                }
+            for &(v, u, c) in &terms[..len] {
+                acc += c * b[v][y] * b[u][x];
             }
             *p = acc;
         }
@@ -527,6 +542,58 @@ mod tests {
                 let want =
                     alpha * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos();
                 assert_eq!(table[u][x].to_bits(), want.to_bits(), "basis({u}, {x})");
+            }
+        }
+    }
+
+    /// The dense inverse [`inverse_block`] replaced: every term summed.
+    fn inverse_block_dense(coeffs: &[[f64; BLOCK]; BLOCK]) -> [[f64; BLOCK]; BLOCK] {
+        let b = basis_table();
+        let mut out = [[0.0; BLOCK]; BLOCK];
+        for (y, row) in out.iter_mut().enumerate() {
+            for (x, p) in row.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (v, crow) in coeffs.iter().enumerate() {
+                    for (u, &c) in crow.iter().enumerate() {
+                        acc += c * b[v][y] * b[u][x];
+                    }
+                }
+                *p = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sparse_inverse_matches_the_dense_sum_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1d_c7);
+        for case in 0..400 {
+            // Quantised blocks of random images, then blocks with `±0`
+            // and mostly-zero coefficients, and one with a NaN.
+            let mut coeffs = [[0.0; BLOCK]; BLOCK];
+            for (v, row) in coeffs.iter_mut().enumerate() {
+                for (u, c) in row.iter_mut().enumerate() {
+                    *c = match case % 4 {
+                        0 | 1 => rng.gen_range(0.0..255.0),
+                        2 => [0.0, -0.0, 0.0, -0.0, rng.gen_range(-50.0..50.0)]
+                            [rng.gen_range(0..5usize)],
+                        _ => {
+                            QUANT[v][u] * [-1.0, -0.0, 0.0, 0.0, 0.0, 1.0][rng.gen_range(0..6usize)]
+                        }
+                    };
+                }
+            }
+            if case % 4 < 2 {
+                coeffs = forward_block(&coeffs);
+                quant_dequant(&mut coeffs);
+            }
+            if case == 399 {
+                coeffs[3][5] = f64::NAN;
+            }
+            let (sparse, dense) = (inverse_block(&coeffs), inverse_block_dense(&coeffs));
+            for (s, d) in sparse.iter().flatten().zip(dense.iter().flatten()) {
+                assert_eq!(s.to_bits(), d.to_bits(), "case {case}: {coeffs:?}");
             }
         }
     }

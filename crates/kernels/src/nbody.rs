@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scorpio_core::{AnalysisError, Ctx};
 use scorpio_interval::Interval;
-use scorpio_runtime::perforation::Perforator;
+use scorpio_runtime::perforation::kept_indices;
 use scorpio_runtime::{ExecutionStats, Executor, TaskGroup};
 
 use crate::kernel::checked_radius;
@@ -554,13 +554,13 @@ unsafe impl Sync for SendSlots {}
 pub fn perforated(params: &Params, keep_fraction: f64) -> (State, ExecutionStats) {
     let _span = scorpio_obs::span("kernel.nbody.perforated");
     let n = params.atoms();
-    let perf = Perforator::new(n, keep_fraction);
+    let kept = kept_indices(n, keep_fraction);
     let mut ops = 0u64;
     let mut forces = |pos: &[[f64; 3]]| -> Vec<[f64; 3]> {
         let mut f = vec![[0.0; 3]; n];
         for i in 0..n {
-            for j in 0..n {
-                if i != j && perf.keep(j) {
+            for &j in &kept {
+                if i != j {
                     ops += 1;
                     let fij = lj_force(pos[i], pos[j]);
                     for d in 0..3 {
@@ -707,6 +707,47 @@ pub fn pair_inputs(r0: f64, radius: f64) -> Vec<Interval> {
 mod tests {
     use super::*;
     use scorpio_quality::relative_error_l2;
+
+    /// The form [`perforated`] replaced: the keep mask tested for
+    /// every pair.
+    fn perforated_masked(params: &Params, keep_fraction: f64) -> (State, u64) {
+        let n = params.atoms();
+        let perf = scorpio_runtime::perforation::Perforator::new(n, keep_fraction);
+        let mut ops = 0u64;
+        let mut forces = |pos: &[[f64; 3]]| -> Vec<[f64; 3]> {
+            let mut f = vec![[0.0; 3]; n];
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && perf.keep(j) {
+                        ops += 1;
+                        let fij = lj_force(pos[i], pos[j]);
+                        for d in 0..3 {
+                            f[i][d] += fij[d];
+                        }
+                    }
+                }
+            }
+            f
+        };
+        let mut state = initial_state(params);
+        let mut f = forces(&state.pos.clone());
+        for _ in 0..params.steps {
+            verlet_step(&mut state, params.dt, &mut |p| forces(p), &mut f);
+        }
+        (state, ops)
+    }
+
+    #[test]
+    fn perforated_walks_kept_indices_bit_for_bit() {
+        let params = Params::small();
+        for keep in [0.0, 0.1, 0.37, 0.5, 0.9, 1.0] {
+            let (state, stats) = perforated(&params, keep);
+            let (want, ops) = perforated_masked(&params, keep);
+            assert_eq!(stats.accurate_ops, ops, "keep {keep}");
+            let bits = |s: &State| s.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&state), bits(&want), "keep {keep}");
+        }
+    }
 
     #[test]
     fn lj_force_physics() {
