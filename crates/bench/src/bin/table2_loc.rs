@@ -83,7 +83,14 @@ const KERNELS: &[KernelSource] = &[
             "lj_force",
             "initial_state",
         ],
-        parallel: &["tasked", "lj_force", "initial_state", "region_of", "region_center"],
+        parallel: &[
+            "tasked",
+            "verlet_step",
+            "lj_force",
+            "initial_state",
+            "region_of",
+            "region_center",
+        ],
         tasked_fn: "tasked",
         significance: &["pair_significance"],
     },

@@ -102,6 +102,8 @@ impl TaskPlan {
     /// ranking come from the analysis. A `TaskGroup` is typed by its
     /// bodies, and every spawn here has closures of its own type, so
     /// the skeleton boxes them into one `Body` type at the call site.
+    /// Each body returns the value its task produces, and the
+    /// `taskwait` hands back one per task, in spawn order.
     pub fn to_rust_skeleton(&self, kernel_name: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -120,9 +122,9 @@ impl TaskPlan {
         );
         let _ = writeln!(
             out,
-            "pub fn {kernel_name}_tasked(executor: &Executor, ratio: f64) -> ExecutionStats {{"
+            "pub fn {kernel_name}_tasked(executor: &Executor, ratio: f64) -> (Vec<f64>, ExecutionStats) {{"
         );
-        let _ = writeln!(out, "    type Body = Box<dyn FnOnce(&TaskCtx) + Send>;");
+        let _ = writeln!(out, "    type Body = Box<dyn FnOnce(&TaskCtx) -> f64 + Send>;");
         let _ = writeln!(
             out,
             "    let mut group: TaskGroup<Body, Body> = TaskGroup::new(\"{kernel_name}\");"
@@ -210,8 +212,8 @@ mod tests {
         };
         let want = r#"/// Task-restructured `k` generated from the significance analysis.
 /// Cut level: 2 (variance cut).
-pub fn k_tasked(executor: &Executor, ratio: f64) -> ExecutionStats {
-    type Body = Box<dyn FnOnce(&TaskCtx) + Send>;
+pub fn k_tasked(executor: &Executor, ratio: f64) -> (Vec<f64>, ExecutionStats) {
+    type Body = Box<dyn FnOnce(&TaskCtx) -> f64 + Send>;
     let mut group: TaskGroup<Body, Body> = TaskGroup::new("k");
     // hi: mul (S = 0.7500)
     group.spawn(

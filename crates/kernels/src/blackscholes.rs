@@ -132,50 +132,23 @@ pub fn tasked(
 ) -> (Vec<f64>, ExecutionStats) {
     let _span = scorpio_obs::span("kernel.blackscholes.tasked");
     assert!(chunk > 0, "chunk size must be positive");
-    let mut prices = vec![0.0f64; options.len()];
-    let stats = {
-        let mut group = TaskGroup::new("blackscholes");
-        for (opts, out) in options.chunks(chunk).zip(prices.chunks_mut(chunk)) {
-            let out_acc: *mut [f64] = out;
-            let out_acc = SendSlice(out_acc);
-            let out_apx = SendSlice(out_acc.0);
-            group.spawn(
-                0.5,
-                move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_accurate_ops(opts.len() as u64 * 10);
-                    let out = out_acc.get();
-                    for (o, slot) in opts.iter().zip(out.iter_mut()) {
-                        *slot = price(o);
-                    }
-                },
-                Some(move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_approx_ops(opts.len() as u64 * 10);
-                    let out = out_apx.get();
-                    for (o, slot) in opts.iter().zip(out.iter_mut()) {
-                        *slot = price_approx(o);
-                    }
-                }),
-            );
-        }
-        group.taskwait(executor, ratio)
-    };
-    (prices, stats)
-}
-
-/// Slice wrapper for the exactly-one-body-runs write pattern.
-struct SendSlice(*mut [f64]);
-
-impl SendSlice {
-    #[allow(clippy::mut_from_ref)]
-    fn get(&self) -> &mut [f64] {
-        // SAFETY: disjoint chunks per task; one body per task runs; the
-        // buffer outlives the group.
-        unsafe { &mut *self.0 }
+    let mut group = TaskGroup::new("blackscholes");
+    for opts in options.chunks(chunk) {
+        group.spawn(
+            0.5,
+            move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_accurate_ops(opts.len() as u64 * 10);
+                opts.iter().map(price).collect::<Vec<f64>>()
+            },
+            Some(move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_approx_ops(opts.len() as u64 * 10);
+                opts.iter().map(price_approx).collect()
+            }),
+        );
     }
+    let (chunks, stats) = group.taskwait(executor, ratio);
+    (chunks.concat(), stats)
 }
-
-// SAFETY: see `SendSlice::get`.
-unsafe impl Send for SendSlice {}
 
 /// Significance analysis of one option pricing (§4.1.5): inputs are the
 /// five market parameters over their Parsec generation ranges; the four

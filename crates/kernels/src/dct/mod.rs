@@ -251,7 +251,7 @@ pub fn tasked(img: &GrayImage, executor: &Executor, ratio: f64) -> (GrayImage, E
                 }),
             );
         }
-        group.taskwait(executor, ratio)
+        group.taskwait(executor, ratio).1
     };
 
     // Reassemble coefficients, quantise and decode (accurate epilogue,

@@ -220,92 +220,45 @@ pub fn tasked_with_blocks(
     block_h: usize,
 ) -> (GrayImage, ExecutionStats) {
     let (w, h) = (lens.width, lens.height);
-    let mut out = GrayImage::new(w, h);
+    // Output blocks `(x0, y0, width, height)`, band by band, left to
+    // right; each task returns its block's pixels row by row.
+    let blocks: Vec<(usize, usize, usize, usize)> = (0..h)
+        .step_by(block_h)
+        .flat_map(|y0| {
+            (0..w)
+                .step_by(block_w)
+                .map(move |x0| (x0, y0, block_w.min(w - x0), block_h.min(h - y0)))
+        })
+        .collect();
 
-    // Carve the output image into disjoint block views: a vector of
-    // (x0, y0, rows) where rows are raw row slices of the block.
-    struct Block<'a> {
-        x0: usize,
-        y0: usize,
-        bw: usize,
-        rows: Vec<&'a mut [f64]>,
-    }
-    let mut blocks: Vec<Block<'_>> = Vec::new();
-    {
-        // Split the image into rows, then group rows into block bands and
-        // split each band horizontally.
-        let mut rows: Vec<&mut [f64]> = out.pixels_mut().chunks_mut(w).collect();
-        let mut y0 = 0;
-        while !rows.is_empty() {
-            let take = block_h.min(rows.len());
-            let band: Vec<&mut [f64]> = rows.drain(..take).collect();
-            // Transpose the band into per-block row groups.
-            let mut x0 = 0;
-            let mut cursors: Vec<&mut [f64]> = band;
-            while x0 < w {
-                let bw = block_w.min(w - x0);
-                let mut block_rows = Vec::with_capacity(cursors.len());
-                let mut rest = Vec::with_capacity(cursors.len());
-                for row in cursors {
-                    let (head, tail) = row.split_at_mut(bw);
-                    block_rows.push(head);
-                    rest.push(tail);
-                }
-                blocks.push(Block {
-                    x0,
-                    y0,
-                    bw,
-                    rows: block_rows,
-                });
-                cursors = rest;
-                x0 += bw;
-            }
-            y0 += take;
-        }
-    }
-
-    let stats = {
-        let mut group = TaskGroup::new("fisheye");
-        for block in blocks {
-            let significance = block_significance(lens, block.x0, block.y0, block.bw, block.rows.len());
-            let (x0, y0, bw) = (block.x0, block.y0, block.bw);
-            let bh = block.rows.len();
-            let rows_acc = block.rows;
-            // The accurate and approximate bodies both own the block rows;
-            // exactly one runs. Move the rows into a Mutex-free split via
-            // Option swap in two closures is impossible, so we rely on the
-            // runtime's exclusivity and share through a raw container.
-            let shared = SharedRows(std::cell::UnsafeCell::new(rows_acc));
-            let shared = std::sync::Arc::new(shared);
-            let shared_apx = std::sync::Arc::clone(&shared);
-            group.spawn(
-                significance,
-                move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_accurate_ops((bw * bh * 20) as u64);
-                    // SAFETY: only one body of this task runs.
-                    let rows = unsafe { &mut *shared.0.get() };
-                    for (j, row) in rows.iter_mut().enumerate() {
-                        let y = (y0 + j) as f64;
-                        for (i, px) in row.iter_mut().enumerate() {
-                            let (xd, yd) = inverse_mapping(lens, (x0 + i) as f64, y);
-                            *px = bicubic(img, xd, yd);
-                        }
-                    }
-                },
-                Some(move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_approx_ops((bw * bh * 5) as u64);
-                    // SAFETY: only one body of this task runs.
-                    let rows = unsafe { &mut *shared_apx.0.get() };
-                    // InverseMapping only at the four block corners...
-                    let bh_f = (bh.max(2) - 1) as f64;
-                    let bw_f = (bw.max(2) - 1) as f64;
-                    let c00 = inverse_mapping(lens, x0 as f64, y0 as f64);
-                    let c10 = inverse_mapping(lens, (x0 as f64) + bw_f, y0 as f64);
-                    let c01 = inverse_mapping(lens, x0 as f64, (y0 as f64) + bh_f);
-                    let c11 = inverse_mapping(lens, (x0 as f64) + bw_f, (y0 as f64) + bh_f);
-                    for (j, row) in rows.iter_mut().enumerate() {
+    let mut group = TaskGroup::new("fisheye");
+    for &(x0, y0, bw, bh) in &blocks {
+        group.spawn(
+            block_significance(lens, x0, y0, bw, bh),
+            move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_accurate_ops((bw * bh * 20) as u64);
+                (y0..y0 + bh)
+                    .flat_map(|y| {
+                        (x0..x0 + bw).map(move |x| {
+                            let (xd, yd) = inverse_mapping(lens, x as f64, y as f64);
+                            bicubic(img, xd, yd)
+                        })
+                    })
+                    .collect::<Vec<f64>>()
+            },
+            Some(move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_approx_ops((bw * bh * 5) as u64);
+                // InverseMapping only at the four block corners...
+                let bh_f = (bh.max(2) - 1) as f64;
+                let bw_f = (bw.max(2) - 1) as f64;
+                let c00 = inverse_mapping(lens, x0 as f64, y0 as f64);
+                let c10 = inverse_mapping(lens, (x0 as f64) + bw_f, y0 as f64);
+                let c01 = inverse_mapping(lens, x0 as f64, (y0 as f64) + bh_f);
+                let c11 = inverse_mapping(lens, (x0 as f64) + bw_f, (y0 as f64) + bh_f);
+                (0..bh)
+                    .flat_map(|j| {
                         let ty = if bh > 1 { j as f64 / bh_f } else { 0.0 };
-                        for (i, px) in row.iter_mut().enumerate() {
+                        (0..bw).map(move |i| {
                             let tx = if bw > 1 { i as f64 / bw_f } else { 0.0 };
                             // ...bilinear interpolation of the coordinates...
                             let xd = (1.0 - ty) * ((1.0 - tx) * c00.0 + tx * c10.0)
@@ -313,23 +266,24 @@ pub fn tasked_with_blocks(
                             let yd = (1.0 - ty) * ((1.0 - tx) * c00.1 + tx * c10.1)
                                 + ty * ((1.0 - tx) * c01.1 + tx * c11.1);
                             // ...and 2×2 bilinear sampling (Fig. 6 pairs c/e).
-                            *px = bilinear(img, xd, yd);
-                        }
-                    }
-                }),
-            );
+                            bilinear(img, xd, yd)
+                        })
+                    })
+                    .collect()
+            }),
+        );
+    }
+    let (pixels, stats) = group.taskwait(executor, ratio);
+
+    let mut out = GrayImage::new(w, h);
+    for (&(x0, y0, bw, _), block) in blocks.iter().zip(&pixels) {
+        for (j, row) in block.chunks(bw).enumerate() {
+            let start = (y0 + j) * w + x0;
+            out.pixels_mut()[start..start + bw].copy_from_slice(row);
         }
-        group.taskwait(executor, ratio)
-    };
+    }
     (out, stats)
 }
-
-/// Container asserting Send/Sync for the exactly-one-body-runs pattern.
-struct SharedRows<'a>(std::cell::UnsafeCell<Vec<&'a mut [f64]>>);
-// SAFETY: the runtime runs exactly one body per task; bodies of different
-// tasks hold disjoint row sets.
-unsafe impl Send for SharedRows<'_> {}
-unsafe impl Sync for SharedRows<'_> {}
 
 /// Loop-perforated version (§4.2): drops a fraction of the output rows,
 /// "similarly to Sobel".

@@ -160,31 +160,18 @@ pub fn error_bound(max_abs: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::dct::forward_block;
-    use scorpio_bench_shim::SplitMix64;
+    use scorpio_core::audit::SplitMix64;
 
-    // Tiny local SplitMix64 so the tests stay deterministic without a
-    // dev-dependency on the bench crate.
-    mod scorpio_bench_shim {
-        pub struct SplitMix64(pub u64);
-        impl SplitMix64 {
-            pub fn next_u64(&mut self) -> u64 {
-                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = self.0;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            }
-            pub fn pixel(&mut self) -> f64 {
-                (self.next_u64() % 256) as f64 - 128.0
-            }
-        }
+    /// A level-shifted pixel in `[-128, 127]`.
+    fn pixel(rng: &mut SplitMix64) -> f64 {
+        (rng.next_u64() % 256) as f64 - 128.0
     }
 
     fn random_block(rng: &mut SplitMix64) -> [[f64; 8]; 8] {
         let mut b = [[0.0; 8]; 8];
         for row in &mut b {
             for p in row.iter_mut() {
-                *p = rng.pixel();
+                *p = pixel(rng);
             }
         }
         b
@@ -192,7 +179,7 @@ mod tests {
 
     #[test]
     fn exact_butterfly_is_the_dct() {
-        let mut rng = SplitMix64(7);
+        let mut rng = SplitMix64::new(7);
         for _ in 0..50 {
             let block = random_block(&mut rng);
             let direct = forward_block(&block);
@@ -214,7 +201,7 @@ mod tests {
     fn bindct_error_within_analytic_bound() {
         let bound = error_bound(128.0);
         assert!(bound < 45.0, "bound unexpectedly loose: {bound}");
-        let mut rng = SplitMix64(21);
+        let mut rng = SplitMix64::new(21);
         let mut observed: f64 = 0.0;
         for _ in 0..500 {
             let block = random_block(&mut rng);
@@ -269,7 +256,7 @@ mod tests {
         // Shift/add networks are linear maps; scaling the input scales
         // the output. Guards against accidentally introducing a
         // nonlinear "optimisation" later.
-        let mut rng = SplitMix64(3);
+        let mut rng = SplitMix64::new(3);
         let block = random_block(&mut rng);
         let mut doubled = block;
         for row in &mut doubled {

@@ -549,15 +549,9 @@ mod tests {
         /// symbols bit-exactly, independent of content statistics.
         #[test]
         fn random_symbol_streams_round_trip(seed in 0u64..u64::MAX, n_blocks in 1usize..12) {
-            // SplitMix64: deterministic stream from the drawn seed.
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            };
+            // Deterministic stream from the drawn seed.
+            let mut rng = scorpio_core::audit::SplitMix64::new(seed);
+            let mut next = move || rng.next_u64();
             let mut blocks: Vec<Vec<Symbol>> = Vec::new();
             for _ in 0..n_blocks {
                 let mut symbols = Vec::new();

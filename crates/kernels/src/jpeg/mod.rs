@@ -21,8 +21,6 @@
 //! first; flat blocks degrade gracefully under BinDCT (its DC constant
 //! is near-exact by design, see [`bindct`]).
 
-use std::sync::Mutex;
-
 use scorpio_core::{AnalysisError, ParallelAnalysis, DEFAULT_LANES};
 use scorpio_quality::GrayImage;
 use scorpio_runtime::controller::adaptive::AdaptiveController;
@@ -313,46 +311,30 @@ fn encode_core(
         })
         .collect();
 
-    // Per-block coefficient slots. Both task bodies of a block need
-    // write access to the same slot, but only one of them ever runs —
-    // an uncontended mutex per block expresses that to the borrow
-    // checker without unsafe code.
-    let slots: Vec<Mutex<[[f64; BLOCK]; BLOCK]>> = (0..n_blocks)
-        .map(|_| Mutex::new([[0.0; BLOCK]; BLOCK]))
-        .collect();
-
-    let mut stats = {
-        let mut group = TaskGroup::new("jpeg-blocks");
-        for (i, block) in shifted.iter().enumerate() {
-            let slot = &slots[i];
-            group.spawn(
-                significance[i],
-                move |ctx: &TaskCtx| {
-                    ctx.count_accurate_ops(REALDCT_OPS_PER_BLOCK);
-                    *slot.lock().unwrap() = dct::forward_block(block);
-                },
-                Some(move |ctx: &TaskCtx| {
-                    ctx.count_approx_ops(bindct::BINDCT_OPS_PER_BLOCK);
-                    *slot.lock().unwrap() = bindct::forward_block_bin(block);
-                }),
-            );
-        }
-        match waiter {
-            Waiter::Ratio(ratio) => group.taskwait(executor, ratio),
-            Waiter::Adaptive(controller) => group.taskwait_adaptive(executor, controller),
-        }
+    let mut group = TaskGroup::new("jpeg-blocks");
+    for (block, &significance) in shifted.iter().zip(significance) {
+        group.spawn(
+            significance,
+            move |ctx: &TaskCtx| {
+                ctx.count_accurate_ops(REALDCT_OPS_PER_BLOCK);
+                dct::forward_block(block)
+            },
+            Some(move |ctx: &TaskCtx| {
+                ctx.count_approx_ops(bindct::BINDCT_OPS_PER_BLOCK);
+                bindct::forward_block_bin(block)
+            }),
+        );
+    }
+    let (coefficients, mut stats) = match waiter {
+        Waiter::Ratio(ratio) => group.taskwait(executor, ratio),
+        Waiter::Adaptive(controller) => group.taskwait_adaptive(executor, controller),
     };
 
     // Accurate codec epilogue: quantise + zig-zag run-length per block,
     // then entropy-code the shared symbol stream.
-    let mut block_symbols = Vec::with_capacity(n_blocks);
-    let mut total_symbols = 0u64;
-    for slot in slots {
-        let coeffs = slot.into_inner().unwrap();
-        let symbols = codec::encode_block(&coeffs);
-        total_symbols += symbols.len() as u64;
-        block_symbols.push(symbols);
-    }
+    let block_symbols: Vec<Vec<codec::Symbol>> =
+        coefficients.iter().map(codec::encode_block).collect();
+    let total_symbols: u64 = block_symbols.iter().map(|s| s.len() as u64).sum();
     let all: Vec<codec::Symbol> = block_symbols.iter().flatten().copied().collect();
     let table = HuffmanTable::from_symbols(&all);
     let mut writer = BitWriter::new();

@@ -25,6 +25,7 @@
 //! | [`nbody`] | §4.1.4 | one task per (atom, region) | region centre-of-mass force |
 //! | [`blackscholes`] | §4.1.5 | one task per option chunk | fastmath for the C/D blocks |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

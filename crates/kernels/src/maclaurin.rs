@@ -87,36 +87,26 @@ impl Kernel for Series {
 /// of `powi`), the approximate `fast_pow` a flat 2.
 pub fn tasked(x: f64, n: usize, executor: &Executor, ratio: f64) -> (f64, ExecutionStats) {
     let _span = scorpio_obs::span("kernel.maclaurin.tasked");
-    let mut temp = vec![0.0f64; n];
     if n == 0 {
         return (0.0, ExecutionStats::default());
     }
-    temp[0] = 1.0; // pow(x, 0) = 1: significance 0, precomputed (Fig. 3).
-    let stats = {
-        let mut group = TaskGroup::new("maclaurin");
-        for (i, slot) in temp.iter_mut().enumerate().skip(1) {
-            let significance = task_significance(i, n);
-            // Two bodies write the same slot; spawn-time decision makes
-            // them mutually exclusive, which Rust can't see — hand each
-            // body its own raw view via a one-element split.
-            let slot_acc: *mut f64 = slot;
-            let slot_apx = SendPtr(slot_acc);
-            let slot_acc = SendPtr(slot_acc);
-            group.spawn(
-                significance,
-                move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_accurate_ops(i as u64);
-                    slot_acc.write(x.powi(i as i32));
-                },
-                Some(move |ctx: &scorpio_runtime::TaskCtx| {
-                    ctx.count_approx_ops(2);
-                    slot_apx.write(fast_pow(x, i as f64));
-                }),
-            );
-        }
-        group.taskwait(executor, ratio)
-    };
-    (temp.iter().sum(), stats)
+    let mut group = TaskGroup::new("maclaurin");
+    for i in 1..n {
+        group.spawn(
+            task_significance(i, n),
+            move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_accurate_ops(i as u64);
+                x.powi(i as i32)
+            },
+            Some(move |ctx: &scorpio_runtime::TaskCtx| {
+                ctx.count_approx_ops(2);
+                fast_pow(x, i as f64)
+            }),
+        );
+    }
+    let (terms, stats) = group.taskwait(executor, ratio);
+    // pow(x, 0) = 1: significance 0, precomputed (Fig. 3).
+    (std::iter::once(1.0).chain(terms).sum(), stats)
 }
 
 /// Loop-perforated version (§4.2): skips `1 − keep_fraction` of the term
@@ -141,22 +131,6 @@ pub fn perforated(x: f64, n: usize, keep_fraction: f64) -> (f64, ExecutionStats)
     };
     (result, stats)
 }
-
-/// A pointer wrapper asserting Send for the disjoint-slot task pattern.
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// Writes through the pointer.
-    fn write(&self, v: f64) {
-        // SAFETY: each SendPtr targets a distinct vector element, the
-        // element outlives the task group, and exactly one of the two
-        // bodies holding a pointer to a given slot ever runs.
-        unsafe { *self.0 = v };
-    }
-}
-
-// SAFETY: see `SendPtr::write`.
-unsafe impl Send for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -341,9 +341,9 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
     let mut state = initial_state(params);
     let n = params.atoms();
     let n_regions = params.regions.pow(3);
-    let mut total_stats = ExecutionStats::default();
+    let mut stats = ExecutionStats::default();
 
-    let forces = |pos: &[[f64; 3]], stats: &mut ExecutionStats| -> Vec<[f64; 3]> {
+    let mut forces = |pos: &[[f64; 3]]| -> Vec<[f64; 3]> {
         // Assign atoms to regions ("every few time-steps" in the paper;
         // every step here for simplicity).
         let homes: Vec<usize> = pos.iter().map(|&p| region_of(p, params)).collect();
@@ -393,9 +393,9 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
             })
             .collect();
 
-        // One output slot per (atom, region): no races, summed after.
-        let mut partial = vec![[0.0f64; 3]; n * n_regions];
-        let run_stats = {
+        // One force per (atom, region) task, summed per atom after the
+        // taskwait.
+        let (partial, run_stats) = {
             // Every task body captures its (atom, region) indices and
             // this one reference.
             let tasks = &ForceTasks {
@@ -404,8 +404,6 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
                 coms: &coms,
                 centers: &centers,
                 near: 2.0 * cell,
-                n_regions,
-                partial: SendSlots(partial.as_mut_ptr(), partial.len()),
             };
             let mut group = TaskGroup::with_capacity("nbody-forces", n * n_regions);
             for (atom, (&apos, &home)) in pos.iter().zip(&homes).enumerate() {
@@ -432,7 +430,7 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
                                     }
                                 }
                             }
-                            tasks.write(atom, r, f);
+                            f
                         },
                         Some(move |ctx: &scorpio_runtime::TaskCtx| {
                             let apos = tasks.pos[atom];
@@ -460,7 +458,7 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
                                     }
                                 }
                             }
-                            tasks.write(atom, r, f);
+                            f
                         }),
                     );
                 }
@@ -469,35 +467,25 @@ pub fn tasked(params: &Params, executor: &Executor, ratio: f64) -> (State, Execu
         };
         stats.merge(&run_stats);
 
-        let mut f = vec![[0.0; 3]; n];
-        for atom in 0..n {
-            for r in 0..n_regions {
-                for d in 0..3 {
-                    f[atom][d] += partial[atom * n_regions + r][d];
+        partial
+            .chunks(n_regions)
+            .map(|per_region| {
+                let mut f = [0.0; 3];
+                for fr in per_region {
+                    for d in 0..3 {
+                        f[d] += fr[d];
+                    }
                 }
-            }
-        }
-        f
+                f
+            })
+            .collect()
     };
 
-    let mut f_old = forces(&state.pos.clone(), &mut total_stats);
+    let mut f = forces(&state.pos);
     for _ in 0..params.steps {
-        let n_atoms = state.pos.len();
-        for i in 0..n_atoms {
-            for d in 0..3 {
-                state.pos[i][d] += params.dt * state.vel[i][d]
-                    + 0.5 * params.dt * params.dt * f_old[i][d];
-            }
-        }
-        let f_new = forces(&state.pos.clone(), &mut total_stats);
-        for i in 0..n_atoms {
-            for d in 0..3 {
-                state.vel[i][d] += 0.5 * params.dt * (f_old[i][d] + f_new[i][d]);
-            }
-        }
-        f_old = f_new;
+        verlet_step(&mut state, params.dt, &mut forces, &mut f);
     }
-    (state, total_stats)
+    (state, stats)
 }
 
 /// Centre-of-mass summary of one region, with one octant refinement
@@ -508,8 +496,8 @@ struct RegionSummary {
 }
 
 /// What the force tasks of one evaluation read, shared by reference:
-/// positions, region members and summaries, region centres, the
-/// refinement distance and the `(atom, region)` output slots.
+/// positions, region members and summaries, region centres and the
+/// refinement distance.
 struct ForceTasks<'a> {
     pos: &'a [[f64; 3]],
     members: &'a [Vec<usize>],
@@ -518,36 +506,7 @@ struct ForceTasks<'a> {
     /// Regions whose centre is nearer than this get the octant-refined
     /// approximation.
     near: f64,
-    n_regions: usize,
-    partial: SendSlots,
 }
-
-impl ForceTasks<'_> {
-    /// Writes the force on `atom` from `region`.
-    fn write(&self, atom: usize, region: usize, v: [f64; 3]) {
-        let SendSlots(slots, len) = self.partial;
-        let slot = atom * self.n_regions + region;
-        assert!(region < self.n_regions && slot < len, "slot ({atom}, {region}) out of range");
-        // SAFETY: `slot` is in bounds of the `len`-slot buffer (checked
-        // above); it belongs to the one (atom, region) task, of which
-        // one body runs; the buffer outlives the group and is not read
-        // until its `taskwait` returns.
-        unsafe { *slots.add(slot) = v };
-    }
-}
-
-/// The `(atom, region)` output slots (pointer and length), written
-/// through [`ForceTasks::write`] only.
-#[derive(Clone, Copy)]
-struct SendSlots(*mut [f64; 3], usize);
-
-// SAFETY: the pointer is only written through `ForceTasks::write`,
-// where tasks on different workers write disjoint in-bounds slots; the
-// length is a plain value.
-unsafe impl Send for SendSlots {}
-// SAFETY: as above: a shared `SendSlots` is only read for its pointer
-// and length.
-unsafe impl Sync for SendSlots {}
 
 /// Loop-perforated simulation (§4.2): the per-atom force loop over all
 /// other atoms skips a fraction of its iterations.

@@ -149,7 +149,7 @@ pub fn tasked(
                 );
             }
         }
-        group.taskwait(executor, ratio)
+        group.taskwait(executor, ratio).1
     };
 
     // Second group: combine + clip, always accurate.
@@ -171,7 +171,7 @@ pub fn tasked(
                 }
             });
         }
-        group.taskwait(executor, 1.0)
+        group.taskwait(executor, 1.0).1
     };
     stats.merge(&combine_stats);
     (out, stats)

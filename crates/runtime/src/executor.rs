@@ -13,7 +13,8 @@ pub(crate) struct Job<A, B> {
     pub mode: ExecMode,
     /// The accurate body.
     pub accurate: A,
-    /// The approximate body, if the task has one.
+    /// The approximate body, if the task has one; an approximate job
+    /// without one is a dropped task.
     pub approx: Option<B>,
 }
 
@@ -23,9 +24,9 @@ pub(crate) struct Job<A, B> {
 /// Both run one claim loop. The calling thread is worker 0 and the other
 /// workers are spawned per call with `std::thread::scope`, so a
 /// one-worker executor spawns no thread at all. Scoped workers let task
-/// bodies borrow stack data (output buffers, images) without `'static`
-/// bounds — the natural translation of the paper's OpenMP tasks writing
-/// to caller-owned arrays.
+/// bodies borrow stack data (inputs, images) without `'static` bounds,
+/// and each body's return value comes back to the caller as its task's
+/// output.
 pub struct Executor {
     threads: usize,
 }
@@ -100,49 +101,48 @@ impl Executor {
                 unsafe { results.put(i, work(&mut state, i, &items[i])) }
             }
         });
-        results
-            .0
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker pool completed without filling every result slot")
-            })
-            .collect()
+        results.into_values()
     }
 
-    /// Runs the prepared jobs to completion and returns the
-    /// `(accurate, approximate)` work units their bodies counted.
+    /// Runs the prepared jobs to completion and returns each job's
+    /// output in job order, with the `(accurate, approximate)` work
+    /// units their bodies counted.
     ///
     /// One worker runs the jobs on the calling thread in the order
     /// `jobs` yields them, as it yields them. More workers claim jobs
-    /// through a shared atomic cursor; the caller is worker 0 and
-    /// `min(threads, jobs) − 1` more are spawned. Blocks until every job
-    /// has finished. A panicking body panics the caller once every
-    /// worker has stopped.
-    pub(crate) fn run<A, B>(&self, jobs: impl Iterator<Item = Job<A, B>>) -> (u64, u64)
+    /// through a shared atomic cursor and put each output in the slot of
+    /// its index; the caller is worker 0 and `min(threads, jobs) − 1`
+    /// more are spawned. Blocks until every job has finished. A
+    /// panicking body panics the caller once every worker has stopped.
+    pub(crate) fn run<T, A, B>(&self, jobs: impl Iterator<Item = Job<A, B>>) -> (Vec<T>, (u64, u64))
     where
-        A: FnOnce(&TaskCtx) + Send,
-        B: FnOnce(&TaskCtx) + Send,
+        T: Default + Send,
+        A: FnOnce(&TaskCtx) -> T + Send,
+        B: FnOnce(&TaskCtx) -> T + Send,
     {
         if self.threads == 1 {
             let worker = Worker::new();
-            jobs.for_each(|job| worker.run(job));
-            return worker.ops();
+            let outputs = jobs.map(|job| worker.run(job)).collect();
+            return (outputs, worker.ops());
         }
-        let slots = Slots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
-        let ops = self.claim_loop(slots.0.len(), |claims| {
+        let jobs = Slots(jobs.map(|j| UnsafeCell::new(Some(j))).collect());
+        let outputs = Slots::empty(jobs.0.len());
+        let ops = self.claim_loop(jobs.0.len(), |claims| {
             let worker = Worker::new();
             for i in claims {
                 // SAFETY: `i` is this worker's own claim.
-                if let Some(job) = unsafe { slots.take(i) } {
-                    worker.run(job);
+                unsafe {
+                    if let Some(job) = jobs.take(i) {
+                        outputs.put(i, worker.run(job));
+                    }
                 }
             }
             worker.ops()
         });
-        ops.into_iter().fold((0, 0), |(a, b), (c, d)| {
+        let ops = ops.into_iter().fold((0u64, 0u64), |(a, b), (c, d)| {
             (a.wrapping_add(c), b.wrapping_add(d))
-        })
+        });
+        (outputs.into_values(), ops)
     }
 
     /// The one multi-worker claim loop: the caller is worker 0 and
@@ -186,8 +186,9 @@ impl Iterator for Claims<'_> {
     }
 }
 
-/// One slot per claimed index — a `taskwait`'s jobs, or the results of
-/// a map — each reached only by the worker that claimed its index.
+/// One slot per claimed index — a `taskwait`'s jobs and their outputs,
+/// or the results of a map — each reached only by the worker that
+/// claimed its index.
 struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
 
 // SAFETY: a slot is only accessed through `Slots::take`/`Slots::put`,
@@ -221,6 +222,18 @@ impl<T> Slots<T> {
         // SAFETY: the caller holds the only claim on slot `i`.
         unsafe { *self.0[i].get() = Some(value) }
     }
+
+    /// The stored values in index order, once the claim loop has
+    /// joined.
+    fn into_values(self) -> Vec<T> {
+        self.0
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("worker pool completed without filling every result slot")
+            })
+            .collect()
+    }
 }
 
 /// One worker's context for each mode, summed after the join.
@@ -237,19 +250,20 @@ impl Worker {
         }
     }
 
-    /// Executes one job with the context of its mode.
-    fn run<A, B>(&self, job: Job<A, B>)
+    /// Executes one job with the context of its mode and returns its
+    /// output: an approximate job without an approximate body is a
+    /// dropped task and yields `T::default()`.
+    fn run<T, A, B>(&self, job: Job<A, B>) -> T
     where
-        A: FnOnce(&TaskCtx),
-        B: FnOnce(&TaskCtx),
+        T: Default,
+        A: FnOnce(&TaskCtx) -> T,
+        B: FnOnce(&TaskCtx) -> T,
     {
         match job.mode {
             ExecMode::Accurate => (job.accurate)(&self.accurate),
-            ExecMode::Approximate => {
-                if let Some(approx) = job.approx {
-                    approx(&self.approximate);
-                }
-            }
+            ExecMode::Approximate => job
+                .approx
+                .map_or_else(T::default, |approx| approx(&self.approximate)),
         }
     }
 
@@ -289,7 +303,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let ops = Executor::new(threads).run(jobs.into_iter());
+            let (_, ops) = Executor::new(threads).run(jobs.into_iter());
             assert_eq!(counter.load(Ordering::Relaxed), 100);
             assert_eq!(ops, (200, 0));
         }

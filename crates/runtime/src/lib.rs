@@ -7,12 +7,14 @@
 //!
 //! * [`TaskGroup`] ≙ a `label()` task group;
 //! * [`TaskGroup::spawn`] ≙ `#pragma omp task significance(s)
-//!   approxfun(f)`;
+//!   approxfun(f)`; both bodies return the task's output;
 //! * [`TaskGroup::taskwait`] ≙ `#pragma omp taskwait ratio(r)` — the
 //!   single knob of the quality/energy trade-off: at least fraction `r`
 //!   of the group's tasks execute their accurate body, most-significant
 //!   first; the rest run the approximate body (or are dropped when none
 //!   was provided); tasks with significance ≥ 1 always run accurately.
+//!   It returns one output per task, in spawn order (`T::default()` for
+//!   a dropped task), so exactly one body per task ever produces it.
 //!
 //! Execution happens on a [`Executor`] thread pool. Every task body
 //! receives a [`TaskCtx`] through which it reports its work in abstract
@@ -32,33 +34,30 @@
 //!
 //! ```
 //! use scorpio_runtime::{Executor, TaskGroup};
-//! use std::sync::Mutex;
 //!
 //! let executor = Executor::new(4);
 //! let n = 8usize;
-//! let temp = Mutex::new(vec![0.0f64; n]);
 //! let x = 0.49f64;
 //!
 //! let mut group = TaskGroup::new("maclaurin");
 //! for i in 1..n {
-//!     let temp = &temp;
 //!     let significance = (n - i + 1) as f64 / (n + 2) as f64;
 //!     group.spawn(
 //!         significance,
 //!         move |ctx| {
 //!             ctx.count_accurate_ops(i as u64);
-//!             temp.lock().unwrap()[i] = x.powi(i as i32);
+//!             x.powi(i as i32)
 //!         },
 //!         Some(move |ctx: &scorpio_runtime::TaskCtx| {
 //!             ctx.count_approx_ops(1);
-//!             temp.lock().unwrap()[i] = 0.0; // drop the contribution
+//!             0.0 // drop the contribution
 //!         }),
 //!     );
 //! }
-//! let stats = group.taskwait(&executor, 0.5);
+//! let (terms, stats) = group.taskwait(&executor, 0.5);
 //! assert_eq!(stats.total(), 7);
 //! assert!(stats.accurate >= 4); // ceil(0.5 · 7)
-//! let result: f64 = 1.0 + temp.lock().unwrap().iter().sum::<f64>();
+//! let result: f64 = 1.0 + terms.iter().sum::<f64>();
 //! assert!(result > 1.0);
 //! ```
 

@@ -98,25 +98,30 @@ impl ExecutionStats {
 /// A labelled group of tasks — the unit over which `taskwait ratio(r)`
 /// synchronises and enforces quality (§3.2, `label()` clause).
 ///
+/// A task body's return value is its output: both bodies of a task
+/// return the same type `T`, the runtime runs exactly one of them, and
+/// [`TaskGroup::taskwait`] hands back one `T` per task in spawn order.
+///
 /// The group is typed by its task bodies: `A` is the accurate body and
 /// `B` the approximate one, and each task stores them inline, with no
 /// allocation of its own. Tasks spawned from one call site (a loop)
 /// share one closure type each. Bodies of different closure types share
 /// a group when boxed at the call site, since
-/// `Box<dyn FnOnce(&TaskCtx) + Send>` is itself a body:
+/// `Box<dyn FnOnce(&TaskCtx) -> T + Send>` is itself a body:
 ///
 /// ```
 /// use scorpio_runtime::{Executor, TaskCtx, TaskGroup};
 ///
-/// type Body = Box<dyn FnOnce(&TaskCtx) + Send>;
+/// type Body = Box<dyn FnOnce(&TaskCtx) -> u64 + Send>;
 /// let mut group: TaskGroup<Body, Body> = TaskGroup::new("mixed");
-/// group.spawn(0.9, Box::new(|ctx: &TaskCtx| ctx.count_accurate_ops(2)), None);
+/// group.spawn(0.9, Box::new(|ctx: &TaskCtx| { ctx.count_accurate_ops(2); 20 }), None);
 /// group.spawn(
 ///     0.1,
-///     Box::new(|ctx: &TaskCtx| ctx.count_accurate_ops(5)),
-///     Some(Box::new(|ctx: &TaskCtx| ctx.count_approx_ops(1))),
+///     Box::new(|ctx: &TaskCtx| { ctx.count_accurate_ops(5); 50 }),
+///     Some(Box::new(|ctx: &TaskCtx| { ctx.count_approx_ops(1); 49 })),
 /// );
-/// let stats = group.taskwait(&Executor::new(1), 0.5);
+/// let (outputs, stats) = group.taskwait(&Executor::new(1), 0.5);
+/// assert_eq!(outputs, [20, 49]);
 /// assert_eq!((stats.accurate_ops, stats.approx_ops), (2, 1));
 /// ```
 ///
@@ -140,12 +145,12 @@ impl<A, B> fmt::Debug for TaskGroup<A, B> {
     }
 }
 
-impl<A> TaskGroup<A> {
+impl<A, T> TaskGroup<A, fn(&TaskCtx) -> T> {
     /// Spawns a task that is always executed accurately (no approximate
     /// body, significance 1).
     pub fn spawn_accurate(&mut self, accurate: A)
     where
-        A: FnOnce(&TaskCtx) + Send,
+        A: FnOnce(&TaskCtx) -> T + Send,
     {
         self.spawn(1.0, accurate, None);
     }
@@ -183,7 +188,7 @@ impl<A, B> TaskGroup<A, B> {
 
     /// Spawns a task with the given `significance`, accurate body and
     /// optional approximate body (`#pragma omp task significance(s)
-    /// approxfun(approx)`).
+    /// approxfun(approx)`). Both bodies return the task's output.
     ///
     /// Significance is clamped to `[0, 1]`; a value of exactly `1.0`
     /// forces accurate execution regardless of the requested ratio (the
@@ -192,10 +197,10 @@ impl<A, B> TaskGroup<A, B> {
     /// # Panics
     ///
     /// Panics if `significance` is NaN.
-    pub fn spawn(&mut self, significance: f64, accurate: A, approx: Option<B>)
+    pub fn spawn<T>(&mut self, significance: f64, accurate: A, approx: Option<B>)
     where
-        A: FnOnce(&TaskCtx) + Send,
-        B: FnOnce(&TaskCtx) + Send,
+        A: FnOnce(&TaskCtx) -> T + Send,
+        B: FnOnce(&TaskCtx) -> T + Send,
     {
         assert!(!significance.is_nan(), "task significance must not be NaN");
         self.significance.push(significance.clamp(0.0, 1.0));
@@ -204,21 +209,24 @@ impl<A, B> TaskGroup<A, B> {
 
     /// Executes the group on `executor` with the quality knob `ratio`
     /// (`#pragma omp taskwait label(...) ratio(r)`), blocking until every
-    /// task has run.
+    /// task has run, and returns each task's output in spawn order with
+    /// the group's statistics.
     ///
     /// At least `ceil(ratio · n)` tasks execute accurately, chosen in
     /// order of decreasing significance (spawn order breaks ties); tasks
     /// with significance ≥ 1 are always accurate on top of that
     /// guarantee. The rest run their approximate body, or are dropped
-    /// when none exists.
+    /// when none exists; a dropped task's output is `T::default()`.
     ///
     /// # Panics
     ///
-    /// Panics if `ratio` is not in `[0, 1]` or is NaN.
-    pub fn taskwait(self, executor: &Executor, ratio: f64) -> ExecutionStats
+    /// Panics if `ratio` is not in `[0, 1]` or is NaN, and re-raises a
+    /// task body's panic once every worker has stopped.
+    pub fn taskwait<T>(self, executor: &Executor, ratio: f64) -> (Vec<T>, ExecutionStats)
     where
-        A: FnOnce(&TaskCtx) + Send,
-        B: FnOnce(&TaskCtx) + Send,
+        A: FnOnce(&TaskCtx) -> T + Send,
+        B: FnOnce(&TaskCtx) -> T + Send,
+        T: Default + Send,
     {
         assert!(
             (0.0..=1.0).contains(&ratio),
@@ -229,12 +237,12 @@ impl<A, B> TaskGroup<A, B> {
         let started = tracing.then(std::time::Instant::now);
         let n = self.bodies.len();
         if n == 0 {
-            return ExecutionStats::default();
+            return (Vec::new(), ExecutionStats::default());
         }
 
         let accurate = select_accurate(&self.significance, ratio);
         let mut stats = ExecutionStats::default();
-        let jobs = self.bodies.into_iter().zip(accurate).filter_map(
+        let jobs = self.bodies.into_iter().zip(accurate).map(
             |((accurate, approx), is_accurate)| {
                 let mode = if is_accurate {
                     stats.accurate += 1;
@@ -244,17 +252,17 @@ impl<A, B> TaskGroup<A, B> {
                     ExecMode::Approximate
                 } else {
                     stats.dropped += 1;
-                    return None;
+                    ExecMode::Approximate
                 };
-                Some(Job {
+                Job {
                     mode,
                     accurate,
                     approx,
-                })
+                }
             },
         );
 
-        let ops = {
+        let (outputs, ops) = {
             let _span = scorpio_obs::span("task_execution");
             executor.run(jobs)
         };
@@ -276,7 +284,7 @@ impl<A, B> TaskGroup<A, B> {
                 started.elapsed().as_nanos() as u64,
             );
         }
-        stats
+        (outputs, stats)
     }
 
     /// Executes the group at the ratio currently commanded by an
@@ -308,7 +316,7 @@ impl<A, B> TaskGroup<A, B> {
     ///             Some(|ctx: &scorpio_runtime::TaskCtx| ctx.count_approx_ops(1)),
     ///         );
     ///     }
-    ///     let stats = group.taskwait_adaptive(&executor, &mut ctrl);
+    ///     let (_, stats) = group.taskwait_adaptive(&executor, &mut ctrl);
     ///     // Quality proxy: the accurate fraction itself.
     ///     let quality = stats.accurate as f64 / stats.total() as f64;
     ///     ctrl.observe(quality);
@@ -318,19 +326,20 @@ impl<A, B> TaskGroup<A, B> {
     /// }
     /// assert!(ctrl.steps() > 0);
     /// ```
-    pub fn taskwait_adaptive(
+    pub fn taskwait_adaptive<T>(
         self,
         executor: &Executor,
         controller: &mut crate::controller::adaptive::AdaptiveController,
-    ) -> ExecutionStats
+    ) -> (Vec<T>, ExecutionStats)
     where
-        A: FnOnce(&TaskCtx) + Send,
-        B: FnOnce(&TaskCtx) + Send,
+        A: FnOnce(&TaskCtx) -> T + Send,
+        B: FnOnce(&TaskCtx) -> T + Send,
+        T: Default + Send,
     {
         let ratio = controller.ratio();
-        let stats = self.taskwait(executor, ratio);
+        let (outputs, stats) = self.taskwait(executor, ratio);
         controller.record_execution(&stats);
-        stats
+        (outputs, stats)
     }
 }
 

@@ -18,7 +18,7 @@ fn taskwait_emits_one_summary_event_matching_its_stats() {
         group.spawn(i as f64 / 6.0, |_| {}, approx);
     }
     scorpio_obs::enable();
-    let stats = group.taskwait(&executor, 0.5);
+    let (_, stats) = group.taskwait(&executor, 0.5);
     scorpio_obs::disable();
     // Only this group's events: the obs log is process-global and other
     // tests may be tracing concurrently.
@@ -63,7 +63,7 @@ fn ratio_one_runs_everything_accurately() {
             Some(|_: &crate::TaskCtx| panic!("approx must not run at ratio 1")),
         );
     }
-    let stats = group.taskwait(&executor, 1.0);
+    let (_, stats) = group.taskwait(&executor, 1.0);
     assert_eq!(stats.accurate, 10);
     assert_eq!(stats.approximate, 0);
     assert_eq!(accurate_runs.load(Ordering::Relaxed), 10);
@@ -80,7 +80,7 @@ fn ratio_zero_approximates_all_unforced_tasks() {
             Some(|_: &crate::TaskCtx| {}),
         );
     }
-    let stats = group.taskwait(&executor, 0.0);
+    let (_, stats) = group.taskwait(&executor, 0.0);
     assert_eq!(stats.accurate, 0);
     assert_eq!(stats.approximate, 10);
 }
@@ -103,7 +103,7 @@ fn significance_one_forces_accurate_execution() {
             Some(|_: &crate::TaskCtx| {}),
         );
     }
-    let stats = group.taskwait(&executor, 0.0);
+    let (_, stats) = group.taskwait(&executor, 0.0);
     assert_eq!(stats.accurate, 3);
     assert_eq!(forced.load(Ordering::Relaxed), 3);
 }
@@ -122,7 +122,7 @@ fn most_significant_tasks_run_accurately_first() {
             Some(|_: &crate::TaskCtx| {}),
         );
     }
-    let stats = group.taskwait(&executor, 0.3);
+    let (_, stats) = group.taskwait(&executor, 0.3);
     assert_eq!(stats.accurate, 3);
     let mut ids = accurate_ids.into_inner().unwrap();
     ids.sort_unstable();
@@ -137,7 +137,7 @@ fn dropped_tasks_have_no_approx_body() {
     for _ in 0..4 {
         group.spawn(0.1, |_| {}, None::<fn(&crate::TaskCtx)>);
     }
-    let stats = group.taskwait(&executor, 0.5);
+    let (_, stats) = group.taskwait(&executor, 0.5);
     // ceil(0.5·4) = 2 accurate; the other 2 have no approx body → dropped.
     assert_eq!(stats.accurate, 2);
     assert_eq!(stats.approximate, 0);
@@ -163,7 +163,7 @@ fn work_units_are_accumulated_per_mode() {
                 }),
             );
         }
-        let stats = group.taskwait(&executor, 0.5);
+        let (_, stats) = group.taskwait(&executor, 0.5);
         assert_eq!(stats.accurate, 3, "{threads} workers");
         assert_eq!(stats.approximate, 3, "{threads} workers");
         assert_eq!(stats.accurate_ops, 300, "{threads} workers");
@@ -176,7 +176,7 @@ fn empty_group_is_fine() {
     let executor = Executor::new(2);
     // Nothing spawned, so nothing fixes the body types: name one.
     let group: TaskGroup<fn(&crate::TaskCtx)> = TaskGroup::new("empty");
-    let stats = group.taskwait(&executor, 0.5);
+    let (_, stats) = group.taskwait(&executor, 0.5);
     assert_eq!(stats.total(), 0);
 }
 
@@ -218,7 +218,7 @@ fn boxed_bodies_make_a_heterogeneous_group() {
                 ran.lock().unwrap().push("x3");
             })),
         );
-        let stats = group.taskwait(&Executor::new(threads), 0.5);
+        let (_, stats) = group.taskwait(&Executor::new(threads), 0.5);
         assert_eq!((stats.accurate, stats.approximate, stats.dropped), (2, 1, 1));
         assert_eq!((stats.accurate_ops, stats.approx_ops), (scale, 5));
         let mut ran = ran.lock().unwrap().clone();
@@ -242,7 +242,7 @@ fn tasks_can_write_disjoint_borrowed_buffers() {
                 }
             });
         }
-        let stats = group.taskwait(&executor, 1.0);
+        let (_, stats) = group.taskwait(&executor, 1.0);
         assert_eq!(stats.accurate, 4);
     }
     let want: Vec<f64> = (0..16).map(|i| i as f64).collect();
@@ -258,9 +258,59 @@ fn task_panic_propagates_to_taskwait() {
         let executor = Executor::new(2);
         let mut group = TaskGroup::new("g");
         group.spawn_accurate(|_| panic!("task body exploded"));
-        let _ = group.taskwait(&executor, 1.0);
+        let _: (Vec<()>, _) = group.taskwait(&executor, 1.0);
     });
     assert!(result.is_err());
+}
+
+/// A task's return value is its output: `taskwait` hands back one per
+/// task in spawn order, a dropped task yields `T::default()`, the
+/// outputs are the same at 1 and 4 workers, and a panicking body
+/// panics the caller only after every other worker has stopped.
+#[test]
+fn taskwait_returns_one_output_per_task_in_spawn_order() {
+    let run = |threads: usize| {
+        let mut group = TaskGroup::new("outputs");
+        for i in 0..40u64 {
+            // Significance falls with i; every third task has no
+            // approximate body, so the unchosen ones are dropped.
+            let approx = (i % 3 != 0).then_some(move |_: &crate::TaskCtx| 1000 + i);
+            group.spawn(1.0 - i as f64 / 40.0, move |_| i, approx);
+        }
+        group.taskwait(&Executor::new(threads), 0.5)
+    };
+    let (outputs, stats) = run(1);
+    let want: Vec<u64> = (0..40)
+        .map(|i| match i {
+            0..=19 => i,
+            _ if i % 3 == 0 => 0,
+            _ => 1000 + i,
+        })
+        .collect();
+    assert_eq!(outputs, want);
+    assert_eq!((stats.accurate, stats.approximate, stats.dropped), (20, 13, 7));
+    assert_eq!(run(4), (outputs, stats));
+
+    let finished = AtomicUsize::new(0);
+    let result = std::panic::catch_unwind(|| {
+        let mut group = TaskGroup::new("panics");
+        for i in 0..16 {
+            let finished = &finished;
+            group.spawn_accurate(move |_| {
+                if i == 0 {
+                    panic!("task body exploded");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
+            });
+        }
+        group.taskwait(&Executor::new(4), 1.0)
+    });
+    assert!(result.is_err());
+    // Every worker had stopped when the panic reached the caller: the
+    // other 15 bodies had all run to their end.
+    assert_eq!(finished.load(Ordering::SeqCst), 15);
 }
 
 #[test]
@@ -338,7 +388,7 @@ proptest! {
                     }),
                 );
             }
-            let stats = group.taskwait(&Executor::new(threads), ratio);
+            let (_, stats) = group.taskwait(&Executor::new(threads), ratio);
             let mut accurate = accurate_ran.into_inner().unwrap();
             accurate.sort_unstable();
             let mut approx = approx_ran.into_inner().unwrap();
@@ -377,7 +427,7 @@ proptest! {
                 Some(|_: &crate::TaskCtx| {}),
             );
         }
-        let stats = group.taskwait(&executor, ratio);
+        let (_, stats) = group.taskwait(&executor, ratio);
         let min_acc = (ratio * n as f64).ceil() as usize;
         prop_assert!(stats.accurate >= min_acc);
         prop_assert_eq!(stats.accurate + stats.approximate, n);
@@ -415,7 +465,7 @@ proptest! {
                     Some(|_: &crate::TaskCtx| {}),
                 );
             }
-            let stats = group.taskwait(&executor, ratio);
+            let (_, stats) = group.taskwait(&executor, ratio);
             let mut accurate = executed.into_inner().unwrap();
             accurate.sort_unstable();
             (stats.accurate, accurate)
@@ -447,7 +497,7 @@ proptest! {
                     Some(|ctx: &crate::TaskCtx| ctx.count_approx_ops(100)),
                 );
             }
-            model.energy(&group.taskwait(&executor, ratio))
+            model.energy(&group.taskwait(&executor, ratio).1)
         };
         let e0 = run(0.0);
         let e5 = run(0.5);

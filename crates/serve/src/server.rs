@@ -10,8 +10,9 @@
 //! * Analyze commands are pushed onto one shared MPSC queue consumed by
 //!   a **fixed pool of worker threads**. Each worker owns the mutable
 //!   analysis state — an [`AnalysisArena`], a [`LaneScratch`] and one
-//!   [`ReplayOrRecord`] driver per kernel — so the hot path never locks
-//!   anything but the queue and one cache shard.
+//!   [`ReplayOrRecord`] driver, shared by every kernel because each
+//!   request installs or clears its trace (below) — so the hot path
+//!   never locks anything but the queue and one cache shard.
 //! * Control commands (`stats`, `cache_clear`, `shutdown`) are answered
 //!   on the connection thread; they touch only shared atomics and the
 //!   cache.
@@ -36,7 +37,6 @@
 //! `serve.kernels.run_vars_cold_us`.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -787,16 +787,16 @@ fn sidecar_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-/// One worker: owns the arena, the lane scratch and one replay driver
-/// per kernel; drains the job queue until every sender is gone. A job
-/// whose analysis panics gets an error reply, and the worker rebuilds
-/// its state (the panic may have left it half-updated) and keeps
-/// serving.
+/// One worker: owns the arena, the lane scratch and one replay driver;
+/// drains the job queue until every sender is gone. A job whose
+/// analysis panics gets an error reply, and the worker rebuilds its
+/// state (the panic may have left it half-updated) and keeps serving.
 fn worker_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Job>>) {
     let fresh_arena = || AnalysisArena::with_capacity(4096);
     let mut arena = fresh_arena();
     let mut lanes = LaneScratch::<DEFAULT_LANES>::new();
-    let mut drivers: HashMap<&'static str, ReplayOrRecord> = HashMap::new();
+    let fresh_driver = || ReplayOrRecord::new(Analysis::new());
+    let mut driver = fresh_driver();
     loop {
         // Poison on the queue just means a sibling worker panicked
         // while blocked in recv(); the receiver itself is still sound.
@@ -809,12 +809,12 @@ fn worker_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Job>>) {
             Err(_) => return,
         };
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_analyze(shared, &mut arena, &mut lanes, &mut drivers, &job)
+            run_analyze(shared, &mut arena, &mut lanes, &mut driver, &job)
         }));
         let line = run.unwrap_or_else(|payload| {
             arena = fresh_arena();
             lanes = LaneScratch::new();
-            drivers = HashMap::new();
+            driver = fresh_driver();
             panicked_job(shared, &job, payload.as_ref())
         });
         // A send failure means the connection died mid-request; the
@@ -867,12 +867,12 @@ fn run_analyze(
     shared: &Shared,
     arena: &mut AnalysisArena,
     lanes: &mut LaneScratch<DEFAULT_LANES>,
-    drivers: &mut HashMap<&'static str, ReplayOrRecord>,
+    driver: &mut ReplayOrRecord,
     job: &Job,
 ) -> String {
     let capture = scorpio_obs::enabled();
     let mut ctx = scorpio_obs::trace_context(job.trace_id, capture);
-    let outcome = run_analyze_spanned(shared, arena, lanes, drivers, job);
+    let outcome = run_analyze_spanned(shared, arena, lanes, driver, job);
     let mut spans = ctx.take_spans();
     let events = ctx.take_task_events();
     drop(ctx);
@@ -931,16 +931,13 @@ fn run_analyze_spanned(
     shared: &Shared,
     arena: &mut AnalysisArena,
     lanes: &mut LaneScratch<DEFAULT_LANES>,
-    drivers: &mut HashMap<&'static str, ReplayOrRecord>,
+    driver: &mut ReplayOrRecord,
     job: &Job,
 ) -> AnalyzeOutcome {
     let _span = scorpio_obs::span("serve.request");
     let request = &job.request;
     let kernel = request.kernel.name();
     let key = request.kernel.shape_key();
-    let driver = drivers
-        .entry(kernel)
-        .or_insert_with(|| ReplayOrRecord::new(Analysis::new()));
     let stats_before = driver.stats();
 
     // Cache as source of truth: a hit installs the shared trace, a miss
