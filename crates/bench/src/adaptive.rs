@@ -19,8 +19,8 @@ use crate::qor::QorKernel;
 use scorpio_runtime::controller::adaptive::{AdaptiveController, Objective};
 use scorpio_runtime::controller::QualityTarget;
 use scorpio_obs::gate::{self, Better, Metric};
+use scorpio_obs::json_record;
 use scorpio_runtime::{EnergyModel, ExecutionStats};
-use serde::Serialize;
 
 /// Schema tag of `BENCH_adaptive.json`, so `scorpio_diff` can tell the
 /// ablation report apart from QoR reports and run manifests.
@@ -36,7 +36,7 @@ pub const MAX_STEPS: usize = 32;
 /// The cheapest static grid point meeting the objective (for quality
 /// targets), or the best-quality point within budget (for energy
 /// budgets) — the yardstick the controller has to beat or match.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticBest {
     /// The grid ratio.
     pub ratio: f64,
@@ -45,9 +45,14 @@ pub struct StaticBest {
     /// Modeled energy at that ratio in the static sweep.
     pub energy_j: f64,
 }
+json_record!(StaticBest {
+    ratio,
+    quality,
+    energy_j
+});
 
 /// What the closed loop ended at.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveOutcome {
     /// The ratio the controller settled on.
     pub final_ratio: f64,
@@ -68,9 +73,19 @@ pub struct AdaptiveOutcome {
     /// chased — see the NaN-immunity contract of the controller).
     pub non_finite: u64,
 }
+json_record!(AdaptiveOutcome {
+    final_ratio,
+    quality,
+    energy_j,
+    steps,
+    converged,
+    converged_step,
+    evals,
+    non_finite
+});
 
 /// One kernel's adaptive-vs-static verdict.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveKernel {
     /// Kernel name (e.g. `"sobel"`).
     pub name: String,
@@ -100,9 +115,21 @@ pub struct AdaptiveKernel {
     /// for energy budgets). Flat kernels pass vacuously.
     pub dominates: bool,
 }
+json_record!(AdaptiveKernel {
+    name,
+    metric,
+    higher_is_better,
+    target_kind,
+    target,
+    non_flat,
+    best_static,
+    adaptive,
+    target_met,
+    dominates
+});
 
 /// The whole report (`BENCH_adaptive.json`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveReport {
     /// Format tag, always [`ADAPTIVE_SCHEMA`].
     pub schema: String,
@@ -121,6 +148,15 @@ pub struct AdaptiveReport {
     /// Per-kernel verdicts.
     pub kernels: Vec<AdaptiveKernel>,
 }
+json_record!(AdaptiveReport {
+    schema,
+    name,
+    git,
+    threads,
+    small,
+    degraded,
+    kernels
+});
 
 impl AdaptiveReport {
     /// Serialises the report, with its [`AdaptiveReport::metrics`], as

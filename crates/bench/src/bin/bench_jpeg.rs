@@ -24,8 +24,8 @@
 //! `--target PSNR` overrides the default 50 dB adaptive target.
 
 use scorpio_bench::{
-    arg_value, finish_trace, jpeg::run_image, out_dir_arg, threads_arg, trace_arg, JpegReport,
-    JPEG_SCHEMA,
+    arg_value, finish_trace, flag_present, jpeg::run_image, out_dir_arg, threads_arg, trace_arg,
+    usage_check, JpegReport, JPEG_SCHEMA,
 };
 use scorpio_core::ParallelAnalysis;
 use scorpio_quality::GrayImage;
@@ -72,8 +72,23 @@ fn write_recon(out_dir: &Path, name: &str, ratio: f64, img: &GrayImage) {
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
+const SYNOPSIS: &str = "\
+usage: bench_jpeg [--small] [--threads N] [--out-dir DIR] [--image NAME] [--target PSNR]
+                  [--trace PATH]";
+
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    usage_check(
+        SYNOPSIS,
+        &[
+            "--small",
+            "--threads",
+            "--out-dir",
+            "--image",
+            "--target",
+            "--trace",
+        ],
+    );
+    let small = flag_present("--small");
     let out_dir = out_dir_arg();
     let only = arg_value("--image");
     let target: f64 = arg_value("--target").map_or(DEFAULT_TARGET, |v| {

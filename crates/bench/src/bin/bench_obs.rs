@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use scorpio_bench::probe::{check_trace_roundtrip, check_windows, is_ok, LocalServer};
 use scorpio_bench::{
-    arg_value, out_dir_arg, request_line, ObsContract, ObsMode, ObsReport, OBS_SCHEMA,
+    arg_value, out_dir_arg, request_line, usage_check, ObsContract, ObsMode, ObsReport, OBS_SCHEMA,
 };
 use scorpio_core::audit::SplitMix64;
 use scorpio_obs::expose::validate_exposition;
@@ -200,7 +200,23 @@ fn run_contract(
     )
 }
 
+const SYNOPSIS: &str = "\
+usage: bench_obs [--requests N] [--reps N] [--batch N] [--workers N]
+                 [--seed N] [--bound PCT] [--out-dir DIR]";
+
 fn main() -> ExitCode {
+    usage_check(
+        SYNOPSIS,
+        &[
+            "--requests",
+            "--reps",
+            "--batch",
+            "--workers",
+            "--seed",
+            "--bound",
+            "--out-dir",
+        ],
+    );
     let usize_arg = |flag: &str, default: usize| {
         arg_value(flag).map_or(default, |v| {
             v.parse()

@@ -37,7 +37,7 @@
 
 use scorpio_bench::{
     adaptive::{resolve_objective, run_adaptive, MAX_STEPS},
-    finish_trace, flag_present, out_dir_arg, reps_arg, threads_arg, to_csv, trace_arg,
+    finish_trace, flag_present, out_dir_arg, reps_arg, threads_arg, to_csv, trace_arg, usage_check,
     AdaptiveKernel, AdaptiveReport, QorKernel, QorPoint, QorReport, SweepRow, ADAPTIVE_SCHEMA,
     QOR_SCHEMA,
 };
@@ -243,8 +243,23 @@ fn sweep(
     )
 }
 
+const SYNOPSIS: &str = "\
+usage: fig7_sweep [--small] [--threads N] [--reps N] [--out-dir DIR] [--trace PATH]
+                  [--adaptive]";
+
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    usage_check(
+        SYNOPSIS,
+        &[
+            "--small",
+            "--threads",
+            "--reps",
+            "--out-dir",
+            "--trace",
+            "--adaptive",
+        ],
+    );
+    let small = flag_present("--small");
     let out_dir = out_dir_arg();
     let reps = reps_arg(3);
     let adaptive = flag_present("--adaptive");

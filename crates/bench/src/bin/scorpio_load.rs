@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use scorpio_bench::probe::{check_trace_roundtrip, check_windows, is_ok, LocalServer};
-use scorpio_bench::{arg_value, out_dir_arg, request_line};
+use scorpio_bench::{arg_value, out_dir_arg, request_line, usage_check};
 use scorpio_core::audit::SplitMix64;
 use scorpio_obs::json::Value;
 use scorpio_serve::kernels::KERNEL_NAMES;
@@ -99,7 +99,10 @@ fn run_smoke(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
+const SYNOPSIS: &str = "usage: scorpio_load [--addr HOST:PORT] [--out-dir DIR]";
+
 fn main() -> ExitCode {
+    usage_check(SYNOPSIS, &["--addr", "--out-dir"]);
     // Point at a running server, or host one in this process.
     let (addr, server) = match arg_value("--addr") {
         Some(addr) => (addr, None),

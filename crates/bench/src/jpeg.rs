@@ -22,8 +22,8 @@ use scorpio_quality::{psnr_images, ssim, GrayImage};
 use scorpio_runtime::controller::adaptive::{AdaptiveController, Objective};
 use scorpio_runtime::controller::QualityTarget;
 use scorpio_obs::gate::{self, Better, Metric};
+use scorpio_obs::json_record;
 use scorpio_runtime::{EnergyModel, Executor};
-use serde::Serialize;
 
 /// Schema tag of `BENCH_jpeg.json`.
 pub const JPEG_SCHEMA: &str = "scorpio-jpeg-v1";
@@ -39,7 +39,7 @@ pub const MAX_ADAPTIVE_STEPS: usize = 24;
 pub const ABLATION_SEED: u64 = 0x05c0_a910_cafe;
 
 /// One measured point of an image's ratio sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JpegPoint {
     /// The requested accurate-block ratio.
     pub ratio: f64,
@@ -64,9 +64,20 @@ pub struct JpegPoint {
     /// bytes).
     pub roundtrip_ok: bool,
 }
+json_record!(JpegPoint {
+    ratio,
+    psnr_db,
+    ssim,
+    bits,
+    bits_per_pixel,
+    energy_j,
+    accurate_blocks,
+    approx_blocks,
+    roundtrip_ok
+});
 
 /// The adaptive-controller outcome on one image.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JpegAdaptive {
     /// The PSNR floor the controller pursued (dB, against the
     /// full-ratio reconstruction).
@@ -86,9 +97,19 @@ pub struct JpegAdaptive {
     /// Whether the final observation met the target.
     pub target_met: bool,
 }
+json_record!(JpegAdaptive {
+    target_psnr_db,
+    final_ratio,
+    psnr_db,
+    energy_j,
+    bits_per_pixel,
+    steps,
+    converged,
+    target_met
+});
 
 /// One image's full scenario result.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JpegImage {
     /// Image name (asset file stem).
     pub name: String,
@@ -109,9 +130,19 @@ pub struct JpegImage {
     /// The closed-loop run.
     pub adaptive: JpegAdaptive,
 }
+json_record!(JpegImage {
+    name,
+    width,
+    height,
+    blocks,
+    curve,
+    random_curve,
+    sig_dominates_random,
+    adaptive
+});
 
 /// The whole report (`BENCH_jpeg.json`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JpegReport {
     /// Format tag, always [`JPEG_SCHEMA`].
     pub schema: String,
@@ -129,6 +160,15 @@ pub struct JpegReport {
     /// Per-image results.
     pub images: Vec<JpegImage>,
 }
+json_record!(JpegReport {
+    schema,
+    name,
+    git,
+    threads,
+    small,
+    degraded,
+    images
+});
 
 impl JpegReport {
     /// Serialises the report, with its [`JpegReport::metrics`], as JSON.

@@ -16,13 +16,13 @@
 //! nanosecond columns only gate in full (same-machine) mode.
 
 use scorpio_obs::gate::{self, Better, Metric};
-use serde::Serialize;
+use scorpio_obs::json_record;
 
 /// Format tag of `BENCH_obs.json`.
 pub const OBS_SCHEMA: &str = "scorpio-obs-v1";
 
 /// The machine-independent live-observability contract.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ObsContract {
     /// The `metrics` verb's body passed
     /// [`scorpio_obs::expose::validate_exposition`] while the server
@@ -41,9 +41,16 @@ pub struct ObsContract {
     /// [`ObsReport::overhead_bound_pct`] of the untraced p50.
     pub overhead_within_bound: bool,
 }
+json_record!(ObsContract {
+    exposition_valid,
+    exposition_samples,
+    windows_nonempty,
+    trace_roundtrip,
+    overhead_within_bound
+});
 
 /// One ablation arm: the serving workload with tracing on or off.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ObsMode {
     /// Whether span/event tracing was enabled.
     pub obs: bool,
@@ -56,9 +63,16 @@ pub struct ObsMode {
     /// Mean service time, nanoseconds.
     pub service_mean_ns: f64,
 }
+json_record!(ObsMode {
+    obs,
+    requests,
+    service_p50_ns,
+    service_p90_ns,
+    service_mean_ns
+});
 
 /// The `BENCH_obs.json` artifact.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ObsReport {
     /// Format tag, always [`OBS_SCHEMA`].
     pub schema: String,
@@ -78,6 +92,15 @@ pub struct ObsReport {
     /// The two arms, tracing-on first.
     pub modes: Vec<ObsMode>,
 }
+json_record!(ObsReport {
+    schema,
+    workers,
+    requests_per_mode,
+    overhead_bound_pct,
+    overhead_pct,
+    contract,
+    modes
+});
 
 impl ObsReport {
     /// Serialises the report, with its [`ObsReport::metrics`], as JSON.

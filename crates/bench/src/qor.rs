@@ -6,7 +6,7 @@
 //! regressions.
 
 use scorpio_obs::gate::{self, Better, Metric};
-use serde::Serialize;
+use scorpio_obs::json_record;
 
 use crate::stats;
 
@@ -15,7 +15,7 @@ use crate::stats;
 pub const QOR_SCHEMA: &str = "scorpio-qor-v1";
 
 /// One measured point of a kernel's quality-vs-ratio curve.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QorPoint {
     /// The requested accurate-task ratio (the knob).
     pub ratio: f64,
@@ -37,9 +37,19 @@ pub struct QorPoint {
     /// statistics.
     pub time_ns_samples: Vec<u64>,
 }
+json_record!(QorPoint {
+    ratio,
+    quality,
+    energy_j,
+    achieved_ratio,
+    accurate,
+    approximate,
+    dropped,
+    time_ns_samples
+});
 
 /// One kernel's full curve.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QorKernel {
     /// Kernel name (e.g. `"sobel"`).
     pub name: String,
@@ -53,9 +63,15 @@ pub struct QorKernel {
     /// The measured points, in ascending ratio order.
     pub points: Vec<QorPoint>,
 }
+json_record!(QorKernel {
+    name,
+    metric,
+    higher_is_better,
+    points
+});
 
 /// The whole report (`BENCH_qor.json`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QorReport {
     /// Format tag, always [`QOR_SCHEMA`].
     pub schema: String,
@@ -78,6 +94,16 @@ pub struct QorReport {
     /// Per-kernel curves.
     pub kernels: Vec<QorKernel>,
 }
+json_record!(QorReport {
+    schema,
+    name,
+    git,
+    threads,
+    reps,
+    small,
+    degraded,
+    kernels
+});
 
 impl QorReport {
     /// Serialises the report, with its [`QorReport::metrics`], as JSON.

@@ -1,9 +1,21 @@
 //! `--help` and unknown flags end a bin at once: `scorpio_serve` must
 //! not bind its address and block, `scorpio_audit` must not run the
-//! battery.
+//! battery, `scorpio_load` must not run its smoke test, and the
+//! artifact writers (`fig7_sweep`, `bench_jpeg`, `bench_obs`) must not
+//! start a sweep.
 
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
+
+/// Every bin that checks its flags: (path, name).
+const BINS: [(&str, &str); 6] = [
+    (env!("CARGO_BIN_EXE_scorpio_serve"), "scorpio_serve"),
+    (env!("CARGO_BIN_EXE_scorpio_audit"), "scorpio_audit"),
+    (env!("CARGO_BIN_EXE_scorpio_load"), "scorpio_load"),
+    (env!("CARGO_BIN_EXE_fig7_sweep"), "fig7_sweep"),
+    (env!("CARGO_BIN_EXE_bench_jpeg"), "bench_jpeg"),
+    (env!("CARGO_BIN_EXE_bench_obs"), "bench_obs"),
+];
 
 /// Runs `bin` with `args` and returns its exit status and stdout,
 /// killing it (and failing) if it has not exited within 10 s.
@@ -32,10 +44,7 @@ fn run(bin: &str, args: &[&str]) -> (ExitStatus, String) {
 
 #[test]
 fn help_prints_the_synopsis_and_exits_zero() {
-    for (bin, name) in [
-        (env!("CARGO_BIN_EXE_scorpio_serve"), "scorpio_serve"),
-        (env!("CARGO_BIN_EXE_scorpio_audit"), "scorpio_audit"),
-    ] {
+    for (bin, name) in BINS {
         for flag in ["--help", "-h"] {
             let (status, stdout) = run(bin, &[flag]);
             assert_eq!(status.code(), Some(0), "{name} {flag}");
@@ -49,10 +58,7 @@ fn help_prints_the_synopsis_and_exits_zero() {
 
 #[test]
 fn unknown_flags_exit_two() {
-    for bin in [
-        env!("CARGO_BIN_EXE_scorpio_serve"),
-        env!("CARGO_BIN_EXE_scorpio_audit"),
-    ] {
+    for (bin, _) in BINS {
         for args in [&["--frobnicate"][..], &["--out-dir", "out", "--bogus=1"]] {
             let (status, _) = run(bin, args);
             assert_eq!(status.code(), Some(2), "{bin} {args:?}");

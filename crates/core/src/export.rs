@@ -1,17 +1,17 @@
-//! Machine-readable report export (JSON via serde, CSV).
+//! Machine-readable report export (JSON, CSV).
 //!
 //! The paper argues the analysis "can help developers gain insight ...
 //! since it allows them to 'visualize' the significance for different
 //! parts of the computation"; these exporters feed that visualisation:
 //! JSON for tooling, CSV for spreadsheets/plotting.
 
-use serde::Serialize;
+use scorpio_obs::json_record;
 
 use crate::graph::SigGraph;
 use crate::report::{Report, VarSignificances};
 
 /// Serialisable view of one registered variable.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VarRecord {
     /// Registration name.
     pub name: String,
@@ -26,9 +26,17 @@ pub struct VarRecord {
     /// Normalized significance.
     pub significance: f64,
 }
+json_record!(VarRecord {
+    name,
+    kind,
+    enclosure,
+    derivative,
+    significance_raw,
+    significance
+});
 
 /// Serialisable view of one DynDFG node.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NodeRecord {
     /// Dense node id.
     pub id: usize,
@@ -45,9 +53,18 @@ pub struct NodeRecord {
     /// `true` for registered outputs.
     pub is_output: bool,
 }
+json_record!(NodeRecord {
+    id,
+    op,
+    preds,
+    significance,
+    level,
+    name,
+    is_output
+});
 
 /// Serialisable view of a whole report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReportRecord {
     /// Number of recorded DynDFG nodes.
     pub tape_len: usize,
@@ -58,6 +75,12 @@ pub struct ReportRecord {
     /// Live graph nodes.
     pub nodes: Vec<NodeRecord>,
 }
+json_record!(ReportRecord {
+    tape_len,
+    output_significance_raw,
+    vars,
+    nodes
+});
 
 impl VarSignificances {
     /// Builds the serialisable record of these rows, with no `nodes`.
@@ -94,9 +117,9 @@ impl Report {
 
     /// Serialises the report as a JSON object.
     ///
-    /// The encoder is the workspace's own dependency-free one
-    /// ([`scorpio_obs::json`]: serde's data model through a hand-rolled
-    /// JSON backend), shared with the observability run manifests.
+    /// The writer is the workspace's own dependency-free one
+    /// ([`scorpio_obs::json`]), shared with the observability run
+    /// manifests and the served replies.
     ///
     /// ```
     /// use scorpio_core::Analysis;

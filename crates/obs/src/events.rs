@@ -38,8 +38,8 @@
 use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard};
 
-use serde::Serialize;
-
+use crate::json::WriteJson;
+use crate::json_record;
 use crate::span::current_tid;
 
 /// What the adaptive controller did with one quality observation.
@@ -145,7 +145,7 @@ pub struct TaskEvent {
 /// JSONL export and of the `task_events` array in
 /// [`crate::RunManifest`]. Fields not applicable to the event type are
 /// `null`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskEventRecord {
     /// Global sequence number.
     pub seq: u64,
@@ -185,6 +185,25 @@ pub struct TaskEventRecord {
     /// (ratio-decision events only).
     pub decision: Option<&'static str>,
 }
+json_record!(TaskEventRecord {
+    seq,
+    t_ns,
+    worker,
+    label,
+    trace_id,
+    event,
+    requested_ratio,
+    achieved_ratio,
+    accurate,
+    approximate,
+    dropped,
+    duration_ns,
+    step,
+    ratio_before,
+    ratio_after,
+    signal,
+    decision
+});
 
 impl TaskEvent {
     /// Flattens the event into its serialisable row form.
@@ -447,7 +466,7 @@ pub fn events_jsonl(events: &[TaskEvent]) -> String {
 pub fn records_jsonl(records: &[TaskEventRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 160);
     for r in records {
-        out.push_str(&crate::json::to_string(r));
+        r.write_json(&mut out);
         out.push('\n');
     }
     out

@@ -8,9 +8,7 @@
 //! each pair by its [`Better`] rule, so it never needs to know a
 //! payload's layout: a new gated artifact costs no comparison code.
 
-use serde::ser::{Serialize, SerializeStruct, Serializer};
-
-use crate::json::{self, Value};
+use crate::json::{self, Value, WriteJson};
 
 /// How a change between a baseline and a candidate value is judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,32 +121,34 @@ impl Metric {
     }
 }
 
-impl Serialize for Metric {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Metric", 5)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("unit", &self.unit)?;
-        st.serialize_field("better", self.better.as_str())?;
-        st.serialize_field("value", &self.value)?;
+/// Written by hand rather than by [`json_record!`](crate::json_record):
+/// `samples` is left out when it is `None`.
+impl WriteJson for Metric {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        self.name.write_json(out);
+        out.push_str(",\"unit\":");
+        self.unit.write_json(out);
+        out.push_str(",\"better\":");
+        self.better.as_str().write_json(out);
+        out.push_str(",\"value\":");
+        self.value.write_json(out);
         if let Some(samples) = &self.samples {
-            st.serialize_field("samples", samples)?;
+            out.push_str(",\"samples\":");
+            samples.write_json(out);
         }
-        st.end()
+        out.push('}');
     }
 }
 
-/// Serialises `payload` (a struct) as JSON with `metrics` appended as
-/// its last key, leaving every payload byte as [`json::to_string`]
-/// writes it.
-pub fn to_json<T: Serialize>(payload: &T, metrics: &[Metric]) -> String {
+/// Writes `payload` (a record) as JSON with `metrics` appended as its
+/// last key, leaving every payload byte as [`json::to_string`] writes
+/// it.
+pub fn to_json<T: WriteJson + ?Sized>(payload: &T, metrics: &[Metric]) -> String {
     let mut out = json::to_string(payload);
-    assert_eq!(
-        out.pop(),
-        Some('}'),
-        "a gated payload serialises as a JSON object"
-    );
+    assert_eq!(out.pop(), Some('}'), "a gated payload writes a JSON object");
     out.push_str(",\"metrics\":");
-    out.push_str(&json::to_string(metrics));
+    metrics.write_json(&mut out);
     out.push('}');
     out
 }
@@ -182,10 +182,10 @@ mod tests {
 
     #[test]
     fn to_json_appends_metrics_after_the_payload() {
-        #[derive(serde::Serialize)]
         struct P {
             x: u64,
         }
+        crate::json_record!(P { x });
         let out = to_json(&P { x: 1 }, &[Metric::contract("ok", true)]);
         assert_eq!(
             out,

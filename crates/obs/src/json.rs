@@ -1,13 +1,14 @@
-//! A minimal JSON backend over serde's data model, plus a small parser.
+//! The workspace's JSON writer and a small parser.
 //!
-//! The workspace vendors an offline `serde` shim (serialization half
-//! only) and has no JSON crate; this module is the single shared
-//! encoder behind every machine-readable artefact the workspace writes
-//! (`RUN_<name>.json` manifests, `trace.json`, `scorpio-core`'s report
-//! export). The [`parse`] half exists so tests can round-trip what the
-//! writers produce; it accepts exactly the subset the writers emit
-//! (objects, arrays, strings, finite numbers, `1e999` infinities,
-//! booleans, `null`).
+//! Every machine-readable artefact the workspace writes (`RUN_<name>.json`
+//! manifests, the `BENCH_*.json` reports, the event JSONL, served
+//! replies and `scorpio-core`'s report export) is a plain record of
+//! numbers, strings, options and lists. Each record implements
+//! [`WriteJson`], mostly through [`json_record!`](crate::json_record),
+//! and [`to_string`] renders it. The [`parse`] half exists so tests can
+//! round-trip what the writers produce; it accepts exactly the subset
+//! the writers emit (objects, arrays, strings, finite numbers, `1e999`
+//! infinities, booleans, `null`).
 //!
 //! Numbers are written without `core::fmt`: integers through a
 //! two-digit table, finite floats through the in-tree shortest
@@ -16,29 +17,54 @@
 //! by its oracle tests). NaN is written as `null` and `±inf` as
 //! `±1e999`.
 
-use serde::ser::{self, Serialize};
-
 mod num;
 
-/// Serialises any `Serialize` value to a JSON string.
+/// A value that appends itself to a JSON document.
+pub trait WriteJson {
+    /// Appends `self` to `out` as one JSON value.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Implements [`WriteJson`] for a struct with named fields, writing
+/// them as one object in the listed order.
 ///
-/// # Panics
+/// The list must name every field: the expansion destructures the
+/// struct without a `..` rest pattern, so a missing (or misspelled)
+/// field fails to compile. See [`to_string`] for an example.
 ///
-/// Panics on types outside the subset the workspace's records use
-/// (maps with non-string keys, bytes).
+/// ```compile_fail
+/// struct P { x: f64, name: String }
+/// scorpio_obs::json_record!(P { x }); // `name` is missing
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($name:ident { $first:ident $(, $field:ident)* $(,)? }) => {
+        impl $crate::json::WriteJson for $name {
+            fn write_json(&self, out: &mut String) {
+                let $name { $first $(, $field)* } = self;
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::json::WriteJson::write_json($first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    $crate::json::WriteJson::write_json($field, out);
+                )*
+                out.push('}');
+            }
+        }
+    };
+}
+
+/// Renders `value` as a JSON string.
 ///
 /// ```
-/// use serde::Serialize;
-/// #[derive(Serialize)]
 /// struct P { x: f64, name: String }
+/// scorpio_obs::json_record!(P { x, name });
 /// let json = scorpio_obs::json::to_string(&P { x: 1.5, name: "a".into() });
 /// assert_eq!(json, r#"{"x":1.5,"name":"a"}"#);
 /// ```
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
+pub fn to_string<T: WriteJson + ?Sized>(value: &T) -> String {
     let mut out = String::new();
-    value
-        .serialize(&mut Ser { out: &mut out })
-        .expect("record serialisation cannot fail");
+    value.write_json(&mut out);
     out
 }
 
@@ -73,284 +99,88 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn fmt_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        num::write_finite_f64(out, v);
-    } else if v.is_nan() {
-        out.push_str("null");
-    } else if v > 0.0 {
-        out.push_str("1e999"); // renders as Infinity in lenient parsers
-    } else {
-        out.push_str("-1e999");
+impl WriteJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        num::write_u64(out, *self);
     }
 }
 
-/// Serializer error (unreachable for the record types the workspace
-/// serialises; required by the trait).
-#[derive(Debug)]
-pub struct Error(String);
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-impl std::error::Error for Error {}
-impl ser::Error for Error {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
+impl WriteJson for usize {
+    fn write_json(&self, out: &mut String) {
+        num::write_u64(out, *self as u64);
     }
 }
 
-#[derive(Debug)]
-struct Ser<'a> {
-    out: &'a mut String,
-}
-
-impl<'a, 'b> ser::Serializer for &'b mut Ser<'a> {
-    type Ok = ();
-    type Error = Error;
-    type SerializeSeq = Seq<'a, 'b>;
-    type SerializeTuple = Seq<'a, 'b>;
-    type SerializeTupleStruct = Seq<'a, 'b>;
-    type SerializeTupleVariant = Seq<'a, 'b>;
-    type SerializeMap = Map<'a, 'b>;
-    type SerializeStruct = Map<'a, 'b>;
-    type SerializeStructVariant = Map<'a, 'b>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), Error> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), Error> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), Error> {
-        num::write_i64(self.out, v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), Error> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), Error> {
-        num::write_u64(self.out, v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), Error> {
-        fmt_f64(self.out, v as f64);
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), Error> {
-        fmt_f64(self.out, v);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), Error> {
-        escape_into(self.out, v.encode_utf8(&mut [0; 4]));
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), Error> {
-        escape_into(self.out, v);
-        Ok(())
-    }
-    fn serialize_bytes(self, _: &[u8]) -> Result<(), Error> {
-        Err(ser::Error::custom("bytes unsupported"))
-    }
-    fn serialize_none(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), Error> {
-        v.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _: &'static str) -> Result<(), Error> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-    ) -> Result<(), Error> {
-        escape_into(self.out, variant);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), Error> {
-        v.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _: &'static str,
-        _: u32,
-        variant: &'static str,
-        v: &T,
-    ) -> Result<(), Error> {
-        self.out.push('{');
-        escape_into(self.out, variant);
-        self.out.push(':');
-        v.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _: Option<usize>) -> Result<Seq<'a, 'b>, Error> {
-        self.out.push('[');
-        Ok(Seq {
-            ser: self,
-            first: true,
-        })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<Seq<'a, 'b>, Error> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(self, _: &'static str, len: usize) -> Result<Seq<'a, 'b>, Error> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        _: &'static str,
-        len: usize,
-    ) -> Result<Seq<'a, 'b>, Error> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_map(self, _: Option<usize>) -> Result<Map<'a, 'b>, Error> {
-        self.out.push('{');
-        Ok(Map {
-            ser: self,
-            first: true,
-        })
-    }
-    fn serialize_struct(self, _: &'static str, _: usize) -> Result<Map<'a, 'b>, Error> {
-        self.serialize_map(None)
-    }
-    fn serialize_struct_variant(
-        self,
-        _: &'static str,
-        _: u32,
-        _: &'static str,
-        _: usize,
-    ) -> Result<Map<'a, 'b>, Error> {
-        self.serialize_map(None)
-    }
-}
-
-/// Sequence serializer state (implementation detail of [`to_string`]).
-#[derive(Debug)]
-pub struct Seq<'a, 'b> {
-    ser: &'b mut Ser<'a>,
-    first: bool,
-}
-
-impl ser::SerializeSeq for Seq<'_, '_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-        if !self.first {
-            self.ser.out.push(',');
+impl WriteJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        let v = *self;
+        if v.is_finite() {
+            num::write_finite_f64(out, v);
+        } else if v.is_nan() {
+            out.push_str("null");
+        } else if v > 0.0 {
+            out.push_str("1e999"); // renders as Infinity in lenient parsers
+        } else {
+            out.push_str("-1e999");
         }
-        self.first = false;
-        v.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.ser.out.push(']');
-        Ok(())
     }
 }
 
-macro_rules! seq_like {
-    ($trait:ident, $method:ident) => {
-        impl ser::$trait for Seq<'_, '_> {
-            type Ok = ();
-            type Error = Error;
-            fn $method<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-                ser::SerializeSeq::serialize_element(self, v)
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            fn end(self) -> Result<(), Error> {
-                ser::SerializeSeq::end(self)
-            }
+            v.write_json(out);
         }
-    };
-}
-seq_like!(SerializeTuple, serialize_element);
-seq_like!(SerializeTupleStruct, serialize_field);
-seq_like!(SerializeTupleVariant, serialize_field);
-
-/// Map/struct serializer state (implementation detail of [`to_string`]).
-#[derive(Debug)]
-pub struct Map<'a, 'b> {
-    ser: &'b mut Ser<'a>,
-    first: bool,
-}
-
-impl ser::SerializeMap for Map<'_, '_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-        key.serialize(&mut *self.ser)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-        self.ser.out.push(':');
-        v.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.ser.out.push('}');
-        Ok(())
+        out.push(']');
     }
 }
 
-impl ser::SerializeStruct for Map<'_, '_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        v: &T,
-    ) -> Result<(), Error> {
-        ser::SerializeMap::serialize_key(self, key)?;
-        ser::SerializeMap::serialize_value(self, v)
-    }
-    fn end(self) -> Result<(), Error> {
-        ser::SerializeMap::end(self)
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
-impl ser::SerializeStructVariant for Map<'_, '_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        v: &T,
-    ) -> Result<(), Error> {
-        ser::SerializeStruct::serialize_field(self, key, v)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.ser.out.push('}');
-        Ok(())
+impl<T: WriteJson, const N: usize> WriteJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -709,9 +539,6 @@ mod tests {
             let mut out = String::new();
             escape_into(&mut out, s);
             assert_eq!(out, escape_per_char(s), "{s:?}");
-        }
-        for c in ['"', '\\', '\u{1}', 'é', '🦀'] {
-            assert_eq!(to_string(&c), escape_per_char(&c.to_string()));
         }
     }
 

@@ -54,14 +54,6 @@ pub(super) fn write_u64(out: &mut String, v: u64) {
     out.push_str(digits(v, &mut [0; 20]));
 }
 
-/// Appends `v` in decimal, as `{}` writes it.
-pub(super) fn write_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    write_u64(out, v.unsigned_abs());
-}
-
 /// Appends the finite `v` exactly as `format!("{v}")` would.
 pub(super) fn write_finite_f64(out: &mut String, v: f64) {
     debug_assert!(v.is_finite());
@@ -499,11 +491,6 @@ mod tests {
             let mut out = String::new();
             write_u64(&mut out, v);
             assert_eq!(out, v.to_string());
-            for s in [v as i64, (v as i64).wrapping_neg(), i64::MIN, i64::MAX] {
-                out.clear();
-                write_i64(&mut out, s);
-                assert_eq!(out, s.to_string());
-            }
         }
     }
 

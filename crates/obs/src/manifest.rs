@@ -4,26 +4,25 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use serde::Serialize;
-
 use crate::events::{self, TaskEventRecord};
 use crate::gate::{self, Better, Metric};
 use crate::span::{self, TraceEvent};
-use crate::{chrome_trace_json, events_snapshot, registry};
+use crate::{chrome_trace_json, events_snapshot, json_record, registry};
 
 /// One `key = value` configuration entry of a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigEntry {
     /// Configuration key (e.g. `"threads"`).
     pub key: String,
     /// Stringified value.
     pub value: String,
 }
+json_record!(ConfigEntry { key, value });
 
 /// One node of the aggregated phase-timing tree: every span path
 /// becomes a node whose `total_ns`/`count` aggregate all events with
 /// that path (across threads), with child paths nested beneath it.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseNode {
     /// The phase (span) name — one path segment.
     pub name: String,
@@ -34,6 +33,12 @@ pub struct PhaseNode {
     /// Child phases, sorted by name.
     pub children: Vec<PhaseNode>,
 }
+json_record!(PhaseNode {
+    name,
+    total_ns,
+    count,
+    children
+});
 
 impl PhaseNode {
     fn new(name: &str) -> PhaseNode {
@@ -65,17 +70,18 @@ impl PhaseNode {
 }
 
 /// Snapshot of one counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Registry name.
     pub name: String,
     /// Total at snapshot time.
     pub value: u64,
 }
+json_record!(CounterSnapshot { name, value });
 
 /// Snapshot of one histogram (summary statistics of the positive
 /// finite samples; see [`crate::Histogram`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Registry name.
     pub name: String,
@@ -90,10 +96,18 @@ pub struct HistogramSnapshot {
     /// Largest positive finite sample (−∞ when none).
     pub max: f64,
 }
+json_record!(HistogramSnapshot {
+    name,
+    count,
+    non_positive,
+    sum,
+    min,
+    max
+});
 
 /// The machine-readable record of one instrumented run, serialisable
 /// to `RUN_<name>.json` via [`RunManifest::to_json`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Run name (the `<name>` of `RUN_<name>.json`).
     pub name: String,
@@ -129,6 +143,20 @@ pub struct RunManifest {
     /// `task_events_dropped > 0`: the event timeline is truncated.
     pub degraded: bool,
 }
+json_record!(RunManifest {
+    name,
+    git,
+    threads,
+    config,
+    wall_clock_ns,
+    phase_total_ns,
+    phases,
+    counters,
+    histograms,
+    task_events,
+    task_events_dropped,
+    degraded
+});
 
 impl RunManifest {
     /// Serialises the manifest, with its [`RunManifest::metrics`], as

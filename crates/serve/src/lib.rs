@@ -10,9 +10,10 @@
 //! worker threads:
 //!
 //! * [`protocol`] — the wire format: requests parsed with
-//!   [`scorpio_obs::json`], responses serialized with the same
-//!   serde-backed writer the run manifests use (so served reports are
-//!   byte-comparable with [`scorpio_core::Report::to_json`] output).
+//!   [`scorpio_obs::json`], responses written with the same
+//!   [`WriteJson`](scorpio_obs::json::WriteJson) writer the run
+//!   manifests use (so served reports are byte-comparable with
+//!   [`scorpio_core::Report::to_json`] output).
 //! * [`kernels`] — the served kernel catalogue (fisheye, blackscholes,
 //!   dct, maclaurin, nbody): per-kernel request parsing, shape keys and
 //!   replay-driver execution over the public `register_*`/`*_inputs`

@@ -2,7 +2,7 @@
 //!
 //! One request object per line, one response object per line, in
 //! request order per connection. Requests are parsed with
-//! [`scorpio_obs::json::parse`]; responses are serde structs rendered
+//! [`scorpio_obs::json::parse`]; responses are plain records rendered
 //! by [`scorpio_obs::json::to_string`] — the same writer
 //! [`Report::to_json`](scorpio_core::Report::to_json) uses, so a
 //! served [`ReportRecord`] is byte-identical to the record a direct
@@ -46,9 +46,8 @@
 //! closing it.
 
 use scorpio_core::{ReportRecord, VarSignificances};
-use scorpio_obs::json::{self, Value};
-use scorpio_obs::{KernelWindowStats, TaskEventRecord};
-use serde::Serialize;
+use scorpio_obs::json::{self, Value, WriteJson};
+use scorpio_obs::{json_record, KernelWindowStats, TaskEventRecord};
 
 use crate::exemplar::Exemplar;
 use crate::kernels::{kernel_index, KernelRequest, KERNEL_NAMES};
@@ -221,7 +220,7 @@ pub fn trace_id_hex(trace_id: u64) -> String {
 
 /// Per-task classification row of an analyze response: how the
 /// requested taskwait ratio ranked this item.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Item index within the request batch.
     pub task_id: u64,
@@ -230,9 +229,14 @@ pub struct TaskRecord {
     /// `"accurate"` or `"approximate"` under the requested ratio.
     pub class: String,
 }
+json_record!(TaskRecord {
+    task_id,
+    significance,
+    class
+});
 
 /// Successful analyze response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyzeResponse {
     /// Echoed request id.
     pub id: u64,
@@ -254,9 +258,19 @@ pub struct AnalyzeResponse {
     /// `nodes` empty).
     pub reports: Vec<ReportRecord>,
 }
+json_record!(AnalyzeResponse {
+    id,
+    ok,
+    trace_id,
+    kernel,
+    cached,
+    server_ns,
+    tasks,
+    reports
+});
 
 /// Error reply (parse failures, unknown kernels, analysis errors).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorResponse {
     /// Echoed request id (0 if unknown).
     pub id: u64,
@@ -265,9 +279,10 @@ pub struct ErrorResponse {
     /// Human-readable description.
     pub error: String,
 }
+json_record!(ErrorResponse { id, ok, error });
 
 /// Cache section of a stats response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheStatsRecord {
     /// Lookups served from the cache.
     pub hits: u64,
@@ -284,10 +299,19 @@ pub struct CacheStatsRecord {
     /// `hits / (hits + misses)`.
     pub hit_rate: f64,
 }
+json_record!(CacheStatsRecord {
+    hits,
+    misses,
+    insertions,
+    evictions,
+    len,
+    capacity,
+    hit_rate
+});
 
 /// Replay section of a stats response (worker totals, merged via
 /// [`ReplayStats::merge`](scorpio_core::ReplayStats::merge)).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayStatsRecord {
     /// Items served by replaying a compiled trace.
     pub replays: u64,
@@ -301,9 +325,16 @@ pub struct ReplayStatsRecord {
     /// recordings) instead of in a full lane block.
     pub lane_remainder: u64,
 }
+json_record!(ReplayStatsRecord {
+    replays,
+    records,
+    fallbacks,
+    lane_blocks,
+    lane_remainder
+});
 
 /// Per-kernel request tally of a stats response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KernelCountRecord {
     /// Kernel catalogue name.
     pub kernel: &'static str,
@@ -313,9 +344,14 @@ pub struct KernelCountRecord {
     /// analysis failures).
     pub errors: u64,
 }
+json_record!(KernelCountRecord {
+    kernel,
+    requests,
+    errors
+});
 
 /// Stats response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StatsResponse {
     /// Echoed request id.
     pub id: u64,
@@ -325,9 +361,9 @@ pub struct StatsResponse {
     pub workers: usize,
     /// Milliseconds since the server started serving.
     pub uptime_ms: u64,
-    /// Task events dropped by the bounded per-thread rings over the
-    /// process lifetime (previously only visible in the shutdown
-    /// manifest).
+    /// Task events dropped by the process-wide event log over the
+    /// process lifetime: the log keeps the first 2,048 events and
+    /// counts the rest.
     pub events_dropped: u64,
     /// Spans evicted from the bounded global trace sink over the
     /// process lifetime (per-request exemplar capture is unaffected).
@@ -343,10 +379,23 @@ pub struct StatsResponse {
     /// Analyze-request tallies per kernel.
     pub kernels: Vec<KernelCountRecord>,
 }
+json_record!(StatsResponse {
+    id,
+    ok,
+    workers,
+    uptime_ms,
+    events_dropped,
+    spans_dropped,
+    requests,
+    errors,
+    cache,
+    replay,
+    kernels
+});
 
 /// `metrics` response: the Prometheus text exposition as one JSON
 /// string field (the HTTP sidecar serves the same body raw).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsResponse {
     /// Echoed request id.
     pub id: u64,
@@ -358,9 +407,15 @@ pub struct MetricsResponse {
     /// separated).
     pub body: String,
 }
+json_record!(MetricsResponse {
+    id,
+    ok,
+    format,
+    body
+});
 
 /// One span of one kernel's sliding window in a `window` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WindowSpanRecord {
     /// Span label (`"10s"`, `"1m"`, `"5m"`).
     pub span: &'static str,
@@ -389,9 +444,24 @@ pub struct WindowSpanRecord {
     /// Mean achieved taskwait ratio (`null` when no samples).
     pub achieved_ratio: f64,
 }
+json_record!(WindowSpanRecord {
+    span,
+    requests,
+    errors,
+    rate_per_s,
+    error_rate,
+    p50_ns,
+    p90_ns,
+    p99_ns,
+    cache_lookups,
+    cache_hits,
+    cache_hit_rate,
+    requested_ratio,
+    achieved_ratio
+});
 
 /// Per-kernel window section of a `window` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KernelWindowRecord {
     /// Kernel catalogue name.
     pub kernel: String,
@@ -399,9 +469,10 @@ pub struct KernelWindowRecord {
     /// [`WINDOW_SPANS`](scorpio_obs::WINDOW_SPANS) order.
     pub spans: Vec<WindowSpanRecord>,
 }
+json_record!(KernelWindowRecord { kernel, spans });
 
 /// `window` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WindowResponse {
     /// Echoed request id.
     pub id: u64,
@@ -412,6 +483,12 @@ pub struct WindowResponse {
     /// Per-kernel sliding-window snapshots.
     pub kernels: Vec<KernelWindowRecord>,
 }
+json_record!(WindowResponse {
+    id,
+    ok,
+    uptime_ms,
+    kernels
+});
 
 /// Converts an obs [`KernelWindowStats`] into its wire record.
 pub fn window_to_record(stats: &KernelWindowStats) -> KernelWindowRecord {
@@ -441,7 +518,7 @@ pub fn window_to_record(stats: &KernelWindowStats) -> KernelWindowRecord {
 
 /// One span row of an exemplar dump (a flattened
 /// [`TraceEvent`](scorpio_obs::TraceEvent)).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Slash-joined ancestry within the recording thread.
     pub path: String,
@@ -456,9 +533,17 @@ pub struct SpanRecord {
     /// Nesting depth within the thread.
     pub depth: usize,
 }
+json_record!(SpanRecord {
+    path,
+    name,
+    start_ns,
+    dur_ns,
+    tid,
+    depth
+});
 
 /// One retained request in an `exemplars` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExemplarRecord {
     /// Trace id, 16 hex digits.
     pub trace_id: String,
@@ -477,6 +562,16 @@ pub struct ExemplarRecord {
     /// The request's task events (same rows as the manifest JSONL).
     pub events: Vec<TaskEventRecord>,
 }
+json_record!(ExemplarRecord {
+    trace_id,
+    kernel,
+    ok,
+    cached,
+    latency_ns,
+    end_t_ns,
+    spans,
+    events
+});
 
 /// Converts a retained [`Exemplar`] into its wire record.
 pub fn exemplar_to_record(e: &Exemplar) -> ExemplarRecord {
@@ -504,7 +599,7 @@ pub fn exemplar_to_record(e: &Exemplar) -> ExemplarRecord {
 }
 
 /// `exemplars` response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExemplarsResponse {
     /// Echoed request id.
     pub id: u64,
@@ -516,18 +611,25 @@ pub struct ExemplarsResponse {
     /// Successful requests offered to the ring but not retained.
     pub passed: u64,
 }
+json_record!(ExemplarsResponse {
+    id,
+    ok,
+    exemplars,
+    passed
+});
 
 /// Bare acknowledgement (`cache_clear`, `shutdown`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AckResponse {
     /// Echoed request id.
     pub id: u64,
     /// Always `true`.
     pub ok: bool,
 }
+json_record!(AckResponse { id, ok });
 
-/// Serializes `response` as one wire line (no trailing newline).
-pub fn response_line<T: Serialize>(response: &T) -> String {
+/// Writes `response` as one wire line (no trailing newline).
+pub fn response_line<T: WriteJson>(response: &T) -> String {
     json::to_string(response)
 }
 

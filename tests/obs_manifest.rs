@@ -1,6 +1,6 @@
 //! Integration tests for the observability layer against a real kernel
 //! run: the run manifest must contain every phase the pipeline
-//! registers, round-trip through the serde-based JSON writer/parser,
+//! registers, round-trip through the `scorpio-obs` JSON writer/parser,
 //! and the Chrome trace export must be valid.
 //!
 //! `scorpio-obs` state is process-global, so every test serialises on
